@@ -38,7 +38,6 @@ from .exponents import (
     relative_entropy,
     solve_rate_parameter,
     sweep_curve,
-    symmetric_psi_bar,
 )
 from .finite_n import (
     BoundReport,

@@ -8,6 +8,16 @@ Legendre-type transform ``phi_bar`` governs the finite-blocklength bounds;
 into the achievable trade-off exponent for the second-kind error under an
 exponential constraint on the first kind, and ``classical_psi`` /
 ``classical_hoeffding`` are the scalar reductions for distributions.
+
+Every exponent is ``-log Re sum_k c_k exp(s r_k)``, evaluated by one kernel
+over terms built from the eigenbases ``rho = sum_i p_i |u_i><u_i|`` and
+``sigma = sum_j q_j |v_j><v_j|``: for psi ``c_ij = |<u_i|v_j>|^2 p_i`` and
+``r_ij = log q_j - log p_i`` (the classical exponent is the diagonal case),
+for psi_bar ``c_ijk = M_kj C_ji conj(C_ki)`` and
+``r_ijk = (log q_j + log q_k)/2 - log p_i`` with ``C = V* U``, ``M = V* rho V``.
+Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
+``sigma^0`` act as support projectors.  ``classical_psi`` keeps its own
+convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
 """
 
 import math
@@ -45,20 +55,6 @@ def _real_trace(values: np.ndarray, context: str) -> np.ndarray:
     return values.real
 
 
-def _batched_powers(w, V, exponents) -> np.ndarray:
-    """Stack of functional-calculus powers, one matrix per exponent.
-
-    Zero eigenvalues contribute nothing for any exponent (support
-    convention); negative exponents require the caller to have checked
-    invertibility.
-    """
-    w = np.asarray(w, dtype=float)
-    e = np.atleast_1d(np.asarray(exponents, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pw = np.where(w[None, :] > 0.0, w[None, :] ** e[:, None], 0.0)
-    return np.einsum("ij,mj,kj->mik", V, pw, V.conj())
-
-
 def _check_s(s) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if (s < 0.0).any() or (s > 1.0).any():
@@ -66,32 +62,54 @@ def _check_s(s) -> np.ndarray:
     return s
 
 
-def psi_bar_values(pair: HypothesisPair, s) -> np.ndarray:
-    """Vectorized pinched exponent over an array of s values in [0, 1]."""
-    s = _check_s(s)
+def _exponent(terms, s: np.ndarray, name: str) -> np.ndarray:
+    """The one kernel: ``-log Re sum_k c_k exp(s r_k)`` for each entry of s."""
+    c, r = terms
+    E = np.outer(s, r)
+    np.exp(E, out=E)
+    # two real products: a complex product would first copy E at twice its size
+    tr = _real_trace(E @ c.real + 1j * (E @ c.imag), f"{name} trace")
+    if (tr <= 0.0).any():
+        raise ArithmeticError(f"{name} trace is not positive")
+    return -np.log(tr)
+
+
+def _plain_terms(W, p, q):
+    """Terms of ``sum_ij W_ij p_i^{1-s} q_j^s``, dropping p_i = 0 and q_j = 0."""
+    keep = (p[:, None] > 0.0) & (q[None, :] > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.log(q)[None, :] - np.log(p)[:, None]
+    return (W * p[:, None])[keep], r[keep]
+
+
+def _psi_terms(pair: HypothesisPair):
+    p, U = pair.rho_eig
+    q, V = pair.sigma_eig
+    return _plain_terms(np.abs(U.conj().T @ V) ** 2, p, q)
+
+
+def _psi_bar_terms(pair: HypothesisPair):
+    """Terms of ``Tr[rho sigma^{s/2} rho^{-s} sigma^{s/2}]``; needs full support."""
     pair.assert_invertible("psi_bar")
     p, U = pair.rho_eig
     q, V = pair.sigma_eig
-    half = _batched_powers(q, V, s / 2.0)  # sigma^{s/2}
-    inv = _batched_powers(p, U, -s)  # rho^{-s}
-    tr = np.einsum("ij,mjk,mkl,mli->m", pair.rho, half, inv, half)
-    tr = _real_trace(tr, "psi_bar trace")
-    if (tr <= 0.0).any():
-        raise ArithmeticError("psi_bar trace is not positive")
-    return -np.log(tr)
+    C = V.conj().T @ U
+    M = V.conj().T @ pair.rho @ V
+    T = np.einsum("kj,ji,ki->ijk", M, C, C.conj())
+    half_log_q = np.log(q) / 2.0
+    r = half_log_q[None, :, None] + half_log_q[None, None, :] - np.log(p)[:, None, None]
+    return T.ravel(), r.ravel()
+
+
+def psi_bar_values(pair: HypothesisPair, s) -> np.ndarray:
+    """Vectorized pinched exponent over an array of s values in [0, 1]."""
+    s = _check_s(s)
+    return _exponent(_psi_bar_terms(pair), s, "psi_bar")
 
 
 def psi_values(pair: HypothesisPair, s) -> np.ndarray:
     """Vectorized plain exponent -log Tr[rho^{1-s} sigma^s] over s in [0, 1]."""
-    s = _check_s(s)
-    p, U = pair.rho_eig
-    q, V = pair.sigma_eig
-    rp = _batched_powers(p, U, 1.0 - s)
-    sp = _batched_powers(q, V, s)
-    tr = _real_trace(np.einsum("mij,mji->m", rp, sp), "psi trace")
-    if (tr <= 0.0).any():
-        raise ArithmeticError("psi trace is not positive")
-    return -np.log(tr)
+    return _exponent(_psi_terms(pair), _check_s(s), "psi")
 
 
 def psi_bar(pair: HypothesisPair, s: float) -> float:
@@ -100,11 +118,6 @@ def psi_bar(pair: HypothesisPair, s: float) -> float:
 
 def psi(pair: HypothesisPair, s: float) -> float:
     return float(psi_values(pair, s)[0])
-
-
-def symmetric_psi_bar(pair: HypothesisPair, s: float) -> float:
-    """Hypothesis-symmetric variant: the larger of psi_bar and its swap."""
-    return max(psi_bar(pair, s), psi_bar(pair.swapped, s))
 
 
 def relative_entropy(pair: HypothesisPair) -> float:
@@ -116,40 +129,40 @@ def relative_entropy(pair: HypothesisPair) -> float:
 def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
     """First and second derivative of psi at s.
 
-    Uses the closed forms
-    ``psi'(s) = e^{psi} Tr[rho^{1-s} sigma^s (log rho - log sigma)]`` and
-    ``psi''(s) = -e^{psi} Tr[rho^{1-s} A sigma^s A]`` with
-    ``A = log rho - log sigma - psi'(s)``; the latter is minus a variance,
-    so ``psi'' < 0`` whenever rho != sigma.
+    With the kernel terms of psi and the tilted weights
+    ``w_k = c_k e^{s r_k} / sum_k c_k e^{s r_k}``, ``psi'(s) = -sum_k w_k r_k``
+    and ``psi''(s) = -sum_k w_k (r_k + psi'(s))^2``; the latter is minus a
+    variance, so ``psi'' < 0`` whenever rho != sigma.
     """
     s = float(_check_s(s)[0])
-    L = pair.log_rho - pair.log_sigma
-    p, U = pair.rho_eig
-    q, V = pair.sigma_eig
-    R = (U * p ** (1.0 - s)) @ U.conj().T
-    S = (V * q**s) @ V.conj().T
-    f = float(_real_trace(np.atleast_1d(np.trace(R @ S)), "psi trace")[0])
-    d1 = float(np.trace(R @ S @ L).real) / f
-    A = L - d1 * np.eye(pair.dim)
-    d2 = -float(np.trace(R @ A @ S @ A).real) / f
+    pair.assert_invertible("psi_derivatives")
+    c, r = _psi_terms(pair)
+    w = c * np.exp(s * r)
+    w /= w.sum()
+    d1 = -float(w @ r)
+    d2 = -float(w @ (r + d1) ** 2)
     return d1, d2
 
 
 def _golden_max(f, lo: float, hi: float, iterations: int) -> tuple[float, float]:
-    """Deterministic golden-section maximization of f on [lo, hi].
+    """Deterministic golden-section maximization of a vectorized f on [lo, hi].
 
-    Returns the best probed point (endpoints included); ties between equal
-    values resolve toward the smaller argument.
+    f is probed one point at a time, as a 1-element array.  Returns the best
+    probed point (endpoints included); ties between equal values resolve
+    toward the smaller argument.
     """
-    best_x, best_v = lo, f(lo)
-    for x in (hi,):
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
+
+    def value(x):
+        return float(f(np.array([x]))[0])
+
+    best_x, best_v = lo, value(lo)
+    v = value(hi)
+    if v > best_v:
+        best_x, best_v = hi, v
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = value(x1), value(x2)
     for _ in range(iterations):
         for x, v in ((x1, f1), (x2, f2)):
             if v > best_v or (v == best_v and x < best_x):
@@ -157,21 +170,21 @@ def _golden_max(f, lo: float, hi: float, iterations: int) -> tuple[float, float]
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
+            f1 = value(x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
+            f2 = value(x2)
     return best_x, best_v
 
 
-def _grid_then_refine(f_many, f_one, grid: np.ndarray, iterations: int):
+def _grid_then_refine(f, grid: np.ndarray, iterations: int):
     """Grid scan plus golden-section refinement in the bracketing interval."""
-    vals = f_many(grid)
+    vals = f(grid)
     k = int(np.argmax(vals))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    xr, vr = _golden_max(f_one, float(lo), float(hi), iterations)
+    xr, vr = _golden_max(f, float(lo), float(hi), iterations)
     if vr > vals[k] or (vr == vals[k] and xr < grid[k]):
         return xr, float(vr), k
     return float(grid[k]), float(vals[k]), k
@@ -187,12 +200,10 @@ def phi_bar(
     toward smaller s.
     """
     a = float(a)
+    terms = _psi_bar_terms(pair)
     grid = np.linspace(0.0, 1.0, opt.grid_points)
     s_star, value, _ = _grid_then_refine(
-        lambda s: psi_bar_values(pair, s) - a * s,
-        lambda s: psi_bar(pair, s) - a * s,
-        grid,
-        opt.refine_iterations,
+        lambda s: _exponent(terms, s, "psi_bar") - a * s, grid, opt.refine_iterations
     )
     return value, s_star
 
@@ -206,22 +217,21 @@ def phi(
     search over the whole interval is sufficient.
     """
     a = float(a)
+    terms = _psi_terms(pair)
     s_star, value = _golden_max(
-        lambda s: psi(pair, s) - a * s, 0.0, 1.0, 2 * DEFAULT_OPT.refine_iterations
+        lambda s: _exponent(terms, s, "psi") - a * s, 0.0, 1.0, 2 * opt.refine_iterations
     )
     return float(value), float(s_star)
 
 
-def _rate_objective_max(f_many, f_one, r: float, opt: OptimizerConfig) -> float:
+def _rate_objective_max(exponent, r: float, opt: OptimizerConfig) -> float:
+    """Maximize ``(E(s) - (1-s) r) / s`` over s in (0, 1] for a vectorized E."""
     grid = np.linspace(S_MIN, 1.0, opt.grid_points)
 
-    def many(s):
-        return (f_many(s) - (1.0 - s) * r) / s
+    def objective(s):
+        return (exponent(s) - (1.0 - s) * r) / s
 
-    def one(s):
-        return (f_one(s) - (1.0 - s) * r) / s
-
-    s_star, value, k = _grid_then_refine(many, one, grid, opt.refine_iterations)
+    s_star, value, k = _grid_then_refine(objective, grid, opt.refine_iterations)
     if k == 0:
         warnings.warn(
             f"rate objective peaked at the lower cutoff s = {S_MIN}; "
@@ -242,9 +252,8 @@ def hoeffding_rate(
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    return _rate_objective_max(
-        lambda s: psi_bar_values(pair, s), lambda s: psi_bar(pair, s), float(r), opt
-    )
+    terms = _psi_bar_terms(pair)
+    return _rate_objective_max(lambda s: _exponent(terms, s, "psi_bar"), float(r), opt)
 
 
 def solve_rate_parameter(
@@ -313,12 +322,6 @@ def classical_psi(p, q, s: float) -> float:
     return float(terms.sum())
 
 
-def _classical_exponent_values(p, q, s: np.ndarray) -> np.ndarray:
-    """-log sum_x p^{1-s} q^s, vectorized over s (full common support)."""
-    terms = p[:, None] ** (1.0 - s[None, :]) * q[:, None] ** s[None, :]
-    return -np.log(terms.sum(axis=0))
-
-
 def classical_hoeffding(
     p, q, r: float, opt: OptimizerConfig = DEFAULT_OPT
 ) -> float:
@@ -337,12 +340,8 @@ def classical_hoeffding(
         raise DimensionMismatch("distributions must have equal support size")
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
-    return _rate_objective_max(
-        lambda s: _classical_exponent_values(p, q, np.atleast_1d(s)),
-        lambda s: float(_classical_exponent_values(p, q, np.atleast_1d(s))[0]),
-        float(r),
-        opt,
-    )
+    terms = _plain_terms(np.eye(p.size), p, q)
+    return _rate_objective_max(lambda s: _exponent(terms, s, "classical"), float(r), opt)
 
 
 @dataclass(frozen=True)

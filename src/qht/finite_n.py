@@ -159,9 +159,12 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     Levels group the exact tensor-product eigenvalues of sigma_n by their
     log with relative gap ``cluster_rel_tol``; numerically coincident
     products of the single-copy eigenvalues always land in one level.
-    Cached per pair and n.
+    Cached per pair, n and clustering tolerance; the dimension budget is
+    checked before the cache.
     """
-    key = n
+    if pair.dim**n > max_dim:
+        raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
+    key = (n, tol.cluster_rel_tol)
     cached = pair._level_cache.get(key)
     if cached is not None:
         return cached

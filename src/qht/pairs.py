@@ -87,11 +87,6 @@ class HypothesisPair:
         q, V = self.sigma_eig
         return (V * np.log(q)) @ V.conj().T
 
-    @cached_property
-    def swapped(self) -> "HypothesisPair":
-        """The pair with the roles of the two hypotheses exchanged."""
-        return HypothesisPair(self.sigma, self.rho, self.tol)
-
     def smoothed(self, delta: float) -> "HypothesisPair":
         """Mix both states with delta * I/d to guarantee full rank."""
         if not 0.0 < delta < 1.0:

@@ -116,6 +116,35 @@ class TestOrderingAndInvariance:
         assert abs(qht.hoeffding_rate(pair, 0.1) - qht.hoeffding_rate(rotated, 0.1)) <= 1e-9
 
 
+def dense_traces(pair, s):
+    """Both trace functionals built from functional-calculus matrix powers."""
+    half = qht.matrix_power(pair.sigma, s / 2.0)
+    pinched = pair.rho @ half @ qht.matrix_power(pair.rho, -s) @ half
+    plain = qht.matrix_power(pair.rho, 1.0 - s) @ qht.matrix_power(pair.sigma, s)
+    return np.trace(pinched).real, np.trace(plain).real
+
+
+class TestKernelAgainstMatrixPowers:
+    PAIRS = [(dim, seed) for dim in (2, 3, 4, 5) for seed in range(3)]
+
+    def check(self, pair):
+        dense = np.array([dense_traces(pair, s) for s in S_GRID])
+        np.testing.assert_allclose(
+            qht.psi_bar_values(pair, S_GRID), -np.log(dense[:, 0]), rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            qht.psi_values(pair, S_GRID), -np.log(dense[:, 1]), rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize("dim,seed", PAIRS)
+    def test_seeded(self, dim, seed):
+        self.check(qht.random_pair(seed, dim))
+
+    @pytest.mark.parametrize("name", ["qubit-skewed", "commuting-1"])
+    def test_presets(self, name):
+        self.check(qht.preset_pair(name))
+
+
 class TestDerivatives:
     def test_slope_at_zero_is_relative_entropy(self):
         for pair in seeded_pairs(5):
@@ -133,6 +162,21 @@ class TestDerivatives:
         fd1, fd2 = psi_fd_mp(generic, s)
         assert d1 == pytest.approx(fd1, rel=1e-6)
         assert d2 == pytest.approx(fd2, rel=1e-6)
+
+    def test_diagonal_closed_form(self):
+        # psi' and psi'' are minus the mean and minus the variance of
+        # log q - log p under the tilted distribution p^{1-s} q^s / sum.
+        for pair in seeded_diagonal_pairs(5, dim=3):
+            p = np.diag(pair.rho).real
+            q = np.diag(pair.sigma).real
+            llr = np.log(q) - np.log(p)
+            for s in (0.0, 0.3, 0.7, 1.0):
+                tilted = p ** (1.0 - s) * q**s
+                tilted /= tilted.sum()
+                mean = tilted @ llr
+                d1, d2 = qht.psi_derivatives(pair, s)
+                assert d1 == pytest.approx(-mean, abs=1e-12)
+                assert d2 == pytest.approx(-(tilted @ (llr - mean) ** 2), abs=1e-12)
 
     def test_concavity(self):
         for pair in seeded_pairs(10):
@@ -183,6 +227,13 @@ class TestPhi:
     def test_value_at_divergence_nonnegative(self, generic):
         div = qht.relative_entropy(generic)
         assert qht.phi(generic, div)[0] >= -1e-15
+
+    def test_respects_optimizer_config(self, generic):
+        div = qht.relative_entropy(generic)
+        coarse = qht.phi(generic, 0.5 * div, qht.OptimizerConfig(refine_iterations=1))
+        fine = qht.phi(generic, 0.5 * div)
+        assert coarse[1] != fine[1]
+        assert coarse[0] <= fine[0]
 
     def test_brute_force_grid_oracle(self, commuting):
         value, _ = qht.phi(commuting, 0.0)
@@ -239,23 +290,6 @@ class TestRateParameter:
     def test_rejects_nonpositive_rate(self, generic):
         with pytest.raises(qht.NonpositiveRate):
             qht.solve_rate_parameter(generic, 0.0)
-
-
-class TestSymmetricVariant:
-    def test_identical_vanishes(self, identical):
-        assert qht.symmetric_psi_bar(identical, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_exchange_symmetric_pair(self):
-        pair = qht.HypothesisPair(np.diag([0.9, 0.1]), np.diag([0.1, 0.9]))
-        for s in (0.2, 0.5, 0.8):
-            assert qht.symmetric_psi_bar(pair, s) == pytest.approx(
-                qht.psi_bar(pair, s), abs=1e-12
-            )
-
-    def test_dominates_psi_bar(self):
-        for pair in seeded_pairs(5):
-            for s in (0.3, 0.6, 0.9):
-                assert qht.symmetric_psi_bar(pair, s) >= qht.psi_bar(pair, s) - 1e-15
 
 
 class TestClassical:

@@ -83,6 +83,20 @@ class TestBuildPinchedTest:
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.build_pinched_test(generic, 13, 0.0)
 
+    def test_budget_checked_on_cached_levels(self, generic):
+        qht.build_pinched_test(generic, 3, 0.0)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.build_pinched_test(generic, 3, 0.0, max_dim=4)
+
+    def test_level_cache_keyed_on_cluster_tolerance(self):
+        coarse = qht.ToleranceConfig(cluster_rel_tol=10.0)
+        fresh = qht.build_pinched_test(qht.preset_pair("qubit-generic"), 3, 0.0, coarse)
+        pair = qht.preset_pair("qubit-generic")
+        qht.build_pinched_test(pair, 3, 0.0)
+        cached = qht.build_pinched_test(pair, 3, 0.0, coarse)
+        assert len(fresh.blocks) == 1
+        assert len(cached.blocks) == len(fresh.blocks)
+
 
 class TestBuildPlainTest:
     def test_commuting_equals_pinched(self):
