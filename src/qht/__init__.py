@@ -58,11 +58,9 @@ from .operators import (
     check_hermitian,
     eigendecompose,
     key_inequality_residual,
-    matrix_log,
     matrix_power,
     min_eigenvalue,
     operator_convexity_gap,
-    operator_convexity_residual,
     pinch,
     positive_projection,
     tensor_power,

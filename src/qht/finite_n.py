@@ -7,6 +7,10 @@ with thresholds compared in log space.  That is identical to projecting
 ``pinch(rho_n) - e^{na} sigma_n`` onto its positive part in exact
 arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
+
+The levels of ``sigma_n`` (its eigenvalues grouped by their log), with the
+columns of ``V^{(x)n}`` as basis, are one SpectralDecomposition; that one
+pinching defines the test, v(sigma_n) and the key-inequality residual.
 """
 
 import math
@@ -24,7 +28,7 @@ from .errors import (
 )
 from .exponents import phi, phi_bar, relative_entropy
 from .operators import (
-    eigendecompose,
+    SpectralDecomposition,
     hermitian_part,
     key_inequality_residual,
     positive_projection,
@@ -144,13 +148,12 @@ class ConjectureReport:
     rows: tuple[ConjectureRow, ...]
 
 
+@dataclass(frozen=True)
 class _Level:
-    __slots__ = ("log_weight", "eigenvalues", "vectors")
-
-    def __init__(self, log_weight, eigenvalues, vectors):
-        self.log_weight = log_weight
-        self.eigenvalues = eigenvalues
-        self.vectors = vectors  # d^n x k, orthonormal block eigenvectors
+    log_weight: float
+    columns: slice  # of the level decomposition's vectors
+    eigenvalues: np.ndarray
+    vectors: np.ndarray  # k x k block eigenvectors within those columns
 
 
 def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int):
@@ -159,8 +162,10 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     Levels group the exact tensor-product eigenvalues of sigma_n by their
     log with relative gap ``cluster_rel_tol``; numerically coincident
     products of the single-copy eigenvalues always land in one level.
-    Cached per pair, n and clustering tolerance; the dimension budget is
-    checked before the cache.
+    Returns the levels as a SpectralDecomposition of sigma_n, whose vectors
+    are ``V^{(x)n}`` in level order, and each level's block of
+    ``(V* rho V)^{(x)n}`` diagonalized.  Cached per pair, n and clustering
+    tolerance; the dimension budget is checked before the cache.
     """
     if pair.dim**n > max_dim:
         raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
@@ -171,13 +176,10 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     lam, V = pair.sigma_eig
     with np.errstate(divide="ignore"):
         loglam = np.where(lam > 0.0, np.log(lam), -np.inf)
-    rho_n = tensor_power(pair.rho, n, max_dim)
-    Vn = np.array([[1.0 + 0.0j]])
     logq = np.zeros(1)
     for _ in range(n):
-        Vn = np.kron(Vn, V)
         logq = (logq[:, None] + loglam[None, :]).ravel()
-    rt = Vn.conj().T @ rho_n @ Vn
+    rt = tensor_power(V.conj().T @ pair.rho @ V, n, max_dim)
     order = np.argsort(logq, kind="stable")
     levels = []
     start = 0
@@ -188,14 +190,18 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
             split = gap > tol.cluster_rel_tol  # NaN (-inf vs -inf) never splits
         if split:
             idx = order[start:i]
-            B = hermitian_part(rt[np.ix_(idx, idx)])
-            w, U = np.linalg.eigh(B)
-            finite = np.isfinite(logq[idx])
-            log_weight = logq[idx][finite].mean() if finite.any() else -np.inf
-            levels.append(_Level(float(log_weight), w, Vn[:, idx] @ U))
+            w, U = np.linalg.eigh(hermitian_part(rt[np.ix_(idx, idx)]))
+            # a level is all -inf (singular sigma) or all finite
+            levels.append(_Level(float(logq[idx].mean()), slice(start, i), w, U))
             start = i
-    pair._level_cache[key] = levels
-    return levels
+    dec = SpectralDecomposition(
+        eigenvalues=np.exp([lev.log_weight for lev in levels]),
+        vectors=tensor_power(V, n, max_dim)[:, order],
+        sizes=np.array([len(lev.eigenvalues) for lev in levels]),
+        cluster_tol=tol.cluster_rel_tol,
+    )
+    pair._level_cache[key] = dec, levels
+    return dec, levels
 
 
 def build_pinched_test(
@@ -215,10 +221,9 @@ def build_pinched_test(
     sigma_n by construction.
     """
     a = float(a)
-    levels = _level_data(pair, n, tol, max_dim)
-    dn = pair.dim**n
+    dec, levels = _level_data(pair, n, tol, max_dim)
     blocks = []
-    kept = []
+    kept = [np.zeros((dec.dim, 0), dtype=complex)]
     for lev in levels:
         log_thr = n * a + lev.log_weight
         if log_thr > math.log(2.0):
@@ -236,13 +241,11 @@ def build_pinched_test(
             )
         )
         if mask.any():
-            kept.append(lev.vectors[:, mask])
-    if kept:
-        W = np.hstack(kept)
-        operator = W @ W.conj().T
-    else:
-        operator = np.zeros((dn, dn), dtype=complex)
-    return TestOperator(operator=operator, n=n, a=a, kind="pinched", blocks=tuple(blocks))
+            kept.append(dec.vectors[:, lev.columns] @ lev.vectors[:, mask])
+    W = np.hstack(kept)
+    return TestOperator(
+        operator=W @ W.conj().T, n=n, a=a, kind="pinched", blocks=tuple(blocks)
+    )
 
 
 def build_plain_test(
@@ -328,15 +331,14 @@ def verify_bounds(
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
     One report per (n, a); the envelopes come from the same phi_bar value
-    per threshold, the pinching residual and v(sigma_n) from a dense
-    clustered eigendecomposition of the n-fold alternative.
+    per threshold.  The pinching residual and v(sigma_n) come from the same
+    sigma_n levels that define the pinched test.
     """
     phis = {float(a): phi_bar(pair, a, opt)[0] for a in a_grid}
     reports = []
     for n in n_range:
-        sigma_n = tensor_power(pair.sigma, n, max_dim)
         rho_n = tensor_power(pair.rho, n, max_dim)
-        dec = eigendecompose(sigma_n, tol)
+        dec, _ = _level_data(pair, n, tol, max_dim)
         key = key_inequality_residual(rho_n, dec, tol)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:

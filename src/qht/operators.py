@@ -16,7 +16,6 @@ from .errors import (
     NegativeSpectrum,
     NonHermitianInput,
     NotPositiveSemidefinite,
-    SingularInput,
     SingularInStrictMode,
 )
 
@@ -50,15 +49,20 @@ def check_hermitian(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 class SpectralDecomposition:
     """Clustered eigensystem of a Hermitian operator.
 
-    ``eigenvalues`` holds the distinct eigenvalues in strictly increasing
-    order after merging raw eigenvalues whose consecutive gap is at most
-    ``cluster_tol``; ``projections[i]`` is the orthogonal projector onto the
-    eigenspace of ``eigenvalues[i]``.  The number of clusters is the
-    eigenvalue count v(A) used by the pinching inequality.
+    ``vectors`` holds orthonormal eigenvectors as columns, grouped into
+    consecutive blocks: the first ``sizes[0]`` columns span the eigenspace of
+    ``eigenvalues[0]``, the next ``sizes[1]`` that of ``eigenvalues[1]``, and
+    so on, with the distinct eigenvalues in strictly increasing order.  The
+    number of clusters is the eigenvalue count v(A) used by the pinching
+    inequality, and every spectral function, pinching included, is computed
+    from these blocks.  ``cluster_tol`` is the merge threshold: a gap between
+    eigenvalues from :func:`eigendecompose`, a gap between their logs for the
+    sigma_n levels of :mod:`qht.finite_n`.
     """
 
     eigenvalues: np.ndarray  # shape (v,)
-    projections: np.ndarray  # shape (v, d, d)
+    vectors: np.ndarray  # shape (d, d)
+    sizes: np.ndarray  # shape (v,), columns per cluster
     cluster_tol: float
 
     @property
@@ -67,10 +71,25 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.projections.shape[1]
+        return self.vectors.shape[0]
+
+    @property
+    def projections(self) -> np.ndarray:
+        """Stack of the v eigenprojectors, shape (v, d, d), built on each access.
+
+        For tests and diagnostics; the library works on the column blocks.
+        """
+        blocks = np.split(self.vectors, np.cumsum(self.sizes)[:-1], axis=1)
+        return np.stack([B @ B.conj().T for B in blocks])
 
     def reconstruct(self) -> np.ndarray:
-        return np.einsum("a,aij->ij", self.eigenvalues, self.projections)
+        return _spectral_sum(self, self.eigenvalues)
+
+
+def _spectral_sum(dec: SpectralDecomposition, f) -> np.ndarray:
+    """The operator with value ``f[i]`` on the i-th eigenspace of ``dec``."""
+    V = dec.vectors
+    return (V * np.repeat(f, dec.sizes)) @ V.conj().T
 
 
 def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
@@ -78,26 +97,19 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
 
     Raw eigenvalues whose consecutive gap is below
     ``cluster_rel_tol * spectral_norm`` merge into a single cluster whose
-    projector is the sum of the corresponding rank-one projectors.  Tensor
-    powers produce numerically coincident eigenvalues, and merging them is
-    what keeps v(A) at its exact-arithmetic value.
+    eigenspace is spanned by the corresponding eigenvectors.  Tensor powers
+    produce numerically coincident eigenvalues, and merging them is what
+    keeps v(A) at its exact-arithmetic value.
     """
     A = check_hermitian(H, tol)
     w, V = np.linalg.eigh(hermitian_part(A))
     norm = np.abs(w).max() if w.size else 0.0
     thr = tol.cluster_rel_tol * norm
-    values = []
-    projections = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > thr:
-            block = V[:, start:i]
-            values.append(w[start:i].mean())
-            projections.append(block @ block.conj().T)
-            start = i
+    breaks = np.flatnonzero(np.diff(w) > thr) + 1
     return SpectralDecomposition(
-        eigenvalues=np.asarray(values),
-        projections=np.asarray(projections),
+        eigenvalues=np.array([c.mean() for c in np.split(w, breaks)]),
+        vectors=V,
+        sizes=np.diff(np.concatenate(([0], breaks, [len(w)]))),
         cluster_tol=thr,
     )
 
@@ -105,15 +117,20 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
 def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
     """Apply the pinching map of ``reference`` to ``B``: sum of E_i B E_i.
 
-    The result commutes with the reference operator and has the same trace
-    as ``B``; for ``B`` commuting with the reference it is ``B`` itself.
+    In the eigenbasis of the reference this keeps the diagonal blocks of
+    ``B`` and zeroes the rest.  The result commutes with the reference
+    operator and has the same trace as ``B``; for ``B`` commuting with the
+    reference it is ``B`` itself.
     """
     A = as_complex_matrix(B)
     if A.shape[0] != reference.dim:
         raise DimensionMismatch(
             f"operator dimension {A.shape[0]} != reference dimension {reference.dim}"
         )
-    return np.einsum("aij,jk,akl->il", reference.projections, A, reference.projections)
+    V = reference.vectors
+    cluster = np.repeat(np.arange(reference.v), reference.sizes)
+    same = cluster[:, None] == cluster[None, :]
+    return V @ np.where(same, V.conj().T @ A @ V, 0.0) @ V.conj().T
 
 
 def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -123,10 +140,7 @@ def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     count as strictly positive, matching the strict inequality in {X > 0}.
     """
     dec = eigendecompose(X, tol)
-    mask = dec.eigenvalues > dec.cluster_tol
-    if not mask.any():
-        return np.zeros((dec.dim, dec.dim), dtype=complex)
-    return dec.projections[mask].sum(axis=0)
+    return _spectral_sum(dec, (dec.eigenvalues > dec.cluster_tol).astype(float))
 
 
 def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -162,19 +176,7 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         f[~small] = w[~small] ** t
     else:
         f = w**t
-    return np.einsum("a,aij->ij", f, dec.projections)
-
-
-def matrix_log(H, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Functional-calculus logarithm; requires full support."""
-    dec = eigendecompose(H, tol)
-    w = dec.eigenvalues
-    cutoff = tol.support_cutoff * max(w.max(), 0.0)
-    if w.min() <= cutoff:
-        raise SingularInput(
-            f"matrix_log needs eigenvalues above {cutoff:.3e}; smallest is {w.min():.3e}"
-        )
-    return np.einsum("a,aij->ij", np.log(w), dec.projections)
+    return _spectral_sum(dec, f)
 
 
 def tensor_power(A, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
@@ -244,10 +246,3 @@ def operator_convexity_gap(
         - Z.conj().T @ A @ Z
     )
     return hermitian_part(gap)
-
-
-def operator_convexity_residual(
-    A, X, Y, t: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
-    """Smallest eigenvalue of the convexity gap; nonnegative within psd_tol."""
-    return min_eigenvalue(operator_convexity_gap(A, X, Y, t, tol), tol)

@@ -206,6 +206,29 @@ class TestVerifyBounds:
             for r in reports:
                 assert r.v_sigma_n == r.n + 1
 
+    def test_count_matches_levels_of_the_test_on_skewed_pair(self):
+        # sigma's small eigenvalue (about 1e-7) spreads the n + 1 levels of
+        # sigma_n over decades; a gap test on absolute eigenvalues would
+        # merge every level below 1e-10 into one
+        pair = qht.preset_pair("qubit-skewed")
+        a = 0.5 * qht.relative_entropy(pair)
+        for r in qht.verify_bounds(pair, range(1, 7), [a]):
+            blocks = qht.build_pinched_test(pair, r.n, a).blocks
+            assert r.v_sigma_n == r.n + 1 == len(blocks)
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 5), (3, 2)])
+    def test_key_residual_matches_dense_pinching(self, dim, n_max):
+        # Kept to well-conditioned sizes: the dense eigenvectors of sigma_n
+        # err by about eps ||sigma_n|| / gap, which reaches 1e-11 once the
+        # smallest eigenvalues of sigma_n are near 1e-9 (qutrits at n = 3).
+        for pair in seeded_pairs(4, dim=dim):
+            for r in qht.verify_bounds(pair, range(1, n_max + 1), [0.1]):
+                dec = qht.eigendecompose(tensor_power(pair.sigma, r.n))
+                rho_n = tensor_power(pair.rho, r.n)
+                assert dec.v == r.v_sigma_n
+                dense = qht.key_inequality_residual(rho_n, dec)
+                assert abs(r.key_residual - dense) <= 1e-12
+
 
 class TestSteinTrace:
     def test_rates_below_envelopes(self, generic):

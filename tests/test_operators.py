@@ -81,6 +81,21 @@ class TestPinch:
         with pytest.raises(qht.DimensionMismatch):
             qht.pinch(ref, np.eye(3))
 
+    @pytest.mark.parametrize(
+        "reference",
+        [np.eye(3), np.diag([0.3, 0.3, 0.4])]
+        + [
+            qht.tensor_power(qht.random_pair(seed).sigma, n)
+            for seed in range(2)
+            for n in (3, 4, 5)
+        ],
+    )
+    def test_matches_projector_sum(self, reference):
+        dec = qht.eigendecompose(reference)
+        B = rng_hermitian(dec.dim, dec.dim) + 1j * rng_hermitian(dec.dim + 1, dec.dim)
+        explicit = sum(P @ B @ P for P in dec.projections)
+        assert np.abs(qht.pinch(dec, B) - explicit).max() <= 1e-12
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
     def test_commutation_and_trace(self, seed):
@@ -157,19 +172,6 @@ class TestMatrixPower:
         np.testing.assert_allclose(qht.matrix_power(H, 2), np.diag([1.0, 4.0]), atol=1e-12)
 
 
-class TestMatrixLog:
-    def test_identity(self):
-        np.testing.assert_allclose(qht.matrix_log(np.eye(3)), np.zeros((3, 3)), atol=1e-12)
-
-    def test_diagonal(self):
-        H = np.diag([np.e, np.e**2])
-        np.testing.assert_allclose(qht.matrix_log(H), np.diag([1.0, 2.0]), atol=1e-12)
-
-    def test_rank_deficient_rejected(self):
-        with pytest.raises(qht.SingularInput):
-            qht.matrix_log(np.diag([1.0, 0.0]))
-
-
 class TestTensorPower:
     def test_first_power(self):
         A = rng_hermitian(7, 2)
@@ -244,11 +246,13 @@ class TestOperatorConvexity:
     @pytest.mark.parametrize("t", [0.0, 1.0])
     def test_endpoints_vanish(self, t):
         A, X, Y = self._triple(1)
-        assert qht.operator_convexity_residual(A, X, Y, t) == pytest.approx(0.0, abs=1e-12)
+        gap = qht.operator_convexity_gap(A, X, Y, t)
+        assert qht.min_eigenvalue(gap) == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_arguments_vanish(self):
         A, X, _ = self._triple(2)
-        assert qht.operator_convexity_residual(A, X, X, 0.4) == pytest.approx(0.0, abs=1e-10)
+        gap = qht.operator_convexity_gap(A, X, X, 0.4)
+        assert qht.min_eigenvalue(gap) == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_closed_form(self, seed):
