@@ -50,7 +50,6 @@ from .finite_n import (
     conjecture_probe,
     error_probabilities,
     stein_trace,
-    error_envelopes,
     verify_bounds,
 )
 from .operators import (

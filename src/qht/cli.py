@@ -26,7 +26,7 @@ from .exponents import (
     solve_rate_parameter,
     sweep_curve,
 )
-from .finite_n import conjecture_probe, verify_bounds
+from .finite_n import BoundReport, ConjectureRow, conjecture_probe, verify_bounds
 from .pairs import PRESETS
 
 _FMT = ser._fmt
@@ -144,33 +144,41 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
 
 def _cmd_exponents(args) -> int:
     pair = _load(args)
-    grid = args.grid_s if not isinstance(args.grid_s, str) else _parse_grid(args.grid_s)
+    grid = args.grid_s
     print(f"dim = {pair.dim}")
     print(f"relative_entropy = {_FMT(relative_entropy(pair))}")
-    pb = psi_bar_values(pair, grid)
-    pp = psi_values(pair, grid)
-    print("s,psi_bar,psi")
-    for s, x, y in zip(grid, pb, pp):
-        print(f"{_FMT(s)},{_FMT(x)},{_FMT(y)}")
+    rows = zip(grid, psi_bar_values(pair, grid), psi_values(pair, grid))
+    sys.stdout.write(ser.table_to_csv(("s", "psi_bar", "psi"), rows))
     return 0
+
+
+_SAMPLE_COLUMNS = ("param", "value", "argmax_s")
+
+
+def _curve_payload(curve) -> dict:
+    """A curve as its parameter name and one sample dict per grid point."""
+    argmax = [None] * len(curve) if curve.argmax_s is None else curve.argmax_s
+    rows = zip(curve.params, curve.values, argmax)
+    samples = [dict(zip(_SAMPLE_COLUMNS, row)) for row in rows]
+    return {"parameter_name": curve.parameter_name, "samples": samples}
 
 
 def _cmd_curves(args) -> int:
     pair = _load(args)
-    s_grid = args.grid_s if not isinstance(args.grid_s, str) else _parse_grid(args.grid_s)
     div = relative_entropy(pair)
     a_grid = args.grid_a if args.grid_a is not None else np.linspace(-0.5, div + 0.5, 101)
     for name, grid in (
-        ("psi_bar", s_grid),
-        ("psi", s_grid),
+        ("psi_bar", args.grid_s),
+        ("psi", args.grid_s),
         ("phi_bar", a_grid),
         ("phi", a_grid),
     ):
-        curve = sweep_curve(pair, name, grid)
-        _write(args.out, f"{name}.csv", ser.curve_to_csv(curve))
-        _write(args.out, f"{name}.json", ser.curve_to_json(curve))
+        payload = _curve_payload(sweep_curve(pair, name, grid))
+        csv_text = ser.table_to_csv(_SAMPLE_COLUMNS, payload["samples"])
+        _write(args.out, f"{name}.csv", csv_text)
+        _write(args.out, f"{name}.json", ser.payload_to_json(payload))
         if args.out is None:
-            sys.stdout.write(f"# {name}\n" + ser.curve_to_csv(curve))
+            sys.stdout.write(f"# {name}\n" + csv_text)
     if args.out is not None:
         print(f"wrote psi_bar/psi/phi_bar/phi curves to {args.out}")
     return 0
@@ -178,14 +186,14 @@ def _cmd_curves(args) -> int:
 
 def _cmd_hoeffding(args) -> int:
     pair = _load(args)
-    grid = args.grid_r if not isinstance(args.grid_r, str) else _parse_grid(args.grid_r)
     rows = []
-    for r in grid:
-        a_r = solve_rate_parameter(pair, float(r))
-        rows.append((float(r), hoeffding_rate(pair, float(r)), a_r))
-    csv_text = ser.hoeffding_table_to_csv(rows)
+    for r in args.grid_r:
+        r = float(r)
+        a_r = solve_rate_parameter(pair, r)
+        rows.append({"r": r, "u": hoeffding_rate(pair, r), "a_r": a_r})
+    csv_text = ser.table_to_csv(("r", "u", "a_r"), rows)
     _write(args.out, "hoeffding.csv", csv_text)
-    _write(args.out, "hoeffding.json", ser.hoeffding_table_to_json(rows))
+    _write(args.out, "hoeffding.json", ser.payload_to_json(rows))
     sys.stdout.write(csv_text)
     return 0
 
@@ -199,9 +207,9 @@ def _cmd_finite_n(args) -> int:
         else np.array([0.25, 0.5, 0.75, 0.9]) * div
     )
     reports = verify_bounds(pair, range(1, args.n_max + 1), a_grid, tol=_tolerance(args))
-    csv_text = ser.bound_reports_to_csv(reports)
+    csv_text = ser.table_to_csv(BoundReport, reports)
     _write(args.out, "bound_report.csv", csv_text)
-    _write(args.out, "bound_report.json", ser.bound_reports_to_json(reports))
+    _write(args.out, "bound_report.json", ser.payload_to_json(reports))
     sys.stdout.write(csv_text)
     return 0
 
@@ -223,14 +231,11 @@ def _cmd_conjecture(args) -> int:
     print("# this table reports data and asserts nothing.")
     for a in a_grid:
         report = conjecture_probe(pair, range(1, args.n_max + 1), float(a))
-        csv_text = ser.conjecture_report_to_csv(report)
+        csv_text = ser.table_to_csv(ConjectureRow, report.rows)
         sys.stdout.write(csv_text)
-        _write(args.out, f"conjecture_a_{_FMT(float(a))}.csv", csv_text)
-        _write(
-            args.out,
-            f"conjecture_a_{_FMT(float(a))}.json",
-            ser.conjecture_report_to_json(report),
-        )
+        stem = f"conjecture_a_{_FMT(float(a))}"
+        _write(args.out, f"{stem}.csv", csv_text)
+        _write(args.out, f"{stem}.json", ser.payload_to_json(report))
     return 0
 
 

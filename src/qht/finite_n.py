@@ -184,11 +184,7 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     levels = []
     start = 0
     for i in range(1, len(order) + 1):
-        split = i == len(order)
-        if not split:
-            gap = logq[order[i]] - logq[order[start]]
-            split = gap > tol.cluster_rel_tol  # NaN (-inf vs -inf) never splits
-        if split:
+        if i == len(order) or logq[order[i]] > logq[order[start]] + tol.cluster_rel_tol:
             idx = order[start:i]
             w, U = np.linalg.eigh(hermitian_part(rt[np.ix_(idx, idx)]))
             # a level is all -inf (singular sigma) or all finite
@@ -305,19 +301,6 @@ def error_probabilities(
     return ErrorProbabilities(
         alpha=float(alpha.real), beta=float(beta.real), n=test.n, a=test.a
     )
-
-
-def error_envelopes(
-    pair: HypothesisPair, n: int, a: float, opt: OptimizerConfig = DEFAULT_OPT
-) -> tuple[float, float]:
-    """Envelopes (n+1)^d e^{-n phi_bar(a)} and (n+1)^d e^{-n (phi_bar(a)+a)}.
-
-    Valid upper bounds on the exact alpha and beta of the pinched test for
-    every n and a; they may exceed 1, which is vacuous but correct.
-    """
-    value, _ = phi_bar(pair, a, opt)
-    pref = float((n + 1) ** pair.dim)
-    return pref * math.exp(-n * value), pref * math.exp(-n * (value + a))
 
 
 def verify_bounds(

@@ -2,11 +2,18 @@
 
 A matrix travels as ``{"dim": d, "re": [[...]], "im": [[...]]}`` with
 row-major entries and is validated against the Hermitian invariant on
-load.  Curve and report tables are written as CSV with 17 significant
-digits plus a JSON mirror carrying the same fields, so identical inputs
-produce byte-identical outputs.
+load.  Every result table goes through two writers.  ``table_to_csv``
+writes a header of column names, which for a record table are its
+dataclass's field names in order, then one line per row: ints as
+``str``, floats at 17 significant digits with ``-0.0`` written as ``0``,
+infinities as ``inf``/``-inf`` and None as an empty cell.
+``payload_to_json`` writes records as dicts of their fields (recursing
+into tuples and lists), keeps ``-0.0`` and writes non-finite floats as the
+strings ``"inf"``/``"-inf"``, since strict JSON has no infinity literal.
+Identical inputs produce byte-identical outputs.
 """
 
+import dataclasses
 import json
 import math
 
@@ -14,8 +21,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ParseError
-from .exponents import ExponentCurve
-from .finite_n import BoundReport, ConjectureReport, SteinPoint
 from .pairs import HypothesisPair, PRESETS, preset_pair
 
 
@@ -103,166 +108,42 @@ def load_pair(
     return pair
 
 
-def curve_to_csv(curve: ExponentCurve) -> str:
-    lines = ["param,value,argmax_s"]
-    for i in range(len(curve)):
-        arg = None if curve.argmax_s is None else curve.argmax_s[i]
-        lines.append(f"{_fmt(curve.params[i])},{_fmt(curve.values[i])},{_fmt(arg)}")
+def _cells(row, names):
+    if dataclasses.is_dataclass(row):
+        return [getattr(row, name) for name in names]
+    if isinstance(row, dict):
+        return [row[name] for name in names]
+    return list(row)
+
+
+def table_to_csv(columns, rows) -> str:
+    """CSV table: a header line, then one line per row.
+
+    ``columns`` is a record dataclass, whose field names in order are the
+    header, or a sequence of column names.  A row is a record, a dict keyed
+    by the column names or a sequence in column order.
+    """
+    if dataclasses.is_dataclass(columns):
+        columns = [f.name for f in dataclasses.fields(columns)]
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = _cells(row, columns)
+        lines.append(",".join(str(x) if isinstance(x, int) else _fmt(x) for x in cells))
     return "\n".join(lines) + "\n"
 
 
-def curve_to_json(curve: ExponentCurve) -> str:
-    samples = []
-    for i in range(len(curve)):
-        samples.append(
-            {
-                "param": float(curve.params[i]),
-                "value": float(curve.values[i]),
-                "argmax_s": None if curve.argmax_s is None else float(curve.argmax_s[i]),
-            }
-        )
-    payload = {"parameter_name": curve.parameter_name, "samples": samples}
-    return json.dumps(payload, indent=2) + "\n"
+def _plain(obj):
+    if isinstance(obj, float):
+        return _jnum(obj)
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
 
 
-BOUND_COLUMNS = (
-    "n",
-    "a",
-    "alpha",
-    "alpha_bound",
-    "beta",
-    "beta_bound",
-    "key_residual",
-    "v_sigma_n",
-    "type_bound",
-)
-
-
-def bound_reports_to_csv(reports: list[BoundReport]) -> str:
-    lines = [",".join(BOUND_COLUMNS)]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _fmt(r.a),
-                    _fmt(r.alpha),
-                    _fmt(r.alpha_bound),
-                    _fmt(r.beta),
-                    _fmt(r.beta_bound),
-                    _fmt(r.key_residual),
-                    str(r.v_sigma_n),
-                    str(r.type_bound),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def bound_reports_to_json(reports: list[BoundReport]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "a": r.a,
-            "alpha": r.alpha,
-            "alpha_bound": r.alpha_bound,
-            "beta": r.beta,
-            "beta_bound": r.beta_bound,
-            "key_residual": r.key_residual,
-            "v_sigma_n": r.v_sigma_n,
-            "type_bound": r.type_bound,
-        }
-        for r in reports
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def hoeffding_table_to_csv(rows: list[tuple[float, float, float]]) -> str:
-    lines = ["r,u,a_r"]
-    for r, u, ar in rows:
-        lines.append(f"{_fmt(r)},{_fmt(u)},{_fmt(ar)}")
-    return "\n".join(lines) + "\n"
-
-
-def hoeffding_table_to_json(rows: list[tuple[float, float, float]]) -> str:
-    payload = [{"r": r, "u": u, "a_r": ar} for r, u, ar in rows]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def stein_points_to_csv(points: list[SteinPoint]) -> str:
-    lines = ["n,a,alpha,alpha_bound,beta,log_beta_rate,log_beta_envelope"]
-    for p in points:
-        lines.append(
-            ",".join(
-                [
-                    str(p.n),
-                    _fmt(p.a),
-                    _fmt(p.alpha),
-                    _fmt(p.alpha_bound),
-                    _fmt(p.beta),
-                    _fmt(p.log_beta_rate),
-                    _fmt(p.log_beta_envelope),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def stein_points_to_json(points: list[SteinPoint]) -> str:
-    payload = [
-        {
-            "n": p.n,
-            "a": p.a,
-            "alpha": p.alpha,
-            "alpha_bound": p.alpha_bound,
-            "beta": p.beta,
-            "log_beta_rate": _jnum(p.log_beta_rate),
-            "log_beta_envelope": p.log_beta_envelope,
-        }
-        for p in points
-    ]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def conjecture_report_to_csv(report: ConjectureReport) -> str:
-    lines = [
-        "n,a,alpha,log_alpha_rate,alpha_conjecture,beta,log_beta_rate,beta_conjecture"
-    ]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row.n),
-                    _fmt(row.a),
-                    _fmt(row.alpha),
-                    _fmt(row.log_alpha_rate),
-                    _fmt(row.alpha_conjecture),
-                    _fmt(row.beta),
-                    _fmt(row.log_beta_rate),
-                    _fmt(row.beta_conjecture),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def conjecture_report_to_json(report: ConjectureReport) -> str:
-    payload = {
-        "label": report.label,
-        "a": report.a,
-        "phi_value": report.phi_value,
-        "rows": [
-            {
-                "n": row.n,
-                "a": row.a,
-                "alpha": row.alpha,
-                "log_alpha_rate": _jnum(row.log_alpha_rate),
-                "alpha_conjecture": row.alpha_conjecture,
-                "beta": row.beta,
-                "log_beta_rate": _jnum(row.log_beta_rate),
-                "beta_conjecture": row.beta_conjecture,
-            }
-            for row in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+def payload_to_json(obj) -> str:
+    """Indented JSON of records (as field dicts), dicts, lists and scalars."""
+    return json.dumps(_plain(obj), indent=2) + "\n"

@@ -229,9 +229,10 @@ def test_criterion_9_conjecture_probe_runs():
     pair = qht.preset_pair("qubit-generic")
     a = 0.5 * qht.relative_entropy(pair)
     probe = qht.conjecture_probe(pair, range(1, 7), a)
-    from qht.serialization import conjecture_report_to_csv
+    from qht.finite_n import ConjectureRow
+    from qht.serialization import table_to_csv
 
-    table = conjecture_report_to_csv(probe)
+    table = table_to_csv(ConjectureRow, probe.rows)
     elapsed = time.perf_counter() - start
     ok = (
         probe.label == "EXPERIMENTAL"

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qht.cli import _parse_grid, main
+from qht.cli import _parse_grid, build_parser, main
 
 
 def run(capsys, *argv):
@@ -36,6 +36,16 @@ class TestExponentsCommand:
             _, pb, pp = row.split(",")
             assert abs(float(pb)) <= 1e-12
             assert abs(float(pp)) <= 1e-12
+
+    def test_default_grid(self, capsys):
+        # argparse applies the grid type to string defaults too
+        assert isinstance(build_parser().parse_args(["exponents"]).grid_s, np.ndarray)
+        code, out, _ = run(capsys, "exponents", "--preset", "qubit-generic")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert lines[2] == "s,psi_bar,psi"
+        s_values = [float(row.split(",")[0]) for row in lines[3:]]
+        assert s_values == pytest.approx([0.1 * k for k in range(11)], abs=1e-15)
 
 
 class TestCurvesCommand:

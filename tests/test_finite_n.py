@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qht
+from qht.finite_n import _level_data
 from qht.operators import positive_projection, tensor_power
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
@@ -98,6 +100,22 @@ class TestBuildPinchedTest:
         assert len(cached.blocks) == len(fresh.blocks)
 
 
+    def test_singular_sigma_levels_without_warnings(self):
+        # the kernel of sigma_n is one level of log weight -inf; comparing
+        # logs must not subtract -inf from -inf
+        tol = qht.ToleranceConfig(strict=False)
+        pair = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]), tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1, 2, 3):
+                dec, _ = _level_data(pair, n, tol, qht.MAX_TENSOR_DIM)
+                assert dec.v == 2
+                assert list(dec.sizes) == [2**n - 1, 1]
+                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1, tol))
+                assert abs(ep.alpha - 0.6**n) <= 1e-15
+                assert ep.beta == 0.0
+
+
 class TestBuildPlainTest:
     def test_commuting_equals_pinched(self):
         for pair in seeded_diagonal_pairs(4):
@@ -162,30 +180,27 @@ class TestErrorProbabilities:
 
 class TestErrorEnvelopes:
     def test_identical_pair_prefactors(self, identical):
-        for n in (1, 2, 3):
-            for a in (0.1, 0.5):
-                alpha_bound, beta_bound = qht.error_envelopes(identical, n, a)
-                assert alpha_bound == pytest.approx((n + 1) ** 2, rel=1e-9)
-                assert beta_bound == pytest.approx(
-                    (n + 1) ** 2 * math.exp(-n * a), rel=1e-9
-                )
+        reports = qht.verify_bounds(identical, (1, 2, 3), (0.1, 0.5))
+        assert len(reports) == 6
+        for r in reports:
+            assert r.alpha_bound == pytest.approx((r.n + 1) ** 2, rel=1e-9)
+            assert r.beta_bound == pytest.approx(
+                (r.n + 1) ** 2 * math.exp(-r.n * r.a), rel=1e-9
+            )
 
     def test_qubit_prefactor_is_four(self, generic):
-        alpha_bound, _ = qht.error_envelopes(generic, 1, qht.relative_entropy(generic))
-        assert alpha_bound <= 4.0 + 1e-12
+        (report,) = qht.verify_bounds(generic, [1], [qht.relative_entropy(generic)])
+        assert report.alpha_bound <= 4.0 + 1e-12
 
     def test_dominates_exact_errors(self):
         for pair in seeded_pairs(4):
             div = qht.relative_entropy(pair)
-            for n in range(1, 7):
-                for frac in (0.25, 0.5, 0.75, 0.9):
-                    a = frac * div
-                    alpha_bound, beta_bound = qht.error_envelopes(pair, n, a)
-                    ep = qht.error_probabilities(
-                        pair, qht.build_pinched_test(pair, n, a)
-                    )
-                    assert ep.alpha <= alpha_bound + 1e-12
-                    assert ep.beta <= beta_bound + 1e-12
+            a_grid = [frac * div for frac in (0.25, 0.5, 0.75, 0.9)]
+            reports = qht.verify_bounds(pair, range(1, 7), a_grid)
+            assert len(reports) == 24
+            for r in reports:
+                assert r.alpha <= r.alpha_bound + 1e-12
+                assert r.beta <= r.beta_bound + 1e-12
 
 
 class TestVerifyBounds:

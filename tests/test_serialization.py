@@ -1,10 +1,22 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 import qht
 from qht import serialization as ser
+from qht.cli import _SAMPLE_COLUMNS, _curve_payload
+from qht.exponents import ExponentCurve
+from qht.finite_n import BoundReport, ConjectureReport, ConjectureRow, SteinPoint
+
+
+def curve_csv(curve):
+    return ser.table_to_csv(_SAMPLE_COLUMNS, _curve_payload(curve)["samples"])
+
+
+def curve_json(curve):
+    return ser.payload_to_json(_curve_payload(curve))
 
 
 class TestMatrixExchange:
@@ -93,7 +105,7 @@ class TestLoadPair:
 class TestCurveExport:
     def test_csv_shape_and_precision(self, generic):
         curve = qht.sweep_curve(generic, "psi_bar", np.linspace(0.0, 1.0, 5))
-        text = ser.curve_to_csv(curve)
+        text = curve_csv(curve)
         lines = text.strip().split("\n")
         assert lines[0] == "param,value,argmax_s"
         assert len(lines) == 6
@@ -105,12 +117,12 @@ class TestCurveExport:
 
     def test_phi_curve_has_argmax(self, generic):
         curve = qht.sweep_curve(generic, "phi_bar", np.linspace(-0.1, 0.3, 5))
-        rows = ser.curve_to_csv(curve).strip().split("\n")[1:]
+        rows = curve_csv(curve).strip().split("\n")[1:]
         assert all(len(r.split(",")) == 3 and r.split(",")[2] != "" for r in rows)
 
     def test_json_mirror(self, generic):
         curve = qht.sweep_curve(generic, "phi", np.linspace(-0.1, 0.3, 3))
-        payload = json.loads(ser.curve_to_json(curve))
+        payload = json.loads(curve_json(curve))
         assert payload["parameter_name"] == "a"
         assert len(payload["samples"]) == 3
         sample = payload["samples"][0]
@@ -123,28 +135,189 @@ class TestCurveExport:
 class TestReportExports:
     def test_bound_report_csv_columns(self, generic):
         reports = qht.verify_bounds(generic, [1, 2], [0.1])
-        text = ser.bound_reports_to_csv(reports)
+        text = ser.table_to_csv(BoundReport, reports)
         header = text.split("\n", 1)[0]
         assert header == "n,a,alpha,alpha_bound,beta,beta_bound,key_residual,v_sigma_n,type_bound"
-        payload = json.loads(ser.bound_reports_to_json(reports))
+        payload = json.loads(ser.payload_to_json(reports))
         assert len(payload) == 2
         assert payload[0]["n"] == 1
 
     def test_stein_export(self, generic):
         points = qht.stein_trace(generic, 0.1, 3)
-        text = ser.stein_points_to_csv(points)
+        text = ser.table_to_csv(SteinPoint, points)
         assert text.startswith("n,a,alpha,alpha_bound,beta,log_beta_rate,log_beta_envelope")
-        payload = json.loads(ser.stein_points_to_json(points))
+        payload = json.loads(ser.payload_to_json(points))
         assert [row["n"] for row in payload] == [1, 2, 3]
 
     def test_conjecture_export_handles_infinities(self, identical):
         report = qht.conjecture_probe(identical, [1, 2], -0.5)
-        text = ser.conjecture_report_to_csv(report)
+        text = ser.table_to_csv(ConjectureRow, report.rows)
         assert "-inf" in text
-        payload = json.loads(ser.conjecture_report_to_json(report))
+        payload = json.loads(ser.payload_to_json(report))
         assert payload["label"] == "EXPERIMENTAL"
         assert payload["rows"][0]["log_alpha_rate"] == "-inf"
 
     def test_hoeffding_table(self):
-        text = ser.hoeffding_table_to_csv([(0.1, 0.2, 0.1)])
+        text = ser.table_to_csv(("r", "u", "a_r"), [(0.1, 0.2, 0.1)])
         assert text == "r,u,a_r\n0.10000000000000001,0.20000000000000001,0.10000000000000001\n"
+
+
+class TestPinnedFormats:
+    """Writer output for hand-built records, compared byte for byte."""
+
+    def test_bound_report(self):
+        report = BoundReport(
+            n=2,
+            a=0.1,
+            alpha=0.012345678901234568,
+            alpha_bound=9.0 * math.exp(-0.2),
+            beta=-0.0,
+            beta_bound=1e-300,
+            key_residual=3.5e-15,
+            v_sigma_n=3,
+            type_bound=9,
+        )
+        assert ser.table_to_csv(BoundReport, [report]) == (
+            "n,a,alpha,alpha_bound,beta,beta_bound,key_residual,v_sigma_n,type_bound\n"
+            "2,0.10000000000000001,0.012345678901234568,7.3685767777018363,0,1e-300,"
+            "3.5000000000000001e-15,3,9\n"
+        )
+        assert ser.payload_to_json([report]) == (
+            "[\n"
+            "  {\n"
+            '    "n": 2,\n'
+            '    "a": 0.1,\n'
+            '    "alpha": 0.012345678901234568,\n'
+            '    "alpha_bound": 7.368576777701836,\n'
+            '    "beta": -0.0,\n'
+            '    "beta_bound": 1e-300,\n'
+            '    "key_residual": 3.5e-15,\n'
+            '    "v_sigma_n": 3,\n'
+            '    "type_bound": 9\n'
+            "  }\n"
+            "]\n"
+        )
+
+    def test_conjecture_report_infinities_and_negative_zero(self):
+        rows = tuple(
+            ConjectureRow(
+                n=n,
+                a=-0.5,
+                alpha=0.0,
+                log_alpha_rate=-math.inf,
+                alpha_conjecture=-0.0,
+                beta=beta,
+                log_beta_rate=rate,
+                beta_conjecture=0.5,
+            )
+            for n, beta, rate in ((1, 1.0, 0.0), (2, 0.25, -math.log(2.0)))
+        )
+        report = ConjectureReport(label="EXPERIMENTAL", a=-0.5, phi_value=-0.0, rows=rows)
+        assert ser.table_to_csv(ConjectureRow, report.rows) == (
+            "n,a,alpha,log_alpha_rate,alpha_conjecture,beta,log_beta_rate,beta_conjecture\n"
+            "1,-0.5,0,-inf,0,1,0,0.5\n"
+            "2,-0.5,0,-inf,0,0.25,-0.69314718055994529,0.5\n"
+        )
+        row_json = (
+            "    {{\n"
+            '      "n": {n},\n'
+            '      "a": -0.5,\n'
+            '      "alpha": 0.0,\n'
+            '      "log_alpha_rate": "-inf",\n'
+            '      "alpha_conjecture": -0.0,\n'
+            '      "beta": {beta},\n'
+            '      "log_beta_rate": {rate},\n'
+            '      "beta_conjecture": 0.5\n'
+            "    }}"
+        )
+        assert ser.payload_to_json(report) == (
+            "{\n"
+            '  "label": "EXPERIMENTAL",\n'
+            '  "a": -0.5,\n'
+            '  "phi_value": -0.0,\n'
+            '  "rows": [\n'
+            + row_json.format(n=1, beta="1.0", rate="0.0")
+            + ",\n"
+            + row_json.format(n=2, beta="0.25", rate="-0.6931471805599453")
+            + "\n  ]\n}\n"
+        )
+
+    def test_stein_point(self):
+        point = SteinPoint(
+            n=3,
+            a=0.2,
+            alpha=0.05,
+            alpha_bound=16 * math.exp(-0.3),
+            beta=0.0,
+            log_beta_rate=-math.inf,
+            log_beta_envelope=-0.2 + (2 / 3) * math.log(4.0),
+        )
+        assert ser.table_to_csv(SteinPoint, [point]) == (
+            "n,a,alpha,alpha_bound,beta,log_beta_rate,log_beta_envelope\n"
+            "3,0.20000000000000001,0.050000000000000003,11.853091530907486,0,-inf,"
+            "0.72419624074659361\n"
+        )
+        assert ser.payload_to_json([point]) == (
+            "[\n"
+            "  {\n"
+            '    "n": 3,\n'
+            '    "a": 0.2,\n'
+            '    "alpha": 0.05,\n'
+            '    "alpha_bound": 11.853091530907486,\n'
+            '    "beta": 0.0,\n'
+            '    "log_beta_rate": "-inf",\n'
+            '    "log_beta_envelope": 0.7241962407465936\n'
+            "  }\n"
+            "]\n"
+        )
+
+    def test_psi_curve_without_argmax(self):
+        curve = ExponentCurve("s", np.array([0.0, 0.5, 1.0]), np.array([-0.0, 1 / 3, 0.0]))
+        assert curve_csv(curve) == (
+            "param,value,argmax_s\n0,0,\n0.5,0.33333333333333331,\n1,0,\n"
+        )
+        sample = '    {{\n      "param": {p},\n      "value": {v},\n      "argmax_s": null\n    }}'
+        assert curve_json(curve) == (
+            '{\n  "parameter_name": "s",\n  "samples": [\n'
+            + ",\n".join(
+                sample.format(p=p, v=v)
+                for p, v in (("0.0", "-0.0"), ("0.5", "0.3333333333333333"), ("1.0", "0.0"))
+            )
+            + "\n  ]\n}\n"
+        )
+
+    def test_phi_curve_with_argmax(self):
+        curve = ExponentCurve(
+            "a",
+            np.array([-0.5, 0.0, 0.25]),
+            np.array([0.0, 0.1, 2 / 3]),
+            np.array([1.0, 0.5, 0.0]),
+        )
+        assert curve_csv(curve) == (
+            "param,value,argmax_s\n"
+            "-0.5,0,1\n"
+            "0,0.10000000000000001,0.5\n"
+            "0.25,0.66666666666666663,0\n"
+        )
+        sample = '    {{\n      "param": {p},\n      "value": {v},\n      "argmax_s": {m}\n    }}'
+        assert curve_json(curve) == (
+            '{\n  "parameter_name": "a",\n  "samples": [\n'
+            + ",\n".join(
+                sample.format(p=p, v=v, m=m)
+                for p, v, m in (
+                    ("-0.5", "0.0", "1.0"),
+                    ("0.0", "0.1", "0.5"),
+                    ("0.25", "0.6666666666666666", "0.0"),
+                )
+            )
+            + "\n  ]\n}\n"
+        )
+
+    def test_hoeffding_row(self):
+        row = {"r": 0.1, "u": 0.2, "a_r": 0.1}
+        assert ser.table_to_csv(("r", "u", "a_r"), [row]) == (
+            "r,u,a_r\n0.10000000000000001,0.20000000000000001,0.10000000000000001\n"
+        )
+        assert ser.payload_to_json([row]) == (
+            '[\n  {\n    "r": 0.1,\n    "u": 0.2,\n    "a_r": 0.1\n  }\n]\n'
+        )
