@@ -56,7 +56,16 @@ class ToleranceConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the one-dimensional maximizations and the rate solver."""
+    """Settings for the one-dimensional maximizations and the rate solver.
+
+    grid_points
+        Points of the s-grid scanned before refinement.
+    refine_iterations
+        Cap on the safeguarded Newton steps that refine the grid argmax.
+    bisection_tol
+        Accuracy of the rate-parameter bisection in the threshold a; the
+        bracket narrows to a tenth of it, and at least to 1e-11.
+    """
 
     grid_points: int = 2001
     refine_iterations: int = 60

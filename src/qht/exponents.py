@@ -18,6 +18,10 @@ for psi_bar ``c_ijk = M_kj C_ji conj(C_ki)`` and
 Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
 ``sigma^0`` act as support projectors.  ``classical_psi`` keeps its own
 convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
+
+Every maximization over s (``phi``, ``phi_bar`` and the rate objective)
+scans a grid of kernel values and refines the grid argmax by safeguarded
+Newton steps on the kernel's closed-form first and second derivatives.
 """
 
 import math
@@ -41,9 +45,10 @@ from .pairs import HypothesisPair
 # the maximizer is interior for every r > 0, so the cutoff only guards 0/0.
 S_MIN = 1e-6
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 _IMAG_RESIDUE = 1e-10
+
+# A Newton step no longer than this (s lies in [0, 1]) ends the refinement.
+_STEP_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 
 def _real_trace(values: np.ndarray, context: str) -> np.ndarray:
@@ -72,6 +77,22 @@ def _exponent(terms, s: np.ndarray, name: str) -> np.ndarray:
     if (tr <= 0.0).any():
         raise ArithmeticError(f"{name} trace is not positive")
     return -np.log(tr)
+
+
+def _exponent_point(terms, s: float, name: str) -> tuple[float, float, float]:
+    """The kernel value E and its s-derivatives E', E'' at one s.
+
+    From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
+    ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
+    """
+    c, r = terms
+    w = c * np.exp(s * r)
+    wr = w * r
+    m0, m1, m2 = _real_trace(np.array([w.sum(), wr.sum(), wr @ r]), f"{name} trace")
+    if m0 <= 0.0:
+        raise ArithmeticError(f"{name} trace is not positive")
+    d1 = float(-m1 / m0)
+    return -math.log(m0), d1, float(d1 * d1 - m2 / m0)
 
 
 def _plain_terms(W, p, q):
@@ -136,58 +157,70 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
     """
     s = float(_check_s(s)[0])
     pair.assert_invertible("psi_derivatives")
-    c, r = _psi_terms(pair)
-    w = c * np.exp(s * r)
-    w /= w.sum()
-    d1 = -float(w @ r)
-    d2 = -float(w @ (r + d1) ** 2)
+    _, d1, d2 = _exponent_point(_psi_terms(pair), s, "psi")
     return d1, d2
 
 
-def _golden_max(f, lo: float, hi: float, iterations: int) -> tuple[float, float]:
-    """Deterministic golden-section maximization of a vectorized f on [lo, hi].
+def _grid_then_refine(vals: np.ndarray, grid: np.ndarray, point, iterations: int):
+    """Grid argmax of ``vals`` (the objective on ``grid``), refined by Newton.
 
-    f is probed one point at a time, as a 1-element array.  Returns the best
-    probed point (endpoints included); ties between equal values resolve
-    toward the smaller argument.
+    ``point(s)`` returns the objective and its first two s-derivatives.
+    Newton steps on the slope start at the grid argmax k and stay inside
+    the bracket ``[grid[k-1], grid[k+1]]``, which shrinks to the side the
+    slope points to; where the curvature is not negative or a step would
+    leave the bracket, the step bisects it instead.  The refinement stops
+    when a step falls to roundoff or after ``iterations`` steps.  Returns
+    ``(s, value, k)`` for the best probed point: the grid point wins unless
+    strictly beaten, and ties go to the smaller s.
     """
-
-    def value(x):
-        return float(f(np.array([x]))[0])
-
-    best_x, best_v = lo, value(lo)
-    v = value(hi)
-    if v > best_v:
-        best_x, best_v = hi, v
-    a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = value(x1), value(x2)
-    for _ in range(iterations):
-        for x, v in ((x1, f1), (x2, f2)):
-            if v > best_v or (v == best_v and x < best_x):
-                best_x, best_v = x, v
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = value(x2)
-    return best_x, best_v
-
-
-def _grid_then_refine(f, grid: np.ndarray, iterations: int):
-    """Grid scan plus golden-section refinement in the bracketing interval."""
-    vals = f(grid)
     k = int(np.argmax(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-    xr, vr = _golden_max(f, float(lo), float(hi), iterations)
-    if vr > vals[k] or (vr == vals[k] and xr < grid[k]):
-        return xr, float(vr), k
-    return float(grid[k]), float(vals[k]), k
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, len(grid) - 1)])
+    best_x, best_v = float(grid[k]), float(vals[k])
+    x = best_x
+    _, d1, d2 = point(x)
+    for _ in range(iterations):
+        if d1 > 0.0:
+            lo = x
+        elif d1 < 0.0:
+            hi = x
+        else:
+            break
+        newton = -d1 / d2 if d2 < 0.0 else math.inf
+        if abs(newton) <= _STEP_ROUNDOFF:
+            break
+        step = x + newton
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= _STEP_ROUNDOFF:
+            break
+        x = step
+        v, d1, d2 = point(x)
+        if v > best_v or (v == best_v and x < best_x):
+            best_x, best_v = x, v
+    return best_x, best_v, k
+
+
+def _transform(terms, name: str, opt: OptimizerConfig):
+    """``a -> (max over s in [0, 1] of E(s) - a s, argmax)`` for the kernel E.
+
+    The grid values of E are computed once, so each threshold costs one
+    argmax over the grid plus a few Newton steps.
+    """
+    grid = np.linspace(0.0, 1.0, opt.grid_points)
+    vals = _exponent(terms, grid, name)
+
+    def at(a: float) -> tuple[float, float]:
+        def point(s):
+            v, d1, d2 = _exponent_point(terms, s, name)
+            return v - a * s, d1 - a, d2
+
+        s_star, value, _ = _grid_then_refine(
+            vals - a * grid, grid, point, opt.refine_iterations
+        )
+        return value, s_star
+
+    return at
 
 
 def phi_bar(
@@ -196,16 +229,10 @@ def phi_bar(
     """max over s in [0, 1] of psi_bar(s) - a s, with the maximizing s.
 
     Concavity of psi_bar is not established, so a dense grid scan runs
-    first and golden-section only refines the winning bracket.  Ties break
-    toward smaller s.
+    first and safeguarded Newton steps only refine the winning bracket.
+    Ties break toward smaller s.
     """
-    a = float(a)
-    terms = _psi_bar_terms(pair)
-    grid = np.linspace(0.0, 1.0, opt.grid_points)
-    s_star, value, _ = _grid_then_refine(
-        lambda s: _exponent(terms, s, "psi_bar") - a * s, grid, opt.refine_iterations
-    )
-    return value, s_star
+    return _transform(_psi_bar_terms(pair), "psi_bar", opt)(float(a))
 
 
 def phi(
@@ -213,25 +240,27 @@ def phi(
 ) -> tuple[float, float]:
     """max over s in [0, 1] of psi(s) - a s, with the maximizing s.
 
-    psi'' < 0 makes the objective strictly concave, so golden-section
-    search over the whole interval is sufficient.
+    psi'' < 0 makes the objective strictly concave; it takes the same grid
+    scan and Newton refinement as :func:`phi_bar`.
     """
-    a = float(a)
-    terms = _psi_terms(pair)
-    s_star, value = _golden_max(
-        lambda s: _exponent(terms, s, "psi") - a * s, 0.0, 1.0, 2 * opt.refine_iterations
-    )
-    return float(value), float(s_star)
+    return _transform(_psi_terms(pair), "psi", opt)(float(a))
 
 
-def _rate_objective_max(exponent, r: float, opt: OptimizerConfig) -> float:
-    """Maximize ``(E(s) - (1-s) r) / s`` over s in (0, 1] for a vectorized E."""
+def _rate_objective_max(terms, name: str, r: float, opt: OptimizerConfig) -> float:
+    """Maximize ``h(s) = (E(s) - (1-s) r) / s`` over s in (0, 1] for the kernel E.
+
+    ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.
+    """
     grid = np.linspace(S_MIN, 1.0, opt.grid_points)
+    vals = (_exponent(terms, grid, name) - (1.0 - grid) * r) / grid
 
-    def objective(s):
-        return (exponent(s) - (1.0 - s) * r) / s
+    def point(s):
+        E, E1, E2 = _exponent_point(terms, s, name)
+        h = (E - (1.0 - s) * r) / s
+        h1 = (E1 + r - h) / s
+        return h, h1, (E2 - 2.0 * h1) / s
 
-    s_star, value, k = _grid_then_refine(objective, grid, opt.refine_iterations)
+    _, value, k = _grid_then_refine(vals, grid, point, opt.refine_iterations)
     if k == 0:
         warnings.warn(
             f"rate objective peaked at the lower cutoff s = {S_MIN}; "
@@ -252,8 +281,7 @@ def hoeffding_rate(
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    terms = _psi_bar_terms(pair)
-    return _rate_objective_max(lambda s: _exponent(terms, s, "psi_bar"), float(r), opt)
+    return _rate_objective_max(_psi_bar_terms(pair), "psi_bar", float(r), opt)
 
 
 def solve_rate_parameter(
@@ -264,12 +292,14 @@ def solve_rate_parameter(
     phi_bar is convex, nonincreasing and ranges from 0 to infinity, so a
     bracket always exists: the upper end starts where phi_bar vanishes
     (one unit above the relative entropy), the lower end doubles downward.
+    The psi_bar grid is built once for every probed threshold.
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
+    transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
 
     def value(a):
-        return phi_bar(pair, a, opt)[0]
+        return transform(a)[0]
 
     a_hi = relative_entropy(pair) + 1.0
     step = 1.0
@@ -341,7 +371,7 @@ def classical_hoeffding(
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)
-    return _rate_objective_max(lambda s: _exponent(terms, s, "classical"), float(r), opt)
+    return _rate_objective_max(terms, "classical", float(r), opt)
 
 
 @dataclass(frozen=True)
@@ -390,10 +420,13 @@ def sweep_curve(
     if which == "psi":
         return ExponentCurve("s", grid, psi_values(pair, grid))
     if which in ("phi_bar", "phi"):
-        fn = phi_bar if which == "phi_bar" else phi
+        if which == "phi_bar":
+            transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
+        else:
+            transform = _transform(_psi_terms(pair), "psi", opt)
         values = np.empty_like(grid)
         argmax = np.empty_like(grid)
         for i, a in enumerate(grid):
-            values[i], argmax[i] = fn(pair, a, opt)
+            values[i], argmax[i] = transform(float(a))
         return ExponentCurve("a", grid, values, argmax)
     raise ValueError(f"unknown curve {which!r}; expected one of {SWEEPABLE}")

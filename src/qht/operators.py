@@ -33,15 +33,18 @@ def hermitian_part(M) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def check_hermitian(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry of ``M`` relative to its spectral norm."""
-    A = as_complex_matrix(M)
+def _require_symmetric(A: np.ndarray, scale: float, tol: ToleranceConfig) -> None:
     asym = np.abs(A - A.conj().T).max() if A.size else 0.0
-    scale = 1.0 + (np.linalg.norm(A, 2) if A.size else 0.0)
     if asym > tol.hermitian_tol * scale:
         raise NonHermitianInput(
             f"max |M - M*| = {asym:.3e} exceeds {tol.hermitian_tol:.1e} * {scale:.3e}"
         )
+
+
+def check_hermitian(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Validate Hermitian symmetry of ``M`` relative to its spectral norm."""
+    A = as_complex_matrix(M)
+    _require_symmetric(A, 1.0 + (np.linalg.norm(A, 2) if A.size else 0.0), tol)
     return A
 
 
@@ -99,11 +102,14 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
     ``cluster_rel_tol * spectral_norm`` merge into a single cluster whose
     eigenspace is spanned by the corresponding eigenvectors.  Tensor powers
     produce numerically coincident eigenvalues, and merging them is what
-    keeps v(A) at its exact-arithmetic value.
+    keeps v(A) at its exact-arithmetic value.  Hermitian symmetry is
+    checked as in :func:`check_hermitian`, but scaled by ``1 + max|w|`` over
+    the eigenvalues w of the Hermitian part instead of a separate 2-norm.
     """
-    A = check_hermitian(H, tol)
+    A = as_complex_matrix(H)
     w, V = np.linalg.eigh(hermitian_part(A))
     norm = np.abs(w).max() if w.size else 0.0
+    _require_symmetric(A, 1.0 + norm, tol)
     thr = tol.cluster_rel_tol * norm
     breaks = np.flatnonzero(np.diff(w) > thr) + 1
     return SpectralDecomposition(

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes expected values through a different route than
-the library: scalar eigenvalue-weight sums evaluated in mpmath for the
-exponent function and its finite differences, and brute-force grid scans
-for the one-dimensional maximizations.
+the library: scalar eigenvalue-weight sums (psi) and dense matrix-power
+products (psi_bar) evaluated in mpmath for the exponent functions and their
+finite differences, and brute-force grid scans for the one-dimensional
+maximizations.
 """
 
 import mpmath as mp
@@ -33,13 +34,33 @@ def psi_scalar_mp(pair, s, dps=40):
         return -mp.log(tot)
 
 
-def psi_fd_mp(pair, s, h=1e-5, dps=40):
-    """Central finite differences of the exponent, free of float64 roundoff."""
+def _mp_matrix(M):
+    return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in M])
+
+
+def _mp_power(eig, t):
+    """``X^t`` from the float64 eigensystem of X, in mpmath arithmetic."""
+    w, U = eig
+    Um = _mp_matrix(U)
+    D = mp.diag([mp.mpf(float(x)) ** t for x in w])
+    return Um * D * Um.transpose_conj()
+
+
+def psi_bar_matrix_mp(pair, s, dps=40):
+    """The pinched exponent as a dense mpmath product of matrix powers."""
+    with mp.workdps(dps):
+        half = _mp_power(pair.sigma_eig, s / 2)
+        prod = _mp_matrix(pair.rho) * half * _mp_power(pair.rho_eig, -s) * half
+        return -mp.log(mp.re(sum(prod[i, i] for i in range(pair.dim))))
+
+
+def psi_fd_mp(pair, s, h=1e-5, dps=40, exponent=psi_scalar_mp):
+    """Central finite differences of an exponent, free of float64 roundoff."""
     with mp.workdps(dps):
         sh, hh = mp.mpf(s), mp.mpf(h)
-        up = psi_scalar_mp(pair, sh + hh, dps)
-        mid = psi_scalar_mp(pair, sh, dps)
-        down = psi_scalar_mp(pair, sh - hh, dps)
+        up = exponent(pair, sh + hh, dps)
+        mid = exponent(pair, sh, dps)
+        down = exponent(pair, sh - hh, dps)
         d1 = (up - down) / (2 * hh)
         d2 = (up - 2 * mid + down) / hh**2
         return float(d1), float(d2)
@@ -53,6 +74,16 @@ def grid_max_phi(p, q, a, points=1_000_001):
     """Brute-force maximum of the classical exponent minus a*s on [0, 1]."""
     s = np.linspace(0.0, 1.0, points)
     return float((classical_exponent(np.asarray(p), np.asarray(q), s) - a * s).max())
+
+
+def brute_force_grid(values, lo, points=100_000, chunks=10):
+    """A vectorized function sampled on ``points`` grid points of [lo, 1].
+
+    Returns the grid and the samples; the function is called chunk by chunk
+    to keep its intermediate arrays small.
+    """
+    s = np.linspace(lo, 1.0, points)
+    return s, np.concatenate([values(part) for part in np.array_split(s, chunks)])
 
 
 def grid_max_hoeffding(p, q, r, points=1_000_000):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,25 @@ class TestExponentsCommand:
         assert lines[2] == "s,psi_bar,psi"
         s_values = [float(row.split(",")[0]) for row in lines[3:]]
         assert s_values == pytest.approx([0.1 * k for k in range(11)], abs=1e-15)
+
+
+    def test_module_entry_point(self, capsys):
+        # python -m qht runs the same command line as main()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        argv = ["exponents", "--preset", "commuting-1", "--grid-s", "0:1:0.5"]
+        done = subprocess.run(
+            [sys.executable, "-m", "qht", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=False,
+        )
+        code, out, _ = run(capsys, *argv)
+        assert done.returncode == code == 0
+        assert done.stdout == out
 
 
 class TestCurvesCommand:

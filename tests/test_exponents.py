@@ -1,10 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import qht
+from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
-from oracles import grid_max_hoeffding, grid_max_phi, psi_fd_mp
+from oracles import (
+    brute_force_grid,
+    grid_max_hoeffding,
+    grid_max_phi,
+    psi_bar_matrix_mp,
+    psi_fd_mp,
+    weight_form,
+)
 
 # scalar KL sum for diag(0.5, 0.5) against diag(0.9, 0.1)
 REL_ENT_COMMUTING = 0.5108256237659907
@@ -17,6 +27,18 @@ PHI_AT_ZERO_COMMUTING = 0.11237744635282497
 HOEFFDING_R005_COMMUTING = 0.21634124256413478
 
 S_GRID = np.linspace(0.0, 1.0, 21)
+
+PRESETS = ("identical", "commuting-1", "qubit-generic", "qubit-skewed")
+
+OPTIMIZER_PAIRS = [
+    pytest.param(qht.random_pair(seed, dim), id=f"d{dim}-seed{seed}")
+    for dim in (2, 3, 4)
+    for seed in range(2)
+] + [pytest.param(qht.preset_pair(name), id=name) for name in PRESETS]
+
+
+def thresholds(pair):
+    return np.linspace(-1.0, qht.relative_entropy(pair) + 0.5, 7)
 
 
 class TestRelativeEntropy:
@@ -182,6 +204,80 @@ class TestDerivatives:
         for pair in seeded_pairs(10):
             for s in (0.05, 0.5, 0.95):
                 assert qht.psi_derivatives(pair, s)[1] <= -1e-12
+
+
+class TestSinglePointDerivatives:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_psi_bar_against_mp_differences(self, dim):
+        for pair in seeded_pairs(2, dim=dim):
+            terms = _psi_bar_terms(pair)
+            for s in (0.1, 0.5, 0.9):
+                value, d1, d2 = _exponent_point(terms, s, "psi_bar")
+                fd1, fd2 = psi_fd_mp(pair, s, exponent=psi_bar_matrix_mp)
+                assert value == pytest.approx(qht.psi_bar(pair, s), abs=1e-13)
+                assert d1 == pytest.approx(fd1, rel=1e-6)
+                assert d2 == pytest.approx(fd2, rel=1e-6)
+
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_psi_derivatives_are_tilted_mean_and_variance(self, pair):
+        W, p, q = weight_form(pair)
+        c = (W * p[:, None]).ravel()
+        r = (np.log(q)[None, :] - np.log(p)[:, None]).ravel()
+        for s in (0.0, 0.25, 0.5, 0.75, 1.0):
+            w = c * np.exp(s * r)
+            w /= w.sum()
+            slope = -(w @ r)
+            d1, d2 = qht.psi_derivatives(pair, s)
+            assert d1 == pytest.approx(slope, abs=1e-12)
+            assert d2 == pytest.approx(-(w @ (r + slope) ** 2), abs=1e-12)
+
+
+class TestOptimizer:
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_phi_bar_reaches_brute_force_max(self, pair):
+        s, E = brute_force_grid(lambda x: qht.psi_bar_values(pair, x), 0.0)
+        for a in thresholds(pair):
+            assert qht.phi_bar(pair, a)[0] >= (E - a * s).max() - 1e-13
+
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_phi_reaches_brute_force_max(self, pair):
+        s, E = brute_force_grid(lambda x: qht.psi_values(pair, x), 0.0)
+        for a in thresholds(pair):
+            assert qht.phi(pair, a)[0] >= (E - a * s).max() - 1e-13
+
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_hoeffding_rate_reaches_brute_force_max(self, pair):
+        s, E = brute_force_grid(lambda x: qht.psi_bar_values(pair, x), S_MIN)
+        for r in (0.01, 0.1, 0.5):
+            assert qht.hoeffding_rate(pair, r) >= ((E - (1.0 - s) * r) / s).max() - 1e-13
+
+    @pytest.mark.parametrize("which", ["phi_bar", "phi"])
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_sweep_equals_pointwise(self, pair, which):
+        fn = qht.phi_bar if which == "phi_bar" else qht.phi
+        grid = thresholds(pair)
+        curve = qht.sweep_curve(pair, which, grid)
+        points = np.array([fn(pair, a) for a in grid])
+        assert np.array_equal(curve.values, points[:, 0])
+        assert np.array_equal(curve.argmax_s, points[:, 1])
+
+    @pytest.mark.parametrize("fn", [qht.phi_bar, qht.phi])
+    def test_identical_argmax_at_the_edges(self, identical, fn):
+        value, s_star = fn(identical, 0.5)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert s_star == 0.0
+        value, s_star = fn(identical, -1.0)
+        assert value == pytest.approx(1.0, abs=1e-12)
+        assert s_star == 1.0
+
+    def test_rate_warning_at_lower_cutoff(self, generic):
+        with pytest.warns(qht.RateTooSmallWarning):
+            qht.hoeffding_rate(generic, 1e-12)
+        with pytest.warns(qht.RateTooSmallWarning):
+            qht.classical_hoeffding([0.5, 0.5], [0.9, 0.1], 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", qht.RateTooSmallWarning)
+            qht.hoeffding_rate(generic, 0.1)
 
 
 class TestPhiBar:

@@ -36,6 +36,21 @@ class TestEigendecompose:
         with pytest.raises(qht.NonHermitianInput):
             qht.eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("factor,raises", [(1.001, True), (0.999, False)])
+    def test_asymmetry_threshold(self, factor, raises):
+        # the symmetry slack is hermitian_tol * (1 + max |eigenvalue|) of the
+        # Hermitian part, here 1e-10 * 3; |M - M*| is the one entry delta
+        tol = qht.DEFAULT_TOL.hermitian_tol
+        delta = factor * tol * 3.0
+        M = np.diag([2.0, -1.0]).astype(complex)
+        M[0, 1] = delta
+        assert 1.0 + np.abs(np.linalg.eigvalsh(hermitian_part(M))).max() == 3.0
+        if raises:
+            with pytest.raises(qht.NonHermitianInput):
+                qht.eigendecompose(M)
+        else:
+            assert qht.eigendecompose(M).v == 2
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 5))
     def test_roundtrip(self, seed, dim):
