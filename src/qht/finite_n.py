@@ -137,9 +137,10 @@ class ConjectureRow:
 
 @dataclass(frozen=True)
 class ConjectureReport:
-    """Plain-test rate table against the unproven plain-exponent targets.
+    """Plain-test rate table against the plain-exponent targets.
 
-    The comparison columns are targets only; nothing here asserts them.
+    The comparison columns are the proven rates -phi(a) and -(phi(a)+a)
+    (see :func:`conjecture_probe`); nothing here asserts them.
     """
 
     label: str
@@ -154,6 +155,32 @@ class _Level:
     columns: slice  # of the level decomposition's vectors
     eigenvalues: np.ndarray
     vectors: np.ndarray  # k x k block eigenvectors within those columns
+
+
+def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
+    """Levels of the n-fold products of ``eigenvalues``, grouped by their log.
+
+    Returns ``(logq, order, sizes)``: the logs of all ``len(eigenvalues)**n``
+    products in tensor-product index order, a stable argsort of them, and
+    the number of consecutive ``order`` entries in each level.  A level
+    starts where a log exceeds the first log of the current level by more
+    than ``cluster_rel_tol``; zero eigenvalues give ``-inf`` logs, which
+    form one level.  ``len(sizes)`` is the eigenvalue count v(sigma_n).
+    """
+    with np.errstate(divide="ignore"):
+        loglam = np.where(eigenvalues > 0.0, np.log(eigenvalues), -np.inf)
+    logq = np.zeros(1)
+    for _ in range(n):
+        logq = (logq[:, None] + loglam[None, :]).ravel()
+    order = np.argsort(logq, kind="stable")
+    ranked = logq[order].tolist()
+    sizes = []
+    start = 0
+    for i in range(1, len(ranked) + 1):
+        if i == len(ranked) or ranked[i] > ranked[start] + cluster_rel_tol:
+            sizes.append(i - start)
+            start = i
+    return logq, order, sizes
 
 
 def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int):
@@ -174,26 +201,20 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     if cached is not None:
         return cached
     lam, V = pair.sigma_eig
-    with np.errstate(divide="ignore"):
-        loglam = np.where(lam > 0.0, np.log(lam), -np.inf)
-    logq = np.zeros(1)
-    for _ in range(n):
-        logq = (logq[:, None] + loglam[None, :]).ravel()
+    logq, order, sizes = _log_levels(lam, n, tol.cluster_rel_tol)
     rt = tensor_power(V.conj().T @ pair.rho @ V, n, max_dim)
-    order = np.argsort(logq, kind="stable")
     levels = []
     start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or logq[order[i]] > logq[order[start]] + tol.cluster_rel_tol:
-            idx = order[start:i]
-            w, U = np.linalg.eigh(hermitian_part(rt[np.ix_(idx, idx)]))
-            # a level is all -inf (singular sigma) or all finite
-            levels.append(_Level(float(logq[idx].mean()), slice(start, i), w, U))
-            start = i
+    for size in sizes:
+        idx = order[start : start + size]
+        w, U = np.linalg.eigh(hermitian_part(rt[np.ix_(idx, idx)]))
+        # a level is all -inf (singular sigma) or all finite
+        levels.append(_Level(float(logq[idx].mean()), slice(start, start + size), w, U))
+        start += size
     dec = SpectralDecomposition(
         eigenvalues=np.exp([lev.log_weight for lev in levels]),
         vectors=tensor_power(V, n, max_dim)[:, order],
-        sizes=np.array([len(lev.eigenvalues) for lev in levels]),
+        sizes=np.array(sizes),
         cluster_tol=tol.cluster_rel_tol,
     )
     pair._level_cache[key] = dec, levels
@@ -390,10 +411,12 @@ def conjecture_probe(
     opt: OptimizerConfig = DEFAULT_OPT,
     max_dim: int = MAX_TENSOR_DIM,
 ) -> ConjectureReport:
-    """Rate table for the plain test against the plain-exponent targets.
+    """Rate table for the plain test against the plain-exponent bounds.
 
-    Whether those targets bound the plain test is an open question; the
-    report is labeled EXPERIMENTAL and asserts nothing.
+    The targets are theorems: for P = {rho_n > e^{na} sigma_n}, Audenaert
+    et al., PRL 98, 160501 (2007), give alpha_n <= e^{-n phi(a)} and
+    beta_n <= e^{-n(phi(a)+a)} at every n, with no prefactor.  The report
+    keeps its EXPERIMENTAL label and asserts nothing.
     """
     a = float(a)
     value, _ = phi(pair, a, opt)

@@ -156,12 +156,41 @@ class TestFiniteNCommand:
         assert (tmp_path / "bound_report.csv").read_text() == out
 
 
+# stdout of `qht verify --seed 3 --pairs 5 --n-max 3`: the verdicts and
+# worst margins do not depend on how a check counts or solves
+VERIFY_SEED3_PAIRS5_NMAX3 = """\
+[PASS] pinching commutation: worst 5.525e-16 (tol 1.0e-09)
+[PASS] pinching trace identity: worst 1.971e-14 (tol 1.0e-09)
+[PASS] key operator inequality: worst 9.101e-04 (tol -1.0e-09)
+[PASS] eigenvalue count vs (n+1)^d: worst 0.000e+00 (tol 0.0e+00)
+[PASS] inverse-power domination: worst 1.395e-02 (tol -1.0e-08)
+[PASS] spectral round-trip: worst 6.685e-16 (tol 1.0e-10)
+[PASS] operator convexity closed form: worst 5.347e-02 (tol -1.0e-10) max entrywise gap 9.058e-15
+[PASS] pinched below plain exponent: worst 5.551e-16 (tol 1.0e-09)
+[PASS] phi_bar shape: worst 8.882e-16 (tol 1.0e-09)
+[PASS] derivative consistency: worst 6.139e-10 (tol 1.0e-06)
+[PASS] rate-parameter consistency: worst 4.007e-11 (tol 1.0e-07)
+[PASS] commuting-case reduction: worst 0.000e+00 (tol 1.0e-09)
+[PASS] unitary invariance: worst 2.279e-15 (tol 1.0e-09)
+[PASS] finite-n envelopes: worst 0.000e+00 (tol 1.0e-12)
+[PASS] test projections and mass: worst 1.855e-15 (tol 1.0e-09) mass defect 1.332e-15 (tol 1e-12)
+[PASS] pinched equals plain when commuting: worst 0.000e+00 (tol 1.0e-10)
+[PASS] error monotonicity in a: worst 0.000e+00 (tol 1.0e-12)
+17/17 checks passed
+"""
+
+
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "3", "--pairs", "2", "--n-max", "2")
         assert code == 0
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_pinned_output(self, capsys):
+        code, out, _ = run(capsys, "verify", "--seed", "3", "--pairs", "5", "--n-max", "3")
+        assert code == 0
+        assert out == VERIFY_SEED3_PAIRS5_NMAX3
 
     def test_seeded_output_deterministic(self, capsys):
         args = ("verify", "--seed", "5", "--pairs", "2", "--n-max", "2")

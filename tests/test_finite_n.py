@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qht
-from qht.finite_n import _level_data
+from qht.finite_n import _level_data, _log_levels
 from qht.operators import positive_projection, tensor_power
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
@@ -201,6 +201,53 @@ class TestErrorEnvelopes:
             for r in reports:
                 assert r.alpha <= r.alpha_bound + 1e-12
                 assert r.beta <= r.beta_bound + 1e-12
+
+
+def level_count(sigma, n):
+    lam = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
+    return len(_log_levels(lam, n, qht.DEFAULT_TOL.cluster_rel_tol)[2])
+
+
+class TestLogLevels:
+    def test_generic_count_is_number_of_types(self):
+        # distinct single-copy eigenvalues give one sigma_n level per type
+        # (k_1, ..., k_d), C(n+d-1, d-1) of them; the qutrit with smallest
+        # eigenvalue 1.4e-3 has products below the dense absolute
+        # clustering threshold from n = 5 on
+        sigmas = [qht.random_density(np.random.default_rng([1, 99]), 3)]
+        for d in (2, 3, 4):
+            sigmas += [qht.random_density(np.random.default_rng([k, d]), d) for k in range(4)]
+        for sigma in sigmas:
+            d = sigma.shape[0]
+            for n in range(1, 7):
+                assert level_count(sigma, n) == math.comb(n + d - 1, d - 1)
+
+    def test_levels_partition_the_products(self):
+        lam = np.array([0.2, 0.3, 0.5])
+        logq, order, sizes = _log_levels(lam, 3, 1e-10)
+        assert sorted(order) == list(range(27))
+        assert sum(sizes) == 27
+        for level in np.split(logq[order], np.cumsum(sizes)[:-1]):
+            assert level.max() - level.min() <= 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_dense_count_when_well_conditioned(self, d):
+        # D <= 64 and smallest eigenvalue >= 0.05 keep every product far
+        # above the dense absolute clustering threshold
+        sigmas = [qht.random_density(np.random.default_rng([k, d]), d) for k in range(60)]
+        sigmas = [s for s in sigmas if np.linalg.eigvalsh(s).min() >= 0.05][:4]
+        assert sigmas
+        for sigma in sigmas:
+            for n in range(1, 7):
+                if d**n > 64:
+                    break
+                dense = qht.eigendecompose(tensor_power(sigma, n)).v
+                assert level_count(sigma, n) == dense
+
+    def test_degenerate_spectra(self):
+        for n in range(1, 7):
+            assert level_count(np.eye(3) / 3.0, n) == 1
+            assert level_count(np.diag([0.3, 0.3, 0.4]), n) == n + 1
 
 
 class TestVerifyBounds:
