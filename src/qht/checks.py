@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, MAX_TENSOR_DIM
 from .exponents import (
     classical_hoeffding,
     hoeffding_rate,
@@ -29,10 +29,13 @@ from .exponents import (
     solve_rate_parameter,
 )
 from .finite_n import (
+    _level_data,
     _log_levels,
+    _pinched_test,
     build_pinched_test,
     build_plain_test,
     error_probabilities,
+    verify_bounds,
 )
 from .operators import (
     eigendecompose,
@@ -311,18 +314,14 @@ def check_unitary_invariance(rng, n_samples) -> CheckResult:
 
 
 def check_finite_n_bounds(rng, n_samples, n_max) -> CheckResult:
+    """Exact pinched-test errors against (n+1)^d e^{-n phi_bar(a)} envelopes."""
     worst = 0.0
     for _ in range(n_samples):
         pair = random_pair(rng)
         div = relative_entropy(pair)
-        for a in (0.25 * div, 0.5 * div, 0.75 * div, 0.9 * div):
-            pb = phi_bar(pair, a)[0]
-            for n in range(1, n_max + 1):
-                test = build_pinched_test(pair, n, a)
-                ep = error_probabilities(pair, test)
-                pref = (n + 1) ** pair.dim
-                worst = max(worst, ep.alpha - pref * math.exp(-n * pb))
-                worst = max(worst, ep.beta - pref * math.exp(-n * (pb + a)))
+        a_grid = (0.25 * div, 0.5 * div, 0.75 * div, 0.9 * div)
+        for r in verify_bounds(pair, range(1, n_max + 1), a_grid):
+            worst = max(worst, r.alpha - r.alpha_bound, r.beta - r.beta_bound)
     return CheckResult("finite-n envelopes", worst <= 1e-12, worst, 1e-12)
 
 
@@ -359,8 +358,9 @@ def check_commuting_tests_coincide(rng, n_samples) -> CheckResult:
         pair = random_diagonal_pair(rng)
         div = relative_entropy(pair)
         for n in (1, 2, 3):
+            dec, levels, _ = _level_data(pair, n, DEFAULT_TOL, MAX_TENSOR_DIM)
             for a in (0.3 * div, 0.8 * div):
-                pinched = build_pinched_test(pair, n, a)
+                pinched = _pinched_test(dec, levels, n, float(a), DEFAULT_TOL)
                 plain = build_plain_test(pair, n, a)
                 gap = np.abs(pinched.operator - plain.operator).max()
                 worst = max(worst, float(gap))
@@ -374,8 +374,10 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n in (1, 2):
+            dec, levels, _ = _level_data(pair, n, DEFAULT_TOL, MAX_TENSOR_DIM)
             eps = [
-                error_probabilities(pair, build_pinched_test(pair, n, a)) for a in grid
+                error_probabilities(pair, _pinched_test(dec, levels, n, float(a), DEFAULT_TOL))
+                for a in grid
             ]
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])

@@ -19,8 +19,6 @@ class ToleranceConfig:
         defined on these clusters.
     psd_tol
         Slack allowed below zero when testing positive semidefiniteness.
-    proj_tol
-        Slack for idempotence, orthogonality and completeness of projectors.
     support_cutoff
         Eigenvalues at or below ``support_cutoff * max_eigenvalue`` are
         treated as zero when taking inverse powers or logarithms.
@@ -31,11 +29,13 @@ class ToleranceConfig:
         rank-deficient input instead of silently restricting to the support.
         Use :meth:`qht.pairs.HypothesisPair.smoothed` to mix in a multiple
         of the identity when rank-deficient states must be handled.
+
+    The idempotency slack of test operators is not a field here: it is the
+    fixed constant ``qht.finite_n.PROJ_TOL``.
     """
 
     cluster_rel_tol: float = 1e-10
     psd_tol: float = 1e-10
-    proj_tol: float = 1e-9
     support_cutoff: float = 1e-12
     hermitian_tol: float = 1e-10
     trace_tol: float = 1e-10
@@ -45,7 +45,6 @@ class ToleranceConfig:
         for name in (
             "cluster_rel_tol",
             "psd_tol",
-            "proj_tol",
             "support_cutoff",
             "hermitian_tol",
             "trace_tol",

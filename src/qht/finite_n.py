@@ -11,6 +11,9 @@ of magnitude, which a dense eigensolve of the difference cannot do.
 The levels of ``sigma_n`` (its eigenvalues grouped by their log), with the
 columns of ``V^{(x)n}`` as basis, are one SpectralDecomposition; that one
 pinching defines the test, v(sigma_n) and the key-inequality residual.
+They are derived once per blocklength, with rho_n in the same basis, and
+nothing per-n is cached: threshold sweeps reuse one derivation, and the
+residual is read off the level blocks of rho_n without a dense pinch.
 """
 
 import math
@@ -29,12 +32,16 @@ from .errors import (
 from .exponents import phi, phi_bar, relative_entropy
 from .operators import (
     SpectralDecomposition,
+    block_diagonal,
     hermitian_part,
-    key_inequality_residual,
+    min_eigenvalue,
     positive_projection,
     tensor_power,
 )
 from .pairs import HypothesisPair
+
+# Slack for the Hermitian symmetry and idempotency of a test operator.
+PROJ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class TestOperator:
     """A two-outcome test 0 <= A <= I on the n-fold space.
 
     Both constructions here produce projections; idempotency within
-    ``proj_tol`` is validated at creation, which also pins the spectrum to
+    ``PROJ_TOL`` is validated at creation, which also pins the spectrum to
     a neighborhood of {0, 1}.  ``blocks`` carries the per-level data of the
     pinched construction and is None for the plain one.
     """
@@ -69,10 +76,10 @@ class TestOperator:
 
     def __post_init__(self):
         A = self.operator
-        if np.abs(A - A.conj().T).max() > DEFAULT_TOL.proj_tol:
+        if np.abs(A - A.conj().T).max() > PROJ_TOL:
             raise NonHermitianInput("test operator is not Hermitian")
         gap = np.linalg.norm(A @ A - A)
-        if gap > DEFAULT_TOL.proj_tol * max(1.0, np.linalg.norm(A)):
+        if gap > PROJ_TOL * max(1.0, np.linalg.norm(A)):
             raise InvariantViolation("projection", f"||A^2 - A|| = {gap:.3e}")
 
     @property
@@ -189,27 +196,26 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     Levels group the exact tensor-product eigenvalues of sigma_n by their
     log with relative gap ``cluster_rel_tol``; numerically coincident
     products of the single-copy eigenvalues always land in one level.
-    Returns the levels as a SpectralDecomposition of sigma_n, whose vectors
-    are ``V^{(x)n}`` in level order, and each level's block of
-    ``(V* rho V)^{(x)n}`` diagonalized.  Cached per pair, n and clustering
-    tolerance; the dimension budget is checked before the cache.
+    Returns ``(dec, levels, M)``: the levels as a SpectralDecomposition of
+    sigma_n, whose vectors are ``V^{(x)n}`` in level order; each level's
+    block diagonalized; and ``M = (V* rho V)^{(x)n}`` in that same order,
+    which is rho_n in the basis of ``dec.vectors``, so each level's block
+    is a contiguous diagonal block of ``M``.  The dimension budget is
+    checked before any work.  Nothing is cached: a threshold sweep calls
+    this once per n and builds each test with :func:`_pinched_test`.
     """
     if pair.dim**n > max_dim:
         raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
-    key = (n, tol.cluster_rel_tol)
-    cached = pair._level_cache.get(key)
-    if cached is not None:
-        return cached
     lam, V = pair.sigma_eig
     logq, order, sizes = _log_levels(lam, n, tol.cluster_rel_tol)
-    rt = tensor_power(V.conj().T @ pair.rho @ V, n, max_dim)
+    M = tensor_power(V.conj().T @ pair.rho @ V, n, max_dim)[np.ix_(order, order)]
     levels = []
     start = 0
     for size in sizes:
-        idx = order[start : start + size]
-        w, U = np.linalg.eigh(hermitian_part(rt[np.ix_(idx, idx)]))
+        cols = slice(start, start + size)
+        w, U = np.linalg.eigh(hermitian_part(M[cols, cols]))
         # a level is all -inf (singular sigma) or all finite
-        levels.append(_Level(float(logq[idx].mean()), slice(start, start + size), w, U))
+        levels.append(_Level(float(logq[order[cols]].mean()), cols, w, U))
         start += size
     dec = SpectralDecomposition(
         eigenvalues=np.exp([lev.log_weight for lev in levels]),
@@ -217,28 +223,11 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
         sizes=np.array(sizes),
         cluster_tol=tol.cluster_rel_tol,
     )
-    pair._level_cache[key] = dec, levels
-    return dec, levels
+    return dec, levels, M
 
 
-def build_pinched_test(
-    pair: HypothesisPair,
-    n: int,
-    a: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    max_dim: int = MAX_TENSOR_DIM,
-) -> TestOperator:
-    """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n.
-
-    Within each sigma_n eigenvalue level the difference is the pinched
-    block minus a scalar threshold, so the positive part is read off the
-    block spectrum.  Block eigenvalues within the cluster tolerance of the
-    threshold count as zero and stay outside, matching the strict
-    inequality of the positive projection.  The result commutes with
-    sigma_n by construction.
-    """
-    a = float(a)
-    dec, levels = _level_data(pair, n, tol, max_dim)
+def _pinched_test(dec, levels, n: int, a: float, tol: ToleranceConfig) -> TestOperator:
+    """The pinched test at threshold ``a`` from the sigma_n levels of one n."""
     blocks = []
     kept = [np.zeros((dec.dim, 0), dtype=complex)]
     for lev in levels:
@@ -263,6 +252,26 @@ def build_pinched_test(
     return TestOperator(
         operator=W @ W.conj().T, n=n, a=a, kind="pinched", blocks=tuple(blocks)
     )
+
+
+def build_pinched_test(
+    pair: HypothesisPair,
+    n: int,
+    a: float,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    max_dim: int = MAX_TENSOR_DIM,
+) -> TestOperator:
+    """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n.
+
+    Within each sigma_n eigenvalue level the difference is the pinched
+    block minus a scalar threshold, so the positive part is read off the
+    block spectrum.  Block eigenvalues within the cluster tolerance of the
+    threshold count as zero and stay outside, matching the strict
+    inequality of the positive projection.  The result commutes with
+    sigma_n by construction.
+    """
+    dec, levels, _ = _level_data(pair, n, tol, max_dim)
+    return _pinched_test(dec, levels, n, float(a), tol)
 
 
 def build_plain_test(
@@ -335,19 +344,22 @@ def verify_bounds(
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
     One report per (n, a); the envelopes come from the same phi_bar value
-    per threshold.  The pinching residual and v(sigma_n) come from the same
-    sigma_n levels that define the pinched test.
+    per threshold.  The sigma_n levels are derived once per n, and the
+    tests of every threshold, v(sigma_n) and the pinching residual all come
+    from them.  The residual is the smallest eigenvalue of
+    ``v blockdiag(M) - M`` with ``M`` rho_n in the level basis, which is
+    ``v pinch(rho_n) - rho_n`` up to that change of basis, so no dense
+    rho_n or pinch is formed.
     """
     phis = {float(a): phi_bar(pair, a, opt)[0] for a in a_grid}
     reports = []
     for n in n_range:
-        rho_n = tensor_power(pair.rho, n, max_dim)
-        dec, _ = _level_data(pair, n, tol, max_dim)
-        key = key_inequality_residual(rho_n, dec, tol)
+        dec, levels, M = _level_data(pair, n, tol, max_dim)
+        key = min_eigenvalue(dec.v * block_diagonal(M, dec.sizes) - M, tol)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
-            test = build_pinched_test(pair, n, a, tol, max_dim)
+            test = _pinched_test(dec, levels, n, a, tol)
             ep = error_probabilities(pair, test, max_dim)
             reports.append(
                 BoundReport(

@@ -120,6 +120,16 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
     )
 
 
+def block_diagonal(A: np.ndarray, sizes) -> np.ndarray:
+    """``A`` with every entry outside the consecutive diagonal blocks zeroed.
+
+    The blocks are ``sizes[0]`` rows and columns, then ``sizes[1]``, and so
+    on: the clusters of a SpectralDecomposition, in the basis of its vectors.
+    """
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    return np.where(cluster[:, None] == cluster[None, :], A, 0.0)
+
+
 def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
     """Apply the pinching map of ``reference`` to ``B``: sum of E_i B E_i.
 
@@ -134,9 +144,7 @@ def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
             f"operator dimension {A.shape[0]} != reference dimension {reference.dim}"
         )
     V = reference.vectors
-    cluster = np.repeat(np.arange(reference.v), reference.sizes)
-    same = cluster[:, None] == cluster[None, :]
-    return V @ np.where(same, V.conj().T @ A @ V, 0.0) @ V.conj().T
+    return V @ block_diagonal(V.conj().T @ A @ V, reference.sizes) @ V.conj().T
 
 
 def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

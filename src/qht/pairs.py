@@ -48,7 +48,6 @@ class HypothesisPair:
         self.sigma = sigma
         self.dim = rho.shape[0]
         self.tol = tol
-        self._level_cache = {}
         if tol.strict:
             self.assert_invertible("strict mode")
 

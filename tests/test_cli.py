@@ -214,7 +214,10 @@ class TestConjectureCommand:
             capsys, "conjecture", "--preset", "qubit-generic", "--n-max", "2"
         )
         assert code == 0
-        assert out.startswith("# EXPERIMENTAL")
+        assert out.splitlines()[:2] == [
+            "# EXPERIMENTAL: the rate targets below are proven upper bounds for the plain",
+            "# test (Audenaert et al., PRL 98, 160501, 2007); this table asserts nothing.",
+        ]
         assert "log_alpha_rate" in out
 
 

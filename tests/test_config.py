@@ -7,7 +7,6 @@ def test_tolerances_must_be_positive():
     for field in (
         "cluster_rel_tol",
         "psd_tol",
-        "proj_tol",
         "support_cutoff",
         "hermitian_tol",
         "trace_tol",

@@ -108,7 +108,7 @@ class TestBuildPinchedTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
-                dec, _ = _level_data(pair, n, tol, qht.MAX_TENSOR_DIM)
+                dec, _, _ = _level_data(pair, n, tol, qht.MAX_TENSOR_DIM)
                 assert dec.v == 2
                 assert list(dec.sizes) == [2**n - 1, 1]
                 ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1, tol))
@@ -278,18 +278,39 @@ class TestVerifyBounds:
             blocks = qht.build_pinched_test(pair, r.n, a).blocks
             assert r.v_sigma_n == r.n + 1 == len(blocks)
 
-    @pytest.mark.parametrize("dim,n_max", [(2, 5), (3, 2)])
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 2)])
     def test_key_residual_matches_dense_pinching(self, dim, n_max):
-        # Kept to well-conditioned sizes: the dense eigenvectors of sigma_n
-        # err by about eps ||sigma_n|| / gap, which reaches 1e-11 once the
+        # The level-block residual against the dense pinch of rho_n.  Kept
+        # to well-conditioned sizes: the dense eigenvectors of sigma_n err
+        # by about eps ||sigma_n|| / gap, which reaches 1e-11 once the
         # smallest eigenvalues of sigma_n are near 1e-9 (qutrits at n = 3).
-        for pair in seeded_pairs(4, dim=dim):
+        # qubit-skewed is left out: dense absolute clustering merges its
+        # levels, so the two paths would not pinch alike.
+        pairs = seeded_pairs(4, dim=dim)
+        if dim == 2:
+            pairs.append(qht.preset_pair("qubit-generic"))
+        for pair in pairs:
             for r in qht.verify_bounds(pair, range(1, n_max + 1), [0.1]):
                 dec = qht.eigendecompose(tensor_power(pair.sigma, r.n))
                 rho_n = tensor_power(pair.rho, r.n)
                 assert dec.v == r.v_sigma_n
                 dense = qht.key_inequality_residual(rho_n, dec)
                 assert abs(r.key_residual - dense) <= 1e-12
+
+
+    @pytest.mark.parametrize(
+        "pair",
+        seeded_pairs(2) + seeded_pairs(2, dim=3) + [qht.preset_pair("qubit-skewed")],
+        ids=["d2-0", "d2-1", "d3-0", "d3-1", "qubit-skewed"],
+    )
+    def test_sweep_matches_one_off_tests(self, pair):
+        # verify_bounds derives the levels once per n for all thresholds;
+        # each error must equal that of a test built on its own
+        div = qht.relative_entropy(pair)
+        grid = [0.1 * div, 0.4 * div, 0.7 * div, 0.95 * div]
+        for r in qht.verify_bounds(pair, range(1, 5), grid):
+            ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
+            assert (r.alpha, r.beta) == (ep.alpha, ep.beta)
 
 
 class TestSteinTrace:
