@@ -14,6 +14,14 @@ pinching defines the test, v(sigma_n) and the key-inequality residual.
 They are derived once per blocklength, with rho_n in the same basis, and
 nothing per-n is cached: threshold sweeps reuse one derivation, and the
 residual is read off the level blocks of rho_n without a dense pinch.
+
+The plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` is
+evaluated for qubits from the Schur-Weyl decomposition of the n-fold
+space: ``A^{(x)n}`` of a 2 x 2 matrix is unitarily the direct sum of the
+spin blocks ``det(A)^t Sym^{n-2t}(A)``, each of size at most n + 1 and
+repeated ``C(n,t) - C(n,t-1)`` times, by the same unitary for every A.  Other
+dimensions use the dense :func:`build_plain_test`, which stays the
+independent cross-check.
 """
 
 import math
@@ -36,6 +44,7 @@ from .operators import (
     hermitian_part,
     min_eigenvalue,
     positive_projection,
+    strictly_positive,
     tensor_power,
 )
 from .pairs import HypothesisPair
@@ -190,6 +199,11 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
+def _check_budget(pair: HypothesisPair, n: int, max_dim: int) -> None:
+    if pair.dim**n > max_dim:
+        raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
+
+
 def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int):
     """Eigenvalue levels of sigma_n with the diagonalized blocks of pinch(rho_n).
 
@@ -204,8 +218,7 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     checked before any work.  Nothing is cached: a threshold sweep calls
     this once per n and builds each test with :func:`_pinched_test`.
     """
-    if pair.dim**n > max_dim:
-        raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
+    _check_budget(pair, n, max_dim)
     lam, V = pair.sigma_eig
     logq, order, sizes = _log_levels(lam, n, tol.cluster_rel_tol)
     M = tensor_power(V.conj().T @ pair.rho @ V, n, max_dim)[np.ix_(order, order)]
@@ -283,8 +296,7 @@ def build_plain_test(
 ) -> TestOperator:
     """Projection onto the positive part of rho_n - e^{na} sigma_n, unpinched."""
     a = float(a)
-    if pair.dim**n > max_dim:
-        raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
+    _check_budget(pair, n, max_dim)
     if n * a > 700.0:
         # e^{na} overflows; the scaled alternative dominates everywhere on
         # its support, which is everything for an invertible pair.
@@ -323,9 +335,9 @@ def error_probabilities(
         return ErrorProbabilities(alpha=alpha, beta=float(beta), n=test.n, a=test.a)
     rho_n = tensor_power(pair.rho, test.n, max_dim)
     sigma_n = tensor_power(pair.sigma, test.n, max_dim)
-    eye = np.eye(test.dim)
-    alpha = np.trace(rho_n @ (eye - test.operator))
-    beta = np.trace(sigma_n @ test.operator)
+    # Tr[B A] as the elementwise sum of B and A^T: O(D^2), no D x D product
+    alpha = np.trace(rho_n) - np.einsum("ij,ji->", rho_n, test.operator)
+    beta = np.einsum("ij,ji->", sigma_n, test.operator)
     if max(abs(alpha.imag), abs(beta.imag)) > 1e-12:
         raise ArithmeticError("error probabilities have imaginary residue")
     return ErrorProbabilities(
@@ -415,6 +427,87 @@ def stein_trace(
     return points
 
 
+def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
+    """``Sym^N(X)`` of a 2 x 2 matrix in the normalized Dicke basis.
+
+    Basis vector k is the normalized symmetric sum of the N-qubit strings
+    with k ones, so ``X^{(x)N}`` maps it into the span of the others.
+    Column k is the coefficient vector of
+    ``(x00 + x10 z)^{N-k} (x01 + x11 z)^k`` in powers of z, one convolution,
+    with entry j rescaled by ``sqrt(C(N,k)/C(N,j))``.  Powers are running
+    products, so equal inputs give bitwise equal blocks.
+    """
+
+    def powers(x):
+        return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(N, x))))
+
+    p00, p10, p01, p11 = (powers(X[i, j]) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    binom = np.array([[math.comb(m, i) for i in range(N + 1)] for m in range(N + 1)], float)
+    S = np.empty((N + 1, N + 1), dtype=complex)
+    for k in range(N + 1):
+        first = binom[N - k, : N - k + 1] * p00[N - k :: -1] * p10[: N - k + 1]
+        second = binom[k, : k + 1] * p01[k::-1] * p11[: k + 1]
+        S[:, k] = np.convolve(first, second)
+    return S * np.sqrt(binom[N][None, :] / binom[N][:, None])
+
+
+def _spin_blocks(X: np.ndarray, n: int):
+    """``X^{(x)n}`` of a 2 x 2 matrix as its Schur-Weyl blocks.
+
+    Yields ``(m_t, det(X)^t Sym^{n-2t}(X))`` for t = 0..n//2, where the block
+    appears ``m_t = C(n,t) - C(n,t-1)`` times in ``X^{(x)n}`` up to a unitary
+    that depends on n alone.  The determinant is the 2 x 2 formula, so equal
+    inputs give bitwise equal blocks.
+    """
+    det = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+    for t in range(n // 2 + 1):
+        mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
+        yield mult, det**t * _sym_power(X, n - 2 * t)
+
+
+def _plain_errors_spin_blocks(
+    pair: HypothesisPair, n: int, a: float, tol: ToleranceConfig, max_dim: int
+) -> ErrorProbabilities:
+    """Errors of the plain test {rho_n > e^{na} sigma_n} for a qubit pair.
+
+    In sigma's eigenbasis, with ``X = V* rho V`` and ``Q = diag(q)``, the
+    difference ``rho_n - e^{na} sigma_n`` is unitarily the direct sum over t
+    of ``R_t - e^{na} S_t`` (``R_t``, ``S_t`` the spin blocks of X and Q),
+    each repeated ``m_t`` times.  An eigenvalue is kept by the rule of
+    :func:`positive_projection` applied to all 2^n of them, so up to
+    roundoff the test is that of :func:`build_plain_test`; ``alpha`` sums
+    ``u* R_t u`` over the eigenvectors u left out and ``beta`` sums
+    ``u* S_t u`` over those kept, each weighted by ``m_t``.  The work is
+    O(n^4) plus a sort of the 2^n eigenvalues, with no 2^n x 2^n matrix.
+    """
+    _check_budget(pair, n, max_dim)
+    q, V = pair.sigma_eig
+    X = V.conj().T @ pair.rho @ V
+    Q = np.diag(q).astype(complex)
+    blocks = [(m, R, S) for (m, R), (_, S) in zip(_spin_blocks(X, n), _spin_blocks(Q, n))]
+    if n * a > 700.0:
+        # as in build_plain_test: e^{na} overflows and the test is empty
+        pair.assert_invertible("plain test with n*a > 700")
+        alpha = sum(m * np.trace(R).real for m, R, _ in blocks)
+        return ErrorProbabilities(alpha=float(alpha), beta=0.0, n=n, a=a)
+    thr = math.exp(n * a)
+    eigs = [np.linalg.eigh(hermitian_part(R - thr * S)) for _, R, S in blocks]
+    spectrum = np.sort(
+        np.concatenate([np.repeat(w, m) for (m, _, _), (w, _) in zip(blocks, eigs)])
+    )
+    # kept clusters are a top segment of the sorted spectrum, so the test
+    # keeps exactly the eigenvalues from the smallest kept one up
+    kept_values = spectrum[strictly_positive(spectrum, tol)]
+    cut = kept_values[0] if kept_values.size else math.inf
+    alpha = beta = 0.0
+    for (m, R, S), (w, U) in zip(blocks, eigs):
+        kept = w >= cut
+        out = U[:, ~kept]
+        alpha += m * float(np.einsum("ki,kl,li->", out.conj(), R, out).real)
+        beta += m * float((S.diagonal().real @ np.abs(U[:, kept]) ** 2).sum())
+    return ErrorProbabilities(alpha=alpha, beta=beta, n=n, a=a)
+
+
 def conjecture_probe(
     pair: HypothesisPair,
     n_range,
@@ -429,14 +522,22 @@ def conjecture_probe(
     et al., PRL 98, 160501 (2007), give alpha_n <= e^{-n phi(a)} and
     beta_n <= e^{-n(phi(a)+a)} at every n, with no prefactor.  The report
     keeps its EXPERIMENTAL label and asserts nothing.
+
+    Qubit pairs are evaluated from the spin blocks of the n-fold space
+    (:func:`_plain_errors_spin_blocks`), with no 2^n x 2^n matrix; other
+    dimensions build the dense test.  The path depends on ``pair.dim``
+    alone, and both keep the positivity rule of :func:`positive_projection`,
+    the dimension budget and the ``n a > 700`` guard.
     """
     a = float(a)
     value, _ = phi(pair, a, opt)
     rows = []
     for n in n_range:
         n = int(n)
-        test = build_plain_test(pair, n, a, tol, max_dim)
-        ep = error_probabilities(pair, test, max_dim)
+        if pair.dim == 2:
+            ep = _plain_errors_spin_blocks(pair, n, a, tol, max_dim)
+        else:
+            ep = error_probabilities(pair, build_plain_test(pair, n, a, tol, max_dim), max_dim)
         la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf
         lb = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         rows.append(

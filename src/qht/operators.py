@@ -108,16 +108,25 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
     """
     A = as_complex_matrix(H)
     w, V = np.linalg.eigh(hermitian_part(A))
-    norm = np.abs(w).max() if w.size else 0.0
+    means, sizes, thr, norm = _gap_clusters(w, tol)
     _require_symmetric(A, 1.0 + norm, tol)
+    return SpectralDecomposition(
+        eigenvalues=means, vectors=V, sizes=sizes, cluster_tol=thr
+    )
+
+
+def _gap_clusters(w: np.ndarray, tol: ToleranceConfig):
+    """Clusters of the ascending eigenvalues ``w`` as :func:`eigendecompose` merges them.
+
+    Returns ``(means, sizes, threshold, norm)``: the cluster means, the
+    number of consecutive eigenvalues in each, the merge threshold
+    ``cluster_rel_tol * norm`` and the norm ``max |w|``.
+    """
+    norm = np.abs(w).max() if w.size else 0.0
     thr = tol.cluster_rel_tol * norm
     breaks = np.flatnonzero(np.diff(w) > thr) + 1
-    return SpectralDecomposition(
-        eigenvalues=np.array([c.mean() for c in np.split(w, breaks)]),
-        vectors=V,
-        sizes=np.diff(np.concatenate(([0], breaks, [len(w)]))),
-        cluster_tol=thr,
-    )
+    means = np.array([c.mean() for c in np.split(w, breaks)])
+    return means, np.diff(np.concatenate(([0], breaks, [len(w)]))), thr, norm
 
 
 def block_diagonal(A: np.ndarray, sizes) -> np.ndarray:
@@ -155,6 +164,18 @@ def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     dec = eigendecompose(X, tol)
     return _spectral_sum(dec, (dec.eigenvalues > dec.cluster_tol).astype(float))
+
+
+def strictly_positive(w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Which of the ascending eigenvalues ``w`` of a Hermitian X lie in {X > 0}.
+
+    The rule of :func:`positive_projection` on a spectrum given as numbers,
+    with multiplicities as repeated entries: gap clusters by
+    :func:`eigendecompose`, and a cluster is kept when its mean exceeds the
+    merge threshold.
+    """
+    means, sizes, thr, _ = _gap_clusters(np.asarray(w, dtype=float), tol)
+    return np.repeat(means > thr, sizes)
 
 
 def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values through a different route than
 the library: scalar eigenvalue-weight sums (psi) and dense matrix-power
 products (psi_bar) evaluated in mpmath for the exponent functions and their
-finite differences, and brute-force grid scans for the one-dimensional
-maximizations.
+finite differences, brute-force grid scans for the one-dimensional
+maximizations, and qubit plain-test errors from spin blocks whose entries
+are string-pair counts, diagonalized in mpmath.
 """
 
 import mpmath as mp
@@ -91,3 +92,74 @@ def grid_max_hoeffding(p, q, r, points=1_000_000):
     s = np.linspace(1e-6, 1.0, points)
     vals = (classical_exponent(np.asarray(p), np.asarray(q), s) - (1.0 - s) * r) / s
     return float(vals.max())
+
+
+def _mp_sym_power(X, N):
+    """``Sym^N(X)`` of a 2 x 2 mpmath matrix from the string-pair count.
+
+    Entry (j, k) is ``<D_j| X^{(x)N} |D_k>`` for normalized Dicke states:
+    the pairs of N-bit strings with j and k ones that share l ones occur
+    ``N! / (l! (j-l)! (k-l)! (N-j-k+l)!)`` times, each with product
+    ``x11^l x10^(j-l) x01^(k-l) x00^(N-j-k+l)``.
+    """
+    f = mp.factorial
+    S = mp.matrix(N + 1, N + 1)
+    for j in range(N + 1):
+        for k in range(N + 1):
+            tot = mp.mpc(0)
+            for l in range(max(0, j + k - N), min(j, k) + 1):
+                count = f(N) / (f(l) * f(j - l) * f(k - l) * f(N - j - k + l))
+                tot += (
+                    count
+                    * X[1, 1] ** l
+                    * X[1, 0] ** (j - l)
+                    * X[0, 1] ** (k - l)
+                    * X[0, 0] ** (N - j - k + l)
+                )
+            S[j, k] = tot / mp.sqrt(mp.binomial(N, j) * mp.binomial(N, k))
+    return S
+
+
+def plain_test_errors_mp(pair, n, a, cluster_rel_tol=1e-10, dps=30):
+    """alpha and beta of {rho_n > e^{na} sigma_n} for a qubit pair, in mpmath.
+
+    sigma is diagonalized in mpmath, and ``rho_n - e^{na} sigma_n`` is split
+    into the blocks ``det(X)^t Sym^{n-2t}(X) - e^{na} det(Q)^t Sym^{n-2t}(Q)``
+    of multiplicity ``C(n,t) - C(n,t-1)``, with ``X = V* rho V`` and
+    ``Q = diag(q)``.  Positivity follows ``positive_projection``: the
+    eigenvalues of all blocks, with multiplicity, merge where a gap is at
+    most ``cluster_rel_tol * max|w|``, and a merged cluster counts as
+    positive when its mean exceeds that threshold.  Returns floats.
+    """
+    with mp.workdps(dps):
+        q, V = mp.eighe(_mp_matrix(pair.sigma))
+        X = V.transpose_conj() * _mp_matrix(pair.rho) * V
+        Q = mp.diag(q)
+        thr = mp.exp(n * mp.mpf(a))
+        blocks, spectrum = [], []
+        for t in range(n // 2 + 1):
+            mult = mp.binomial(n, t) - (mp.binomial(n, t - 1) if t else 0)
+            R = mp.det(X) ** t * _mp_sym_power(X, n - 2 * t)
+            S = mp.det(Q) ** t * _mp_sym_power(Q, n - 2 * t)
+            w, U = mp.eighe(R - thr * S)
+            blocks.append((mult, R, S, U))
+            spectrum += [(x, len(blocks) - 1, i) for i, x in enumerate(w)]
+        spectrum.sort()
+        cut = cluster_rel_tol * max(abs(x) for x, _, _ in spectrum)
+        clusters = [[spectrum[0]]]
+        for prev, entry in zip(spectrum, spectrum[1:]):
+            if entry[0] - prev[0] > cut:
+                clusters.append([])
+            clusters[-1].append(entry)
+        alpha = beta = mp.mpf(0)
+        for cluster in clusters:
+            weight = sum(blocks[b][0] for _, b, _ in cluster)
+            positive = sum(blocks[b][0] * x for x, b, _ in cluster) / weight > cut
+            for _, b, i in cluster:
+                mult, R, S, U = blocks[b]
+                u = U[:, i]
+                if positive:
+                    beta += mult * mp.re((u.transpose_conj() * S * u)[0])
+                else:
+                    alpha += mult * mp.re((u.transpose_conj() * R * u)[0])
+        return float(alpha), float(beta)

@@ -5,10 +5,18 @@ import numpy as np
 import pytest
 
 import qht
-from qht.finite_n import _level_data, _log_levels
+from qht import finite_n
+from qht.finite_n import (
+    _level_data,
+    _log_levels,
+    _plain_errors_spin_blocks,
+    _spin_blocks,
+    _sym_power,
+)
 from qht.operators import positive_projection, tensor_power
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
+from oracles import plain_test_errors_mp
 
 
 def exact_errors(pair, test):
@@ -361,6 +369,152 @@ class TestConjectureProbe:
         assert len(report.rows) == 6
         assert report.label == "EXPERIMENTAL"
         assert all(np.isfinite(row.alpha) for row in report.rows)
+
+
+def dicke_basis(N):
+    """Columns: the normalized Dicke states of N qubits, k = number of ones."""
+    ones = np.array([bin(i).count("1") for i in range(2**N)])
+    D = (ones[:, None] == np.arange(N + 1)[None, :]).astype(float)
+    return D / np.sqrt(D.sum(axis=0))
+
+
+def dense_plain_errors(pair, n, a):
+    return qht.error_probabilities(pair, qht.build_plain_test(pair, n, a))
+
+
+def block_plain_errors(pair, n, a, tol=qht.DEFAULT_TOL):
+    return _plain_errors_spin_blocks(pair, n, a, tol, qht.MAX_TENSOR_DIM)
+
+
+class TestSpinBlocks:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sym_power_is_dicke_compression(self, seed):
+        # unit spectral norm, as for the blocks of density operators
+        rng = np.random.default_rng([seed, 17])
+        X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        X /= np.linalg.norm(X, 2)
+        for N in range(1, 7):
+            D = dicke_basis(N)
+            dense = D.T @ tensor_power(X, N) @ D
+            assert np.abs(_sym_power(X, N) - dense).max() <= 1e-13
+        np.testing.assert_array_equal(_sym_power(X, 0), np.ones((1, 1)))
+
+    def test_multiplicities_fill_the_space(self):
+        for n in range(1, 13):
+            blocks = list(_spin_blocks(np.eye(2), n))
+            assert [len(R) for _, R in blocks] == [n - 2 * t + 1 for t in range(n // 2 + 1)]
+            assert sum(m * len(R) for m, R in blocks) == 2**n
+
+    def test_block_spectrum_matches_dense(self):
+        for pair in seeded_pairs(3) + [qht.preset_pair("qubit-generic")]:
+            q, V = pair.sigma_eig
+            X = V.conj().T @ pair.rho @ V
+            Q = np.diag(q).astype(complex)
+            for n in range(1, 7):
+                for a in (-0.2, 0.1, 0.5 * qht.relative_entropy(pair)):
+                    thr = math.exp(n * a)
+                    blocks = zip(_spin_blocks(X, n), _spin_blocks(Q, n))
+                    spectrum = np.sort(np.concatenate([
+                        np.repeat(np.linalg.eigvalsh(R - thr * S), m) for (m, R), (_, S) in blocks
+                    ]))
+                    rho_n = tensor_power(pair.rho, n)
+                    dense = np.linalg.eigvalsh(rho_n - thr * tensor_power(pair.sigma, n))
+                    assert np.abs(spectrum - dense).max() <= 1e-12
+
+
+class TestPlainErrorsFromSpinBlocks:
+    # Reference values: the mpmath oracle over the same blocks, with its own
+    # Sym^N from the string-pair count and its own eigensolve of sigma.
+    # Over random_pair seeds 0-19, n <= 8 and a in {0.25, 0.5, 0.9} D the
+    # block path stayed within 9.3e-11 (alpha) and 2.1e-9 relative (beta)
+    # of it, and the dense path within 1.2e-8 and 2.7e-7 (seed 19, n = 7).
+
+    @pytest.mark.parametrize("seed,frac", [(0, 0.25), (1, 0.5), (2, 0.9), (3, 0.9)])
+    def test_matches_mpmath_oracle(self, seed, frac):
+        pair = qht.random_pair(seed)
+        a = frac * qht.relative_entropy(pair)
+        for n in range(1, 9):
+            alpha, beta = plain_test_errors_mp(pair, n, a)
+            ep = block_plain_errors(pair, n, a)
+            assert abs(ep.alpha - alpha) <= 1e-9
+            assert abs(ep.beta - beta) <= 1e-8 * beta
+
+    def test_matches_dense_path(self):
+        # the tolerance is set by the dense path's own error (see above)
+        for pair in seeded_pairs(20):
+            a = 0.9 * qht.relative_entropy(pair)
+            for n in range(1, 9):
+                ep, dense = block_plain_errors(pair, n, a), dense_plain_errors(pair, n, a)
+                assert abs(ep.alpha - dense.alpha) <= 5e-8
+                assert abs(ep.beta - dense.beta) <= 1e-6 * dense.beta
+
+    def test_qubit_skewed_matches_oracle(self):
+        # at the CLI's default threshold a = D/2; every positive eigenvalue
+        # drops below the cluster threshold from n = 3 on.  The dense path
+        # is off by up to 5.5e-10 relative here (beta, n = 2).
+        pair = qht.preset_pair("qubit-skewed")
+        a = 0.5 * qht.relative_entropy(pair)
+        for n in range(1, 9):
+            alpha, beta = plain_test_errors_mp(pair, n, a)
+            ep, dense = block_plain_errors(pair, n, a), dense_plain_errors(pair, n, a)
+            assert abs(ep.alpha - alpha) <= 1e-14 * alpha
+            assert abs(ep.beta - beta) <= 1e-14 * beta
+            assert abs(dense.alpha - alpha) <= 1e-9 * alpha
+            assert abs(dense.beta - beta) <= 1e-9 * beta
+
+    def test_probe_takes_no_dense_path_for_qubits(self, generic, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense path used")
+
+        reference = qht.conjecture_probe(generic, range(1, 5), 0.1)
+        monkeypatch.setattr(finite_n, "tensor_power", refuse)
+        monkeypatch.setattr(finite_n, "build_plain_test", refuse)
+        assert qht.conjecture_probe(generic, range(1, 5), 0.1) == reference
+        with pytest.raises(AssertionError, match="dense path used"):
+            qht.conjecture_probe(qht.random_pair(0, dim=3), [1], 0.1)
+
+    def test_identical_pair_keeps_no_direction(self, identical):
+        for row in qht.conjecture_probe(identical, range(1, 9), 0.0).rows:
+            assert row.beta == 0.0
+            assert abs(row.alpha - 1.0) <= 1e-15
+
+    def test_singular_pair_matches_dense_without_warnings(self):
+        tol = qht.ToleranceConfig(strict=False)
+        for rho, sigma in (
+            (np.diag([0.6, 0.4]), np.diag([1.0, 0.0])),
+            (np.diag([1.0, 0.0]), np.diag([0.3, 0.7])),
+        ):
+            pair = qht.HypothesisPair(rho, sigma, tol)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for n in range(1, 7):
+                    for a in (-0.3, 0.0, 0.2, 1.0):
+                        ep = block_plain_errors(pair, n, a, tol)
+                        dense = qht.error_probabilities(
+                            pair, qht.build_plain_test(pair, n, a, tol)
+                        )
+                        assert abs(ep.alpha - dense.alpha) <= 1e-14
+                        assert abs(ep.beta - dense.beta) <= 1e-14
+
+    def test_overflow_guard(self, generic):
+        (row,) = qht.conjecture_probe(generic, [2], 400.0).rows
+        dense = dense_plain_errors(generic, 2, 400.0)
+        assert (row.beta, dense.beta) == (0.0, 0.0)
+        assert row.alpha == pytest.approx(dense.alpha, abs=1e-15)
+        tol = qht.ToleranceConfig(strict=False)
+        singular = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]), tol)
+        with pytest.raises(qht.SingularInput):
+            block_plain_errors(singular, 2, 400.0, tol)
+        with pytest.raises(qht.SingularInput):
+            qht.build_plain_test(singular, 2, 400.0, tol)
+
+    def test_budget_checked_first(self, generic):
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.conjecture_probe(generic, [13], 0.1)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.conjecture_probe(generic, [3], 0.1, max_dim=4)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.conjecture_probe(generic, [2], 400.0, max_dim=2)
 
 
 class TestErrorMonotonicity:

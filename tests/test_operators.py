@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qht
-from qht.operators import hermitian_part
+from qht.operators import hermitian_part, strictly_positive
 
 from conftest import rng_hermitian
 
@@ -145,6 +145,23 @@ class TestPositiveProjection:
     def test_zero_within_tolerance_excluded(self):
         P = qht.positive_projection(np.diag([1.0, 1e-12]))
         np.testing.assert_allclose(P, np.diag([1.0, 0.0]), atol=1e-14)
+
+    def test_mask_on_numbers_matches_projection_rank(self):
+        # a cluster is kept by its mean: 3e-11 (x4) and 1.2e-10 share a
+        # cluster with mean 4.8e-11 < 1e-10, so neither counts, while the
+        # same 1.2e-10 alone would
+        for w in ([-1.0, 3e-11, 3e-11, 3e-11, 3e-11, 1.2e-10, 1.0], [-1.0, 1.2e-10, 1.0]):
+            H = np.diag(w)
+            mask = strictly_positive(np.sort(w))
+            rank = round(np.trace(qht.positive_projection(H)).real)
+            assert mask.sum() == rank
+        assert list(strictly_positive([-1.0, 3e-11, 3e-11, 3e-11, 3e-11, 1.2e-10, 1.0])) == [
+            False, False, False, False, False, False, True
+        ]
+        assert list(strictly_positive([-1.0, 1.2e-10, 1.0])) == [False, True, True]
+
+    def test_zero_spectrum_keeps_nothing(self):
+        assert not strictly_positive(np.zeros(5)).any()
 
 
 class TestMatrixPower:
