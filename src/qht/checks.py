@@ -29,9 +29,10 @@ from .exponents import (
     solve_rate_parameter,
 )
 from .finite_n import (
+    _block_errors,
     _level_data,
     _log_levels,
-    _pinched_test,
+    _pinched_blocks,
     build_pinched_test,
     build_plain_test,
     error_probabilities,
@@ -358,9 +359,8 @@ def check_commuting_tests_coincide(rng, n_samples) -> CheckResult:
         pair = random_diagonal_pair(rng)
         div = relative_entropy(pair)
         for n in (1, 2, 3):
-            dec, levels, _ = _level_data(pair, n, DEFAULT_TOL, MAX_TENSOR_DIM)
             for a in (0.3 * div, 0.8 * div):
-                pinched = _pinched_test(dec, levels, n, float(a), DEFAULT_TOL)
+                pinched = build_pinched_test(pair, n, a)
                 plain = build_plain_test(pair, n, a)
                 gap = np.abs(pinched.operator - plain.operator).max()
                 worst = max(worst, float(gap))
@@ -374,9 +374,9 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n in (1, 2):
-            dec, levels, _ = _level_data(pair, n, DEFAULT_TOL, MAX_TENSOR_DIM)
+            levels, _ = _level_data(pair, n, DEFAULT_TOL, MAX_TENSOR_DIM)
             eps = [
-                error_probabilities(pair, _pinched_test(dec, levels, n, float(a), DEFAULT_TOL))
+                _block_errors(_pinched_blocks(levels, n, a, DEFAULT_TOL), n, a)
                 for a in grid
             ]
             alphas = np.array([e.alpha for e in eps])

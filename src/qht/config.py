@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 # Dense eigensolves grow cubically.  4096 admits qubits to n = 12 and
 # qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 11`` takes
-# 25 s on a 2-core Xeon with OpenBLAS, and n = 12 takes over a minute.
+# 15-17 s and 514 MiB on a 2-core Xeon with OpenBLAS, n = 12 over a minute.
 MAX_TENSOR_DIM = 4096
 
 

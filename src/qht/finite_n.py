@@ -8,12 +8,12 @@ with thresholds compared in log space.  That is identical to projecting
 arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
-The levels of ``sigma_n`` (its eigenvalues grouped by their log), with the
-columns of ``V^{(x)n}`` as basis, are one SpectralDecomposition; that one
-pinching defines the test, v(sigma_n) and the key-inequality residual.
-They are derived once per blocklength, with rho_n in the same basis, and
-nothing per-n is cached: threshold sweeps reuse one derivation, and the
-residual is read off the level blocks of rho_n without a dense pinch.
+The levels of ``sigma_n`` (its eigenvalues grouped by their log), each
+with its tensor-product positions and the eigenpairs of its block of
+rho_n, are the one representation of the pinched test: a threshold keeps
+a top segment of each block spectrum, and the errors, v(sigma_n) and the
+key residual are sums and blocks over the levels, derived once per n.
+Only :func:`build_pinched_test` forms the dense operator.
 
 The plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` is
 evaluated for qubits from the Schur-Weyl decomposition of the n-fold
@@ -37,9 +37,8 @@ from .errors import (
     NonHermitianInput,
     RateAboveDivergence,
 )
-from .exponents import phi, phi_bar, relative_entropy
+from .exponents import _psi_bar_terms, _transform, phi, phi_bar, relative_entropy
 from .operators import (
-    SpectralDecomposition,
     block_diagonal,
     hermitian_part,
     min_eigenvalue,
@@ -168,9 +167,9 @@ class ConjectureReport:
 @dataclass(frozen=True)
 class _Level:
     log_weight: float
-    columns: slice  # of the level decomposition's vectors
-    eigenvalues: np.ndarray
-    vectors: np.ndarray  # k x k block eigenvectors within those columns
+    positions: np.ndarray  # tensor-product indices of the level's basis vectors
+    eigenvalues: np.ndarray  # ascending
+    vectors: np.ndarray  # k x k block eigenvectors over those positions
 
 
 def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
@@ -207,16 +206,13 @@ def _check_budget(pair: HypothesisPair, n: int, max_dim: int) -> None:
 def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int):
     """Eigenvalue levels of sigma_n with the diagonalized blocks of pinch(rho_n).
 
-    Levels group the exact tensor-product eigenvalues of sigma_n by their
-    log with relative gap ``cluster_rel_tol``; numerically coincident
-    products of the single-copy eigenvalues always land in one level.
-    Returns ``(dec, levels, M)``: the levels as a SpectralDecomposition of
-    sigma_n, whose vectors are ``V^{(x)n}`` in level order; each level's
-    block diagonalized; and ``M = (V* rho V)^{(x)n}`` in that same order,
-    which is rho_n in the basis of ``dec.vectors``, so each level's block
-    is a contiguous diagonal block of ``M``.  The dimension budget is
-    checked before any work.  Nothing is cached: a threshold sweep calls
-    this once per n and builds each test with :func:`_pinched_test`.
+    The levels are those of :func:`_log_levels`, so numerically coincident
+    eigenvalue products always share one.  Returns ``(levels, M)``: per
+    level its log weight, its positions (the columns of ``V^{(x)n}`` it
+    spans) and the eigenpairs of its block; and ``M = (V* rho V)^{(x)n}``,
+    rho_n in those columns taken in level order, so each level's block is a
+    contiguous diagonal block of ``M``.  The dimension budget is checked
+    before any work; nothing is cached.
     """
     _check_budget(pair, n, max_dim)
     lam, V = pair.sigma_eig
@@ -228,43 +224,44 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
         cols = slice(start, start + size)
         w, U = np.linalg.eigh(hermitian_part(M[cols, cols]))
         # a level is all -inf (singular sigma) or all finite
-        levels.append(_Level(float(logq[order[cols]].mean()), cols, w, U))
+        levels.append(_Level(float(logq[order[cols]].mean()), order[cols], w, U))
         start += size
-    dec = SpectralDecomposition(
-        eigenvalues=np.exp([lev.log_weight for lev in levels]),
-        vectors=tensor_power(V, n, max_dim)[:, order],
-        sizes=np.array(sizes),
-        cluster_tol=tol.cluster_rel_tol,
-    )
-    return dec, levels, M
+    return levels, M
 
 
-def _pinched_test(dec, levels, n: int, a: float, tol: ToleranceConfig) -> TestOperator:
-    """The pinched test at threshold ``a`` from the sigma_n levels of one n."""
+def _pinched_blocks(levels, n: int, a: float, tol: ToleranceConfig) -> tuple[TestBlock, ...]:
+    """The pinched test at threshold ``a`` as each level's split block spectrum.
+
+    A level keeps its block eigenvalues above ``e^{na}`` times its weight by
+    more than the cluster tolerance; the spectrum ascends, so they are its
+    top segment.  Thresholds are compared in log space first.
+    """
     blocks = []
-    kept = [np.zeros((dec.dim, 0), dtype=complex)]
     for lev in levels:
+        w = lev.eigenvalues
         log_thr = n * a + lev.log_weight
-        if log_thr > math.log(2.0):
-            # the block of a density operator has norm <= 1 < threshold
-            mask = np.zeros(len(lev.eigenvalues), dtype=bool)
-        else:
+        cut = len(w)
+        # above log 2 the threshold exceeds the block's norm, at most 1
+        if log_thr <= math.log(2.0):
             thr = math.exp(log_thr)
-            pos_tol = tol.cluster_rel_tol * max(1.0, thr)
-            mask = lev.eigenvalues - thr > pos_tol
-        blocks.append(
-            TestBlock(
-                log_weight=lev.log_weight,
-                in_eigs=lev.eigenvalues[mask].copy(),
-                out_eigs=lev.eigenvalues[~mask].copy(),
-            )
-        )
-        if mask.any():
-            kept.append(dec.vectors[:, lev.columns] @ lev.vectors[:, mask])
-    W = np.hstack(kept)
-    return TestOperator(
-        operator=W @ W.conj().T, n=n, a=a, kind="pinched", blocks=tuple(blocks)
+            cut -= int(np.count_nonzero(w - thr > tol.cluster_rel_tol * max(1.0, thr)))
+        blocks.append(TestBlock(log_weight=lev.log_weight, in_eigs=w[cut:], out_eigs=w[:cut]))
+    return tuple(blocks)
+
+
+def _block_errors(blocks, n: int, a: float) -> ErrorProbabilities:
+    """alpha and beta of a pinched test from its per-level block spectra.
+
+    alpha sums the excluded eigenvalues; beta weights each kept direction
+    with its sigma_n eigenvalue, exact even where a dense trace underflows.
+    """
+    alpha = sum(float(b.out_eigs.sum()) for b in blocks)
+    beta = sum(
+        math.exp(b.log_weight) * len(b.in_eigs)
+        for b in blocks
+        if len(b.in_eigs) and math.isfinite(b.log_weight)
     )
+    return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
 
 
 def build_pinched_test(
@@ -280,11 +277,21 @@ def build_pinched_test(
     block minus a scalar threshold, so the positive part is read off the
     block spectrum.  Block eigenvalues within the cluster tolerance of the
     threshold count as zero and stay outside, matching the strict
-    inequality of the positive projection.  The result commutes with
-    sigma_n by construction.
+    inequality of the positive projection.  The operator is ``W W*`` with
+    W the kept block eigenvectors in the columns of ``V^{(x)n}``, so it
+    commutes with sigma_n by construction.
     """
-    dec, levels, _ = _level_data(pair, n, tol, max_dim)
-    return _pinched_test(dec, levels, n, float(a), tol)
+    a = float(a)
+    levels, _ = _level_data(pair, n, tol, max_dim)
+    blocks = _pinched_blocks(levels, n, a, tol)
+    Vn = tensor_power(pair.sigma_eig[1], n, max_dim)
+    # contiguous copies of the kept vectors: matmul rounds a strided operand
+    # differently, and verify prints roundoff-level residuals of this test
+    W = np.hstack([
+        Vn[:, lev.positions] @ lev.vectors[:, len(b.out_eigs) :].copy()
+        for lev, b in zip(levels, blocks)
+    ])
+    return TestOperator(operator=W @ W.conj().T, n=n, a=a, kind="pinched", blocks=blocks)
 
 
 def build_plain_test(
@@ -316,23 +323,15 @@ def error_probabilities(
 ) -> ErrorProbabilities:
     """alpha = Tr[rho_n (I - A)] and beta = Tr[sigma_n A] for one test.
 
-    Tests carrying block data are evaluated from it: alpha is the sum of
-    the excluded block eigenvalues and beta weights each included direction
-    with its sigma_n eigenvalue, exact even when beta underflows any dense
-    trace.  Other tests fall back to dense traces.
+    Tests carrying block data are evaluated from it by the block sum that
+    threshold sweeps use; other tests fall back to dense traces.
     """
     if test.dim != pair.dim**test.n:
         raise DimensionMismatch(
             f"test dimension {test.dim} != {pair.dim}^{test.n}"
         )
     if test.blocks is not None:
-        alpha = sum(float(b.out_eigs.sum()) for b in test.blocks)
-        beta = sum(
-            math.exp(b.log_weight) * len(b.in_eigs)
-            for b in test.blocks
-            if len(b.in_eigs) and math.isfinite(b.log_weight)
-        )
-        return ErrorProbabilities(alpha=alpha, beta=float(beta), n=test.n, a=test.a)
+        return _block_errors(test.blocks, test.n, test.a)
     rho_n = tensor_power(pair.rho, test.n, max_dim)
     sigma_n = tensor_power(pair.sigma, test.n, max_dim)
     # Tr[B A] as the elementwise sum of B and A^T: O(D^2), no D x D product
@@ -356,23 +355,24 @@ def verify_bounds(
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
     One report per (n, a); the envelopes come from the same phi_bar value
-    per threshold.  The sigma_n levels are derived once per n, and the
-    tests of every threshold, v(sigma_n) and the pinching residual all come
-    from them.  The residual is the smallest eigenvalue of
-    ``v blockdiag(M) - M`` with ``M`` rho_n in the level basis, which is
-    ``v pinch(rho_n) - rho_n`` up to that change of basis, so no dense
-    rho_n or pinch is formed.
+    per threshold, all read off one psi_bar grid.  The sigma_n levels are
+    derived once per n, and the errors of every threshold, v(sigma_n) and
+    the pinching residual all come from them; no test operator is built.
+    The residual is the smallest eigenvalue of ``v blockdiag(M) - M`` with
+    ``M`` rho_n in the level basis, which is ``v pinch(rho_n) - rho_n`` up
+    to that change of basis, so no dense rho_n or pinch is formed.
     """
-    phis = {float(a): phi_bar(pair, a, opt)[0] for a in a_grid}
+    transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
+    phis = {float(a): transform(float(a))[0] for a in a_grid}
     reports = []
     for n in n_range:
-        dec, levels, M = _level_data(pair, n, tol, max_dim)
-        key = min_eigenvalue(dec.v * block_diagonal(M, dec.sizes) - M, tol)
+        levels, M = _level_data(pair, n, tol, max_dim)
+        sizes = [len(lev.positions) for lev in levels]
+        key = min_eigenvalue(len(sizes) * block_diagonal(M, sizes) - M, tol)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
-            test = _pinched_test(dec, levels, n, a, tol)
-            ep = error_probabilities(pair, test, max_dim)
+            ep = _block_errors(_pinched_blocks(levels, n, a, tol), n, a)
             reports.append(
                 BoundReport(
                     n=int(n),
@@ -382,7 +382,7 @@ def verify_bounds(
                     beta=ep.beta,
                     beta_bound=pref * math.exp(-n * (phis[a] + a)),
                     key_residual=key,
-                    v_sigma_n=dec.v,
+                    v_sigma_n=len(sizes),
                     type_bound=pref,
                 )
             )
@@ -410,8 +410,8 @@ def stein_trace(
     value, _ = phi_bar(pair, a, opt)
     points = []
     for n in range(1, int(n_max) + 1):
-        test = build_pinched_test(pair, n, a, tol, max_dim)
-        ep = error_probabilities(pair, test, max_dim)
+        levels, _ = _level_data(pair, n, tol, max_dim)
+        ep = _block_errors(_pinched_blocks(levels, n, a, tol), n, a)
         rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
             SteinPoint(

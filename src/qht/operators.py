@@ -58,9 +58,8 @@ class SpectralDecomposition:
     so on, with the distinct eigenvalues in strictly increasing order.  The
     number of clusters is the eigenvalue count v(A) used by the pinching
     inequality, and every spectral function, pinching included, is computed
-    from these blocks.  ``cluster_tol`` is the merge threshold: a gap between
-    eigenvalues from :func:`eigendecompose`, a gap between their logs for the
-    sigma_n levels of :mod:`qht.finite_n`.
+    from these blocks.  ``cluster_tol`` is the absolute merge threshold of
+    :func:`eigendecompose` on gaps between consecutive eigenvalues.
     """
 
     eigenvalues: np.ndarray  # shape (v,)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qht
-from qht import finite_n
+from qht import checks, finite_n
 from qht.finite_n import (
     _level_data,
     _log_levels,
@@ -93,12 +93,12 @@ class TestBuildPinchedTest:
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.build_pinched_test(generic, 13, 0.0)
 
-    def test_budget_checked_on_cached_levels(self, generic):
+    def test_budget_checked_on_every_build(self, generic):
         qht.build_pinched_test(generic, 3, 0.0)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.build_pinched_test(generic, 3, 0.0, max_dim=4)
 
-    def test_level_cache_keyed_on_cluster_tolerance(self):
+    def test_levels_follow_each_builds_cluster_tolerance(self):
         coarse = qht.ToleranceConfig(cluster_rel_tol=10.0)
         fresh = qht.build_pinched_test(qht.preset_pair("qubit-generic"), 3, 0.0, coarse)
         pair = qht.preset_pair("qubit-generic")
@@ -116,9 +116,9 @@ class TestBuildPinchedTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
-                dec, _, _ = _level_data(pair, n, tol, qht.MAX_TENSOR_DIM)
-                assert dec.v == 2
-                assert list(dec.sizes) == [2**n - 1, 1]
+                levels, _ = _level_data(pair, n, tol, qht.MAX_TENSOR_DIM)
+                assert len(levels) == 2
+                assert [len(lev.positions) for lev in levels] == [2**n - 1, 1]
                 ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1, tol))
                 assert abs(ep.alpha - 0.6**n) <= 1e-15
                 assert ep.beta == 0.0
@@ -155,9 +155,14 @@ class TestErrorProbabilities:
         assert (ep.alpha, ep.beta) == (pytest.approx(1.0, abs=1e-14), pytest.approx(0.0, abs=1e-14))
 
     def test_block_path_matches_dense_traces(self):
-        for pair in seeded_pairs(6):
+        # sweeps take the block errors; the dense operator built from the
+        # kept columns must give the same traces, qubits to n = 8 and
+        # qutrits to n = 4
+        cases = [(pair, 8) for pair in seeded_pairs(6)]
+        cases += [(pair, 4) for pair in seeded_pairs(3, dim=3)]
+        for pair, n_max in cases:
             div = qht.relative_entropy(pair)
-            for n in (1, 2, 3):
+            for n in range(1, n_max + 1):
                 test = qht.build_pinched_test(pair, n, 0.6 * div)
                 ep = qht.error_probabilities(pair, test)
                 alpha_dense, beta_dense = exact_errors(pair, test)
@@ -312,13 +317,44 @@ class TestVerifyBounds:
         ids=["d2-0", "d2-1", "d3-0", "d3-1", "qubit-skewed"],
     )
     def test_sweep_matches_one_off_tests(self, pair):
-        # verify_bounds derives the levels once per n for all thresholds;
-        # each error must equal that of a test built on its own
+        # verify_bounds derives the levels once per n for all thresholds,
+        # and stein_trace once per n; each error must equal that of a test
+        # built on its own
         div = qht.relative_entropy(pair)
         grid = [0.1 * div, 0.4 * div, 0.7 * div, 0.95 * div]
         for r in qht.verify_bounds(pair, range(1, 5), grid):
             ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
             assert (r.alpha, r.beta) == (ep.alpha, ep.beta)
+        for a in grid:
+            for p in qht.stein_trace(pair, a, 4):
+                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, p.n, a))
+                assert (p.alpha, p.beta) == (ep.alpha, ep.beta)
+
+    def test_sweeps_build_no_test_operator(self, generic, monkeypatch):
+        # the sweeps read the errors off the level blocks: no TestOperator,
+        # and one tensor_power per blocklength (rho_n in the level basis),
+        # never V^{(x)n}
+        def refuse(*args, **kwargs):
+            raise AssertionError("test operator built")
+
+        a = 0.5 * qht.relative_entropy(generic)
+        reports = qht.verify_bounds(generic, range(1, 5), [0.1, a])
+        points = qht.stein_trace(generic, a, 4)
+        monitor = checks.check_error_monotonicity(np.random.default_rng(0), 2)
+        powers = []
+
+        def spy(A, n, max_dim=qht.MAX_TENSOR_DIM):
+            powers.append(n)
+            return tensor_power(A, n, max_dim)
+
+        monkeypatch.setattr(finite_n, "TestOperator", refuse)
+        monkeypatch.setattr(finite_n, "tensor_power", spy)
+        assert qht.verify_bounds(generic, range(1, 5), [0.1, a]) == reports
+        assert qht.stein_trace(generic, a, 4) == points
+        assert checks.check_error_monotonicity(np.random.default_rng(0), 2) == monitor
+        assert powers == [1, 2, 3, 4] * 2 + [1, 2] * 2
+        with pytest.raises(AssertionError, match="test operator built"):
+            qht.build_pinched_test(generic, 1, a)
 
 
 class TestSteinTrace:
