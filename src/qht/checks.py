@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, MAX_TENSOR_DIM
+from .config import DEFAULT_TOL
 from .exponents import (
     classical_hoeffding,
     hoeffding_rate,
@@ -29,10 +29,9 @@ from .exponents import (
     solve_rate_parameter,
 )
 from .finite_n import (
-    _block_errors,
     _level_data,
     _log_levels,
-    _pinched_blocks,
+    _pinched_errors,
     build_pinched_test,
     build_plain_test,
     error_probabilities,
@@ -374,11 +373,8 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n in (1, 2):
-            levels, _ = _level_data(pair, n, DEFAULT_TOL, MAX_TENSOR_DIM)
-            eps = [
-                _block_errors(_pinched_blocks(levels, n, a, DEFAULT_TOL), n, a)
-                for a in grid
-            ]
+            levels, _ = _level_data(pair, n, DEFAULT_TOL)
+            eps = [_pinched_errors(levels, n, a, DEFAULT_TOL) for a in grid]
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])
             worst = max(worst, float((-np.diff(alphas)).max()))

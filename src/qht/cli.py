@@ -126,6 +126,8 @@ def _tolerance(args) -> ToleranceConfig:
 
 
 def _load(args):
+    if args.strict and args.smoothing_delta is not None:
+        raise ValueError("--smoothing-delta takes effect only with --smooth")
     tol = _tolerance(args)
     delta = None
     if not args.strict:

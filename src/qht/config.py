@@ -2,9 +2,13 @@
 
 from dataclasses import dataclass
 
-# Dense eigensolves grow cubically.  4096 admits qubits to n = 12 and
-# qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 11`` takes
-# 15-17 s and 514 MiB on a 2-core Xeon with OpenBLAS, n = 12 over a minute.
+# The one dense budget on d^n, a fixed constant checked by
+# ``operators.check_dense_budget``: ``tensor_power`` checks its own n, and
+# every finite-n entry point checks the largest n of its range before any
+# work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
+# and qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 11``
+# takes 15-17 s and 514 MiB on a 2-core Xeon with OpenBLAS, n = 12 over a
+# minute.
 MAX_TENSOR_DIM = 4096
 
 

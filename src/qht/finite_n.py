@@ -3,17 +3,21 @@
 The projection test built from the pinched state commutes with the n-fold
 alternative state, so its construction and both error probabilities are
 evaluated blockwise in the tensor-product eigenbasis of ``sigma^{(x) n}``
-with thresholds compared in log space.  That is identical to projecting
+with each threshold formed in log space.  That is identical to projecting
 ``pinch(rho_n) - e^{na} sigma_n`` onto its positive part in exact
 arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
 The levels of ``sigma_n`` (its eigenvalues grouped by their log), each
 with its tensor-product positions and the eigenpairs of its block of
-rho_n, are the one representation of the pinched test: a threshold keeps
-a top segment of each block spectrum, and the errors, v(sigma_n) and the
-key residual are sums and blocks over the levels, derived once per n.
-Only :func:`build_pinched_test` forms the dense operator.
+rho_n, are the one representation of the pinched test: :func:`_kept`
+keeps the block eigenvalues above the level's threshold by a relative
+margin, a top segment of each block spectrum, and the errors
+(:func:`_pinched_errors`), v(sigma_n) and the key residual are sums and
+blocks over the levels, derived once per n.  Only
+:func:`build_pinched_test` forms the dense operator.  Every entry point
+checks the dense budget ``MAX_TENSOR_DIM`` for the largest n it is asked
+for before any work.
 
 The plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` is
 evaluated for qubits from the Schur-Weyl decomposition of the n-fold
@@ -29,9 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_OPT, DEFAULT_TOL, MAX_TENSOR_DIM, OptimizerConfig, ToleranceConfig
+from .config import DEFAULT_OPT, DEFAULT_TOL, OptimizerConfig, ToleranceConfig
 from .errors import (
-    DimensionBudgetExceeded,
     DimensionMismatch,
     InvariantViolation,
     NonHermitianInput,
@@ -40,6 +43,7 @@ from .errors import (
 from .exponents import _psi_bar_terms, _transform, phi, phi_bar, relative_entropy
 from .operators import (
     block_diagonal,
+    check_dense_budget,
     hermitian_part,
     min_eigenvalue,
     positive_projection,
@@ -50,49 +54,6 @@ from .pairs import HypothesisPair
 
 # Slack for the Hermitian symmetry and idempotency of a test operator.
 PROJ_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TestBlock:
-    """One eigenvalue level of sigma_n with the block spectrum of pinch(rho_n).
-
-    ``log_weight`` is the log of the sigma_n eigenvalue shared by the level;
-    ``in_eigs`` are the block eigenvalues of the pinched state whose
-    directions lie inside the test, ``out_eigs`` the remainder.
-    """
-
-    log_weight: float
-    in_eigs: np.ndarray
-    out_eigs: np.ndarray
-
-
-@dataclass(frozen=True)
-class TestOperator:
-    """A two-outcome test 0 <= A <= I on the n-fold space.
-
-    Both constructions here produce projections; idempotency within
-    ``PROJ_TOL`` is validated at creation, which also pins the spectrum to
-    a neighborhood of {0, 1}.  ``blocks`` carries the per-level data of the
-    pinched construction and is None for the plain one.
-    """
-
-    operator: np.ndarray
-    n: int
-    a: float
-    kind: str  # "pinched" or "plain"
-    blocks: tuple[TestBlock, ...] | None = None
-
-    def __post_init__(self):
-        A = self.operator
-        if np.abs(A - A.conj().T).max() > PROJ_TOL:
-            raise NonHermitianInput("test operator is not Hermitian")
-        gap = np.linalg.norm(A @ A - A)
-        if gap > PROJ_TOL * max(1.0, np.linalg.norm(A)):
-            raise InvariantViolation("projection", f"||A^2 - A|| = {gap:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.operator.shape[0]
 
 
 @dataclass(frozen=True)
@@ -108,6 +69,35 @@ class ErrorProbabilities:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not -1e-12 <= value <= 1.0 + 1e-12:
                 raise InvariantViolation("probability", f"{name} = {value!r}")
+
+
+@dataclass(frozen=True)
+class TestOperator:
+    """A two-outcome test 0 <= A <= I on the n-fold space.
+
+    Both constructions here produce projections; idempotency within
+    ``PROJ_TOL`` is validated at creation, which also pins the spectrum to
+    a neighborhood of {0, 1}.  ``errors`` holds the exact errors of a
+    pinched test, read off its sigma_n levels, and is None for a test
+    whose errors are dense traces.
+    """
+
+    operator: np.ndarray
+    n: int
+    a: float
+    errors: ErrorProbabilities | None = None
+
+    def __post_init__(self):
+        A = self.operator
+        if np.abs(A - A.conj().T).max() > PROJ_TOL:
+            raise NonHermitianInput("test operator is not Hermitian")
+        gap = np.linalg.norm(A @ A - A)
+        if gap > PROJ_TOL * max(1.0, np.linalg.norm(A)):
+            raise InvariantViolation("projection", f"||A^2 - A|| = {gap:.3e}")
+
+    @property
+    def dim(self) -> int:
+        return self.operator.shape[0]
 
 
 @dataclass(frozen=True)
@@ -198,12 +188,7 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
-def _check_budget(pair: HypothesisPair, n: int, max_dim: int) -> None:
-    if pair.dim**n > max_dim:
-        raise DimensionBudgetExceeded(f"dim {pair.dim}^{n} exceeds budget {max_dim}")
-
-
-def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int):
+def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig):
     """Eigenvalue levels of sigma_n with the diagonalized blocks of pinch(rho_n).
 
     The levels are those of :func:`_log_levels`, so numerically coincident
@@ -214,10 +199,10 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     contiguous diagonal block of ``M``.  The dimension budget is checked
     before any work; nothing is cached.
     """
-    _check_budget(pair, n, max_dim)
+    check_dense_budget(pair.dim, n)
     lam, V = pair.sigma_eig
     logq, order, sizes = _log_levels(lam, n, tol.cluster_rel_tol)
-    M = tensor_power(V.conj().T @ pair.rho @ V, n, max_dim)[np.ix_(order, order)]
+    M = tensor_power(V.conj().T @ pair.rho @ V, n)[np.ix_(order, order)]
     levels = []
     start = 0
     for size in sizes:
@@ -229,37 +214,38 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig, max_dim: int
     return levels, M
 
 
-def _pinched_blocks(levels, n: int, a: float, tol: ToleranceConfig) -> tuple[TestBlock, ...]:
-    """The pinched test at threshold ``a`` as each level's split block spectrum.
+def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
+    """Where the pinched test at threshold ``a`` starts in a level's block spectrum.
 
-    A level keeps its block eigenvalues above ``e^{na}`` times its weight by
-    more than the cluster tolerance; the spectrum ascends, so they are its
-    top segment.  Thresholds are compared in log space first.
+    The keep rule: a block eigenvalue w is in the test when it exceeds the
+    threshold ``thr = e^{na}`` times the level's weight by the relative
+    margin ``w > thr * (1 + cluster_rel_tol)``, so a level whose
+    eigenvalues all sit near thr, as for rho = sigma, keeps nothing.  The
+    spectrum ascends, so the kept eigenvalues are ``eigenvalues[cut:]``
+    for the returned cut.  Above log 2 the threshold exceeds the block's
+    norm, at most 1, and nothing is kept.
     """
-    blocks = []
-    for lev in levels:
-        w = lev.eigenvalues
-        log_thr = n * a + lev.log_weight
-        cut = len(w)
-        # above log 2 the threshold exceeds the block's norm, at most 1
-        if log_thr <= math.log(2.0):
-            thr = math.exp(log_thr)
-            cut -= int(np.count_nonzero(w - thr > tol.cluster_rel_tol * max(1.0, thr)))
-        blocks.append(TestBlock(log_weight=lev.log_weight, in_eigs=w[cut:], out_eigs=w[:cut]))
-    return tuple(blocks)
+    w = level.eigenvalues
+    log_thr = n * a + level.log_weight
+    if log_thr > math.log(2.0):
+        return len(w)
+    thr = math.exp(log_thr)
+    return len(w) - int(np.count_nonzero(w > thr * (1.0 + tol.cluster_rel_tol)))
 
 
-def _block_errors(blocks, n: int, a: float) -> ErrorProbabilities:
-    """alpha and beta of a pinched test from its per-level block spectra.
+def _pinched_errors(levels, n: int, a: float, tol: ToleranceConfig) -> ErrorProbabilities:
+    """alpha and beta of the pinched test at threshold ``a`` from the levels.
 
-    alpha sums the excluded eigenvalues; beta weights each kept direction
-    with its sigma_n eigenvalue, exact even where a dense trace underflows.
+    alpha sums the block eigenvalues left out; beta weights each kept
+    direction with its sigma_n eigenvalue, exact even where a dense trace
+    underflows.
     """
-    alpha = sum(float(b.out_eigs.sum()) for b in blocks)
+    cuts = [_kept(lev, n, a, tol) for lev in levels]
+    alpha = sum(float(lev.eigenvalues[:cut].sum()) for lev, cut in zip(levels, cuts))
     beta = sum(
-        math.exp(b.log_weight) * len(b.in_eigs)
-        for b in blocks
-        if len(b.in_eigs) and math.isfinite(b.log_weight)
+        math.exp(lev.log_weight) * (len(lev.eigenvalues) - cut)
+        for lev, cut in zip(levels, cuts)
+        if cut < len(lev.eigenvalues) and math.isfinite(lev.log_weight)
     )
     return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
 
@@ -269,29 +255,29 @@ def build_pinched_test(
     n: int,
     a: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-    max_dim: int = MAX_TENSOR_DIM,
 ) -> TestOperator:
     """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n.
 
     Within each sigma_n eigenvalue level the difference is the pinched
     block minus a scalar threshold, so the positive part is read off the
-    block spectrum.  Block eigenvalues within the cluster tolerance of the
-    threshold count as zero and stay outside, matching the strict
-    inequality of the positive projection.  The operator is ``W W*`` with
-    W the kept block eigenvectors in the columns of ``V^{(x)n}``, so it
-    commutes with sigma_n by construction.
+    block spectrum by the keep rule of :func:`_kept`: block eigenvalues
+    within a relative margin of the threshold stay outside, matching the
+    strict inequality of the positive projection.  The operator is ``W W*``
+    with W the kept block eigenvectors in the columns of ``V^{(x)n}``, so
+    it commutes with sigma_n by construction; its ``errors`` are the level
+    sums of :func:`_pinched_errors`.
     """
     a = float(a)
-    levels, _ = _level_data(pair, n, tol, max_dim)
-    blocks = _pinched_blocks(levels, n, a, tol)
-    Vn = tensor_power(pair.sigma_eig[1], n, max_dim)
+    levels, _ = _level_data(pair, n, tol)
+    Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
     W = np.hstack([
-        Vn[:, lev.positions] @ lev.vectors[:, len(b.out_eigs) :].copy()
-        for lev, b in zip(levels, blocks)
+        Vn[:, lev.positions] @ lev.vectors[:, _kept(lev, n, a, tol) :].copy()
+        for lev in levels
     ])
-    return TestOperator(operator=W @ W.conj().T, n=n, a=a, kind="pinched", blocks=blocks)
+    errors = _pinched_errors(levels, n, a, tol)
+    return TestOperator(operator=W @ W.conj().T, n=n, a=a, errors=errors)
 
 
 def build_plain_test(
@@ -299,41 +285,37 @@ def build_plain_test(
     n: int,
     a: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-    max_dim: int = MAX_TENSOR_DIM,
 ) -> TestOperator:
     """Projection onto the positive part of rho_n - e^{na} sigma_n, unpinched."""
     a = float(a)
-    _check_budget(pair, n, max_dim)
+    check_dense_budget(pair.dim, n)
     if n * a > 700.0:
         # e^{na} overflows; the scaled alternative dominates everywhere on
         # its support, which is everything for an invertible pair.
         pair.assert_invertible("plain test with n*a > 700")
         operator = np.zeros((pair.dim**n, pair.dim**n), dtype=complex)
-        return TestOperator(operator=operator, n=n, a=a, kind="plain")
-    rho_n = tensor_power(pair.rho, n, max_dim)
-    sigma_n = tensor_power(pair.sigma, n, max_dim)
+        return TestOperator(operator=operator, n=n, a=a)
+    rho_n = tensor_power(pair.rho, n)
+    sigma_n = tensor_power(pair.sigma, n)
     X = rho_n - math.exp(n * a) * sigma_n
-    return TestOperator(
-        operator=positive_projection(X, tol), n=n, a=a, kind="plain"
-    )
+    return TestOperator(operator=positive_projection(X, tol), n=n, a=a)
 
 
-def error_probabilities(
-    pair: HypothesisPair, test: TestOperator, max_dim: int = MAX_TENSOR_DIM
-) -> ErrorProbabilities:
+def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbabilities:
     """alpha = Tr[rho_n (I - A)] and beta = Tr[sigma_n A] for one test.
 
-    Tests carrying block data are evaluated from it by the block sum that
-    threshold sweeps use; other tests fall back to dense traces.
+    A test that carries its ``errors`` (a pinched test, whose errors are
+    the level sums threshold sweeps use) returns them as they are; other
+    tests are evaluated by dense traces.
     """
     if test.dim != pair.dim**test.n:
         raise DimensionMismatch(
             f"test dimension {test.dim} != {pair.dim}^{test.n}"
         )
-    if test.blocks is not None:
-        return _block_errors(test.blocks, test.n, test.a)
-    rho_n = tensor_power(pair.rho, test.n, max_dim)
-    sigma_n = tensor_power(pair.sigma, test.n, max_dim)
+    if test.errors is not None:
+        return test.errors
+    rho_n = tensor_power(pair.rho, test.n)
+    sigma_n = tensor_power(pair.sigma, test.n)
     # Tr[B A] as the elementwise sum of B and A^T: O(D^2), no D x D product
     alpha = np.trace(rho_n) - np.einsum("ij,ji->", rho_n, test.operator)
     beta = np.einsum("ij,ji->", sigma_n, test.operator)
@@ -350,7 +332,6 @@ def verify_bounds(
     a_grid,
     tol: ToleranceConfig = DEFAULT_TOL,
     opt: OptimizerConfig = DEFAULT_OPT,
-    max_dim: int = MAX_TENSOR_DIM,
 ) -> list[BoundReport]:
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
@@ -360,19 +341,22 @@ def verify_bounds(
     the pinching residual all come from them; no test operator is built.
     The residual is the smallest eigenvalue of ``v blockdiag(M) - M`` with
     ``M`` rho_n in the level basis, which is ``v pinch(rho_n) - rho_n`` up
-    to that change of basis, so no dense rho_n or pinch is formed.
+    to that change of basis, so no dense rho_n or pinch is formed.  The
+    dense budget is checked for the largest n before any work.
     """
+    n_range = list(n_range)
+    check_dense_budget(pair.dim, max(n_range, default=0))
     transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
     phis = {float(a): transform(float(a))[0] for a in a_grid}
     reports = []
     for n in n_range:
-        levels, M = _level_data(pair, n, tol, max_dim)
+        levels, M = _level_data(pair, n, tol)
         sizes = [len(lev.positions) for lev in levels]
         key = min_eigenvalue(len(sizes) * block_diagonal(M, sizes) - M, tol)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
-            ep = _block_errors(_pinched_blocks(levels, n, a, tol), n, a)
+            ep = _pinched_errors(levels, n, a, tol)
             reports.append(
                 BoundReport(
                     n=int(n),
@@ -395,14 +379,15 @@ def stein_trace(
     n_max: int,
     tol: ToleranceConfig = DEFAULT_TOL,
     opt: OptimizerConfig = DEFAULT_OPT,
-    max_dim: int = MAX_TENSOR_DIM,
 ) -> list[SteinPoint]:
     """Errors of the pinched test for n = 1..n_max at fixed a below D.
 
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
-    rate (1/n) log beta next to -a + (d/n) log(n+1).
+    rate (1/n) log beta next to -a + (d/n) log(n+1).  The dense budget is
+    checked for n_max before any work.
     """
+    check_dense_budget(pair.dim, int(n_max))
     a = float(a)
     div = relative_entropy(pair)
     if a >= div:
@@ -410,8 +395,8 @@ def stein_trace(
     value, _ = phi_bar(pair, a, opt)
     points = []
     for n in range(1, int(n_max) + 1):
-        levels, _ = _level_data(pair, n, tol, max_dim)
-        ep = _block_errors(_pinched_blocks(levels, n, a, tol), n, a)
+        levels, _ = _level_data(pair, n, tol)
+        ep = _pinched_errors(levels, n, a, tol)
         rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
             SteinPoint(
@@ -466,7 +451,7 @@ def _spin_blocks(X: np.ndarray, n: int):
 
 
 def _plain_errors_spin_blocks(
-    pair: HypothesisPair, n: int, a: float, tol: ToleranceConfig, max_dim: int
+    pair: HypothesisPair, n: int, a: float, tol: ToleranceConfig
 ) -> ErrorProbabilities:
     """Errors of the plain test {rho_n > e^{na} sigma_n} for a qubit pair.
 
@@ -480,7 +465,7 @@ def _plain_errors_spin_blocks(
     ``u* S_t u`` over those kept, each weighted by ``m_t``.  The work is
     O(n^4) plus a sort of the 2^n eigenvalues, with no 2^n x 2^n matrix.
     """
-    _check_budget(pair, n, max_dim)
+    check_dense_budget(pair.dim, n)
     q, V = pair.sigma_eig
     X = V.conj().T @ pair.rho @ V
     Q = np.diag(q).astype(complex)
@@ -514,7 +499,6 @@ def conjecture_probe(
     a: float,
     tol: ToleranceConfig = DEFAULT_TOL,
     opt: OptimizerConfig = DEFAULT_OPT,
-    max_dim: int = MAX_TENSOR_DIM,
 ) -> ConjectureReport:
     """Rate table for the plain test against the plain-exponent bounds.
 
@@ -526,18 +510,20 @@ def conjecture_probe(
     Qubit pairs are evaluated from the spin blocks of the n-fold space
     (:func:`_plain_errors_spin_blocks`), with no 2^n x 2^n matrix; other
     dimensions build the dense test.  The path depends on ``pair.dim``
-    alone, and both keep the positivity rule of :func:`positive_projection`,
-    the dimension budget and the ``n a > 700`` guard.
+    alone, and both keep the positivity rule of :func:`positive_projection`
+    and the ``n a > 700`` guard.  The dense budget is checked for the
+    largest n before any work.
     """
+    n_range = [int(n) for n in n_range]
+    check_dense_budget(pair.dim, max(n_range, default=0))
     a = float(a)
     value, _ = phi(pair, a, opt)
     rows = []
     for n in n_range:
-        n = int(n)
         if pair.dim == 2:
-            ep = _plain_errors_spin_blocks(pair, n, a, tol, max_dim)
+            ep = _plain_errors_spin_blocks(pair, n, a, tol)
         else:
-            ep = error_probabilities(pair, build_plain_test(pair, n, a, tol, max_dim), max_dim)
+            ep = error_probabilities(pair, build_plain_test(pair, n, a, tol))
         la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf
         lb = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         rows.append(

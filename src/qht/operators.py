@@ -213,15 +213,18 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _spectral_sum(dec, f)
 
 
-def tensor_power(A, n: int, max_dim: int = MAX_TENSOR_DIM) -> np.ndarray:
+def check_dense_budget(dim: int, n: int) -> None:
+    """Raise DimensionBudgetExceeded unless ``dim**n`` is within ``MAX_TENSOR_DIM``."""
+    if dim**n > MAX_TENSOR_DIM:
+        raise DimensionBudgetExceeded(f"dim {dim}^{n} exceeds budget {MAX_TENSOR_DIM}")
+
+
+def tensor_power(A, n: int) -> np.ndarray:
     """n-fold Kronecker power of a square operator, within the dense budget."""
     M = as_complex_matrix(A)
     if n < 1 or int(n) != n:
         raise ValueError(f"tensor power order must be a positive integer, got {n}")
-    if M.shape[0] ** n > max_dim:
-        raise DimensionBudgetExceeded(
-            f"dim {M.shape[0]}^{n} exceeds the budget of {max_dim}"
-        )
+    check_dense_budget(M.shape[0], n)
     out = np.array([[1.0 + 0.0j]])
     for _ in range(int(n)):
         out = np.kron(out, M)

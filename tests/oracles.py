@@ -4,9 +4,12 @@ Everything here recomputes expected values through a different route than
 the library: scalar eigenvalue-weight sums (psi) and dense matrix-power
 products (psi_bar) evaluated in mpmath for the exponent functions and their
 finite differences, brute-force grid scans for the one-dimensional
-maximizations, and qubit plain-test errors from spin blocks whose entries
-are string-pair counts, diagonalized in mpmath.
+maximizations, qubit plain-test errors from spin blocks whose entries
+are string-pair counts, and pinched-test errors from the sigma_n levels
+of the index types, both diagonalized in mpmath.
 """
+
+import itertools
 
 import mpmath as mp
 import numpy as np
@@ -162,4 +165,44 @@ def plain_test_errors_mp(pair, n, a, cluster_rel_tol=1e-10, dps=30):
                     beta += mult * mp.re((u.transpose_conj() * S * u)[0])
                 else:
                     alpha += mult * mp.re((u.transpose_conj() * R * u)[0])
+        return float(alpha), float(beta)
+
+
+def pinched_test_errors_mp(pair, n, a, dps=60):
+    """alpha and beta of the pinched test {pinch(rho_n) > e^{na} sigma_n}, in mpmath.
+
+    sigma is diagonalized in mpmath.  The n-fold index strings are grouped
+    by type (how often each eigenvalue index occurs), and types whose
+    weights ``prod_j q_j^{k_j}`` agree to half the working precision share
+    one level of sigma_n.  A level's block of ``X^{(x)n}``, ``X = V* rho V``,
+    has entries ``prod_i X[s_i, t_i]`` over its strings and is diagonalized
+    in mpmath; an eigenvalue w is in the test when ``w > e^{na} q`` strictly,
+    with q the level's weight.  alpha sums the eigenvalues left out and beta
+    weights each kept one with q.  Returns floats.
+    """
+    with mp.workdps(dps):
+        q, V = mp.eighe(_mp_matrix(pair.sigma))
+        X = V.transpose_conj() * _mp_matrix(pair.rho) * V
+        types = {}
+        for s in itertools.product(range(pair.dim), repeat=n):
+            types.setdefault(tuple(sorted(s)), []).append(s)
+        weighted = sorted((mp.fprod(q[i] for i in t), strings) for t, strings in types.items())
+        levels = [[weighted[0][0], list(weighted[0][1])]]
+        for weight, strings in weighted[1:]:
+            if weight - levels[-1][0] > mp.mpf(10) ** (-dps // 2) * weight:
+                levels.append([weight, []])
+            levels[-1][1].extend(strings)
+        thr = mp.exp(n * mp.mpf(a))
+        alpha = beta = mp.mpf(0)
+        for weight, strings in levels:
+            block = mp.matrix(len(strings), len(strings))
+            for j, s in enumerate(strings):
+                for k, t in enumerate(strings):
+                    block[j, k] = mp.fprod(X[s[i], t[i]] for i in range(n))
+            w, _ = mp.eighe(block)
+            for x in w:
+                if x > thr * weight:
+                    beta += weight
+                else:
+                    alpha += x
         return float(alpha), float(beta)

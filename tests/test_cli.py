@@ -273,3 +273,17 @@ class TestErrorPaths:
         )
         assert smooth_code == 0
         assert "relative_entropy" in out
+
+    def test_smoothing_delta_needs_smooth(self, capsys):
+        code, out, err = run(
+            capsys, "exponents", "--preset", "qubit-generic", "--smoothing-delta", "0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--smooth" in err
+
+    def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
+        code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")
+        assert code == 2
+        assert out == ""
+        assert err == "error: dim 2^13 exceeds budget 4096\n"

@@ -3,12 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qht
-from qht import checks, finite_n
+from qht import checks, finite_n, operators
 from qht.finite_n import (
+    _kept,
     _level_data,
     _log_levels,
+    _pinched_errors,
     _plain_errors_spin_blocks,
     _spin_blocks,
     _sym_power,
@@ -16,7 +20,7 @@ from qht.finite_n import (
 from qht.operators import positive_projection, tensor_power
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
-from oracles import plain_test_errors_mp
+from oracles import pinched_test_errors_mp, plain_test_errors_mp
 
 
 def exact_errors(pair, test):
@@ -28,6 +32,20 @@ def exact_errors(pair, test):
         float(np.trace(rho_n @ (eye - test.operator)).real),
         float(np.trace(sigma_n @ test.operator).real),
     )
+
+
+@pytest.fixture
+def level_counts(monkeypatch):
+    """The number of sigma_n levels behind each test or sweep run while active."""
+    counts = []
+
+    def spy(*args):
+        levels, M = _level_data(*args)
+        counts.append(len(levels))
+        return levels, M
+
+    monkeypatch.setattr(finite_n, "_level_data", spy)
+    return counts
 
 
 class TestBuildPinchedTest:
@@ -93,19 +111,22 @@ class TestBuildPinchedTest:
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.build_pinched_test(generic, 13, 0.0)
 
-    def test_budget_checked_on_every_build(self, generic):
+    def test_budget_checked_on_every_build(self, generic, monkeypatch):
         qht.build_pinched_test(generic, 3, 0.0)
+        monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 4)
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.build_pinched_test(generic, 3, 0.0, max_dim=4)
+            qht.build_pinched_test(generic, 3, 0.0)
 
-    def test_levels_follow_each_builds_cluster_tolerance(self):
+    def test_levels_follow_each_builds_cluster_tolerance(self, level_counts):
         coarse = qht.ToleranceConfig(cluster_rel_tol=10.0)
-        fresh = qht.build_pinched_test(qht.preset_pair("qubit-generic"), 3, 0.0, coarse)
+        qht.build_pinched_test(qht.preset_pair("qubit-generic"), 3, 0.0, coarse)
+        fresh = level_counts[-1]
         pair = qht.preset_pair("qubit-generic")
         qht.build_pinched_test(pair, 3, 0.0)
-        cached = qht.build_pinched_test(pair, 3, 0.0, coarse)
-        assert len(fresh.blocks) == 1
-        assert len(cached.blocks) == len(fresh.blocks)
+        qht.build_pinched_test(pair, 3, 0.0, coarse)
+        cached = level_counts[-1]
+        assert fresh == 1
+        assert cached == fresh
 
 
     def test_singular_sigma_levels_without_warnings(self):
@@ -116,7 +137,7 @@ class TestBuildPinchedTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
-                levels, _ = _level_data(pair, n, tol, qht.MAX_TENSOR_DIM)
+                levels, _ = _level_data(pair, n, tol)
                 assert len(levels) == 2
                 assert [len(lev.positions) for lev in levels] == [2**n - 1, 1]
                 ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1, tol))
@@ -147,10 +168,10 @@ class TestBuildPlainTest:
 
 class TestErrorProbabilities:
     def test_trivial_tests(self, generic):
-        accept = qht.TestOperator(np.eye(2, dtype=complex), 1, 0.0, "plain")
+        accept = qht.TestOperator(np.eye(2, dtype=complex), 1, 0.0)
         ep = qht.error_probabilities(generic, accept)
         assert (ep.alpha, ep.beta) == (pytest.approx(0.0, abs=1e-14), pytest.approx(1.0, abs=1e-14))
-        reject = qht.TestOperator(np.zeros((2, 2), dtype=complex), 1, 0.0, "plain")
+        reject = qht.TestOperator(np.zeros((2, 2), dtype=complex), 1, 0.0)
         ep = qht.error_probabilities(generic, reject)
         assert (ep.alpha, ep.beta) == (pytest.approx(1.0, abs=1e-14), pytest.approx(0.0, abs=1e-14))
 
@@ -178,7 +199,7 @@ class TestErrorProbabilities:
             assert mass == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self, generic):
-        test = qht.TestOperator(np.eye(4, dtype=complex), 1, 0.0, "plain")
+        test = qht.TestOperator(np.eye(4, dtype=complex), 1, 0.0)
         with pytest.raises(qht.DimensionMismatch):
             qht.error_probabilities(generic, test)
 
@@ -188,7 +209,7 @@ class TestErrorProbabilities:
 
     def test_operator_invariant(self):
         with pytest.raises(qht.InvariantViolation):
-            qht.TestOperator(np.full((2, 2), 0.5 + 0j) * 3.0, 1, 0.0, "plain")
+            qht.TestOperator(np.full((2, 2), 0.5 + 0j) * 3.0, 1, 0.0)
 
 
 class TestErrorEnvelopes:
@@ -281,15 +302,15 @@ class TestVerifyBounds:
             for r in reports:
                 assert r.v_sigma_n == r.n + 1
 
-    def test_count_matches_levels_of_the_test_on_skewed_pair(self):
+    def test_count_matches_levels_of_the_test_on_skewed_pair(self, level_counts):
         # sigma's small eigenvalue (about 1e-7) spreads the n + 1 levels of
         # sigma_n over decades; a gap test on absolute eigenvalues would
         # merge every level below 1e-10 into one
         pair = qht.preset_pair("qubit-skewed")
         a = 0.5 * qht.relative_entropy(pair)
         for r in qht.verify_bounds(pair, range(1, 7), [a]):
-            blocks = qht.build_pinched_test(pair, r.n, a).blocks
-            assert r.v_sigma_n == r.n + 1 == len(blocks)
+            qht.build_pinched_test(pair, r.n, a)
+            assert r.v_sigma_n == r.n + 1 == level_counts[-1]
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 2)])
     def test_key_residual_matches_dense_pinching(self, dim, n_max):
@@ -343,9 +364,9 @@ class TestVerifyBounds:
         monitor = checks.check_error_monotonicity(np.random.default_rng(0), 2)
         powers = []
 
-        def spy(A, n, max_dim=qht.MAX_TENSOR_DIM):
+        def spy(A, n):
             powers.append(n)
-            return tensor_power(A, n, max_dim)
+            return tensor_power(A, n)
 
         monkeypatch.setattr(finite_n, "TestOperator", refuse)
         monkeypatch.setattr(finite_n, "tensor_power", spy)
@@ -355,6 +376,78 @@ class TestVerifyBounds:
         assert powers == [1, 2, 3, 4] * 2 + [1, 2] * 2
         with pytest.raises(AssertionError, match="test operator built"):
             qht.build_pinched_test(generic, 1, a)
+
+
+class TestKeepRule:
+    # The strict test keeps a block eigenvalue w only above e^{na} times its
+    # level's weight.  An absolute slack would drop every w below about
+    # 1e-10 on qubit-skewed, whatever its threshold; the oracle's own
+    # eigensolves at 60 digits agreed within 9.4e-15 relative (beta, n = 5).
+
+    def test_qubit_skewed_matches_mpmath_oracle(self):
+        pair = qht.preset_pair("qubit-skewed")
+        div = qht.relative_entropy(pair)
+        grid = (-0.5, 0.0, 0.5, 0.25 * div, 0.5 * div, 0.9 * div, div + 0.5)
+        for n in range(1, 6):
+            levels, _ = _level_data(pair, n, qht.DEFAULT_TOL)
+            for a in grid:
+                alpha, beta = pinched_test_errors_mp(pair, n, a)
+                ep = _pinched_errors(levels, n, a, qht.DEFAULT_TOL)
+                assert abs(ep.alpha - alpha) <= 1e-13 * alpha
+                assert abs(ep.beta - beta) <= 1e-13 * beta
+
+    def test_qubit_skewed_small_errors_at_negative_threshold(self):
+        # the finite-n row n = 4, a = -0.5: both errors lie far below 1e-10
+        pair = qht.preset_pair("qubit-skewed")
+        strict = pytest.approx((2.7436e-20, 7.2600e-14), rel=1e-4, abs=0.0)
+        (r,) = qht.verify_bounds(pair, [4], [-0.5])
+        assert pinched_test_errors_mp(pair, 4, -0.5) == strict
+        assert (r.alpha, r.beta) == strict
+
+    def test_identical_pair_keeps_nothing_at_zero(self, identical):
+        for n in range(1, 9):
+            levels, _ = _level_data(identical, n, qht.DEFAULT_TOL)
+            for lev in levels:
+                assert _kept(lev, n, 0.0, qht.DEFAULT_TOL) == len(lev.eigenvalues)
+            ep = _pinched_errors(levels, n, 0.0, qht.DEFAULT_TOL)
+            assert ep.beta == 0.0
+            assert abs(ep.alpha - 1.0) <= 1e-14
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_level_errors_match_dense_traces(self, data):
+        dim = data.draw(st.integers(2, 4), label="dim")
+        n = data.draw(st.integers(1, {2: 6, 3: 3, 4: 3}[dim]), label="n")  # dim**n <= 64
+        pair = qht.random_pair(data.draw(st.integers(0, 2**31 - 1), label="seed"), dim)
+        div = qht.relative_entropy(pair)
+        a = data.draw(st.floats(-0.5, div + 0.5), label="a")
+        levels, _ = _level_data(pair, n, qht.DEFAULT_TOL)
+        ep = _pinched_errors(levels, n, a, qht.DEFAULT_TOL)
+        test = qht.build_pinched_test(pair, n, a)
+        alpha_dense, beta_dense = exact_errors(pair, test)
+        assert abs(ep.alpha - alpha_dense) <= 1e-12
+        assert abs(ep.beta - beta_dense) <= 1e-12
+        for r in qht.verify_bounds(pair, range(1, n + 1), [a]):
+            assert r.alpha <= r.alpha_bound + 1e-12
+            assert r.beta <= r.beta_bound + 1e-12
+
+
+class TestBudgetBeforeWork:
+    def test_over_budget_range_raises_before_any_blocklength(self, generic, monkeypatch):
+        # an over-budget range must not first compute its smaller n
+        def refuse(*args, **kwargs):
+            raise AssertionError("blocklength computed before the budget check")
+
+        for name in ("_level_data", "_plain_errors_spin_blocks", "build_plain_test"):
+            monkeypatch.setattr(finite_n, name, refuse)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.verify_bounds(generic, range(1, 14), [0.1])
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.stein_trace(generic, 0.1, 13)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.conjecture_probe(generic, range(1, 14), 0.1)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.conjecture_probe(qht.random_pair(0, dim=3), range(1, 9), 0.1)
 
 
 class TestSteinTrace:
@@ -419,7 +512,7 @@ def dense_plain_errors(pair, n, a):
 
 
 def block_plain_errors(pair, n, a, tol=qht.DEFAULT_TOL):
-    return _plain_errors_spin_blocks(pair, n, a, tol, qht.MAX_TENSOR_DIM)
+    return _plain_errors_spin_blocks(pair, n, a, tol)
 
 
 class TestSpinBlocks:
@@ -544,13 +637,15 @@ class TestPlainErrorsFromSpinBlocks:
         with pytest.raises(qht.SingularInput):
             qht.build_plain_test(singular, 2, 400.0, tol)
 
-    def test_budget_checked_first(self, generic):
+    def test_budget_checked_first(self, generic, monkeypatch):
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.conjecture_probe(generic, [13], 0.1)
+        monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 4)
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.conjecture_probe(generic, [3], 0.1, max_dim=4)
+            qht.conjecture_probe(generic, [3], 0.1)
+        monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 2)
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.conjecture_probe(generic, [2], 400.0, max_dim=2)
+            qht.conjecture_probe(generic, [2], 400.0)
 
 
 class TestErrorMonotonicity:

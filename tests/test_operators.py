@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qht
+from qht import operators
 from qht.operators import hermitian_part, strictly_positive
 
 from conftest import rng_hermitian
@@ -218,12 +219,13 @@ class TestTensorPower:
         out = qht.tensor_power(rho, 3)
         assert abs(np.trace(out).real - 1.0) <= 1e-12
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.tensor_power(np.eye(2), 13)
+        monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 16)
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.tensor_power(np.eye(2), 5, max_dim=16)
-        qht.tensor_power(np.eye(2), 4, max_dim=16)  # exactly at the budget
+            qht.tensor_power(np.eye(2), 5)
+        qht.tensor_power(np.eye(2), 4)  # exactly at the budget
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
