@@ -242,14 +242,12 @@ def check_derivatives(rng, n_samples) -> CheckResult:
         W = np.abs(U.conj().T @ V) ** 2
 
         def psi_hp(s):
+            P = [mp.mpf(float(x)) ** (1 - s) for x in p]
+            Q = [mp.mpf(float(x)) ** s for x in q]
             tot = mp.mpf(0)
             for i in range(pair.dim):
                 for j in range(pair.dim):
-                    tot += (
-                        mp.mpf(float(W[i, j]))
-                        * mp.mpf(float(p[i])) ** (1 - s)
-                        * mp.mpf(float(q[j])) ** s
-                    )
+                    tot += mp.mpf(float(W[i, j])) * P[i] * Q[j]
             return -mp.log(tot)
 
         with mp.workdps(40):
@@ -257,8 +255,9 @@ def check_derivatives(rng, n_samples) -> CheckResult:
                 d1, d2 = psi_derivatives(pair, s)
                 sh = mp.mpf(s)
                 hh = mp.mpf(h)
-                fd1 = float((psi_hp(sh + hh) - psi_hp(sh - hh)) / (2 * hh))
-                fd2 = float((psi_hp(sh + hh) - 2 * psi_hp(sh) + psi_hp(sh - hh)) / hh**2)
+                up, mid, down = psi_hp(sh + hh), psi_hp(sh), psi_hp(sh - hh)
+                fd1 = float((up - down) / (2 * hh))
+                fd2 = float((up - 2 * mid + down) / hh**2)
                 worst = max(worst, abs(d1 - fd1) / max(abs(fd1), 1e-30))
                 worst = max(worst, abs(d2 - fd2) / max(abs(fd2), 1e-30))
                 if d2 > -1e-12:

@@ -22,6 +22,11 @@ convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
 Every maximization over s (``phi``, ``phi_bar`` and the rate objective)
 scans a grid of kernel values and refines the grid argmax by safeguarded
 Newton steps on the kernel's closed-form first and second derivatives.
+A pair's kernel terms and each of its grid scans are built once per pair,
+kernel and ``OptimizerConfig``: they are cached on the pair and freed with
+it, and every function here that takes a pair reads them from there.  A
+scan also memoizes the kernel's moments at the grid points where Newton
+refinement starts.
 """
 
 import math
@@ -84,15 +89,21 @@ def _exponent_point(terms, s: float, name: str) -> tuple[float, float, float]:
 
     From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
     ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
+    The imaginary residue of each moment is held to :func:`_real_trace`'s rule.
     """
     c, r = terms
     w = c * np.exp(s * r)
     wr = w * r
-    m0, m1, m2 = _real_trace(np.array([w.sum(), wr.sum(), wr @ r]), f"{name} trace")
+    moments = (w.sum(), wr.sum(), wr @ r)
+    for m in moments:
+        if abs(m.imag) > _IMAG_RESIDUE * (1.0 + abs(m.real)):
+            worst = max(abs(x.imag) for x in moments)
+            raise ArithmeticError(f"{name} trace: imaginary residue {worst:.3e} too large")
+    m0, m1, m2 = (float(m.real) for m in moments)
     if m0 <= 0.0:
         raise ArithmeticError(f"{name} trace is not positive")
-    d1 = float(-m1 / m0)
-    return -math.log(m0), d1, float(d1 * d1 - m2 / m0)
+    d1 = -m1 / m0
+    return -math.log(m0), d1, d1 * d1 - m2 / m0
 
 
 def _plain_terms(W, p, q):
@@ -122,15 +133,31 @@ def _psi_bar_terms(pair: HypothesisPair):
     return T.ravel(), r.ravel()
 
 
+_TERMS = {"psi": _psi_terms, "psi_bar": _psi_bar_terms}
+
+
+def _cached(pair: HypothesisPair, key, build):
+    """``build()``, once per pair and key; a build that raises stores nothing."""
+    cache = pair._exponent_cache
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _terms(pair: HypothesisPair, name: str):
+    """The pair's terms of the kernel ``name`` ("psi" or "psi_bar")."""
+    return _cached(pair, name, lambda: _TERMS[name](pair))
+
+
 def psi_bar_values(pair: HypothesisPair, s) -> np.ndarray:
     """Vectorized pinched exponent over an array of s values in [0, 1]."""
     s = _check_s(s)
-    return _exponent(_psi_bar_terms(pair), s, "psi_bar")
+    return _exponent(_terms(pair, "psi_bar"), s, "psi_bar")
 
 
 def psi_values(pair: HypothesisPair, s) -> np.ndarray:
     """Vectorized plain exponent -log Tr[rho^{1-s} sigma^s] over s in [0, 1]."""
-    return _exponent(_psi_terms(pair), _check_s(s), "psi")
+    return _exponent(_terms(pair, "psi"), _check_s(s), "psi")
 
 
 def psi_bar(pair: HypothesisPair, s: float) -> float:
@@ -157,28 +184,53 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
     """
     s = float(_check_s(s)[0])
     pair.assert_invertible("psi_derivatives")
-    _, d1, d2 = _exponent_point(_psi_terms(pair), s, "psi")
+    _, d1, d2 = _exponent_point(_terms(pair, "psi"), s, "psi")
     return d1, d2
 
 
-def _grid_then_refine(vals: np.ndarray, grid: np.ndarray, point, iterations: int):
-    """Grid argmax of ``vals`` (the objective on ``grid``), refined by Newton.
+class _Scan:
+    """A kernel E scanned on one s-grid.
 
-    ``point(s)`` returns the objective and its first two s-derivatives.
-    Newton steps on the slope start at the grid argmax k and stay inside
-    the bracket ``[grid[k-1], grid[k+1]]``, which shrinks to the side the
-    slope points to; where the curvature is not negative or a step would
-    leave the bracket, the step bisects it instead.  The refinement stops
-    when a step falls to roundoff or after ``iterations`` steps.  Returns
+    The moments (E, E', E'') at grid points are memoized: every
+    maximization over the grid starts its Newton steps at its grid argmax,
+    and different thresholds often share it.
+    """
+
+    def __init__(self, terms, name: str, grid: np.ndarray):
+        self.terms = terms
+        self.name = name
+        self.grid = grid
+        self.values = _exponent(terms, grid, name)
+        self._at_grid = {}
+
+    def grid_moments(self, k: int) -> tuple[float, float, float]:
+        if k not in self._at_grid:
+            self._at_grid[k] = _exponent_point(self.terms, float(self.grid[k]), self.name)
+        return self._at_grid[k]
+
+
+def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, iterations: int, done=None):
+    """Grid argmax of ``vals`` (the objective on ``scan.grid``), refined by Newton.
+
+    ``lift(s, E, E1, E2)`` turns the kernel moments at s into the objective
+    and its first two s-derivatives.  Newton steps on the slope start at the
+    grid argmax k and stay inside the bracket ``[grid[k-1], grid[k+1]]``,
+    which shrinks to the side the slope points to; where the curvature is
+    not negative or a step would leave the bracket, the step bisects it
+    instead.  The refinement stops when a step falls to roundoff or after
+    ``iterations`` steps, or as soon as ``done(best value)`` holds.  Returns
     ``(s, value, k)`` for the best probed point: the grid point wins unless
     strictly beaten, and ties go to the smaller s.
     """
+    grid = scan.grid
     k = int(np.argmax(vals))
     lo = float(grid[max(k - 1, 0)])
     hi = float(grid[min(k + 1, len(grid) - 1)])
     best_x, best_v = float(grid[k]), float(vals[k])
+    if done is not None and done(best_v):
+        return best_x, best_v, k
     x = best_x
-    _, d1, d2 = point(x)
+    _, d1, d2 = lift(x, *scan.grid_moments(k))
     for _ in range(iterations):
         if d1 > 0.0:
             lo = x
@@ -195,9 +247,11 @@ def _grid_then_refine(vals: np.ndarray, grid: np.ndarray, point, iterations: int
         if abs(step - x) <= _STEP_ROUNDOFF:
             break
         x = step
-        v, d1, d2 = point(x)
+        v, d1, d2 = lift(x, *_exponent_point(scan.terms, x, scan.name))
         if v > best_v or (v == best_v and x < best_x):
             best_x, best_v = x, v
+            if done is not None and done(best_v):
+                break
     return best_x, best_v, k
 
 
@@ -205,22 +259,28 @@ def _transform(terms, name: str, opt: OptimizerConfig):
     """``a -> (max over s in [0, 1] of E(s) - a s, argmax)`` for the kernel E.
 
     The grid values of E are computed once, so each threshold costs one
-    argmax over the grid plus a few Newton steps.
+    argmax over the grid plus a few Newton steps.  ``done`` is passed to
+    :func:`_grid_then_refine` and may end the refinement early.
     """
-    grid = np.linspace(0.0, 1.0, opt.grid_points)
-    vals = _exponent(terms, grid, name)
+    scan = _Scan(terms, name, np.linspace(0.0, 1.0, opt.grid_points))
 
-    def at(a: float) -> tuple[float, float]:
-        def point(s):
-            v, d1, d2 = _exponent_point(terms, s, name)
+    def at(a: float, done=None) -> tuple[float, float]:
+        def lift(s, v, d1, d2):
             return v - a * s, d1 - a, d2
 
         s_star, value, _ = _grid_then_refine(
-            vals - a * grid, grid, point, opt.refine_iterations
+            scan.values - a * scan.grid, scan, lift, opt.refine_iterations, done
         )
         return value, s_star
 
     return at
+
+
+def _pair_transform(pair: HypothesisPair, name: str, opt: OptimizerConfig):
+    """The pair's cached :func:`_transform` of the kernel ``name``."""
+    return _cached(
+        pair, ("phi", name, opt), lambda: _transform(_terms(pair, name), name, opt)
+    )
 
 
 def phi_bar(
@@ -232,7 +292,7 @@ def phi_bar(
     first and safeguarded Newton steps only refine the winning bracket.
     Ties break toward smaller s.
     """
-    return _transform(_psi_bar_terms(pair), "psi_bar", opt)(float(a))
+    return _pair_transform(pair, "psi_bar", opt)(float(a))
 
 
 def phi(
@@ -243,32 +303,35 @@ def phi(
     psi'' < 0 makes the objective strictly concave; it takes the same grid
     scan and Newton refinement as :func:`phi_bar`.
     """
-    return _transform(_psi_terms(pair), "psi", opt)(float(a))
+    return _pair_transform(pair, "psi", opt)(float(a))
 
 
-def _rate_objective_max(terms, name: str, r: float, opt: OptimizerConfig) -> float:
-    """Maximize ``h(s) = (E(s) - (1-s) r) / s`` over s in (0, 1] for the kernel E.
+def _rate_objective(terms, name: str, opt: OptimizerConfig):
+    """``r -> max over s in (0, 1] of h(s) = (E(s) - (1-s) r) / s`` for the kernel E.
 
-    ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.
+    ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.  The grid
+    values of E are computed once for every r.
     """
-    grid = np.linspace(S_MIN, 1.0, opt.grid_points)
-    vals = (_exponent(terms, grid, name) - (1.0 - grid) * r) / grid
+    scan = _Scan(terms, name, np.linspace(S_MIN, 1.0, opt.grid_points))
 
-    def point(s):
-        E, E1, E2 = _exponent_point(terms, s, name)
-        h = (E - (1.0 - s) * r) / s
-        h1 = (E1 + r - h) / s
-        return h, h1, (E2 - 2.0 * h1) / s
+    def at(r: float) -> float:
+        def lift(s, E, E1, E2):
+            h = (E - (1.0 - s) * r) / s
+            h1 = (E1 + r - h) / s
+            return h, h1, (E2 - 2.0 * h1) / s
 
-    _, value, k = _grid_then_refine(vals, grid, point, opt.refine_iterations)
-    if k == 0:
-        warnings.warn(
-            f"rate objective peaked at the lower cutoff s = {S_MIN}; "
-            "the requested rate may be too small to resolve",
-            RateTooSmallWarning,
-            stacklevel=3,
-        )
-    return value
+        vals = (scan.values - (1.0 - scan.grid) * r) / scan.grid
+        _, value, k = _grid_then_refine(vals, scan, lift, opt.refine_iterations)
+        if k == 0:
+            warnings.warn(
+                f"rate objective peaked at the lower cutoff s = {S_MIN}; "
+                "the requested rate may be too small to resolve",
+                RateTooSmallWarning,
+                stacklevel=3,
+            )
+        return value
+
+    return at
 
 
 def hoeffding_rate(
@@ -281,7 +344,10 @@ def hoeffding_rate(
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    return _rate_objective_max(_psi_bar_terms(pair), "psi_bar", float(r), opt)
+    objective = _cached(
+        pair, ("rate", opt), lambda: _rate_objective(_terms(pair, "psi_bar"), "psi_bar", opt)
+    )
+    return objective(float(r))
 
 
 def solve_rate_parameter(
@@ -292,24 +358,31 @@ def solve_rate_parameter(
     phi_bar is convex, nonincreasing and ranges from 0 to infinity, so a
     bracket always exists: the upper end starts where phi_bar vanishes
     (one unit above the relative entropy), the lower end doubles downward.
-    The psi_bar grid is built once for every probed threshold.
+    Each probe reads the pair's cached psi_bar grid and only decides on
+    which side of r phi_bar(a) lies: its best value never decreases, so
+    the probe stops refining once that value settles the comparison, and
+    a probe that stays below r runs in full.  The result is the same bit
+    for bit as with every probe run to the end.
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
+    transform = _pair_transform(pair, "psi_bar", opt)
 
-    def value(a):
-        return transform(a)[0]
+    def exceeds(a):
+        return transform(a, lambda v: v > r)[0] > r
+
+    def reaches(a):
+        return transform(a, lambda v: v >= r)[0] >= r
 
     a_hi = relative_entropy(pair) + 1.0
     step = 1.0
-    while value(a_hi) > r:
+    while exceeds(a_hi):
         a_hi += step
         step *= 2.0
         if a_hi > 1e6:
             raise BracketFailure("upper bracket exceeded 1e6")
     a_lo = -1.0
-    while value(a_lo) < r:
+    while not reaches(a_lo):
         a_lo *= 2.0
         if a_lo < -1e6:
             raise BracketFailure("lower bracket exceeded -1e6")
@@ -319,7 +392,7 @@ def solve_rate_parameter(
         if a_hi - a_lo <= width_goal:
             break
         mid = 0.5 * (a_lo + a_hi)
-        if value(mid) >= r:
+        if reaches(mid):
             a_lo = mid
         else:
             a_hi = mid
@@ -371,7 +444,7 @@ def classical_hoeffding(
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)
-    return _rate_objective_max(terms, "classical", float(r), opt)
+    return _rate_objective(terms, "classical", opt)(float(r))
 
 
 @dataclass(frozen=True)
@@ -420,10 +493,7 @@ def sweep_curve(
     if which == "psi":
         return ExponentCurve("s", grid, psi_values(pair, grid))
     if which in ("phi_bar", "phi"):
-        if which == "phi_bar":
-            transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
-        else:
-            transform = _transform(_psi_terms(pair), "psi", opt)
+        transform = _pair_transform(pair, "psi_bar" if which == "phi_bar" else "psi", opt)
         values = np.empty_like(grid)
         argmax = np.empty_like(grid)
         for i, a in enumerate(grid):

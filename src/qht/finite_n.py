@@ -40,7 +40,7 @@ from .errors import (
     NonHermitianInput,
     RateAboveDivergence,
 )
-from .exponents import _psi_bar_terms, _transform, phi, phi_bar, relative_entropy
+from .exponents import _pair_transform, phi, phi_bar, relative_entropy
 from .operators import (
     block_diagonal,
     check_dense_budget,
@@ -336,9 +336,10 @@ def verify_bounds(
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
     One report per (n, a); the envelopes come from the same phi_bar value
-    per threshold, all read off one psi_bar grid.  The sigma_n levels are
-    derived once per n, and the errors of every threshold, v(sigma_n) and
-    the pinching residual all come from them; no test operator is built.
+    per threshold, all read off the pair's cached psi_bar grid.  The
+    sigma_n levels are derived once per n, and the errors of every
+    threshold, v(sigma_n) and the pinching residual all come from them; no
+    test operator is built.
     The residual is the smallest eigenvalue of ``v blockdiag(M) - M`` with
     ``M`` rho_n in the level basis, which is ``v pinch(rho_n) - rho_n`` up
     to that change of basis, so no dense rho_n or pinch is formed.  The
@@ -346,7 +347,7 @@ def verify_bounds(
     """
     n_range = list(n_range)
     check_dense_budget(pair.dim, max(n_range, default=0))
-    transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
+    transform = _pair_transform(pair, "psi_bar", opt)
     phis = {float(a): transform(float(a))[0] for a in a_grid}
     reports = []
     for n in n_range:

@@ -34,7 +34,9 @@ class HypothesisPair:
     (the default ToleranceConfig) both states must be positive definite,
     because the exponent functions take inverse powers and logarithms of
     them.  Eigendecompositions of both states are computed once and cached;
-    eigenvalues within ``psd_tol`` below zero are floored at zero.
+    eigenvalues within ``psd_tol`` below zero are floored at zero.  The
+    kernel terms and grid scans of :mod:`qht.exponents` are cached on the
+    pair too, keyed by kernel and ``OptimizerConfig``, and freed with it.
     """
 
     def __init__(self, rho, sigma, tol: ToleranceConfig = DEFAULT_TOL):
@@ -48,6 +50,7 @@ class HypothesisPair:
         self.sigma = sigma
         self.dim = rho.shape[0]
         self.tol = tol
+        self._exponent_cache = {}
         if tol.strict:
             self.assert_invertible("strict mode")
 

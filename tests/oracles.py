@@ -4,7 +4,8 @@ Everything here recomputes expected values through a different route than
 the library: scalar eigenvalue-weight sums (psi) and dense matrix-power
 products (psi_bar) evaluated in mpmath for the exponent functions and their
 finite differences, brute-force grid scans for the one-dimensional
-maximizations, qubit plain-test errors from spin blocks whose entries
+maximizations, the rate-parameter bisection with every probe run in full
+on a grid built for the one call, qubit plain-test errors from spin blocks whose entries
 are string-pair counts, and pinched-test errors from the sigma_n levels
 of the index types, both diagonalized in mpmath.
 """
@@ -13,6 +14,10 @@ import itertools
 
 import mpmath as mp
 import numpy as np
+
+from qht.config import DEFAULT_OPT
+from qht.errors import BracketFailure
+from qht.exponents import _psi_bar_terms, _transform, relative_entropy
 
 
 def weight_form(pair):
@@ -95,6 +100,41 @@ def grid_max_hoeffding(p, q, r, points=1_000_000):
     s = np.linspace(1e-6, 1.0, points)
     vals = (classical_exponent(np.asarray(p), np.asarray(q), s) - (1.0 - s) * r) / s
     return float(vals.max())
+
+
+def reference_rate_parameter(pair, r, opt=DEFAULT_OPT):
+    """a_r with phi_bar(a_r) = r, bisected on an uncached psi_bar grid.
+
+    The bracket-and-bisect loop of ``solve_rate_parameter`` as it was before
+    the per-pair cache: every probe takes the full Newton refinement.
+    """
+    transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
+
+    def value(a):
+        return transform(a)[0]
+
+    a_hi = relative_entropy(pair) + 1.0
+    step = 1.0
+    while value(a_hi) > r:
+        a_hi += step
+        step *= 2.0
+        if a_hi > 1e6:
+            raise BracketFailure("upper bracket exceeded 1e6")
+    a_lo = -1.0
+    while value(a_lo) < r:
+        a_lo *= 2.0
+        if a_lo < -1e6:
+            raise BracketFailure("lower bracket exceeded -1e6")
+    width_goal = min(opt.bisection_tol / 10.0, 1e-11)
+    for _ in range(200):
+        if a_hi - a_lo <= width_goal:
+            break
+        mid = 0.5 * (a_lo + a_hi)
+        if value(mid) >= r:
+            a_lo = mid
+        else:
+            a_hi = mid
+    return 0.5 * (a_lo + a_hi)
 
 
 def _mp_sym_power(X, N):

@@ -1,10 +1,14 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import qht
-from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms
+from qht import exponents
+from qht.config import DEFAULT_OPT
+from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms, _real_trace
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
 from oracles import (
@@ -13,6 +17,7 @@ from oracles import (
     grid_max_phi,
     psi_bar_matrix_mp,
     psi_fd_mp,
+    reference_rate_parameter,
     weight_form,
 )
 
@@ -35,6 +40,8 @@ OPTIMIZER_PAIRS = [
     for dim in (2, 3, 4)
     for seed in range(2)
 ] + [pytest.param(qht.preset_pair(name), id=name) for name in PRESETS]
+
+COARSE_OPT = qht.OptimizerConfig(grid_points=301, refine_iterations=5, bisection_tol=1e-6)
 
 
 def thresholds(pair):
@@ -386,6 +393,108 @@ class TestRateParameter:
     def test_rejects_nonpositive_rate(self, generic):
         with pytest.raises(qht.NonpositiveRate):
             qht.solve_rate_parameter(generic, 0.0)
+
+
+def exponent_results(pair_of, opt):
+    """Every grid-scanning entry point, one call per item, in a fixed order.
+
+    ``pair_of()`` gives the pair for each call: one warm pair, or a fresh one.
+    """
+    a_grid = thresholds(pair_of())
+    for a in a_grid:
+        yield qht.phi_bar(pair_of(), a, opt)
+        yield qht.phi(pair_of(), a, opt)
+    for r in (0.01, 0.1, 0.5):
+        yield qht.hoeffding_rate(pair_of(), r, opt)
+        yield qht.solve_rate_parameter(pair_of(), r, opt)
+    for which in ("phi_bar", "phi"):
+        curve = qht.sweep_curve(pair_of(), which, a_grid, opt)
+        yield curve.values.tolist(), curve.argmax_s.tolist()
+
+
+def fresh_copies(pair):
+    """A new pair from the same matrices on every call, so no cache is warm."""
+    return lambda: qht.HypothesisPair(pair.rho, pair.sigma, pair.tol)
+
+
+class TestPairCache:
+    @pytest.mark.parametrize("opt", [DEFAULT_OPT, COARSE_OPT], ids=["default", "coarse"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_warm_pair_matches_fresh_pair(self, dim, opt):
+        for pair in seeded_pairs(2, start=40, dim=dim):
+            cold = list(exponent_results(fresh_copies(pair), opt))
+            for _ in range(2):
+                assert list(exponent_results(lambda: pair, opt)) == cold
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_configs_interleaved_keep_their_own_values(self, dim):
+        pair = qht.random_pair(50, dim)
+        configs = (DEFAULT_OPT, COARSE_OPT)
+        cold = [list(exponent_results(fresh_copies(pair), opt)) for opt in configs]
+        assert cold[0] != cold[1]
+        for _ in range(2):
+            # zip alternates the two configs call by call on the one pair
+            warm = zip(
+                exponent_results(lambda: pair, DEFAULT_OPT),
+                exponent_results(lambda: pair, COARSE_OPT),
+            )
+            assert list(warm) == list(zip(*cold))
+
+    def test_warm_pair_is_garbage_collected(self):
+        pair = qht.random_pair(60, 3)
+        for opt in (DEFAULT_OPT, COARSE_OPT):
+            list(exponent_results(lambda: pair, opt))
+        qht.psi_derivatives(pair, 0.5)
+        ref = weakref.ref(pair)
+        del pair
+        gc.collect()
+        assert ref() is None
+
+    def test_singular_pair_raises_on_every_call(self):
+        tol = qht.ToleranceConfig(strict=False)
+        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), tol)
+        for _ in range(2):
+            with pytest.raises(qht.SingularInput):
+                qht.phi_bar(pair, 0.1)
+
+    def test_one_scan_per_grid(self, monkeypatch):
+        pair = qht.random_pair(70, 3)
+        scans = []
+        kernel = exponents._exponent
+
+        def spy(terms, s, name):
+            scans.append(len(s))
+            return kernel(terms, s, name)
+
+        monkeypatch.setattr(exponents, "_exponent", spy)
+        for a in np.linspace(-1.0, 2.0, 20):
+            qht.phi_bar(pair, a)
+        for r in (0.01, 0.1, 0.5):
+            qht.solve_rate_parameter(pair, r)
+            qht.hoeffding_rate(pair, r)
+        assert scans == [DEFAULT_OPT.grid_points] * 2
+
+    @pytest.mark.parametrize("opt", [DEFAULT_OPT, COARSE_OPT], ids=["default", "coarse"])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_rate_parameter_matches_full_probes(self, dim, opt):
+        doubled = False
+        for pair in seeded_pairs(3, start=80, dim=dim):
+            doubled = doubled or qht.phi_bar(pair, -1.0, opt)[0] < 3.0
+            for r in (0.01, 0.1, 0.5, 3.0):
+                reference = reference_rate_parameter(pair, r, opt)
+                assert qht.solve_rate_parameter(pair, r, opt) == reference
+        assert doubled  # r = 3 took the lower bracket below -1 at least once
+
+    def test_point_residue_rule_matches_real_trace(self):
+        r = np.array([-1.0, 0.5])
+        c = np.array([1.0 + 1e-3j, 0.5])
+        w = c * np.exp(0.3 * r)
+        with pytest.raises(ArithmeticError) as dense:
+            _real_trace(np.array([w.sum(), (w * r).sum(), (w * r) @ r]), "psi_bar trace")
+        with pytest.raises(ArithmeticError) as point:
+            _exponent_point((c, r), 0.3, "psi_bar")
+        assert str(point.value) == str(dense.value)
+        _exponent_point((c.real + 1e-12j, r), 0.3, "psi_bar")  # inside the bound
 
 
 class TestClassical:
