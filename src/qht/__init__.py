@@ -6,7 +6,7 @@ probabilities exactly at finite blocklength, and computes the exponent
 functions and the trade-off rate that bound them.
 """
 
-from .config import DEFAULT_OPT, DEFAULT_TOL, MAX_TENSOR_DIM, OptimizerConfig, ToleranceConfig
+from .config import DEFAULT_TOL, MAX_TENSOR_DIM, ToleranceConfig
 from .errors import (
     BracketFailure,
     DimensionBudgetExceeded,

@@ -48,6 +48,17 @@ def _parse_grid(spec: str) -> np.ndarray:
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count of at least 1; a run over no pairs or blocklengths checks nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     src = sub.add_mutually_exclusive_group()
     src.add_argument("--input", help="JSON file with rho and sigma matrices")
@@ -57,7 +68,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="named pair (default: qubit-generic)",
     )
     sub.add_argument("--out", help="output directory for CSV/JSON files")
-    sub.add_argument("--tol-cluster", type=float, help="override cluster_rel_tol")
     sub.add_argument(
         "--smoothing-delta",
         type=float,
@@ -101,39 +111,36 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("finite-n", help="exact finite-n errors and envelopes")
     _add_common(p)
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--tol-cluster", type=float, help="override cluster_rel_tol")
+    p.add_argument("--n-max", type=_positive_int, default=4)
     p.add_argument("--grid-a", type=_parse_grid, default=None)
 
     p = commands.add_parser("verify", help="run the invariant suite")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=4)
+    p.add_argument("--pairs", type=_positive_int, default=10)
+    p.add_argument("--n-max", type=_positive_int, default=4)
 
     p = commands.add_parser("conjecture", help="plain-test probe (EXPERIMENTAL)")
     _add_common(p)
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--tol-cluster", type=float, help="override cluster_rel_tol")
+    p.add_argument("--n-max", type=_positive_int, default=6)
     p.add_argument("--grid-a", type=_parse_grid, default=None)
 
     return parser
 
 
-def _tolerance(args) -> ToleranceConfig:
-    kwargs = {}
-    if getattr(args, "tol_cluster", None) is not None:
-        kwargs["cluster_rel_tol"] = args.tol_cluster
-    kwargs["strict"] = args.strict
-    return ToleranceConfig(**kwargs)
-
-
 def _load(args):
     if args.strict and args.smoothing_delta is not None:
         raise ValueError("--smoothing-delta takes effect only with --smooth")
-    tol = _tolerance(args)
+    settings = {"strict": args.strict}
+    # only finite-n and conjecture, whose tests cluster eigenvalues, take --tol-cluster
+    if getattr(args, "tol_cluster", None) is not None:
+        settings["cluster_rel_tol"] = args.tol_cluster
     delta = None
     if not args.strict:
         delta = args.smoothing_delta if args.smoothing_delta is not None else 1e-6
     source = args.input or args.preset or "qubit-generic"
-    return ser.load_pair(source, tol, smoothing_delta=delta)
+    return ser.load_pair(source, ToleranceConfig(**settings), smoothing_delta=delta)
 
 
 def _write(out_dir: str | None, name: str, text: str) -> None:
@@ -208,7 +215,7 @@ def _cmd_finite_n(args) -> int:
         if args.grid_a is not None
         else np.array([0.25, 0.5, 0.75, 0.9]) * div
     )
-    reports = verify_bounds(pair, range(1, args.n_max + 1), a_grid, tol=_tolerance(args))
+    reports = verify_bounds(pair, range(1, args.n_max + 1), a_grid)
     csv_text = ser.table_to_csv(BoundReport, reports)
     _write(args.out, "bound_report.csv", csv_text)
     _write(args.out, "bound_report.json", ser.payload_to_json(reports))

@@ -22,11 +22,13 @@ convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
 Every maximization over s (``phi``, ``phi_bar`` and the rate objective)
 scans a grid of kernel values and refines the grid argmax by safeguarded
 Newton steps on the kernel's closed-form first and second derivatives.
-A pair's kernel terms and each of its grid scans are built once per pair,
-kernel and ``OptimizerConfig``: they are cached on the pair and freed with
-it, and every function here that takes a pair reads them from there.  A
-scan also memoizes the kernel's moments at the grid points where Newton
-refinement starts.
+The settings are fixed: ``GRID_POINTS`` grid points, at most
+``NEWTON_STEPS`` Newton steps, and a rate bisection that narrows its
+bracket to ``BISECTION_WIDTH``.  A pair's kernel terms and each of its grid
+scans are built once per pair and kernel: they are cached on the pair and
+freed with it, and every function here that takes a pair reads them from
+there.  A scan also memoizes the kernel's moments at the grid points where
+Newton refinement starts.
 """
 
 import math
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_OPT, OptimizerConfig
 from .errors import (
     BracketFailure,
     DimensionMismatch,
@@ -51,6 +52,13 @@ from .pairs import HypothesisPair
 S_MIN = 1e-6
 
 _IMAG_RESIDUE = 1e-10
+
+# Points of every s-grid scanned before refinement.
+GRID_POINTS = 2001
+# Cap on the safeguarded Newton steps that refine a grid argmax.
+NEWTON_STEPS = 60
+# Width in a at which the rate-parameter bisection stops.
+BISECTION_WIDTH = 1e-11
 
 # A Newton step no longer than this (s lies in [0, 1]) ends the refinement.
 _STEP_ROUNDOFF = 4.0 * np.finfo(float).eps
@@ -209,7 +217,7 @@ class _Scan:
         return self._at_grid[k]
 
 
-def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, iterations: int, done=None):
+def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, done=None):
     """Grid argmax of ``vals`` (the objective on ``scan.grid``), refined by Newton.
 
     ``lift(s, E, E1, E2)`` turns the kernel moments at s into the objective
@@ -218,7 +226,7 @@ def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, iterations: int, done
     which shrinks to the side the slope points to; where the curvature is
     not negative or a step would leave the bracket, the step bisects it
     instead.  The refinement stops when a step falls to roundoff or after
-    ``iterations`` steps, or as soon as ``done(best value)`` holds.  Returns
+    ``NEWTON_STEPS`` steps, or as soon as ``done(best value)`` holds.  Returns
     ``(s, value, k)`` for the best probed point: the grid point wins unless
     strictly beaten, and ties go to the smaller s.
     """
@@ -231,7 +239,7 @@ def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, iterations: int, done
         return best_x, best_v, k
     x = best_x
     _, d1, d2 = lift(x, *scan.grid_moments(k))
-    for _ in range(iterations):
+    for _ in range(NEWTON_STEPS):
         if d1 > 0.0:
             lo = x
         elif d1 < 0.0:
@@ -255,64 +263,56 @@ def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, iterations: int, done
     return best_x, best_v, k
 
 
-def _transform(terms, name: str, opt: OptimizerConfig):
+def _transform(terms, name: str):
     """``a -> (max over s in [0, 1] of E(s) - a s, argmax)`` for the kernel E.
 
     The grid values of E are computed once, so each threshold costs one
     argmax over the grid plus a few Newton steps.  ``done`` is passed to
     :func:`_grid_then_refine` and may end the refinement early.
     """
-    scan = _Scan(terms, name, np.linspace(0.0, 1.0, opt.grid_points))
+    scan = _Scan(terms, name, np.linspace(0.0, 1.0, GRID_POINTS))
 
     def at(a: float, done=None) -> tuple[float, float]:
         def lift(s, v, d1, d2):
             return v - a * s, d1 - a, d2
 
-        s_star, value, _ = _grid_then_refine(
-            scan.values - a * scan.grid, scan, lift, opt.refine_iterations, done
-        )
+        s_star, value, _ = _grid_then_refine(scan.values - a * scan.grid, scan, lift, done)
         return value, s_star
 
     return at
 
 
-def _pair_transform(pair: HypothesisPair, name: str, opt: OptimizerConfig):
+def _pair_transform(pair: HypothesisPair, name: str):
     """The pair's cached :func:`_transform` of the kernel ``name``."""
-    return _cached(
-        pair, ("phi", name, opt), lambda: _transform(_terms(pair, name), name, opt)
-    )
+    return _cached(pair, ("phi", name), lambda: _transform(_terms(pair, name), name))
 
 
-def phi_bar(
-    pair: HypothesisPair, a: float, opt: OptimizerConfig = DEFAULT_OPT
-) -> tuple[float, float]:
+def phi_bar(pair: HypothesisPair, a: float) -> tuple[float, float]:
     """max over s in [0, 1] of psi_bar(s) - a s, with the maximizing s.
 
     Concavity of psi_bar is not established, so a dense grid scan runs
     first and safeguarded Newton steps only refine the winning bracket.
     Ties break toward smaller s.
     """
-    return _pair_transform(pair, "psi_bar", opt)(float(a))
+    return _pair_transform(pair, "psi_bar")(float(a))
 
 
-def phi(
-    pair: HypothesisPair, a: float, opt: OptimizerConfig = DEFAULT_OPT
-) -> tuple[float, float]:
+def phi(pair: HypothesisPair, a: float) -> tuple[float, float]:
     """max over s in [0, 1] of psi(s) - a s, with the maximizing s.
 
     psi'' < 0 makes the objective strictly concave; it takes the same grid
     scan and Newton refinement as :func:`phi_bar`.
     """
-    return _pair_transform(pair, "psi", opt)(float(a))
+    return _pair_transform(pair, "psi")(float(a))
 
 
-def _rate_objective(terms, name: str, opt: OptimizerConfig):
+def _rate_objective(terms, name: str):
     """``r -> max over s in (0, 1] of h(s) = (E(s) - (1-s) r) / s`` for the kernel E.
 
     ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.  The grid
     values of E are computed once for every r.
     """
-    scan = _Scan(terms, name, np.linspace(S_MIN, 1.0, opt.grid_points))
+    scan = _Scan(terms, name, np.linspace(S_MIN, 1.0, GRID_POINTS))
 
     def at(r: float) -> float:
         def lift(s, E, E1, E2):
@@ -321,7 +321,7 @@ def _rate_objective(terms, name: str, opt: OptimizerConfig):
             return h, h1, (E2 - 2.0 * h1) / s
 
         vals = (scan.values - (1.0 - scan.grid) * r) / scan.grid
-        _, value, k = _grid_then_refine(vals, scan, lift, opt.refine_iterations)
+        _, value, k = _grid_then_refine(vals, scan, lift)
         if k == 0:
             warnings.warn(
                 f"rate objective peaked at the lower cutoff s = {S_MIN}; "
@@ -334,9 +334,7 @@ def _rate_objective(terms, name: str, opt: OptimizerConfig):
     return at
 
 
-def hoeffding_rate(
-    pair: HypothesisPair, r: float, opt: OptimizerConfig = DEFAULT_OPT
-) -> float:
+def hoeffding_rate(pair: HypothesisPair, r: float) -> float:
     """Achievable second-kind exponent under the first-kind constraint e^{-nr}.
 
     Maximizes ``(psi_bar(s) - (1-s) r) / s`` over s in (0, 1]; equals
@@ -345,28 +343,27 @@ def hoeffding_rate(
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
     objective = _cached(
-        pair, ("rate", opt), lambda: _rate_objective(_terms(pair, "psi_bar"), "psi_bar", opt)
+        pair, "rate", lambda: _rate_objective(_terms(pair, "psi_bar"), "psi_bar")
     )
     return objective(float(r))
 
 
-def solve_rate_parameter(
-    pair: HypothesisPair, r: float, opt: OptimizerConfig = DEFAULT_OPT
-) -> float:
+def solve_rate_parameter(pair: HypothesisPair, r: float) -> float:
     """Find a_r with phi_bar(a_r) = r by bisection.
 
     phi_bar is convex, nonincreasing and ranges from 0 to infinity, so a
     bracket always exists: the upper end starts where phi_bar vanishes
-    (one unit above the relative entropy), the lower end doubles downward.
-    Each probe reads the pair's cached psi_bar grid and only decides on
-    which side of r phi_bar(a) lies: its best value never decreases, so
-    the probe stops refining once that value settles the comparison, and
-    a probe that stays below r runs in full.  The result is the same bit
-    for bit as with every probe run to the end.
+    (one unit above the relative entropy), the lower end doubles downward,
+    and the bisection stops at width ``BISECTION_WIDTH``.  Each probe reads
+    the pair's cached psi_bar grid and only decides on which side of r
+    phi_bar(a) lies: its best value never decreases, so the probe stops
+    refining once that value settles the comparison, and a probe that stays
+    below r runs in full.  The result is the same bit for bit as with every
+    probe run to the end.
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    transform = _pair_transform(pair, "psi_bar", opt)
+    transform = _pair_transform(pair, "psi_bar")
 
     def exceeds(a):
         return transform(a, lambda v: v > r)[0] > r
@@ -387,9 +384,8 @@ def solve_rate_parameter(
         if a_lo < -1e6:
             raise BracketFailure("lower bracket exceeded -1e6")
     # |d phi_bar / d a| <= 1, so a bracket of width w pins the value to w.
-    width_goal = min(opt.bisection_tol / 10.0, 1e-11)
     for _ in range(200):
-        if a_hi - a_lo <= width_goal:
+        if a_hi - a_lo <= BISECTION_WIDTH:
             break
         mid = 0.5 * (a_lo + a_hi)
         if reaches(mid):
@@ -425,9 +421,7 @@ def classical_psi(p, q, s: float) -> float:
     return float(terms.sum())
 
 
-def classical_hoeffding(
-    p, q, r: float, opt: OptimizerConfig = DEFAULT_OPT
-) -> float:
+def classical_hoeffding(p, q, r: float) -> float:
     """Classical trade-off exponent for distributions with full common support.
 
     Maximizes ``(E(s) - (1-s) r) / s`` over s in (0, 1], where
@@ -444,7 +438,7 @@ def classical_hoeffding(
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)
-    return _rate_objective(terms, "classical", opt)(float(r))
+    return _rate_objective(terms, "classical")(float(r))
 
 
 @dataclass(frozen=True)
@@ -475,12 +469,7 @@ class ExponentCurve:
 SWEEPABLE = ("psi_bar", "psi", "phi_bar", "phi")
 
 
-def sweep_curve(
-    pair: HypothesisPair,
-    which: str,
-    grid,
-    opt: OptimizerConfig = DEFAULT_OPT,
-) -> ExponentCurve:
+def sweep_curve(pair: HypothesisPair, which: str, grid) -> ExponentCurve:
     """Sample one of psi_bar, psi, phi_bar, phi over a strictly increasing grid.
 
     The phi-type sweeps record the maximizing s per grid point.
@@ -493,7 +482,7 @@ def sweep_curve(
     if which == "psi":
         return ExponentCurve("s", grid, psi_values(pair, grid))
     if which in ("phi_bar", "phi"):
-        transform = _pair_transform(pair, "psi_bar" if which == "phi_bar" else "psi", opt)
+        transform = _pair_transform(pair, "psi_bar" if which == "phi_bar" else "psi")
         values = np.empty_like(grid)
         argmax = np.empty_like(grid)
         for i, a in enumerate(grid):

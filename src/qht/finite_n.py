@@ -16,8 +16,9 @@ margin, a top segment of each block spectrum, and the errors
 (:func:`_pinched_errors`), v(sigma_n) and the key residual are sums and
 blocks over the levels, derived once per n.  Only
 :func:`build_pinched_test` forms the dense operator.  Every entry point
-checks the dense budget ``MAX_TENSOR_DIM`` for the largest n it is asked
-for before any work.
+reads its clustering tolerance from ``pair.tol`` and checks the dense
+budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before any
+work.
 
 The plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` is
 evaluated for qubits from the Schur-Weyl decomposition of the n-fold
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_OPT, DEFAULT_TOL, OptimizerConfig, ToleranceConfig
+from .config import ToleranceConfig
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -188,11 +189,12 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
-def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig):
+def _level_data(pair: HypothesisPair, n: int):
     """Eigenvalue levels of sigma_n with the diagonalized blocks of pinch(rho_n).
 
-    The levels are those of :func:`_log_levels`, so numerically coincident
-    eigenvalue products always share one.  Returns ``(levels, M)``: per
+    The levels are those of :func:`_log_levels` at the pair's
+    ``cluster_rel_tol``, so numerically coincident eigenvalue products
+    always share one.  Returns ``(levels, M)``: per
     level its log weight, its positions (the columns of ``V^{(x)n}`` it
     spans) and the eigenpairs of its block; and ``M = (V* rho V)^{(x)n}``,
     rho_n in those columns taken in level order, so each level's block is a
@@ -201,7 +203,7 @@ def _level_data(pair: HypothesisPair, n: int, tol: ToleranceConfig):
     """
     check_dense_budget(pair.dim, n)
     lam, V = pair.sigma_eig
-    logq, order, sizes = _log_levels(lam, n, tol.cluster_rel_tol)
+    logq, order, sizes = _log_levels(lam, n, pair.tol.cluster_rel_tol)
     M = tensor_power(V.conj().T @ pair.rho @ V, n)[np.ix_(order, order)]
     levels = []
     start = 0
@@ -250,12 +252,7 @@ def _pinched_errors(levels, n: int, a: float, tol: ToleranceConfig) -> ErrorProb
     return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
 
 
-def build_pinched_test(
-    pair: HypothesisPair,
-    n: int,
-    a: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TestOperator:
+def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n.
 
     Within each sigma_n eigenvalue level the difference is the pinched
@@ -268,24 +265,19 @@ def build_pinched_test(
     sums of :func:`_pinched_errors`.
     """
     a = float(a)
-    levels, _ = _level_data(pair, n, tol)
+    levels, _ = _level_data(pair, n)
     Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
     W = np.hstack([
-        Vn[:, lev.positions] @ lev.vectors[:, _kept(lev, n, a, tol) :].copy()
+        Vn[:, lev.positions] @ lev.vectors[:, _kept(lev, n, a, pair.tol) :].copy()
         for lev in levels
     ])
-    errors = _pinched_errors(levels, n, a, tol)
+    errors = _pinched_errors(levels, n, a, pair.tol)
     return TestOperator(operator=W @ W.conj().T, n=n, a=a, errors=errors)
 
 
-def build_plain_test(
-    pair: HypothesisPair,
-    n: int,
-    a: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> TestOperator:
+def build_plain_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     """Projection onto the positive part of rho_n - e^{na} sigma_n, unpinched."""
     a = float(a)
     check_dense_budget(pair.dim, n)
@@ -298,7 +290,7 @@ def build_plain_test(
     rho_n = tensor_power(pair.rho, n)
     sigma_n = tensor_power(pair.sigma, n)
     X = rho_n - math.exp(n * a) * sigma_n
-    return TestOperator(operator=positive_projection(X, tol), n=n, a=a)
+    return TestOperator(operator=positive_projection(X, pair.tol), n=n, a=a)
 
 
 def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbabilities:
@@ -326,13 +318,7 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
-def verify_bounds(
-    pair: HypothesisPair,
-    n_range,
-    a_grid,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    opt: OptimizerConfig = DEFAULT_OPT,
-) -> list[BoundReport]:
+def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
     One report per (n, a); the envelopes come from the same phi_bar value
@@ -347,17 +333,17 @@ def verify_bounds(
     """
     n_range = list(n_range)
     check_dense_budget(pair.dim, max(n_range, default=0))
-    transform = _pair_transform(pair, "psi_bar", opt)
+    transform = _pair_transform(pair, "psi_bar")
     phis = {float(a): transform(float(a))[0] for a in a_grid}
     reports = []
     for n in n_range:
-        levels, M = _level_data(pair, n, tol)
+        levels, M = _level_data(pair, n)
         sizes = [len(lev.positions) for lev in levels]
-        key = min_eigenvalue(len(sizes) * block_diagonal(M, sizes) - M, tol)
+        key = min_eigenvalue(len(sizes) * block_diagonal(M, sizes) - M, pair.tol)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
-            ep = _pinched_errors(levels, n, a, tol)
+            ep = _pinched_errors(levels, n, a, pair.tol)
             reports.append(
                 BoundReport(
                     n=int(n),
@@ -374,13 +360,7 @@ def verify_bounds(
     return reports
 
 
-def stein_trace(
-    pair: HypothesisPair,
-    a: float,
-    n_max: int,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    opt: OptimizerConfig = DEFAULT_OPT,
-) -> list[SteinPoint]:
+def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     """Errors of the pinched test for n = 1..n_max at fixed a below D.
 
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
@@ -393,11 +373,11 @@ def stein_trace(
     div = relative_entropy(pair)
     if a >= div:
         raise RateAboveDivergence(f"a = {a} is not below D = {div}")
-    value, _ = phi_bar(pair, a, opt)
+    value, _ = phi_bar(pair, a)
     points = []
     for n in range(1, int(n_max) + 1):
-        levels, _ = _level_data(pair, n, tol)
-        ep = _pinched_errors(levels, n, a, tol)
+        levels, _ = _level_data(pair, n)
+        ep = _pinched_errors(levels, n, a, pair.tol)
         rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
             SteinPoint(
@@ -451,9 +431,7 @@ def _spin_blocks(X: np.ndarray, n: int):
         yield mult, det**t * _sym_power(X, n - 2 * t)
 
 
-def _plain_errors_spin_blocks(
-    pair: HypothesisPair, n: int, a: float, tol: ToleranceConfig
-) -> ErrorProbabilities:
+def _plain_errors_spin_blocks(pair: HypothesisPair, n: int, a: float) -> ErrorProbabilities:
     """Errors of the plain test {rho_n > e^{na} sigma_n} for a qubit pair.
 
     In sigma's eigenbasis, with ``X = V* rho V`` and ``Q = diag(q)``, the
@@ -483,7 +461,7 @@ def _plain_errors_spin_blocks(
     )
     # kept clusters are a top segment of the sorted spectrum, so the test
     # keeps exactly the eigenvalues from the smallest kept one up
-    kept_values = spectrum[strictly_positive(spectrum, tol)]
+    kept_values = spectrum[strictly_positive(spectrum, pair.tol)]
     cut = kept_values[0] if kept_values.size else math.inf
     alpha = beta = 0.0
     for (m, R, S), (w, U) in zip(blocks, eigs):
@@ -494,13 +472,7 @@ def _plain_errors_spin_blocks(
     return ErrorProbabilities(alpha=alpha, beta=beta, n=n, a=a)
 
 
-def conjecture_probe(
-    pair: HypothesisPair,
-    n_range,
-    a: float,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    opt: OptimizerConfig = DEFAULT_OPT,
-) -> ConjectureReport:
+def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureReport:
     """Rate table for the plain test against the plain-exponent bounds.
 
     The targets are theorems: for P = {rho_n > e^{na} sigma_n}, Audenaert
@@ -518,13 +490,13 @@ def conjecture_probe(
     n_range = [int(n) for n in n_range]
     check_dense_budget(pair.dim, max(n_range, default=0))
     a = float(a)
-    value, _ = phi(pair, a, opt)
+    value, _ = phi(pair, a)
     rows = []
     for n in n_range:
         if pair.dim == 2:
-            ep = _plain_errors_spin_blocks(pair, n, a, tol)
+            ep = _plain_errors_spin_blocks(pair, n, a)
         else:
-            ep = error_probabilities(pair, build_plain_test(pair, n, a, tol))
+            ep = error_probabilities(pair, build_plain_test(pair, n, a))
         la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf
         lb = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         rows.append(

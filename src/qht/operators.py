@@ -9,7 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, MAX_TENSOR_DIM, ToleranceConfig
+from .config import (
+    DEFAULT_TOL,
+    HERMITIAN_TOL,
+    MAX_TENSOR_DIM,
+    PSD_TOL,
+    SUPPORT_CUTOFF,
+    ToleranceConfig,
+)
 from .errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
@@ -33,18 +40,18 @@ def hermitian_part(M) -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def _require_symmetric(A: np.ndarray, scale: float, tol: ToleranceConfig) -> None:
+def _require_symmetric(A: np.ndarray, scale: float) -> None:
     asym = np.abs(A - A.conj().T).max() if A.size else 0.0
-    if asym > tol.hermitian_tol * scale:
+    if asym > HERMITIAN_TOL * scale:
         raise NonHermitianInput(
-            f"max |M - M*| = {asym:.3e} exceeds {tol.hermitian_tol:.1e} * {scale:.3e}"
+            f"max |M - M*| = {asym:.3e} exceeds {HERMITIAN_TOL:.1e} * {scale:.3e}"
         )
 
 
-def check_hermitian(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def check_hermitian(M) -> np.ndarray:
     """Validate Hermitian symmetry of ``M`` relative to its spectral norm."""
     A = as_complex_matrix(M)
-    _require_symmetric(A, 1.0 + (np.linalg.norm(A, 2) if A.size else 0.0), tol)
+    _require_symmetric(A, 1.0 + (np.linalg.norm(A, 2) if A.size else 0.0))
     return A
 
 
@@ -108,7 +115,7 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
     A = as_complex_matrix(H)
     w, V = np.linalg.eigh(hermitian_part(A))
     means, sizes, thr, norm = _gap_clusters(w, tol)
-    _require_symmetric(A, 1.0 + norm, tol)
+    _require_symmetric(A, 1.0 + norm)
     return SpectralDecomposition(
         eigenvalues=means, vectors=V, sizes=sizes, cluster_tol=thr
     )
@@ -182,16 +189,16 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     Integer ``t >= 0`` works on any Hermitian input.  Fractional or negative
     ``t`` requires a positive semidefinite operator; eigenvalues within
-    ``psd_tol`` of zero are floored at zero first.  For ``t < 0`` the
+    ``PSD_TOL`` of zero are floored at zero first.  For ``t < 0`` the
     operator must have full support: in strict mode a cluster at or below
-    ``support_cutoff * max_eigenvalue`` raises, otherwise it is excluded
+    ``SUPPORT_CUTOFF * max_eigenvalue`` raises, otherwise it is excluded
     (inverse on the support).  ``t == 0`` returns the support projection.
     """
     dec = eigendecompose(H, tol)
     w = dec.eigenvalues.copy()
     norm = np.abs(w).max() if w.size else 0.0
     fractional = not float(t).is_integer()
-    if (t < 0 or fractional) and w.min() < -tol.psd_tol * norm:
+    if (t < 0 or fractional) and w.min() < -PSD_TOL * norm:
         raise NegativeSpectrum(
             f"matrix_power with t={t} needs a PSD operator; min eigenvalue {w.min():.3e}"
         )
@@ -199,9 +206,9 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
         w = np.clip(w, 0.0, None)
 
     if t == 0:
-        f = (np.abs(w) > tol.support_cutoff * norm).astype(float)
+        f = (np.abs(w) > SUPPORT_CUTOFF * norm).astype(float)
     elif t < 0:
-        small = w <= tol.support_cutoff * w.max()
+        small = w <= SUPPORT_CUTOFF * w.max()
         if small.any() and tol.strict:
             raise SingularInStrictMode(
                 f"negative power t={t} of a rank-deficient operator in strict mode"
@@ -232,7 +239,7 @@ def tensor_power(A, n: int) -> np.ndarray:
 
 
 def min_eigenvalue(X, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Smallest clustered eigenvalue; X >= 0 iff this is >= -psd_tol * norm."""
+    """Smallest clustered eigenvalue; X >= 0 iff this is >= -PSD_TOL * norm."""
     dec = eigendecompose(X, tol)
     return float(dec.eigenvalues[0])
 
@@ -255,9 +262,7 @@ def key_inequality_residual(
     return min_eigenvalue(residual, tol)
 
 
-def operator_convexity_gap(
-    A, X, Y, t: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
+def operator_convexity_gap(A, X, Y, t: float) -> np.ndarray:
     """Gap matrix of the operator convexity of X -> X* A X for PSD ``A``.
 
     Returns ``t X*AX + (1-t) Y*AY - Z*AZ`` with ``Z = tX + (1-t)Y``, which
@@ -265,10 +270,10 @@ def operator_convexity_gap(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    A = check_hermitian(A, tol)
+    A = check_hermitian(A)
     wA = np.linalg.eigvalsh(hermitian_part(A))
     norm = np.abs(wA).max() if wA.size else 0.0
-    if wA.min() < -tol.psd_tol * norm:
+    if wA.min() < -PSD_TOL * norm:
         raise NotPositiveSemidefinite(
             f"weight operator has min eigenvalue {wA.min():.3e}"
         )

@@ -4,7 +4,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
+from .config import DEFAULT_TOL, PSD_TOL, SUPPORT_CUTOFF, TRACE_TOL, ToleranceConfig
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -15,14 +15,14 @@ from .errors import (
 from .operators import check_hermitian, hermitian_part
 
 
-def check_density(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def check_density(M) -> np.ndarray:
     """Validate a density operator: Hermitian, PSD within tolerance, unit trace."""
-    A = check_hermitian(M, tol)
+    A = check_hermitian(M)
     w = np.linalg.eigvalsh(hermitian_part(A))
-    if w.min() < -tol.psd_tol:
+    if w.min() < -PSD_TOL:
         raise NotPositiveSemidefinite(f"min eigenvalue {w.min():.3e}")
     tr = np.trace(A).real
-    if abs(tr - 1.0) > tol.trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantViolation("trace", f"trace is {tr!r}, expected 1")
     return A
 
@@ -30,18 +30,21 @@ def check_density(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 class HypothesisPair:
     """A validated pair (rho, sigma) of equal-dimension density operators.
 
-    rho is the null hypothesis, sigma the alternative.  In strict mode
-    (the default ToleranceConfig) both states must be positive definite,
-    because the exponent functions take inverse powers and logarithms of
-    them.  Eigendecompositions of both states are computed once and cached;
-    eigenvalues within ``psd_tol`` below zero are floored at zero.  The
-    kernel terms and grid scans of :mod:`qht.exponents` are cached on the
-    pair too, keyed by kernel and ``OptimizerConfig``, and freed with it.
+    rho is the null hypothesis, sigma the alternative.  ``tol`` is the one
+    numerical configuration of every computation on the pair: the finite-n
+    tests read its ``cluster_rel_tol``, and the exponent functions run at
+    fixed settings.  In strict mode (the default ToleranceConfig) both
+    states must be positive definite, because the exponent functions take
+    inverse powers and logarithms of them.  Eigendecompositions of both
+    states are computed once and cached; eigenvalues within ``PSD_TOL``
+    below zero are floored at zero.  The kernel terms and grid scans of
+    :mod:`qht.exponents` are cached on the pair too, keyed by kernel, and
+    freed with it.
     """
 
     def __init__(self, rho, sigma, tol: ToleranceConfig = DEFAULT_TOL):
-        rho = check_density(rho, tol)
-        sigma = check_density(sigma, tol)
+        rho = check_density(rho)
+        sigma = check_density(sigma)
         if rho.shape != sigma.shape:
             raise DimensionMismatch(
                 f"rho has dimension {rho.shape[0]}, sigma {sigma.shape[0]}"
@@ -71,7 +74,7 @@ class HypothesisPair:
 
     def assert_invertible(self, context: str) -> None:
         """Raise SingularInput unless both states have full support."""
-        if self._min_support_ratio() <= self.tol.support_cutoff:
+        if self._min_support_ratio() <= SUPPORT_CUTOFF:
             raise SingularInput(
                 f"{context} requires positive definite states; "
                 f"smallest relative eigenvalue is {self._min_support_ratio():.3e}"

@@ -15,7 +15,6 @@ import itertools
 import mpmath as mp
 import numpy as np
 
-from qht.config import DEFAULT_OPT
 from qht.errors import BracketFailure
 from qht.exponents import _psi_bar_terms, _transform, relative_entropy
 
@@ -102,13 +101,13 @@ def grid_max_hoeffding(p, q, r, points=1_000_000):
     return float(vals.max())
 
 
-def reference_rate_parameter(pair, r, opt=DEFAULT_OPT):
+def reference_rate_parameter(pair, r):
     """a_r with phi_bar(a_r) = r, bisected on an uncached psi_bar grid.
 
     The bracket-and-bisect loop of ``solve_rate_parameter`` as it was before
     the per-pair cache: every probe takes the full Newton refinement.
     """
-    transform = _transform(_psi_bar_terms(pair), "psi_bar", opt)
+    transform = _transform(_psi_bar_terms(pair), "psi_bar")
 
     def value(a):
         return transform(a)[0]
@@ -125,9 +124,8 @@ def reference_rate_parameter(pair, r, opt=DEFAULT_OPT):
         a_lo *= 2.0
         if a_lo < -1e6:
             raise BracketFailure("lower bracket exceeded -1e6")
-    width_goal = min(opt.bisection_tol / 10.0, 1e-11)
     for _ in range(200):
-        if a_hi - a_lo <= width_goal:
+        if a_hi - a_lo <= 1e-11:
             break
         mid = 0.5 * (a_lo + a_hi)
         if value(mid) >= r:

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qht
+from qht import serialization as ser
 from qht.cli import _parse_grid, build_parser, main
+from qht.finite_n import ConjectureRow
 
 
 def run(capsys, *argv):
@@ -220,6 +223,19 @@ class TestConjectureCommand:
         ]
         assert "log_alpha_rate" in out
 
+    def test_tol_cluster_reaches_the_probe(self, capsys):
+        argv = ["conjecture", "--preset", "qubit-generic", "--n-max", "4"]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "--tol-cluster", "0.5")
+        assert code == 0
+        assert out != default
+        pair = qht.preset_pair("qubit-generic", qht.ToleranceConfig(cluster_rel_tol=0.5))
+        report = qht.conjecture_probe(pair, range(1, 5), 0.5 * qht.relative_entropy(pair))
+        assert out.splitlines(keepends=True)[2:] == ser.table_to_csv(
+            ConjectureRow, report.rows
+        ).splitlines(keepends=True)
+
 
 class TestErrorPaths:
     def test_invalid_pair_file_names_invariant(self, capsys, tmp_path):
@@ -281,6 +297,33 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "--smooth" in err
+
+    @pytest.mark.parametrize("command", ["exponents", "curves", "hoeffding"])
+    def test_tol_cluster_rejected_where_nothing_clusters(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tol-cluster", "0.5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("verify", "--pairs", "0"),
+            ("verify", "--pairs", "-1"),
+            ("verify", "--n-max", "0"),
+            ("finite-n", "--n-max", "0"),
+            ("conjecture", "--n-max", "0"),
+            ("conjecture", "--n-max", "two"),
+        ],
+        ids=lambda part: part.removeprefix("--"),
+    )
+    def test_counts_below_one_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}" in captured.err
 
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")

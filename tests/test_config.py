@@ -1,20 +1,15 @@
+import dataclasses
+
 import pytest
 
 import qht
+from qht import config, exponents
 
 
 def test_tolerances_must_be_positive():
-    for field in (
-        "cluster_rel_tol",
-        "psd_tol",
-        "support_cutoff",
-        "hermitian_tol",
-        "trace_tol",
-    ):
+    for value in (0.0, -1e-9):
         with pytest.raises(ValueError):
-            qht.ToleranceConfig(**{field: 0.0})
-        with pytest.raises(ValueError):
-            qht.ToleranceConfig(**{field: -1e-9})
+            qht.ToleranceConfig(cluster_rel_tol=value)
 
 
 def test_defaults_are_valid():
@@ -23,11 +18,13 @@ def test_defaults_are_valid():
     assert tol.cluster_rel_tol == 1e-10
 
 
-def test_optimizer_validation():
-    with pytest.raises(ValueError):
-        qht.OptimizerConfig(grid_points=2)
-    with pytest.raises(ValueError):
-        qht.OptimizerConfig(refine_iterations=0)
-    with pytest.raises(ValueError):
-        qht.OptimizerConfig(bisection_tol=0.0)
-    assert qht.OptimizerConfig().grid_points == 2001
+def test_pair_settings_are_the_only_settable_values():
+    assert [f.name for f in dataclasses.fields(qht.ToleranceConfig)] == [
+        "cluster_rel_tol",
+        "strict",
+    ]
+    assert not hasattr(qht, "OptimizerConfig")
+    assert (config.PSD_TOL, config.SUPPORT_CUTOFF) == (1e-10, 1e-12)
+    assert (config.HERMITIAN_TOL, config.TRACE_TOL) == (1e-10, 1e-10)
+    assert (exponents.GRID_POINTS, exponents.NEWTON_STEPS) == (2001, 60)
+    assert exponents.BISECTION_WIDTH == 1e-11

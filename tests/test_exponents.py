@@ -7,7 +7,6 @@ import pytest
 
 import qht
 from qht import exponents
-from qht.config import DEFAULT_OPT
 from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms, _real_trace
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
@@ -40,8 +39,6 @@ OPTIMIZER_PAIRS = [
     for dim in (2, 3, 4)
     for seed in range(2)
 ] + [pytest.param(qht.preset_pair(name), id=name) for name in PRESETS]
-
-COARSE_OPT = qht.OptimizerConfig(grid_points=301, refine_iterations=5, bisection_tol=1e-6)
 
 
 def thresholds(pair):
@@ -331,13 +328,6 @@ class TestPhi:
         div = qht.relative_entropy(generic)
         assert qht.phi(generic, div)[0] >= -1e-15
 
-    def test_respects_optimizer_config(self, generic):
-        div = qht.relative_entropy(generic)
-        coarse = qht.phi(generic, 0.5 * div, qht.OptimizerConfig(refine_iterations=1))
-        fine = qht.phi(generic, 0.5 * div)
-        assert coarse[1] != fine[1]
-        assert coarse[0] <= fine[0]
-
     def test_brute_force_grid_oracle(self, commuting):
         value, _ = qht.phi(commuting, 0.0)
         oracle = grid_max_phi([0.5, 0.5], [0.9, 0.1], 0.0)
@@ -395,20 +385,20 @@ class TestRateParameter:
             qht.solve_rate_parameter(generic, 0.0)
 
 
-def exponent_results(pair_of, opt):
+def exponent_results(pair_of):
     """Every grid-scanning entry point, one call per item, in a fixed order.
 
     ``pair_of()`` gives the pair for each call: one warm pair, or a fresh one.
     """
     a_grid = thresholds(pair_of())
     for a in a_grid:
-        yield qht.phi_bar(pair_of(), a, opt)
-        yield qht.phi(pair_of(), a, opt)
+        yield qht.phi_bar(pair_of(), a)
+        yield qht.phi(pair_of(), a)
     for r in (0.01, 0.1, 0.5):
-        yield qht.hoeffding_rate(pair_of(), r, opt)
-        yield qht.solve_rate_parameter(pair_of(), r, opt)
+        yield qht.hoeffding_rate(pair_of(), r)
+        yield qht.solve_rate_parameter(pair_of(), r)
     for which in ("phi_bar", "phi"):
-        curve = qht.sweep_curve(pair_of(), which, a_grid, opt)
+        curve = qht.sweep_curve(pair_of(), which, a_grid)
         yield curve.values.tolist(), curve.argmax_s.tolist()
 
 
@@ -418,32 +408,16 @@ def fresh_copies(pair):
 
 
 class TestPairCache:
-    @pytest.mark.parametrize("opt", [DEFAULT_OPT, COARSE_OPT], ids=["default", "coarse"])
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_warm_pair_matches_fresh_pair(self, dim, opt):
+    def test_warm_pair_matches_fresh_pair(self, dim):
         for pair in seeded_pairs(2, start=40, dim=dim):
-            cold = list(exponent_results(fresh_copies(pair), opt))
+            cold = list(exponent_results(fresh_copies(pair)))
             for _ in range(2):
-                assert list(exponent_results(lambda: pair, opt)) == cold
-
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_configs_interleaved_keep_their_own_values(self, dim):
-        pair = qht.random_pair(50, dim)
-        configs = (DEFAULT_OPT, COARSE_OPT)
-        cold = [list(exponent_results(fresh_copies(pair), opt)) for opt in configs]
-        assert cold[0] != cold[1]
-        for _ in range(2):
-            # zip alternates the two configs call by call on the one pair
-            warm = zip(
-                exponent_results(lambda: pair, DEFAULT_OPT),
-                exponent_results(lambda: pair, COARSE_OPT),
-            )
-            assert list(warm) == list(zip(*cold))
+                assert list(exponent_results(lambda: pair)) == cold
 
     def test_warm_pair_is_garbage_collected(self):
         pair = qht.random_pair(60, 3)
-        for opt in (DEFAULT_OPT, COARSE_OPT):
-            list(exponent_results(lambda: pair, opt))
+        list(exponent_results(lambda: pair))
         qht.psi_derivatives(pair, 0.5)
         ref = weakref.ref(pair)
         del pair
@@ -472,17 +446,16 @@ class TestPairCache:
         for r in (0.01, 0.1, 0.5):
             qht.solve_rate_parameter(pair, r)
             qht.hoeffding_rate(pair, r)
-        assert scans == [DEFAULT_OPT.grid_points] * 2
+        assert scans == [2001] * 2
 
-    @pytest.mark.parametrize("opt", [DEFAULT_OPT, COARSE_OPT], ids=["default", "coarse"])
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_rate_parameter_matches_full_probes(self, dim, opt):
+    def test_rate_parameter_matches_full_probes(self, dim):
         doubled = False
         for pair in seeded_pairs(3, start=80, dim=dim):
-            doubled = doubled or qht.phi_bar(pair, -1.0, opt)[0] < 3.0
+            doubled = doubled or qht.phi_bar(pair, -1.0)[0] < 3.0
             for r in (0.01, 0.1, 0.5, 3.0):
-                reference = reference_rate_parameter(pair, r, opt)
-                assert qht.solve_rate_parameter(pair, r, opt) == reference
+                reference = reference_rate_parameter(pair, r)
+                assert qht.solve_rate_parameter(pair, r) == reference
         assert doubled  # r = 3 took the lower bracket below -1 at least once
 
     def test_point_residue_rule_matches_real_trace(self):

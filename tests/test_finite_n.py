@@ -117,18 +117,6 @@ class TestBuildPinchedTest:
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.build_pinched_test(generic, 3, 0.0)
 
-    def test_levels_follow_each_builds_cluster_tolerance(self, level_counts):
-        coarse = qht.ToleranceConfig(cluster_rel_tol=10.0)
-        qht.build_pinched_test(qht.preset_pair("qubit-generic"), 3, 0.0, coarse)
-        fresh = level_counts[-1]
-        pair = qht.preset_pair("qubit-generic")
-        qht.build_pinched_test(pair, 3, 0.0)
-        qht.build_pinched_test(pair, 3, 0.0, coarse)
-        cached = level_counts[-1]
-        assert fresh == 1
-        assert cached == fresh
-
-
     def test_singular_sigma_levels_without_warnings(self):
         # the kernel of sigma_n is one level of log weight -inf; comparing
         # logs must not subtract -inf from -inf
@@ -137,12 +125,35 @@ class TestBuildPinchedTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
-                levels, _ = _level_data(pair, n, tol)
+                levels, _ = _level_data(pair, n)
                 assert len(levels) == 2
                 assert [len(lev.positions) for lev in levels] == [2**n - 1, 1]
-                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1, tol))
+                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1))
                 assert abs(ep.alpha - 0.6**n) <= 1e-15
                 assert ep.beta == 0.0
+
+
+def test_every_entry_point_follows_the_pairs_cluster_tolerance(level_counts):
+    # cluster_rel_tol = 10 merges all sigma_n levels into one and leaves no
+    # eigenvalue of rho_n - e^{na} sigma_n strictly positive
+    coarse_tol = qht.ToleranceConfig(cluster_rel_tol=10.0)
+    coarse = qht.preset_pair("qubit-generic", coarse_tol)
+    generic = qht.preset_pair("qubit-generic")
+    a = 0.5 * qht.relative_entropy(generic)
+    for pair, counts in ((coarse, [1, 1, 1, 1, 1]), (generic, [4, 4, 2, 3, 4])):
+        level_counts.clear()
+        qht.build_pinched_test(pair, 3, a)
+        qht.verify_bounds(pair, [3], [a])
+        qht.stein_trace(pair, a, 3)  # n = 1, 2, 3
+        assert level_counts == counts
+    assert not qht.build_plain_test(coarse, 3, a).operator.any()
+    assert qht.build_plain_test(generic, 3, a).operator.any()
+    qutrit = qht.random_pair(0, 3, coarse_tol)  # the dense plain-test path
+    for pair in (coarse, qutrit):
+        (row,) = qht.conjecture_probe(pair, [3 if pair.dim == 2 else 2], a).rows
+        assert row.beta == 0.0
+        assert abs(row.alpha - 1.0) <= 1e-14
+    assert qht.conjecture_probe(generic, [3], a).rows[0].beta > 0.0
 
 
 class TestBuildPlainTest:
@@ -389,7 +400,7 @@ class TestKeepRule:
         div = qht.relative_entropy(pair)
         grid = (-0.5, 0.0, 0.5, 0.25 * div, 0.5 * div, 0.9 * div, div + 0.5)
         for n in range(1, 6):
-            levels, _ = _level_data(pair, n, qht.DEFAULT_TOL)
+            levels, _ = _level_data(pair, n)
             for a in grid:
                 alpha, beta = pinched_test_errors_mp(pair, n, a)
                 ep = _pinched_errors(levels, n, a, qht.DEFAULT_TOL)
@@ -406,7 +417,7 @@ class TestKeepRule:
 
     def test_identical_pair_keeps_nothing_at_zero(self, identical):
         for n in range(1, 9):
-            levels, _ = _level_data(identical, n, qht.DEFAULT_TOL)
+            levels, _ = _level_data(identical, n)
             for lev in levels:
                 assert _kept(lev, n, 0.0, qht.DEFAULT_TOL) == len(lev.eigenvalues)
             ep = _pinched_errors(levels, n, 0.0, qht.DEFAULT_TOL)
@@ -421,7 +432,7 @@ class TestKeepRule:
         pair = qht.random_pair(data.draw(st.integers(0, 2**31 - 1), label="seed"), dim)
         div = qht.relative_entropy(pair)
         a = data.draw(st.floats(-0.5, div + 0.5), label="a")
-        levels, _ = _level_data(pair, n, qht.DEFAULT_TOL)
+        levels, _ = _level_data(pair, n)
         ep = _pinched_errors(levels, n, a, qht.DEFAULT_TOL)
         test = qht.build_pinched_test(pair, n, a)
         alpha_dense, beta_dense = exact_errors(pair, test)
@@ -511,8 +522,7 @@ def dense_plain_errors(pair, n, a):
     return qht.error_probabilities(pair, qht.build_plain_test(pair, n, a))
 
 
-def block_plain_errors(pair, n, a, tol=qht.DEFAULT_TOL):
-    return _plain_errors_spin_blocks(pair, n, a, tol)
+block_plain_errors = _plain_errors_spin_blocks
 
 
 class TestSpinBlocks:
@@ -618,9 +628,9 @@ class TestPlainErrorsFromSpinBlocks:
                 warnings.simplefilter("error")
                 for n in range(1, 7):
                     for a in (-0.3, 0.0, 0.2, 1.0):
-                        ep = block_plain_errors(pair, n, a, tol)
+                        ep = block_plain_errors(pair, n, a)
                         dense = qht.error_probabilities(
-                            pair, qht.build_plain_test(pair, n, a, tol)
+                            pair, qht.build_plain_test(pair, n, a)
                         )
                         assert abs(ep.alpha - dense.alpha) <= 1e-14
                         assert abs(ep.beta - dense.beta) <= 1e-14
@@ -633,9 +643,9 @@ class TestPlainErrorsFromSpinBlocks:
         tol = qht.ToleranceConfig(strict=False)
         singular = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]), tol)
         with pytest.raises(qht.SingularInput):
-            block_plain_errors(singular, 2, 400.0, tol)
+            block_plain_errors(singular, 2, 400.0)
         with pytest.raises(qht.SingularInput):
-            qht.build_plain_test(singular, 2, 400.0, tol)
+            qht.build_plain_test(singular, 2, 400.0)
 
     def test_budget_checked_first(self, generic, monkeypatch):
         with pytest.raises(qht.DimensionBudgetExceeded):

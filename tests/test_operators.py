@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import qht
 from qht import operators
+from qht.config import HERMITIAN_TOL
 from qht.operators import hermitian_part, strictly_positive
 
 from conftest import rng_hermitian
@@ -39,9 +40,9 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("factor,raises", [(1.001, True), (0.999, False)])
     def test_asymmetry_threshold(self, factor, raises):
-        # the symmetry slack is hermitian_tol * (1 + max |eigenvalue|) of the
+        # the symmetry slack is HERMITIAN_TOL * (1 + max |eigenvalue|) of the
         # Hermitian part, here 1e-10 * 3; |M - M*| is the one entry delta
-        tol = qht.DEFAULT_TOL.hermitian_tol
+        tol = HERMITIAN_TOL
         delta = factor * tol * 3.0
         M = np.diag([2.0, -1.0]).astype(complex)
         M[0, 1] = delta
