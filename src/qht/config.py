@@ -1,14 +1,17 @@
 """The settable numerical configuration and the fixed tolerances and budget."""
 
+import math
+import sys
 from dataclasses import dataclass
 
 # The one dense budget on d^n, a fixed constant checked by
 # ``operators.check_dense_budget``: ``tensor_power`` checks its own n, and
 # every finite-n entry point checks the largest n of its range before any
 # work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
-# and qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 11``
-# takes 15-17 s and 514 MiB on a 2-core Xeon with OpenBLAS, n = 12 over a
-# minute.
+# and qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 12``
+# takes 3.6 s and 147 MiB on a 2-core Xeon with OpenBLAS, and a seeded
+# qutrit at ``--n-max 7``, whose key residual is a dense eigensolve,
+# 14-15 s and 565 MiB.
 MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.
@@ -19,6 +22,9 @@ SUPPORT_CUTOFF = 1e-12
 # Validation slack for Hermitian symmetry and unit trace.
 HERMITIAN_TOL = 1e-10
 TRACE_TOL = 1e-10
+# Roundoff margin of the strict positivity {X > 0}, relative to the
+# spectral norm of X: computed eigenvalues within it of zero carry no sign.
+POSITIVITY_ROUNDOFF = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,10 @@ class ToleranceConfig:
     strict: bool = True
 
     def __post_init__(self):
-        if self.cluster_rel_tol <= 0.0:
-            raise ValueError("cluster_rel_tol must be strictly positive")
+        if not (math.isfinite(self.cluster_rel_tol) and self.cluster_rel_tol > 0.0):
+            raise ValueError(
+                f"cluster_rel_tol must be finite and strictly positive, got {self.cluster_rel_tol!r}"
+            )
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -14,19 +14,23 @@ rho_n, are the one representation of the pinched test: :func:`_kept`
 keeps the block eigenvalues above the level's threshold by a relative
 margin, a top segment of each block spectrum, and the errors
 (:func:`_pinched_errors`), v(sigma_n) and the key residual are sums and
-blocks over the levels, derived once per n.  Only
-:func:`build_pinched_test` forms the dense operator.  Every entry point
-reads its clustering tolerance from ``pair.tol`` and checks the dense
-budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before any
-work.
+blocks over the levels, derived once per n.  Each level's block is built
+from its positions alone, so the n-fold rho_n is never formed for them.
+Only :func:`build_pinched_test` forms the dense operator.  Every entry
+point reads its clustering tolerance from ``pair.tol`` and checks the
+dense budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before
+any work.
 
-The plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` is
-evaluated for qubits from the Schur-Weyl decomposition of the n-fold
-space: ``A^{(x)n}`` of a 2 x 2 matrix is unitarily the direct sum of the
-spin blocks ``det(A)^t Sym^{n-2t}(A)``, each of size at most n + 1 and
-repeated ``C(n,t) - C(n,t-1)`` times, by the same unitary for every A.  Other
-dimensions use the dense :func:`build_plain_test`, which stays the
-independent cross-check.
+Qubits use the Schur-Weyl decomposition of the n-fold space:
+``A^{(x)n}`` of a 2 x 2 matrix is unitarily the direct sum of the spin
+blocks ``det(A)^t Sym^{n-2t}(A)``, each of size at most n + 1 and repeated
+``C(n,t) - C(n,t-1)`` times, by the same unitary for every A.  The key
+residual of :func:`verify_bounds` and the plain test
+{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` are evaluated on
+these blocks, with each ``Sym^N`` built once per call, so the qubit paths
+form no d^n x d^n matrix.  Other dimensions form ``(V* rho V)^{(x)n}`` for
+the key residual and use the dense :func:`build_plain_test`, which stays
+the independent cross-check.
 """
 
 import math
@@ -43,6 +47,7 @@ from .errors import (
 )
 from .exponents import _pair_transform, phi, phi_bar, relative_entropy
 from .operators import (
+    _gap_clusters,
     block_diagonal,
     check_dense_budget,
     hermitian_part,
@@ -189,31 +194,53 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
-def _level_data(pair: HypothesisPair, n: int):
+def _sigma_basis(pair: HypothesisPair):
+    """``X = V* rho V`` and ``Q = diag(q)``: rho and sigma in sigma's eigenbasis."""
+    q, V = pair.sigma_eig
+    return V.conj().T @ pair.rho @ V, np.diag(q).astype(complex)
+
+
+def _tensor_block(X: np.ndarray, n: int, positions: np.ndarray) -> np.ndarray:
+    """Rows and columns ``positions`` of ``X^{(x)n}``, without forming it.
+
+    Entry (i, j) is the running product over the n tensor factors, most
+    significant first, of X at the digits of positions i and j.  That is the
+    order in which :func:`tensor_power` multiplies, so the block equals the
+    slice of ``tensor_power(X, n)`` bit for bit.
+    """
+    block = np.ones((len(positions), len(positions)), dtype=complex)
+    for digits in np.unravel_index(positions, (len(X),) * n):
+        # np.multiply, not ``*``: numpy may reuse the temporary right operand
+        # of ``*`` and swap the factors, and its fused complex multiply
+        # rounds X * block differently from block * X
+        block = np.multiply(block, X[np.ix_(digits, digits)])
+    return block
+
+
+def _level_data(pair: HypothesisPair, n: int) -> list[_Level]:
     """Eigenvalue levels of sigma_n with the diagonalized blocks of pinch(rho_n).
 
     The levels are those of :func:`_log_levels` at the pair's
     ``cluster_rel_tol``, so numerically coincident eigenvalue products
-    always share one.  Returns ``(levels, M)``: per
-    level its log weight, its positions (the columns of ``V^{(x)n}`` it
-    spans) and the eigenpairs of its block; and ``M = (V* rho V)^{(x)n}``,
-    rho_n in those columns taken in level order, so each level's block is a
-    contiguous diagonal block of ``M``.  The dimension budget is checked
-    before any work; nothing is cached.
+    always share one.  Per level it returns its log weight, its positions
+    (the columns of ``V^{(x)n}`` it spans) and the eigenpairs of its block
+    of ``M = (V* rho V)^{(x)n}``, rho_n in sigma's eigenbasis.  Each block
+    is built from its positions alone (:func:`_tensor_block`), so ``M`` is
+    never formed and the blocks equal its slices bit for bit.  The dimension
+    budget is checked before any work; nothing is cached.
     """
     check_dense_budget(pair.dim, n)
-    lam, V = pair.sigma_eig
-    logq, order, sizes = _log_levels(lam, n, pair.tol.cluster_rel_tol)
-    M = tensor_power(V.conj().T @ pair.rho @ V, n)[np.ix_(order, order)]
+    logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
+    X, _ = _sigma_basis(pair)
     levels = []
     start = 0
     for size in sizes:
-        cols = slice(start, start + size)
-        w, U = np.linalg.eigh(hermitian_part(M[cols, cols]))
+        positions = order[start : start + size]
+        w, U = np.linalg.eigh(hermitian_part(_tensor_block(X, n, positions)))
         # a level is all -inf (singular sigma) or all finite
-        levels.append(_Level(float(logq[order[cols]].mean()), order[cols], w, U))
+        levels.append(_Level(float(logq[positions].mean()), positions, w, U))
         start += size
-    return levels, M
+    return levels
 
 
 def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
@@ -265,7 +292,7 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     sums of :func:`_pinched_errors`.
     """
     a = float(a)
-    levels, _ = _level_data(pair, n)
+    levels = _level_data(pair, n)
     Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
@@ -318,6 +345,54 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
+def _weight_levels(levels, n: int):
+    """The level of each Hamming weight k = 0..n of a qubit sigma_n's positions.
+
+    None when the strings of one weight lie in two levels, which only a
+    level boundary within roundoff of that weight's log weight can cause.
+    """
+    label = np.full(n + 1, -1)
+    for i, lev in enumerate(levels):
+        weights = sum(np.unravel_index(lev.positions, (2,) * n))
+        if (label[weights] >= 0).any():
+            return None
+        label[weights] = i
+    return label
+
+
+def _key_residual(pair: HypothesisPair, n: int, levels, syms) -> float:
+    """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by :func:`min_eigenvalue`.
+
+    In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels, with
+    ``M = (V* rho V)^{(x)n}``.  For a qubit pair whose levels are unions of
+    Hamming weights it is unitarily the direct sum over t of
+    ``v blockdiag(R_t) - R_t``, each repeated ``m_t`` times, with ``R_t`` the
+    spin blocks of :func:`_spin_blocks` (``syms`` their ``Sym^N`` table):
+    weight k meets block t in Dicke index k - t, so the pinching keeps the
+    entries of ``R_t`` whose two indices have weights in one level.  The
+    clustering rule then runs on that spectrum with multiplicities, and no
+    D x D matrix is formed.  Otherwise ``M`` is formed in level order.
+    """
+    v = len(levels)
+    X, _ = _sigma_basis(pair)
+    label = _weight_levels(levels, n) if pair.dim == 2 else None
+    if label is None:
+        order = np.concatenate([lev.positions for lev in levels])
+        M = tensor_power(X, n)[np.ix_(order, order)]
+        sizes = [len(lev.positions) for lev in levels]
+        return min_eigenvalue(v * block_diagonal(M, sizes) - M, pair.tol)
+    spectrum = []
+    for t, (m, R) in enumerate(_spin_blocks(X, n, syms)):
+        same = label[t : n - t + 1]
+        B = v * np.where(same[:, None] == same[None, :], R, 0.0) - R
+        spectrum.append(np.repeat(np.linalg.eigvalsh(hermitian_part(B)), m))
+    spectrum = np.concatenate(spectrum)
+    # the stable argsort of _log_levels: a first use of another numpy sort
+    # kernel maps its code pages, about 0.1 MiB of resident memory
+    means, _, _, _ = _gap_clusters(spectrum[np.argsort(spectrum, kind="stable")], pair.tol)
+    return float(means[0])
+
+
 def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     """Exact errors, envelopes, pinching residual and eigenvalue counts.
 
@@ -325,21 +400,22 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     per threshold, all read off the pair's cached psi_bar grid.  The
     sigma_n levels are derived once per n, and the errors of every
     threshold, v(sigma_n) and the pinching residual all come from them; no
-    test operator is built.
-    The residual is the smallest eigenvalue of ``v blockdiag(M) - M`` with
-    ``M`` rho_n in the level basis, which is ``v pinch(rho_n) - rho_n`` up
-    to that change of basis, so no dense rho_n or pinch is formed.  The
-    dense budget is checked for the largest n before any work.
+    test operator is built.  The residual is that of :func:`_key_residual`:
+    from the spin blocks for qubits, with ``Sym^N(V* rho V)`` built once
+    per N for the whole range, so no d^n x d^n matrix is formed, and from
+    the dense ``v blockdiag(M) - M`` otherwise.  The dense budget is checked
+    for the largest n before any work.
     """
     n_range = list(n_range)
-    check_dense_budget(pair.dim, max(n_range, default=0))
+    n_top = max(n_range, default=0)
+    check_dense_budget(pair.dim, n_top)
     transform = _pair_transform(pair, "psi_bar")
     phis = {float(a): transform(float(a))[0] for a in a_grid}
+    syms = _sym_table(_sigma_basis(pair)[0], n_top) if pair.dim == 2 else None
     reports = []
     for n in n_range:
-        levels, M = _level_data(pair, n)
-        sizes = [len(lev.positions) for lev in levels]
-        key = min_eigenvalue(len(sizes) * block_diagonal(M, sizes) - M, pair.tol)
+        levels = _level_data(pair, n)
+        key = _key_residual(pair, n, levels, syms)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
@@ -353,7 +429,7 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
                     beta=ep.beta,
                     beta_bound=pref * math.exp(-n * (phis[a] + a)),
                     key_residual=key,
-                    v_sigma_n=len(sizes),
+                    v_sigma_n=len(levels),
                     type_bound=pref,
                 )
             )
@@ -376,7 +452,7 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     value, _ = phi_bar(pair, a)
     points = []
     for n in range(1, int(n_max) + 1):
-        levels, _ = _level_data(pair, n)
+        levels = _level_data(pair, n)
         ep = _pinched_errors(levels, n, a, pair.tol)
         rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
@@ -417,38 +493,48 @@ def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
     return S * np.sqrt(binom[N][None, :] / binom[N][:, None])
 
 
-def _spin_blocks(X: np.ndarray, n: int):
+def _sym_table(X: np.ndarray, n_max: int) -> list[np.ndarray]:
+    """``Sym^N(X)`` for N = 0..n_max, built once for a whole range of n."""
+    return [_sym_power(X, N) for N in range(n_max + 1)]
+
+
+def _spin_blocks(X: np.ndarray, n: int, syms):
     """``X^{(x)n}`` of a 2 x 2 matrix as its Schur-Weyl blocks.
 
     Yields ``(m_t, det(X)^t Sym^{n-2t}(X))`` for t = 0..n//2, where the block
     appears ``m_t = C(n,t) - C(n,t-1)`` times in ``X^{(x)n}`` up to a unitary
-    that depends on n alone.  The determinant is the 2 x 2 formula, so equal
-    inputs give bitwise equal blocks.
+    that depends on n alone; ``syms`` is the :func:`_sym_table` of X.  The
+    determinant is the 2 x 2 formula, so equal inputs give bitwise equal
+    blocks.
     """
     det = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
     for t in range(n // 2 + 1):
         mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        yield mult, det**t * _sym_power(X, n - 2 * t)
+        yield mult, det**t * syms[n - 2 * t]
 
 
-def _plain_errors_spin_blocks(pair: HypothesisPair, n: int, a: float) -> ErrorProbabilities:
+def _plain_errors_spin_blocks(
+    pair: HypothesisPair, n: int, a: float, sym_x, sym_q
+) -> ErrorProbabilities:
     """Errors of the plain test {rho_n > e^{na} sigma_n} for a qubit pair.
 
     In sigma's eigenbasis, with ``X = V* rho V`` and ``Q = diag(q)``, the
     difference ``rho_n - e^{na} sigma_n`` is unitarily the direct sum over t
     of ``R_t - e^{na} S_t`` (``R_t``, ``S_t`` the spin blocks of X and Q),
-    each repeated ``m_t`` times.  An eigenvalue is kept by the rule of
-    :func:`positive_projection` applied to all 2^n of them, so up to
+    each repeated ``m_t`` times; ``sym_x`` and ``sym_q`` are the
+    :func:`_sym_table` of X and Q.  An eigenvalue is kept by the rule of
+    :func:`strictly_positive` applied to all 2^n of them, so up to
     roundoff the test is that of :func:`build_plain_test`; ``alpha`` sums
     ``u* R_t u`` over the eigenvectors u left out and ``beta`` sums
     ``u* S_t u`` over those kept, each weighted by ``m_t``.  The work is
     O(n^4) plus a sort of the 2^n eigenvalues, with no 2^n x 2^n matrix.
     """
     check_dense_budget(pair.dim, n)
-    q, V = pair.sigma_eig
-    X = V.conj().T @ pair.rho @ V
-    Q = np.diag(q).astype(complex)
-    blocks = [(m, R, S) for (m, R), (_, S) in zip(_spin_blocks(X, n), _spin_blocks(Q, n))]
+    X, Q = _sigma_basis(pair)
+    blocks = [
+        (m, R, S)
+        for (m, R), (_, S) in zip(_spin_blocks(X, n, sym_x), _spin_blocks(Q, n, sym_q))
+    ]
     if n * a > 700.0:
         # as in build_plain_test: e^{na} overflows and the test is empty
         pair.assert_invertible("plain test with n*a > 700")
@@ -481,20 +567,24 @@ def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureRepor
     keeps its EXPERIMENTAL label and asserts nothing.
 
     Qubit pairs are evaluated from the spin blocks of the n-fold space
-    (:func:`_plain_errors_spin_blocks`), with no 2^n x 2^n matrix; other
+    (:func:`_plain_errors_spin_blocks`), with ``Sym^N`` of both states
+    built once per N for the whole range and no 2^n x 2^n matrix; other
     dimensions build the dense test.  The path depends on ``pair.dim``
-    alone, and both keep the positivity rule of :func:`positive_projection`
+    alone, and both keep the positivity rule of :func:`strictly_positive`
     and the ``n a > 700`` guard.  The dense budget is checked for the
     largest n before any work.
     """
     n_range = [int(n) for n in n_range]
-    check_dense_budget(pair.dim, max(n_range, default=0))
+    n_top = max(n_range, default=0)
+    check_dense_budget(pair.dim, n_top)
     a = float(a)
     value, _ = phi(pair, a)
+    if pair.dim == 2:
+        sym_x, sym_q = (_sym_table(Y, n_top) for Y in _sigma_basis(pair))
     rows = []
     for n in n_range:
         if pair.dim == 2:
-            ep = _plain_errors_spin_blocks(pair, n, a)
+            ep = _plain_errors_spin_blocks(pair, n, a, sym_x, sym_q)
         else:
             ep = error_probabilities(pair, build_plain_test(pair, n, a))
         la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf

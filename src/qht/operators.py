@@ -13,6 +13,7 @@ from .config import (
     DEFAULT_TOL,
     HERMITIAN_TOL,
     MAX_TENSOR_DIM,
+    POSITIVITY_ROUNDOFF,
     PSD_TOL,
     SUPPORT_CUTOFF,
     ToleranceConfig,
@@ -130,9 +131,24 @@ def _gap_clusters(w: np.ndarray, tol: ToleranceConfig):
     """
     norm = np.abs(w).max() if w.size else 0.0
     thr = tol.cluster_rel_tol * norm
-    breaks = np.flatnonzero(np.diff(w) > thr) + 1
-    means = np.array([c.mean() for c in np.split(w, breaks)])
-    return means, np.diff(np.concatenate(([0], breaks, [len(w)]))), thr, norm
+    means, sizes = _cluster_means(w, np.flatnonzero(np.diff(w) > thr) + 1)
+    return means, sizes, thr, norm
+
+
+def _cluster_means(w: np.ndarray, breaks: np.ndarray):
+    """Means and sizes of the runs of ``w`` that start at 0 and at each of ``breaks``.
+
+    A single eigenvalue is its own mean, so only runs of two or more are
+    averaged.
+    """
+    starts = np.concatenate(([0], breaks))
+    sizes = np.diff(np.concatenate((starts, [len(w)])))
+    if not w.size:
+        return np.array([np.nan]), sizes
+    means = w[starts]
+    for i in np.flatnonzero(sizes > 1):
+        means[i] = w[starts[i] : starts[i] + sizes[i]].mean()
+    return means, sizes
 
 
 def block_diagonal(A: np.ndarray, sizes) -> np.ndarray:
@@ -165,23 +181,35 @@ def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
 def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the strictly positive eigenspaces of Hermitian ``X``.
 
-    Clusters whose eigenvalue is within the cluster tolerance of zero do not
-    count as strictly positive, matching the strict inequality in {X > 0}.
+    Eigenvalues are kept by the rule of :func:`strictly_positive`; Hermitian
+    symmetry is checked as in :func:`eigendecompose`.
     """
-    dec = eigendecompose(X, tol)
-    return _spectral_sum(dec, (dec.eigenvalues > dec.cluster_tol).astype(float))
+    A = as_complex_matrix(X)
+    w, V = np.linalg.eigh(hermitian_part(A))
+    _require_symmetric(A, 1.0 + (np.abs(w).max() if w.size else 0.0))
+    return (V * strictly_positive(w, tol).astype(float)) @ V.conj().T
 
 
 def strictly_positive(w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Which of the ascending eigenvalues ``w`` of a Hermitian X lie in {X > 0}.
 
-    The rule of :func:`positive_projection` on a spectrum given as numbers,
-    with multiplicities as repeated entries: gap clusters by
-    :func:`eigendecompose`, and a cluster is kept when its mean exceeds the
-    merge threshold.
+    Multiplicities are repeated entries.  The margin is
+    ``max(cluster_rel_tol * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``:
+    relative to the top of the spectrum, so that for X = A - B with A, B >= 0
+    it scales with the positive part and not with B, which can be larger by
+    many orders of magnitude, and never below the roundoff of an eigensolve
+    of X.  Eigenvalues merge where consecutive gaps are within the margin,
+    and a merged cluster counts as positive when its mean exceeds it, so the
+    kept eigenvalues are a top segment of ``w``.
     """
-    means, sizes, thr, _ = _gap_clusters(np.asarray(w, dtype=float), tol)
-    return np.repeat(means > thr, sizes)
+    w = np.asarray(w, dtype=float)
+    if not w.size:
+        return np.zeros(0, dtype=bool)
+    margin = max(
+        tol.cluster_rel_tol * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max()
+    )
+    means, sizes = _cluster_means(w, np.flatnonzero(np.diff(w) > margin) + 1)
+    return np.repeat(means > margin, sizes)
 
 
 def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -15,6 +15,7 @@ import itertools
 import mpmath as mp
 import numpy as np
 
+from qht.config import POSITIVITY_ROUNDOFF
 from qht.errors import BracketFailure
 from qht.exponents import _psi_bar_terms, _transform, relative_entropy
 
@@ -167,10 +168,11 @@ def plain_test_errors_mp(pair, n, a, cluster_rel_tol=1e-10, dps=30):
     sigma is diagonalized in mpmath, and ``rho_n - e^{na} sigma_n`` is split
     into the blocks ``det(X)^t Sym^{n-2t}(X) - e^{na} det(Q)^t Sym^{n-2t}(Q)``
     of multiplicity ``C(n,t) - C(n,t-1)``, with ``X = V* rho V`` and
-    ``Q = diag(q)``.  Positivity follows ``positive_projection``: the
-    eigenvalues of all blocks, with multiplicity, merge where a gap is at
-    most ``cluster_rel_tol * max|w|``, and a merged cluster counts as
-    positive when its mean exceeds that threshold.  Returns floats.
+    ``Q = diag(q)``.  Positivity follows ``strictly_positive``: with the
+    margin ``max(cluster_rel_tol * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``
+    the eigenvalues of all blocks, with multiplicity, merge where a gap is
+    at most the margin, and a merged cluster counts as positive when its
+    mean exceeds it.  Returns floats.
     """
     with mp.workdps(dps):
         q, V = mp.eighe(_mp_matrix(pair.sigma))
@@ -186,7 +188,10 @@ def plain_test_errors_mp(pair, n, a, cluster_rel_tol=1e-10, dps=30):
             blocks.append((mult, R, S, U))
             spectrum += [(x, len(blocks) - 1, i) for i, x in enumerate(w)]
         spectrum.sort()
-        cut = cluster_rel_tol * max(abs(x) for x, _, _ in spectrum)
+        cut = max(
+            cluster_rel_tol * max(spectrum[-1][0], 0),
+            POSITIVITY_ROUNDOFF * max(abs(x) for x, _, _ in spectrum),
+        )
         clusters = [[spectrum[0]]]
         for prev, entry in zip(spectrum, spectrum[1:]):
             if entry[0] - prev[0] > cut:

@@ -325,6 +325,14 @@ class TestErrorPaths:
         assert captured.out == ""
         assert f"argument {flag}" in captured.err
 
+    @pytest.mark.parametrize("command", ["finite-n", "conjecture"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tol_cluster_rejected(self, capsys, command, value):
+        code, out, err = run(capsys, command, "--n-max", "2", "--tol-cluster", value)
+        assert code == 2
+        assert out == ""
+        assert "finite and strictly positive" in err
+
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")
         assert code == 2

@@ -12,6 +12,14 @@ def test_tolerances_must_be_positive():
             qht.ToleranceConfig(cluster_rel_tol=value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_tolerances_must_be_finite(value):
+    # every comparison with NaN is false, so a NaN tolerance would merge
+    # every level and keep no eigenvalue instead of failing
+    with pytest.raises(ValueError, match="finite"):
+        qht.ToleranceConfig(cluster_rel_tol=value)
+
+
 def test_defaults_are_valid():
     tol = qht.ToleranceConfig()
     assert tol.strict is True

@@ -53,6 +53,25 @@ class TestEigendecompose:
         else:
             assert qht.eigendecompose(M).v == 2
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cluster_means_match_per_cluster_mean(self, seed):
+        # singletons are taken from w as they are; every mean must equal the
+        # per-cluster .mean() bit for bit, repeated eigenvalues included
+        rng = np.random.default_rng([seed, 41])
+        base = rng.standard_normal(8)
+        w = np.sort(np.concatenate([
+            base,
+            np.repeat(base[:3], 4),
+            base[3:5] + 1e-13 * rng.standard_normal(2),
+            np.kron(base[:4], base[:4]),
+        ]))
+        means, sizes, thr, _ = operators._gap_clusters(w, qht.DEFAULT_TOL)
+        breaks = np.flatnonzero(np.diff(w) > thr) + 1
+        reference = np.array([c.mean() for c in np.split(w, breaks)])
+        assert (sizes > 1).any() and (sizes == 1).any()
+        np.testing.assert_array_equal(means, reference)
+        np.testing.assert_array_equal(sizes, [len(c) for c in np.split(w, breaks)])
+
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 5))
     def test_roundtrip(self, seed, dim):
@@ -161,6 +180,16 @@ class TestPositiveProjection:
             False, False, False, False, False, False, True
         ]
         assert list(strictly_positive([-1.0, 1.2e-10, 1.0])) == [False, True, True]
+
+    def test_margin_follows_the_positive_end(self):
+        # for X = A - B with B much larger than A, a margin relative to
+        # max|w| = 1e8 would drop the eigenvalue 1e-4; the margin is relative
+        # to the top eigenvalue, floored at the roundoff 16 eps max|w|, which
+        # 1e-9 is below
+        w = [-1e8, 1e-9, 1e-4, 0.5]
+        assert list(strictly_positive(w)) == [False, False, True, True]
+        rank = round(np.trace(qht.positive_projection(np.diag(w))).real)
+        assert rank == 2
 
     def test_zero_spectrum_keeps_nothing(self):
         assert not strictly_positive(np.zeros(5)).any()
