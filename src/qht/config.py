@@ -9,9 +9,9 @@ from dataclasses import dataclass
 # every finite-n entry point checks the largest n of its range before any
 # work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
 # and qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 12``
-# takes 3.6 s and 147 MiB on a 2-core Xeon with OpenBLAS, and a seeded
+# takes 2.0 s and 146 MiB on a 2-core Xeon with OpenBLAS, and a seeded
 # qutrit at ``--n-max 7``, whose key residual is a dense eigensolve,
-# 14-15 s and 565 MiB.
+# 7.3 s and 492 MiB.
 MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.

@@ -8,15 +8,16 @@ with each threshold formed in log space.  That is identical to projecting
 arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
-The levels of ``sigma_n`` (its eigenvalues grouped by their log), each
-with its tensor-product positions and the eigenpairs of its block of
-rho_n, are the one representation of the pinched test: :func:`_kept`
-keeps the block eigenvalues above the level's threshold by a relative
-margin, a top segment of each block spectrum, and the errors
-(:func:`_pinched_errors`), v(sigma_n) and the key residual are sums and
-blocks over the levels, derived once per n.  Each level's block is built
-from its positions alone, so the n-fold rho_n is never formed for them.
-Only :func:`build_pinched_test` forms the dense operator.  Every entry
+The levels of ``sigma_n`` (its eigenvalues grouped by their log, each
+level a union of whole types, so never dependent on the order of the
+tensor factors), each with its tensor-product positions and the
+eigenpairs of its block of rho_n, are the one representation of the
+pinched test: :func:`_kept` keeps the block eigenvalues above the level's
+threshold by a relative margin, a top segment of each block spectrum,
+and the errors (:func:`_pinched_errors`), v(sigma_n) and the key residual
+are sums and blocks over the levels, derived once per n.  Each level's
+block is built from its positions alone, so the n-fold rho_n is never
+formed for them.  Only :func:`build_pinched_test` forms the dense operator.  Every entry
 point reads its clustering tolerance from ``pair.tol`` and checks the
 dense budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before
 any work.
@@ -28,9 +29,9 @@ blocks ``det(A)^t Sym^{n-2t}(A)``, each of size at most n + 1 and repeated
 residual of :func:`verify_bounds` and the plain test
 {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` are evaluated on
 these blocks, with each ``Sym^N`` built once per call, so the qubit paths
-form no d^n x d^n matrix.  Other dimensions form ``(V* rho V)^{(x)n}`` for
-the key residual and use the dense :func:`build_plain_test`, which stays
-the independent cross-check.
+form no d^n x d^n matrix at any clustering tolerance.  Other dimensions
+form ``(V* rho V)^{(x)n}`` for the key residual and use the dense
+:func:`build_plain_test`, which stays the independent cross-check.
 """
 
 import math
@@ -173,16 +174,19 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
 
     Returns ``(logq, order, sizes)``: the logs of all ``len(eigenvalues)**n``
     products in tensor-product index order, a stable argsort of them, and
-    the number of consecutive ``order`` entries in each level.  A level
-    starts where a log exceeds the first log of the current level by more
-    than ``cluster_rel_tol``; zero eigenvalues give ``-inf`` logs, which
-    form one level.  ``len(sizes)`` is the eigenvalue count v(sigma_n).
+    the number of consecutive ``order`` entries in each level.  Each log is
+    summed over its string's digits in sorted order, so the strings of one
+    type (the same digit counts) get bitwise-equal logs and every level is
+    a union of whole types, whatever the order of the tensor factors.  A
+    level starts where a log exceeds the first log of the current level by
+    more than ``cluster_rel_tol``; zero eigenvalues give ``-inf`` logs,
+    which form one level.  ``len(sizes)`` is the eigenvalue count v(sigma_n).
     """
     with np.errstate(divide="ignore"):
         loglam = np.where(eigenvalues > 0.0, np.log(eigenvalues), -np.inf)
-    logq = np.zeros(1)
-    for _ in range(n):
-        logq = (logq[:, None] + loglam[None, :]).ravel()
+    digits = np.indices((len(loglam),) * n).reshape(n, len(loglam) ** n)
+    # stable: the sort kernel of the argsort below, no other to page in
+    logq = loglam[np.sort(digits, axis=0, kind="stable")].sum(axis=0)
     order = np.argsort(logq, kind="stable")
     ranked = logq[order].tolist()
     sizes = []
@@ -345,42 +349,35 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
-def _weight_levels(levels, n: int):
-    """The level of each Hamming weight k = 0..n of a qubit sigma_n's positions.
-
-    None when the strings of one weight lie in two levels, which only a
-    level boundary within roundoff of that weight's log weight can cause.
-    """
-    label = np.full(n + 1, -1)
-    for i, lev in enumerate(levels):
-        weights = sum(np.unravel_index(lev.positions, (2,) * n))
-        if (label[weights] >= 0).any():
-            return None
-        label[weights] = i
-    return label
-
-
 def _key_residual(pair: HypothesisPair, n: int, levels, syms) -> float:
     """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by :func:`min_eigenvalue`.
 
     In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels, with
-    ``M = (V* rho V)^{(x)n}``.  For a qubit pair whose levels are unions of
-    Hamming weights it is unitarily the direct sum over t of
+    ``M = (V* rho V)^{(x)n}``.  Every level is a union of whole types
+    (:func:`_log_levels`), for a qubit a union of Hamming weights, so for
+    ``pair.dim == 2`` it is unitarily the direct sum over t of
     ``v blockdiag(R_t) - R_t``, each repeated ``m_t`` times, with ``R_t`` the
     spin blocks of :func:`_spin_blocks` (``syms`` their ``Sym^N`` table):
     weight k meets block t in Dicke index k - t, so the pinching keeps the
     entries of ``R_t`` whose two indices have weights in one level.  The
     clustering rule then runs on that spectrum with multiplicities, and no
-    D x D matrix is formed.  Otherwise ``M`` is formed in level order.
+    D x D matrix is formed.  Other dimensions form ``M`` in level order and
+    the residual in its place.
     """
     v = len(levels)
     X, _ = _sigma_basis(pair)
-    label = _weight_levels(levels, n) if pair.dim == 2 else None
-    if label is None:
+    if pair.dim != 2:
         order = np.concatenate([lev.positions for lev in levels])
         M = tensor_power(X, n)[np.ix_(order, order)]
-        sizes = [len(lev.positions) for lev in levels]
-        return min_eigenvalue(v * block_diagonal(M, sizes) - M, pair.tol)
+        R = block_diagonal(M, [len(lev.positions) for lev in levels])
+        # in place, bit for bit v * R - M, so only R and M are ever held
+        R *= v
+        R -= M
+        del M
+        return min_eigenvalue(R, pair.tol)
+    label = np.empty(n + 1, dtype=int)
+    for i, lev in enumerate(levels):
+        label[sum(np.unravel_index(lev.positions, (2,) * n))] = i
     spectrum = []
     for t, (m, R) in enumerate(_spin_blocks(X, n, syms)):
         same = label[t : n - t + 1]

@@ -20,7 +20,6 @@ from qht.finite_n import (
     _sym_power,
     _sym_table,
     _tensor_block,
-    _weight_levels,
 )
 from qht.operators import hermitian_part, positive_projection, tensor_power
 
@@ -253,6 +252,13 @@ class TestErrorEnvelopes:
                 assert r.beta <= r.beta_bound + 1e-12
 
 
+def split_prone_pair():
+    # sigma eigenvalues 0.45 and 0.55 at a cluster_rel_tol within roundoff
+    # of their log ratio: found by a search over differences of level logs
+    tol = qht.ToleranceConfig(cluster_rel_tol=0.2006706954621511)
+    return qht.HypothesisPair(np.array([[0.7, 0.1], [0.1, 0.3]]), np.diag([0.45, 0.55]), tol)
+
+
 def level_count(sigma, n):
     lam = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
     return len(_log_levels(lam, n, qht.DEFAULT_TOL.cluster_rel_tol)[2])
@@ -293,6 +299,35 @@ class TestLogLevels:
                     break
                 dense = qht.eigendecompose(tensor_power(sigma, n)).v
                 assert level_count(sigma, n) == dense
+
+    @pytest.mark.parametrize("d,n_max", [(2, 9), (3, 6), (4, 4)])
+    def test_levels_are_unions_of_whole_types(self, d, n_max):
+        # cluster_rel_tol is drawn from the differences between computed
+        # type logs, where a level boundary can fall within roundoff of a
+        # log; every type must stay whole and the partition must not depend
+        # on the order of the tensor factors (reversed digits)
+        spectra = [np.linalg.eigvalsh(qht.random_density(np.random.default_rng([k, d]), d))
+                   for k in range(3)]
+        if d == 2:
+            spectra.append(np.array([0.45, 0.55]))
+        for lam in spectra:
+            for n in range(2, n_max + 1):
+                digits = np.indices((d,) * n).reshape(n, d**n)
+                counts = np.stack([(digits == i).sum(axis=0) for i in range(d)])
+                _, type_id = np.unique(counts, axis=1, return_inverse=True)
+                reverse = np.ravel_multi_index(digits[::-1], (d,) * n)
+                logq = _log_levels(lam, n, 1e-10)[0]
+                type_logs = np.unique(logq)
+                diffs = np.unique(type_logs[None, :] - type_logs[:, None])
+                for tol in diffs[diffs > 0]:
+                    logq, order, sizes = _log_levels(lam, n, tol)
+                    level = np.empty(d**n, dtype=int)
+                    level[order] = np.repeat(np.arange(len(sizes)), sizes)
+                    # one bitwise log and one level per type
+                    for label in (logq.view(np.int64), level):
+                        pairs = np.unique(np.stack([type_id, label]), axis=1)
+                        assert pairs.shape[1] == type_id.max() + 1
+                    np.testing.assert_array_equal(level[reverse], level)
 
     def test_degenerate_spectra(self):
         for n in range(1, 7):
@@ -363,9 +398,11 @@ class TestVerifyBounds:
                 np.diag([1.0, 0.0]),
                 qht.ToleranceConfig(strict=False),
             ),
+            # a level boundary within roundoff of a weight's log weight
+            split_prone_pair(),
         ],
         ids=["d2-0", "d2-1", "d2-2", "d2-3", "skewed", "identical", "generic",
-             "generic-merged", "d2-1-merged", "singular"],
+             "generic-merged", "d2-1-merged", "singular", "split-prone"],
     )
     def test_spin_key_residual_matches_dense_level_residual(self, pair, monkeypatch):
         # the spin-block residual against v blockdiag(M) - M over the same
@@ -382,7 +419,6 @@ class TestVerifyBounds:
         syms = _sym_table(X, 8)
         for n in range(1, 9):
             levels = _level_data(pair, n)
-            assert _weight_levels(levels, n) is not None
             order = np.concatenate([lev.positions for lev in levels])
             M = tensor_power(X, n)[np.ix_(order, order)]
             sizes = [len(lev.positions) for lev in levels]
@@ -392,23 +428,23 @@ class TestVerifyBounds:
             dense = np.linalg.eigvalsh(hermitian_part(residual))
             assert np.abs(spectra[-1] - dense).max() <= 1e-14 * len(levels)
 
-    def test_weight_split_across_levels_takes_dense_residual(self, monkeypatch):
-        # a level boundary within roundoff of a weight's log weight: at this
-        # cluster_rel_tol the weight-1 strings of n = 4 lie in two levels,
-        # which no spin-block pinching describes
-        tol = qht.ToleranceConfig(cluster_rel_tol=0.2006706954621511)
-        pair = qht.HypothesisPair(
-            np.array([[0.7, 0.1], [0.1, 0.3]]), np.diag([0.45, 0.55]), tol
-        )
-        levels = _level_data(pair, 4)
-        assert _weight_levels(levels, 4) is None
-        (r,) = qht.verify_bounds(pair, [4], [0.1])
-        X, _ = _sigma_basis(pair)
-        order = np.concatenate([lev.positions for lev in levels])
-        M = tensor_power(X, 4)[np.ix_(order, order)]
-        sizes = [len(lev.positions) for lev in levels]
-        dense = qht.min_eigenvalue(len(levels) * operators.block_diagonal(M, sizes) - M, tol)
-        assert r.key_residual == dense
+    def test_split_prone_levels_hold_whole_weights(self, monkeypatch):
+        # logs summed in string order differ in the last bit within one
+        # weight, and this cluster_rel_tol then cuts a weight in two; summed
+        # by type, every level holds whole weights and the qubit key
+        # residual needs no tensor_power
+        pair = split_prone_pair()
+        weights = [
+            sorted(set(sum(np.unravel_index(lev.positions, (2,) * 4)).tolist()))
+            for lev in _level_data(pair, 4)
+        ]
+        assert weights == [[0, 1], [2, 3], [4]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tensor_power formed")
+
+        monkeypatch.setattr(finite_n, "tensor_power", refuse)
+        assert len(qht.verify_bounds(pair, range(1, 9), [0.1])) == 8
 
     @pytest.mark.parametrize("dim,n_max", [(2, 10), (3, 6), (4, 5)])
     def test_level_blocks_are_slices_of_the_tensor_power(self, dim, n_max):
