@@ -8,10 +8,11 @@ from dataclasses import dataclass
 # ``operators.check_dense_budget``: ``tensor_power`` checks its own n, and
 # every finite-n entry point checks the largest n of its range before any
 # work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
-# and qutrits to n = 7; ``qht finite-n --preset qubit-generic --n-max 12``
-# takes 2.0 s and 146 MiB on a 2-core Xeon with OpenBLAS, and a seeded
-# qutrit at ``--n-max 7``, whose key residual is a dense eigensolve,
-# 7.3 s and 492 MiB.
+# and qutrits to n = 7.  In fresh processes on a 2-core Xeon with OpenBLAS,
+# ``qht finite-n --preset qubit-generic --n-max 12`` takes 2.8 s and
+# 146 MiB; a seeded qutrit at ``--n-max 7``, whose key residual and plain
+# test are each one dense eigensolve per n, takes 2.7 to 4.4 s and 346 MiB
+# in ``finite-n`` and 8.5 to 10.1 s and 509 MiB in ``conjecture``.
 MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.

@@ -13,29 +13,27 @@ level a union of whole types, so never dependent on the order of the
 tensor factors), each with its tensor-product positions and the
 eigenpairs of its block of rho_n, are the one representation of the
 pinched test: :func:`_kept` keeps the block eigenvalues above the level's
-threshold by a relative margin, a top segment of each block spectrum,
-and the errors (:func:`_pinched_errors`), v(sigma_n) and the key residual
-are sums and blocks over the levels, derived once per n.  Each level's
-block is built from its positions alone, so the n-fold rho_n is never
-formed for them.  Only :func:`build_pinched_test` forms the dense operator.  Every entry
-point reads its clustering tolerance from ``pair.tol`` and checks the
-dense budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before
-any work.
+threshold by a relative margin, and the errors (:func:`_pinched_errors`)
+and v(sigma_n) are sums over the levels, derived once per n.  Each
+level's block is built from its positions alone.  Only
+:func:`build_pinched_test` forms the dense operator.  Every entry point
+reads its clustering tolerance from ``pair.tol`` and checks the dense
+budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before any work.
 
-Qubits use the Schur-Weyl decomposition of the n-fold space:
-``A^{(x)n}`` of a 2 x 2 matrix is unitarily the direct sum of the spin
-blocks ``det(A)^t Sym^{n-2t}(A)``, each of size at most n + 1 and repeated
-``C(n,t) - C(n,t-1)`` times, by the same unitary for every A.  The key
-residual of :func:`verify_bounds` and the plain test
-{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` are evaluated on
-these blocks, with each ``Sym^N`` built once per call, so the qubit paths
-form no d^n x d^n matrix at any clustering tolerance.  Other dimensions
-form ``(V* rho V)^{(x)n}`` for the key residual and use the dense
-:func:`build_plain_test`, which stays the independent cross-check.
+The key residual of :func:`verify_bounds` and the plain test
+{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on one
+representation in every dimension: rho_n in sigma's eigenbasis as the
+blocks of :func:`_blocks`, each row in one eigenspace of ``sigma_n``.
+Only where the blocks come from depends on the dimension: a qubit gives
+the Schur-Weyl spin blocks, of size at most n + 1, so no d^n x d^n matrix
+is formed; other dimensions take ``(V* rho V)^{(x)n}`` as one block.  The
+dense :func:`build_plain_test` and :func:`error_probabilities` and the
+dense pinching residual of :mod:`qht.operators` stay the cross-checks.
 """
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -49,10 +47,8 @@ from .errors import (
 from .exponents import _pair_transform, phi, phi_bar, relative_entropy
 from .operators import (
     _gap_clusters,
-    block_diagonal,
     check_dense_budget,
     hermitian_part,
-    min_eigenvalue,
     positive_projection,
     strictly_positive,
     tensor_power,
@@ -198,10 +194,10 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
-def _sigma_basis(pair: HypothesisPair):
-    """``X = V* rho V`` and ``Q = diag(q)``: rho and sigma in sigma's eigenbasis."""
-    q, V = pair.sigma_eig
-    return V.conj().T @ pair.rho @ V, np.diag(q).astype(complex)
+def _sigma_basis(pair: HypothesisPair) -> np.ndarray:
+    """``X = V* rho V``: rho in sigma's eigenbasis."""
+    _, V = pair.sigma_eig
+    return V.conj().T @ pair.rho @ V
 
 
 def _tensor_block(X: np.ndarray, n: int, positions: np.ndarray) -> np.ndarray:
@@ -235,7 +231,7 @@ def _level_data(pair: HypothesisPair, n: int) -> list[_Level]:
     """
     check_dense_budget(pair.dim, n)
     logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
-    X, _ = _sigma_basis(pair)
+    X = _sigma_basis(pair)
     levels = []
     start = 0
     for size in sizes:
@@ -349,44 +345,32 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
-def _key_residual(pair: HypothesisPair, n: int, levels, syms) -> float:
-    """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by :func:`min_eigenvalue`.
+def _key_residual(pair: HypothesisPair, n: int, levels, blocks) -> float:
+    """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by ``min_eigenvalue``.
 
-    In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels, with
-    ``M = (V* rho V)^{(x)n}``.  Every level is a union of whole types
-    (:func:`_log_levels`), for a qubit a union of Hamming weights, so for
-    ``pair.dim == 2`` it is unitarily the direct sum over t of
-    ``v blockdiag(R_t) - R_t``, each repeated ``m_t`` times, with ``R_t`` the
-    spin blocks of :func:`_spin_blocks` (``syms`` their ``Sym^N`` table):
-    weight k meets block t in Dicke index k - t, so the pinching keeps the
-    entries of ``R_t`` whose two indices have weights in one level.  The
-    clustering rule then runs on that spectrum with multiplicities, and no
-    D x D matrix is formed.  Other dimensions form ``M`` in level order and
-    the residual in its place.
+    In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels,
+    ``M = (V* rho V)^{(x)n}``.  Each row of a block of :func:`_blocks`
+    lies in the level of its position ``rows`` (levels are unions of whole
+    types), so the residual is the direct sum of ``v blockdiag(R) - R``,
+    each repeated ``m`` times, and the clustering rule runs on that
+    spectrum with multiplicities.
     """
     v = len(levels)
-    X, _ = _sigma_basis(pair)
-    if pair.dim != 2:
-        order = np.concatenate([lev.positions for lev in levels])
-        M = tensor_power(X, n)[np.ix_(order, order)]
-        R = block_diagonal(M, [len(lev.positions) for lev in levels])
-        # in place, bit for bit v * R - M, so only R and M are ever held
-        R *= v
-        R -= M
-        del M
-        return min_eigenvalue(R, pair.tol)
-    label = np.empty(n + 1, dtype=int)
+    label = np.empty(pair.dim**n, dtype=int)
     for i, lev in enumerate(levels):
-        label[sum(np.unravel_index(lev.positions, (2,) * n))] = i
+        label[lev.positions] = i
     spectrum = []
-    for t, (m, R) in enumerate(_spin_blocks(X, n, syms)):
-        same = label[t : n - t + 1]
-        B = v * np.where(same[:, None] == same[None, :], R, 0.0) - R
+    for m, R, rows, _ in blocks:
+        same = label[rows]
+        # in place, bit for bit v * where(...) - R
+        B = np.where(same[:, None] == same[None, :], R, 0.0)
+        B *= v
+        B -= R
         spectrum.append(np.repeat(np.linalg.eigvalsh(hermitian_part(B)), m))
     spectrum = np.concatenate(spectrum)
     # the stable argsort of _log_levels: a first use of another numpy sort
     # kernel maps its code pages, about 0.1 MiB of resident memory
-    means, _, _, _ = _gap_clusters(spectrum[np.argsort(spectrum, kind="stable")], pair.tol)
+    means, _, _ = _gap_clusters(spectrum[np.argsort(spectrum, kind="stable")], pair.tol)
     return float(means[0])
 
 
@@ -397,22 +381,21 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     per threshold, all read off the pair's cached psi_bar grid.  The
     sigma_n levels are derived once per n, and the errors of every
     threshold, v(sigma_n) and the pinching residual all come from them; no
-    test operator is built.  The residual is that of :func:`_key_residual`:
-    from the spin blocks for qubits, with ``Sym^N(V* rho V)`` built once
-    per N for the whole range, so no d^n x d^n matrix is formed, and from
-    the dense ``v blockdiag(M) - M`` otherwise.  The dense budget is checked
-    for the largest n before any work.
+    test operator is built.  The residual is that of :func:`_key_residual`
+    on the :func:`_blocks` of each n, whose ``Sym^N`` table is built once
+    for the whole range.  The dense budget is checked for the largest n
+    before any work.
     """
     n_range = list(n_range)
     n_top = max(n_range, default=0)
     check_dense_budget(pair.dim, n_top)
     transform = _pair_transform(pair, "psi_bar")
     phis = {float(a): transform(float(a))[0] for a in a_grid}
-    syms = _sym_table(_sigma_basis(pair)[0], n_top) if pair.dim == 2 else None
+    syms = _sym_table(pair, n_top)
     reports = []
     for n in n_range:
         levels = _level_data(pair, n)
-        key = _key_residual(pair, n, levels, syms)
+        key = _key_residual(pair, n, levels, _blocks(pair, n, syms))
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
@@ -490,68 +473,75 @@ def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
     return S * np.sqrt(binom[N][None, :] / binom[N][:, None])
 
 
-def _sym_table(X: np.ndarray, n_max: int) -> list[np.ndarray]:
-    """``Sym^N(X)`` for N = 0..n_max, built once for a whole range of n."""
+def _sym_table(pair: HypothesisPair, n_max: int):
+    """``Sym^N(V* rho V)`` for N = 0..n_max of a qubit pair, once per range; else None."""
+    if pair.dim != 2:
+        return None
+    X = _sigma_basis(pair)
     return [_sym_power(X, N) for N in range(n_max + 1)]
 
 
-def _spin_blocks(X: np.ndarray, n: int, syms):
-    """``X^{(x)n}`` of a 2 x 2 matrix as its Schur-Weyl blocks.
+def _blocks(pair: HypothesisPair, n: int, syms) -> list:
+    """rho_n in sigma's eigenbasis as blocks ``(m, R, rows, s)``.
 
-    Yields ``(m_t, det(X)^t Sym^{n-2t}(X))`` for t = 0..n//2, where the block
-    appears ``m_t = C(n,t) - C(n,t-1)`` times in ``X^{(x)n}`` up to a unitary
-    that depends on n alone; ``syms`` is the :func:`_sym_table` of X.  The
-    determinant is the 2 x 2 formula, so equal inputs give bitwise equal
-    blocks.
+    ``M = (V* rho V)^{(x)n}`` is unitarily, by a unitary that commutes with
+    sigma_n, the direct sum of the blocks ``R``, each repeated ``m``
+    times.  Row i of a block lies in the sigma_n eigenspace of position
+    ``rows[i]``, eigenvalue ``s[i]``.  A qubit gives the spin blocks
+    ``det(X)^t Sym^{n-2t}(X)`` (``syms`` is the :func:`_sym_table`),
+    repeated ``C(n,t) - C(n,t-1)`` times, whose row j has weight j + t;
+    ``s = det(Q)^t q0^(n-2t-j) q1^j`` from running products, bit for bit
+    the diagonal of ``det(Q)^t Sym^{n-2t}(Q)``.  Other dimensions give
+    ``M`` as one block.
     """
-    det = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+    q, _ = pair.sigma_eig
+    X = _sigma_basis(pair)
+    if pair.dim != 2:
+        return [(1, tensor_power(X, n), np.arange(pair.dim**n), reduce(np.kron, [q] * n))]
+    det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+    det_q = complex(q[0] * q[1])
+    p0, p1 = (np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(n, x)))) for x in q)
+    blocks = []
     for t in range(n // 2 + 1):
-        mult = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        yield mult, det**t * syms[n - 2 * t]
+        N = n - 2 * t
+        m = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
+        rows = (1 << np.arange(t, N + t + 1)) - 1
+        s = (det_q**t * (p0[N::-1] * p1[: N + 1])).real
+        blocks.append((m, det_x**t * syms[N], rows, s))
+    return blocks
 
 
-def _plain_errors_spin_blocks(
-    pair: HypothesisPair, n: int, a: float, sym_x, sym_q
-) -> ErrorProbabilities:
-    """Errors of the plain test {rho_n > e^{na} sigma_n} for a qubit pair.
+def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbabilities:
+    """Errors of the plain test {rho_n > e^{na} sigma_n} from the :func:`_blocks`.
 
-    In sigma's eigenbasis, with ``X = V* rho V`` and ``Q = diag(q)``, the
-    difference ``rho_n - e^{na} sigma_n`` is unitarily the direct sum over t
-    of ``R_t - e^{na} S_t`` (``R_t``, ``S_t`` the spin blocks of X and Q),
-    each repeated ``m_t`` times; ``sym_x`` and ``sym_q`` are the
-    :func:`_sym_table` of X and Q.  An eigenvalue is kept by the rule of
-    :func:`strictly_positive` applied to all 2^n of them, so up to
-    roundoff the test is that of :func:`build_plain_test`; ``alpha`` sums
-    ``u* R_t u`` over the eigenvectors u left out and ``beta`` sums
-    ``u* S_t u`` over those kept, each weighted by ``m_t``.  The work is
-    O(n^4) plus a sort of the 2^n eigenvalues, with no 2^n x 2^n matrix.
+    ``rho_n - e^{na} sigma_n`` is unitarily the direct sum of the blocks
+    ``R - e^{na} diag(s)``, each repeated ``m`` times.  An eigenvalue is
+    kept by the rule of :func:`strictly_positive` applied to all d^n of
+    them, so up to roundoff the test is that of :func:`build_plain_test`;
+    ``alpha`` sums ``u* R u`` over the eigenvectors u left out and
+    ``beta`` sums ``s |u|^2`` over those kept, each weighted by ``m``.
     """
-    check_dense_budget(pair.dim, n)
-    X, Q = _sigma_basis(pair)
-    blocks = [
-        (m, R, S)
-        for (m, R), (_, S) in zip(_spin_blocks(X, n, sym_x), _spin_blocks(Q, n, sym_q))
-    ]
     if n * a > 700.0:
         # as in build_plain_test: e^{na} overflows and the test is empty
         pair.assert_invertible("plain test with n*a > 700")
-        alpha = sum(m * np.trace(R).real for m, R, _ in blocks)
+        alpha = sum(m * np.trace(R).real for m, R, _, _ in blocks)
         return ErrorProbabilities(alpha=float(alpha), beta=0.0, n=n, a=a)
     thr = math.exp(n * a)
-    eigs = [np.linalg.eigh(hermitian_part(R - thr * S)) for _, R, S in blocks]
+    eigs = [np.linalg.eigh(hermitian_part(R - thr * np.diag(s))) for _, R, _, s in blocks]
     spectrum = np.sort(
-        np.concatenate([np.repeat(w, m) for (m, _, _), (w, _) in zip(blocks, eigs)])
+        np.concatenate([np.repeat(w, m) for (m, *_), (w, _) in zip(blocks, eigs)])
     )
     # kept clusters are a top segment of the sorted spectrum, so the test
     # keeps exactly the eigenvalues from the smallest kept one up
     kept_values = spectrum[strictly_positive(spectrum, pair.tol)]
     cut = kept_values[0] if kept_values.size else math.inf
     alpha = beta = 0.0
-    for (m, R, S), (w, U) in zip(blocks, eigs):
+    for (m, R, _, s), (w, U) in zip(blocks, eigs):
         kept = w >= cut
         out = U[:, ~kept]
-        alpha += m * float(np.einsum("ki,kl,li->", out.conj(), R, out).real)
-        beta += m * float((S.diagonal().real @ np.abs(U[:, kept]) ** 2).sum())
+        # two operands: a three-operand einsum runs as a naive loop
+        alpha += m * float(np.einsum("ki,ki->", out.conj(), R @ out).real)
+        beta += m * float((s @ np.abs(U[:, kept]) ** 2).sum())
     return ErrorProbabilities(alpha=alpha, beta=beta, n=n, a=a)
 
 
@@ -563,27 +553,20 @@ def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureRepor
     beta_n <= e^{-n(phi(a)+a)} at every n, with no prefactor.  The report
     keeps its EXPERIMENTAL label and asserts nothing.
 
-    Qubit pairs are evaluated from the spin blocks of the n-fold space
-    (:func:`_plain_errors_spin_blocks`), with ``Sym^N`` of both states
-    built once per N for the whole range and no 2^n x 2^n matrix; other
-    dimensions build the dense test.  The path depends on ``pair.dim``
-    alone, and both keep the positivity rule of :func:`strictly_positive`
-    and the ``n a > 700`` guard.  The dense budget is checked for the
-    largest n before any work.
+    The errors are those of :func:`_plain_errors` on the :func:`_blocks`
+    of each n, whose ``Sym^N`` table is built once for the whole range; no
+    test operator is built.  The dense budget is checked for the largest n
+    before any work.
     """
     n_range = [int(n) for n in n_range]
     n_top = max(n_range, default=0)
     check_dense_budget(pair.dim, n_top)
     a = float(a)
     value, _ = phi(pair, a)
-    if pair.dim == 2:
-        sym_x, sym_q = (_sym_table(Y, n_top) for Y in _sigma_basis(pair))
+    syms = _sym_table(pair, n_top)
     rows = []
     for n in n_range:
-        if pair.dim == 2:
-            ep = _plain_errors_spin_blocks(pair, n, a, sym_x, sym_q)
-        else:
-            ep = error_probabilities(pair, build_plain_test(pair, n, a))
+        ep = _plain_errors(pair, n, a, _blocks(pair, n, syms))
         la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf
         lb = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         rows.append(

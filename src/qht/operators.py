@@ -66,14 +66,12 @@ class SpectralDecomposition:
     so on, with the distinct eigenvalues in strictly increasing order.  The
     number of clusters is the eigenvalue count v(A) used by the pinching
     inequality, and every spectral function, pinching included, is computed
-    from these blocks.  ``cluster_tol`` is the absolute merge threshold of
-    :func:`eigendecompose` on gaps between consecutive eigenvalues.
+    from these blocks.
     """
 
     eigenvalues: np.ndarray  # shape (v,)
     vectors: np.ndarray  # shape (d, d)
     sizes: np.ndarray  # shape (v,), columns per cluster
-    cluster_tol: float
 
     @property
     def v(self) -> int:
@@ -115,24 +113,22 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
     """
     A = as_complex_matrix(H)
     w, V = np.linalg.eigh(hermitian_part(A))
-    means, sizes, thr, norm = _gap_clusters(w, tol)
+    means, sizes, norm = _gap_clusters(w, tol)
     _require_symmetric(A, 1.0 + norm)
-    return SpectralDecomposition(
-        eigenvalues=means, vectors=V, sizes=sizes, cluster_tol=thr
-    )
+    return SpectralDecomposition(eigenvalues=means, vectors=V, sizes=sizes)
 
 
 def _gap_clusters(w: np.ndarray, tol: ToleranceConfig):
     """Clusters of the ascending eigenvalues ``w`` as :func:`eigendecompose` merges them.
 
-    Returns ``(means, sizes, threshold, norm)``: the cluster means, the
-    number of consecutive eigenvalues in each, the merge threshold
-    ``cluster_rel_tol * norm`` and the norm ``max |w|``.
+    Returns ``(means, sizes, norm)``: the cluster means, the number of
+    consecutive eigenvalues in each and the norm ``max |w|``; consecutive
+    eigenvalues merge where their gap is at most ``cluster_rel_tol * norm``.
     """
     norm = np.abs(w).max() if w.size else 0.0
-    thr = tol.cluster_rel_tol * norm
-    means, sizes = _cluster_means(w, np.flatnonzero(np.diff(w) > thr) + 1)
-    return means, sizes, thr, norm
+    breaks = np.flatnonzero(np.diff(w) > tol.cluster_rel_tol * norm) + 1
+    means, sizes = _cluster_means(w, breaks)
+    return means, sizes, norm
 
 
 def _cluster_means(w: np.ndarray, breaks: np.ndarray):
@@ -267,9 +263,15 @@ def tensor_power(A, n: int) -> np.ndarray:
 
 
 def min_eigenvalue(X, tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Smallest clustered eigenvalue; X >= 0 iff this is >= -PSD_TOL * norm."""
-    dec = eigendecompose(X, tol)
-    return float(dec.eigenvalues[0])
+    """Smallest clustered eigenvalue; X >= 0 iff this is >= -PSD_TOL * norm.
+
+    The eigenvalues are clustered and the symmetry checked as by
+    :func:`eigendecompose`, but no eigenvectors are computed.
+    """
+    A = as_complex_matrix(X)
+    means, _, norm = _gap_clusters(np.linalg.eigvalsh(hermitian_part(A)), tol)
+    _require_symmetric(A, 1.0 + norm)
+    return float(means[0])
 
 
 def key_inequality_residual(

@@ -107,29 +107,30 @@ class HypothesisPair:
         return f"HypothesisPair(dim={self.dim})"
 
 
-def random_density(rng: np.random.Generator, dim: int, floor: float = 1e-6) -> np.ndarray:
+# Weight of the mixture with I/d (random states) or added to every entry
+# (random distributions) that keeps the random constructors at full rank.
+RANDOM_FLOOR = 1e-6
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Draw G G*/Tr[G G*] from a standard complex normal G, floored to full rank."""
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     W = G @ G.conj().T
     rho = W / np.trace(W).real
-    return (1.0 - floor) * rho + floor * np.eye(dim) / dim
+    return (1.0 - RANDOM_FLOOR) * rho + RANDOM_FLOOR * np.eye(dim) / dim
 
 
-def random_pair(
-    seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 1e-6
-) -> HypothesisPair:
+def random_pair(seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
     """Deterministic random full-rank pair; ``seed`` is an int or a Generator."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return HypothesisPair(random_density(rng, dim, floor), random_density(rng, dim, floor), tol)
+    return HypothesisPair(random_density(rng, dim), random_density(rng, dim), tol)
 
 
-def random_diagonal_pair(
-    seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL, floor: float = 1e-6
-) -> HypothesisPair:
+def random_diagonal_pair(seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
     """Deterministic commuting pair built from two random distributions."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    p = rng.random(dim) + floor
-    q = rng.random(dim) + floor
+    p = rng.random(dim) + RANDOM_FLOOR
+    q = rng.random(dim) + RANDOM_FLOOR
     return HypothesisPair(np.diag(p / p.sum()), np.diag(q / q.sum()), tol)
 
 

@@ -6,8 +6,9 @@ products (psi_bar) evaluated in mpmath for the exponent functions and their
 finite differences, brute-force grid scans for the one-dimensional
 maximizations, the rate-parameter bisection with every probe run in full
 on a grid built for the one call, qubit plain-test errors from spin blocks whose entries
-are string-pair counts, and pinched-test errors from the sigma_n levels
-of the index types, both diagonalized in mpmath.
+are string-pair counts, plain-test errors of any dimension from a dense
+eigensolve of ``rho_n - e^{na} sigma_n``, and pinched-test errors from the
+sigma_n levels of the index types, all diagonalized in mpmath.
 """
 
 import itertools
@@ -162,53 +163,99 @@ def _mp_sym_power(X, N):
     return S
 
 
+def _mp_positive(spectrum, cluster_rel_tol):
+    """Split eigenvalues by the rule of ``strictly_positive``, in mpmath.
+
+    ``spectrum`` holds ``(w, mult, key)`` entries, eigenvalue w with
+    multiplicity mult.  With the margin
+    ``max(cluster_rel_tol * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``
+    the sorted eigenvalues merge where a gap is at most the margin, and a
+    merged cluster counts as positive when its mean, with multiplicities,
+    exceeds it.  Yields ``(positive, mult, key)``.
+    """
+    spectrum = sorted(spectrum, key=lambda entry: entry[0])
+    cut = max(
+        cluster_rel_tol * max(spectrum[-1][0], 0),
+        POSITIVITY_ROUNDOFF * max(abs(x) for x, _, _ in spectrum),
+    )
+    clusters = [[spectrum[0]]]
+    for prev, entry in zip(spectrum, spectrum[1:]):
+        if entry[0] - prev[0] > cut:
+            clusters.append([])
+        clusters[-1].append(entry)
+    for cluster in clusters:
+        weight = sum(m for _, m, _ in cluster)
+        positive = sum(m * x for x, m, _ in cluster) / weight > cut
+        for _, m, key in cluster:
+            yield positive, m, key
+
+
+def _mp_errors(spectrum, cluster_rel_tol):
+    """alpha and beta from ``(w, mult, (A, B, u))`` entries, as floats.
+
+    alpha sums ``mult * u* A u`` over the eigenvectors u left out and beta
+    ``mult * u* B u`` over those kept (:func:`_mp_positive`).
+    """
+    alpha = beta = mp.mpf(0)
+    for positive, mult, (A, B, u) in _mp_positive(spectrum, cluster_rel_tol):
+        if positive:
+            beta += mult * mp.re((u.transpose_conj() * B * u)[0])
+        else:
+            alpha += mult * mp.re((u.transpose_conj() * A * u)[0])
+    return float(alpha), float(beta)
+
+
 def plain_test_errors_mp(pair, n, a, cluster_rel_tol=1e-10, dps=30):
     """alpha and beta of {rho_n > e^{na} sigma_n} for a qubit pair, in mpmath.
 
     sigma is diagonalized in mpmath, and ``rho_n - e^{na} sigma_n`` is split
     into the blocks ``det(X)^t Sym^{n-2t}(X) - e^{na} det(Q)^t Sym^{n-2t}(Q)``
     of multiplicity ``C(n,t) - C(n,t-1)``, with ``X = V* rho V`` and
-    ``Q = diag(q)``.  Positivity follows ``strictly_positive``: with the
-    margin ``max(cluster_rel_tol * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``
-    the eigenvalues of all blocks, with multiplicity, merge where a gap is
-    at most the margin, and a merged cluster counts as positive when its
-    mean exceeds it.  Returns floats.
+    ``Q = diag(q)``.  Positivity over the eigenvalues of all blocks, with
+    multiplicity, follows ``strictly_positive`` (:func:`_mp_positive`).
+    Returns floats.
     """
     with mp.workdps(dps):
         q, V = mp.eighe(_mp_matrix(pair.sigma))
         X = V.transpose_conj() * _mp_matrix(pair.rho) * V
         Q = mp.diag(q)
         thr = mp.exp(n * mp.mpf(a))
-        blocks, spectrum = [], []
+        spectrum = []
         for t in range(n // 2 + 1):
             mult = mp.binomial(n, t) - (mp.binomial(n, t - 1) if t else 0)
             R = mp.det(X) ** t * _mp_sym_power(X, n - 2 * t)
             S = mp.det(Q) ** t * _mp_sym_power(Q, n - 2 * t)
             w, U = mp.eighe(R - thr * S)
-            blocks.append((mult, R, S, U))
-            spectrum += [(x, len(blocks) - 1, i) for i, x in enumerate(w)]
-        spectrum.sort()
-        cut = max(
-            cluster_rel_tol * max(spectrum[-1][0], 0),
-            POSITIVITY_ROUNDOFF * max(abs(x) for x, _, _ in spectrum),
-        )
-        clusters = [[spectrum[0]]]
-        for prev, entry in zip(spectrum, spectrum[1:]):
-            if entry[0] - prev[0] > cut:
-                clusters.append([])
-            clusters[-1].append(entry)
-        alpha = beta = mp.mpf(0)
-        for cluster in clusters:
-            weight = sum(blocks[b][0] for _, b, _ in cluster)
-            positive = sum(blocks[b][0] * x for x, b, _ in cluster) / weight > cut
-            for _, b, i in cluster:
-                mult, R, S, U = blocks[b]
-                u = U[:, i]
-                if positive:
-                    beta += mult * mp.re((u.transpose_conj() * S * u)[0])
-                else:
-                    alpha += mult * mp.re((u.transpose_conj() * R * u)[0])
-        return float(alpha), float(beta)
+            spectrum += [(x, mult, (R, S, U[:, i])) for i, x in enumerate(w)]
+        return _mp_errors(spectrum, cluster_rel_tol)
+
+
+def _mp_kron(A, B):
+    K = mp.matrix(A.rows * B.rows, A.cols * B.cols)
+    for i in range(A.rows):
+        for j in range(A.cols):
+            for k in range(B.rows):
+                for l in range(B.cols):
+                    K[i * B.rows + k, j * B.cols + l] = A[i, j] * B[k, l]
+    return K
+
+
+def dense_plain_test_errors_mp(pair, n, a, cluster_rel_tol=1e-10, dps=50):
+    """alpha and beta of {rho_n > e^{na} sigma_n} for a pair of any dimension, in mpmath.
+
+    ``rho_n`` and ``sigma_n`` are Kronecker powers formed in mpmath, and
+    ``rho_n - e^{na} sigma_n`` is diagonalized densely, without sigma's
+    eigenbasis or any block structure.  Positivity follows
+    ``strictly_positive`` (:func:`_mp_positive`).  Returns floats.
+    """
+    with mp.workdps(dps):
+        rho, sigma = _mp_matrix(pair.rho), _mp_matrix(pair.sigma)
+        rho_n, sigma_n = rho, sigma
+        for _ in range(n - 1):
+            rho_n, sigma_n = _mp_kron(rho_n, rho), _mp_kron(sigma_n, sigma)
+        w, U = mp.eighe(rho_n - mp.exp(n * mp.mpf(a)) * sigma_n)
+        spectrum = [(x, 1, (rho_n, sigma_n, U[:, i])) for i, x in enumerate(w)]
+        return _mp_errors(spectrum, cluster_rel_tol)
 
 
 def pinched_test_errors_mp(pair, n, a, dps=60):

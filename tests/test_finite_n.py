@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 import qht
 from qht import checks, finite_n, operators
 from qht.finite_n import (
+    _blocks,
     _kept,
     _key_residual,
     _level_data,
     _log_levels,
     _pinched_errors,
-    _plain_errors_spin_blocks,
+    _plain_errors,
     _sigma_basis,
-    _spin_blocks,
     _sym_power,
     _sym_table,
     _tensor_block,
@@ -24,7 +24,7 @@ from qht.finite_n import (
 from qht.operators import hermitian_part, positive_projection, tensor_power
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
-from oracles import pinched_test_errors_mp, plain_test_errors_mp
+from oracles import dense_plain_test_errors_mp, pinched_test_errors_mp, plain_test_errors_mp
 
 
 def exact_errors(pair, test):
@@ -152,7 +152,7 @@ def test_every_entry_point_follows_the_pairs_cluster_tolerance(level_counts):
         assert level_counts == counts
     assert not qht.build_plain_test(coarse, 3, a).operator.any()
     assert qht.build_plain_test(generic, 3, a).operator.any()
-    qutrit = qht.random_pair(0, 3, coarse_tol)  # the dense plain-test path
+    qutrit = qht.random_pair(0, 3, coarse_tol)  # one block, the whole of rho_n
     for pair in (coarse, qutrit):
         (row,) = qht.conjecture_probe(pair, [3 if pair.dim == 2 else 2], a).rows
         assert row.beta == 0.0
@@ -400,14 +400,18 @@ class TestVerifyBounds:
             ),
             # a level boundary within roundoff of a weight's log weight
             split_prone_pair(),
-        ],
+        ]
+        + seeded_pairs(2, dim=3)
+        + seeded_pairs(1, dim=4),
         ids=["d2-0", "d2-1", "d2-2", "d2-3", "skewed", "identical", "generic",
-             "generic-merged", "d2-1-merged", "singular", "split-prone"],
+             "generic-merged", "d2-1-merged", "singular", "split-prone",
+             "d3-0", "d3-1", "d4-0"],
     )
     def test_spin_key_residual_matches_dense_level_residual(self, pair, monkeypatch):
-        # the spin-block residual against v blockdiag(M) - M over the same
-        # levels, with M = (V* rho V)^{(x)n} formed densely; the whole
-        # spectrum with multiplicities is compared, not just its bottom
+        # the block residual against v blockdiag(M) - M over the same levels,
+        # with M = (V* rho V)^{(x)n} formed densely in level order; the whole
+        # spectrum with multiplicities is compared, not just its bottom.  For
+        # d >= 3 the one block is M in tensor-product order.
         spectra = []
 
         def spy(w, tol):
@@ -415,15 +419,16 @@ class TestVerifyBounds:
             return operators._gap_clusters(w, tol)
 
         monkeypatch.setattr(finite_n, "_gap_clusters", spy)
-        X, _ = _sigma_basis(pair)
-        syms = _sym_table(X, 8)
-        for n in range(1, 9):
+        X = _sigma_basis(pair)
+        n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
+        syms = _sym_table(pair, n_max)
+        for n in range(1, n_max + 1):
             levels = _level_data(pair, n)
             order = np.concatenate([lev.positions for lev in levels])
             M = tensor_power(X, n)[np.ix_(order, order)]
             sizes = [len(lev.positions) for lev in levels]
             residual = len(levels) * operators.block_diagonal(M, sizes) - M
-            key = _key_residual(pair, n, levels, syms)
+            key = _key_residual(pair, n, levels, _blocks(pair, n, syms))
             assert abs(key - qht.min_eigenvalue(residual, pair.tol)) <= 1e-14
             dense = np.linalg.eigvalsh(hermitian_part(residual))
             assert np.abs(spectra[-1] - dense).max() <= 1e-14 * len(levels)
@@ -451,7 +456,7 @@ class TestVerifyBounds:
         # bit for bit, so the block eigenpairs, and with them alpha and
         # beta, do not depend on whether M is formed
         for pair in seeded_pairs(3, dim=dim):
-            X, _ = _sigma_basis(pair)
+            X = _sigma_basis(pair)
             for n in range(1, n_max + 1):
                 M = tensor_power(X, n)
                 logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
@@ -484,7 +489,7 @@ class TestVerifyBounds:
         # the sweeps read the errors off the level blocks, built from their
         # positions: no TestOperator and, for qubits, no tensor_power at all,
         # since the key residual comes from the spin blocks.  A qutrit takes
-        # one tensor_power per blocklength, M for its dense key residual.
+        # one tensor_power per blocklength, M, its one block.
         def refuse(*args, **kwargs):
             raise AssertionError("test operator built")
 
@@ -572,9 +577,7 @@ class TestBudgetBeforeWork:
         def refuse(*args, **kwargs):
             raise AssertionError("blocklength computed before the budget check")
 
-        for name in (
-            "_level_data", "_sym_table", "_plain_errors_spin_blocks", "build_plain_test"
-        ):
+        for name in ("_level_data", "_sym_table", "_blocks", "_plain_errors", "tensor_power"):
             monkeypatch.setattr(finite_n, name, refuse)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.verify_bounds(generic, range(1, 14), [0.1])
@@ -648,8 +651,7 @@ def dense_plain_errors(pair, n, a):
 
 
 def block_plain_errors(pair, n, a):
-    sym_x, sym_q = (_sym_table(Y, n) for Y in _sigma_basis(pair))
-    return _plain_errors_spin_blocks(pair, n, a, sym_x, sym_q)
+    return _plain_errors(pair, n, a, _blocks(pair, n, _sym_table(pair, n)))
 
 
 class TestSpinBlocks:
@@ -665,25 +667,41 @@ class TestSpinBlocks:
             assert np.abs(_sym_power(X, N) - dense).max() <= 1e-13
         np.testing.assert_array_equal(_sym_power(X, 0), np.ones((1, 1)))
 
-    def test_multiplicities_fill_the_space(self):
+    def test_multiplicities_fill_the_space(self, generic):
         for n in range(1, 13):
-            blocks = list(_spin_blocks(np.eye(2), n, _sym_table(np.eye(2), n)))
-            assert [len(R) for _, R in blocks] == [n - 2 * t + 1 for t in range(n // 2 + 1)]
-            assert sum(m * len(R) for m, R in blocks) == 2**n
+            blocks = _blocks(generic, n, _sym_table(generic, n))
+            assert [len(R) for _, R, _, _ in blocks] == [n - 2 * t + 1 for t in range(n // 2 + 1)]
+            assert sum(m * len(R) for m, R, _, _ in blocks) == 2**n
+            for t, (_, R, rows, s) in enumerate(blocks):
+                # row j of block t has weight j + t
+                assert [bin(r).count("1") for r in rows] == list(range(t, n - t + 1))
+                assert len(rows) == len(s) == len(R)
+
+    @pytest.mark.parametrize(
+        "pair",
+        seeded_pairs(3) + [qht.preset_pair(name) for name in ("qubit-generic", "qubit-skewed")],
+        ids=["d2-0", "d2-1", "d2-2", "generic", "skewed"],
+    )
+    def test_sigma_eigenvalues_are_the_spin_blocks_of_q(self, pair):
+        # s equals the diagonal of det(Q)^t Sym^{n-2t}(Q), Q = diag(q), bit
+        # for bit, and that block has exactly zero off the diagonal
+        q, _ = pair.sigma_eig
+        Q = np.diag(q).astype(complex)
+        det = complex(Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0])
+        for n in range(1, 13):
+            for t, (_, _, _, s) in enumerate(_blocks(pair, n, _sym_table(pair, n))):
+                S = det**t * _sym_power(Q, n - 2 * t)
+                np.testing.assert_array_equal(s.view(np.int64), S.diagonal().real.view(np.int64))
+                assert not (S - np.diag(S.diagonal())).any()
 
     def test_block_spectrum_matches_dense(self):
-        for pair in seeded_pairs(3) + [qht.preset_pair("qubit-generic")]:
-            q, V = pair.sigma_eig
-            X = V.conj().T @ pair.rho @ V
-            Q = np.diag(q).astype(complex)
-            for n in range(1, 7):
+        for pair in seeded_pairs(3) + [qht.preset_pair("qubit-generic")] + seeded_pairs(2, dim=3):
+            for n in range(1, 7 if pair.dim == 2 else 4):
                 for a in (-0.2, 0.1, 0.5 * qht.relative_entropy(pair)):
                     thr = math.exp(n * a)
-                    blocks = zip(
-                        _spin_blocks(X, n, _sym_table(X, n)), _spin_blocks(Q, n, _sym_table(Q, n))
-                    )
                     spectrum = np.sort(np.concatenate([
-                        np.repeat(np.linalg.eigvalsh(R - thr * S), m) for (m, R), (_, S) in blocks
+                        np.repeat(np.linalg.eigvalsh(R - thr * np.diag(s)), m)
+                        for m, R, _, s in _blocks(pair, n, _sym_table(pair, n))
                     ]))
                     rho_n = tensor_power(pair.rho, n)
                     dense = np.linalg.eigvalsh(rho_n - thr * tensor_power(pair.sigma, n))
@@ -757,19 +775,26 @@ class TestPlainErrorsFromSpinBlocks:
                 assert beta <= math.exp(-n * (value + a))
 
     def test_probe_takes_no_dense_path_for_qubits(self, generic, monkeypatch):
+        # no dimension builds a test operator; qubits form no tensor power,
+        # and d >= 3 one per blocklength, M, its one block
         def refuse(*args, **kwargs):
             raise AssertionError("dense path used")
 
+        qutrit = qht.random_pair(0, dim=3)
         reference = qht.conjecture_probe(generic, range(1, 5), 0.1)
+        qutrit_reference = qht.conjecture_probe(qutrit, range(1, 4), 0.1)
+        for name in ("build_plain_test", "error_probabilities", "TestOperator"):
+            monkeypatch.setattr(finite_n, name, refuse)
+        assert qht.conjecture_probe(qutrit, range(1, 4), 0.1) == qutrit_reference
         monkeypatch.setattr(finite_n, "tensor_power", refuse)
-        monkeypatch.setattr(finite_n, "build_plain_test", refuse)
         assert qht.conjecture_probe(generic, range(1, 5), 0.1) == reference
         with pytest.raises(AssertionError, match="dense path used"):
-            qht.conjecture_probe(qht.random_pair(0, dim=3), [1], 0.1)
+            qht.conjecture_probe(qutrit, [1], 0.1)
 
     def test_sym_powers_built_once_per_range(self, generic, monkeypatch):
-        # one Sym^N per N and state for the whole range: 2 x 9 for n <= 8,
-        # where building them per (n, t) took 2 x 24
+        # one Sym^N of rho's block per N for the whole range: 9 for n <= 8,
+        # where building them per (n, t) took 24; sigma's blocks are its
+        # eigenvalue products and take none
         calls = []
 
         def spy(X, N):
@@ -780,7 +805,7 @@ class TestPlainErrorsFromSpinBlocks:
         reports = qht.verify_bounds(generic, range(1, 9), [0.1])
         monkeypatch.setattr(finite_n, "_sym_power", spy)
         assert qht.conjecture_probe(generic, range(1, 9), 0.1) == reference
-        assert sorted(calls) == sorted(list(range(9)) * 2)
+        assert calls == list(range(9))
         calls.clear()
         assert qht.verify_bounds(generic, range(1, 9), [0.1]) == reports
         assert calls == list(range(9))
@@ -829,6 +854,45 @@ class TestPlainErrorsFromSpinBlocks:
         monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 2)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.conjecture_probe(generic, [2], 400.0)
+
+
+class TestPlainErrorsBeyondQubits:
+    # d >= 3 takes rho_n in sigma's eigenbasis as one block.  Reference
+    # values: a 50-digit dense eigensolve of rho_n - e^{na} sigma_n
+    # (oracles.dense_plain_test_errors_mp), which the block path met within
+    # 2.0e-15 (alpha) and 5.0e-15 (beta) relative and the dense
+    # build_plain_test within 5.5e-15 and 2.5e-14 on the cases below; the
+    # block and dense paths met each other within 3.5e-13 and 1.3e-12 over
+    # the cases of test_matches_dense_path.
+
+    @pytest.mark.parametrize("seed,frac", [(0, 0.25), (1, 0.5), (2, 0.9)])
+    def test_qutrit_matches_mpmath_oracle(self, seed, frac):
+        pair = qht.random_pair(seed, 3)
+        a = frac * qht.relative_entropy(pair)
+        for n in range(1, 4):
+            alpha, beta = dense_plain_test_errors_mp(pair, n, a)
+            ep, dense = block_plain_errors(pair, n, a), dense_plain_errors(pair, n, a)
+            assert abs(ep.alpha - alpha) <= 5e-15 * alpha
+            assert abs(ep.beta - beta) <= 1e-14 * beta
+            assert abs(dense.alpha - alpha) <= 1e-14 * alpha
+            assert abs(dense.beta - beta) <= 5e-14 * beta
+
+    @pytest.mark.parametrize("dim,n_max,seeds", [(3, 5, 3), (4, 4, 2)])
+    def test_matches_dense_path(self, dim, n_max, seeds):
+        for pair in seeded_pairs(seeds, dim=dim):
+            div = qht.relative_entropy(pair)
+            for frac in (0.25, 0.5, 0.9):
+                for n in range(1, n_max + 1):
+                    ep = block_plain_errors(pair, n, frac * div)
+                    dense = dense_plain_errors(pair, n, frac * div)
+                    assert abs(ep.alpha - dense.alpha) <= 5e-13 * dense.alpha
+                    assert abs(ep.beta - dense.beta) <= 2e-12 * dense.beta
+
+    def test_overflow_guard(self):
+        pair = qht.random_pair(0, 3)
+        ep, dense = block_plain_errors(pair, 2, 400.0), dense_plain_errors(pair, 2, 400.0)
+        assert (ep.beta, dense.beta) == (0.0, 0.0)
+        assert ep.alpha == pytest.approx(dense.alpha, abs=1e-15)
 
 
 class TestErrorMonotonicity:

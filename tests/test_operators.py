@@ -65,8 +65,8 @@ class TestEigendecompose:
             base[3:5] + 1e-13 * rng.standard_normal(2),
             np.kron(base[:4], base[:4]),
         ]))
-        means, sizes, thr, _ = operators._gap_clusters(w, qht.DEFAULT_TOL)
-        breaks = np.flatnonzero(np.diff(w) > thr) + 1
+        means, sizes, norm = operators._gap_clusters(w, qht.DEFAULT_TOL)
+        breaks = np.flatnonzero(np.diff(w) > qht.DEFAULT_TOL.cluster_rel_tol * norm) + 1
         reference = np.array([c.mean() for c in np.split(w, breaks)])
         assert (sizes > 1).any() and (sizes == 1).any()
         np.testing.assert_array_equal(means, reference)
