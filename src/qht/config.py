@@ -9,10 +9,11 @@ from dataclasses import dataclass
 # every finite-n entry point checks the largest n of its range before any
 # work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
 # and qutrits to n = 7.  In fresh processes on a 2-core Xeon with OpenBLAS,
-# ``qht finite-n --preset qubit-generic --n-max 12`` takes 2.8 s and
-# 146 MiB; a seeded qutrit at ``--n-max 7``, whose key residual and plain
-# test are each one dense eigensolve per n, takes 2.7 to 4.4 s and 346 MiB
-# in ``finite-n`` and 8.5 to 10.1 s and 509 MiB in ``conjecture``.
+# ``qht finite-n --preset qubit-generic --n-max 12``, whose eigensolves are
+# at most 13 x 13, takes 0.35 s and 40 MiB; a seeded qutrit at
+# ``--n-max 7``, whose levels, key residual and plain test all read one
+# dense block per n, takes 3.3 to 3.7 s and 342 MiB in ``finite-n`` and
+# 12 to 15 s and 509 MiB in ``conjecture``.
 MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.

@@ -8,27 +8,25 @@ with each threshold formed in log space.  That is identical to projecting
 arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
-The levels of ``sigma_n`` (its eigenvalues grouped by their log, each
-level a union of whole types, so never dependent on the order of the
-tensor factors), each with its tensor-product positions and the
-eigenpairs of its block of rho_n, are the one representation of the
-pinched test: :func:`_kept` keeps the block eigenvalues above the level's
-threshold by a relative margin, and the errors (:func:`_pinched_errors`)
-and v(sigma_n) are sums over the levels, derived once per n.  Each
-level's block is built from its positions alone.  Only
-:func:`build_pinched_test` forms the dense operator.  Every entry point
-reads its clustering tolerance from ``pair.tol`` and checks the dense
-budget ``MAX_TENSOR_DIM`` for the largest n it is asked for before any work.
-
-The key residual of :func:`verify_bounds` and the plain test
-{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on one
-representation in every dimension: rho_n in sigma's eigenbasis as the
-blocks of :func:`_blocks`, each row in one eigenspace of ``sigma_n``.
-Only where the blocks come from depends on the dimension: a qubit gives
-the Schur-Weyl spin blocks, of size at most n + 1, so no d^n x d^n matrix
-is formed; other dimensions take ``(V* rho V)^{(x)n}`` as one block.  The
-dense :func:`build_plain_test` and :func:`error_probabilities` and the
-dense pinching residual of :mod:`qht.operators` stay the cross-checks.
+rho_n has one representation for every finite-n quantity: in sigma's
+eigenbasis, as the blocks of :func:`_blocks`, each row in one eigenspace
+of ``sigma_n``.  Qubit sweeps take the Schur-Weyl spin blocks, of size at
+most n + 1, so no d^n x d^n matrix is formed; other dimensions, and
+:func:`build_pinched_test` (its eigenvectors run over tensor positions),
+take ``(V* rho V)^{(x)n}`` as one block.  The levels of sigma_n (its
+eigenvalues grouped by their log, each a union of whole types, so never
+dependent on the order of the tensor factors) with the spectrum of
+pinch(rho_n) on each, read off the blocks by :func:`_level_data`, are the
+one representation of the pinched test: :func:`_kept` is its keep rule,
+and the errors (:func:`_pinched_errors`) and v(sigma_n) are sums over the
+levels, derived once per n.  The key residual of :func:`verify_bounds`
+and the plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe`
+run on the same blocks.  Only :func:`build_pinched_test` forms the dense
+operator.  Every entry point reads its clustering tolerance from
+``pair.tol`` and checks the dense budget ``MAX_TENSOR_DIM`` for the
+largest n it is asked for before any work.  The dense
+:func:`build_plain_test`, :func:`error_probabilities` and pinching
+residual of :mod:`qht.operators` stay the cross-checks.
 """
 
 import math
@@ -161,8 +159,8 @@ class ConjectureReport:
 class _Level:
     log_weight: float
     positions: np.ndarray  # tensor-product indices of the level's basis vectors
-    eigenvalues: np.ndarray  # ascending
-    vectors: np.ndarray  # k x k block eigenvectors over those positions
+    eigenvalues: np.ndarray  # ascending, with multiplicities
+    vectors: np.ndarray | None  # over the positions, on the one-block path
 
 
 def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
@@ -200,47 +198,41 @@ def _sigma_basis(pair: HypothesisPair) -> np.ndarray:
     return V.conj().T @ pair.rho @ V
 
 
-def _tensor_block(X: np.ndarray, n: int, positions: np.ndarray) -> np.ndarray:
-    """Rows and columns ``positions`` of ``X^{(x)n}``, without forming it.
-
-    Entry (i, j) is the running product over the n tensor factors, most
-    significant first, of X at the digits of positions i and j.  That is the
-    order in which :func:`tensor_power` multiplies, so the block equals the
-    slice of ``tensor_power(X, n)`` bit for bit.
-    """
-    block = np.ones((len(positions), len(positions)), dtype=complex)
-    for digits in np.unravel_index(positions, (len(X),) * n):
-        # np.multiply, not ``*``: numpy may reuse the temporary right operand
-        # of ``*`` and swap the factors, and its fused complex multiply
-        # rounds X * block differently from block * X
-        block = np.multiply(block, X[np.ix_(digits, digits)])
-    return block
-
-
-def _level_data(pair: HypothesisPair, n: int) -> list[_Level]:
-    """Eigenvalue levels of sigma_n with the diagonalized blocks of pinch(rho_n).
+def _level_data(pair: HypothesisPair, n: int, blocks):
+    """Eigenvalue levels of sigma_n with the spectra of pinch(rho_n) on them.
 
     The levels are those of :func:`_log_levels` at the pair's
     ``cluster_rel_tol``, so numerically coincident eigenvalue products
-    always share one.  Per level it returns its log weight, its positions
-    (the columns of ``V^{(x)n}`` it spans) and the eigenpairs of its block
-    of ``M = (V* rho V)^{(x)n}``, rho_n in sigma's eigenbasis.  Each block
-    is built from its positions alone (:func:`_tensor_block`), so ``M`` is
-    never formed and the blocks equal its slices bit for bit.  The dimension
-    budget is checked before any work; nothing is cached.
+    always share one.  The rows of a block of :func:`_blocks` that lie in
+    one level form a sub-block of pinch(rho_n); a level's spectrum is the
+    eigenvalues of its sub-blocks, each repeated the block's multiplicity.
+    Returns the levels, each with its log weight, its positions (the
+    columns of ``V^{(x)n}`` it spans) and, where one sub-block of
+    multiplicity 1 covers it (the one-block path), its eigenvectors; and
+    the level of every position, for :func:`_key_residual`.  Nothing is
+    cached, and callers check the dimension budget.
     """
-    check_dense_budget(pair.dim, n)
     logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
-    X = _sigma_basis(pair)
+    label = np.empty(len(order), dtype=int)
+    label[order] = np.repeat(np.arange(len(sizes)), sizes)
+    parts = [[] for _ in sizes]
+    for m, R, rows, _ in blocks:
+        # rows ascend, so this keeps a level's rows in their order in ``order``
+        local = np.argsort(logq[rows], kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(label[rows[local]])) + 1).tolist(), len(local)]
+        for idx in (local[i:j] for i, j in zip(cuts, cuts[1:])):
+            w, U = np.linalg.eigh(hermitian_part(R[np.ix_(idx, idx)]))
+            parts[label[rows[idx[0]]]].append((np.repeat(w, m), U if m == 1 else None))
     levels = []
-    start = 0
-    for size in sizes:
-        positions = order[start : start + size]
-        w, U = np.linalg.eigh(hermitian_part(_tensor_block(X, n, positions)))
+    ends = np.cumsum(sizes).tolist()
+    for i, j, level_parts in zip([0, *ends], ends, parts):
+        positions = order[i:j]
+        w = np.concatenate([spectrum for spectrum, _ in level_parts])
+        vectors = level_parts[0][1] if len(level_parts) == 1 else None
         # a level is all -inf (singular sigma) or all finite
-        levels.append(_Level(float(logq[positions].mean()), positions, w, U))
-        start += size
-    return levels
+        log_weight = float(logq[positions].mean())
+        levels.append(_Level(log_weight, positions, w[np.argsort(w, kind="stable")], vectors))
+    return levels, label
 
 
 def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
@@ -289,10 +281,12 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     strict inequality of the positive projection.  The operator is ``W W*``
     with W the kept block eigenvectors in the columns of ``V^{(x)n}``, so
     it commutes with sigma_n by construction; its ``errors`` are the level
-    sums of :func:`_pinched_errors`.
+    sums of :func:`_pinched_errors`.  The levels come from the one-block
+    path in every dimension, since W runs over tensor positions.
     """
     a = float(a)
-    levels = _level_data(pair, n)
+    check_dense_budget(pair.dim, n)
+    levels, _ = _level_data(pair, n, _blocks(pair, n, None))
     Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
@@ -345,20 +339,16 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
-def _key_residual(pair: HypothesisPair, n: int, levels, blocks) -> float:
+def _key_residual(pair: HypothesisPair, v: int, label, blocks) -> float:
     """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by ``min_eigenvalue``.
 
     In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels,
-    ``M = (V* rho V)^{(x)n}``.  Each row of a block of :func:`_blocks`
-    lies in the level of its position ``rows`` (levels are unions of whole
-    types), so the residual is the direct sum of ``v blockdiag(R) - R``,
-    each repeated ``m`` times, and the clustering rule runs on that
-    spectrum with multiplicities.
+    ``M = (V* rho V)^{(x)n}``, with ``v`` levels.  Each row of a block of
+    :func:`_blocks` lies in the level ``label`` gives its position ``rows``
+    (levels are unions of whole types), so the residual is the direct sum
+    of ``v blockdiag(R) - R``, each repeated ``m`` times, and the
+    clustering rule runs on that spectrum with multiplicities.
     """
-    v = len(levels)
-    label = np.empty(pair.dim**n, dtype=int)
-    for i, lev in enumerate(levels):
-        label[lev.positions] = i
     spectrum = []
     for m, R, rows, _ in blocks:
         same = label[rows]
@@ -381,10 +371,10 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     per threshold, all read off the pair's cached psi_bar grid.  The
     sigma_n levels are derived once per n, and the errors of every
     threshold, v(sigma_n) and the pinching residual all come from them; no
-    test operator is built.  The residual is that of :func:`_key_residual`
-    on the :func:`_blocks` of each n, whose ``Sym^N`` table is built once
-    for the whole range.  The dense budget is checked for the largest n
-    before any work.
+    test operator is built.  The levels and :func:`_key_residual` share
+    the :func:`_blocks` of each n, whose ``Sym^N`` table is built once for
+    the whole range.  The dense budget is checked for the largest n before
+    any work.
     """
     n_range = list(n_range)
     n_top = max(n_range, default=0)
@@ -394,8 +384,9 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     syms = _sym_table(pair, n_top)
     reports = []
     for n in n_range:
-        levels = _level_data(pair, n)
-        key = _key_residual(pair, n, levels, _blocks(pair, n, syms))
+        blocks = _blocks(pair, n, syms)
+        levels, label = _level_data(pair, n, blocks)
+        key = _key_residual(pair, len(levels), label, blocks)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
@@ -421,8 +412,9 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
 
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
-    rate (1/n) log beta next to -a + (d/n) log(n+1).  The dense budget is
-    checked for n_max before any work.
+    rate (1/n) log beta next to -a + (d/n) log(n+1), from the levels of
+    the :func:`_blocks` of each n.  The dense budget is checked for n_max
+    before any work.
     """
     check_dense_budget(pair.dim, int(n_max))
     a = float(a)
@@ -430,9 +422,10 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     if a >= div:
         raise RateAboveDivergence(f"a = {a} is not below D = {div}")
     value, _ = phi_bar(pair, a)
+    syms = _sym_table(pair, int(n_max))
     points = []
     for n in range(1, int(n_max) + 1):
-        levels = _level_data(pair, n)
+        levels, _ = _level_data(pair, n, _blocks(pair, n, syms))
         ep = _pinched_errors(levels, n, a, pair.tol)
         rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
@@ -487,17 +480,19 @@ def _blocks(pair: HypothesisPair, n: int, syms) -> list:
     ``M = (V* rho V)^{(x)n}`` is unitarily, by a unitary that commutes with
     sigma_n, the direct sum of the blocks ``R``, each repeated ``m``
     times.  Row i of a block lies in the sigma_n eigenspace of position
-    ``rows[i]``, eigenvalue ``s[i]``.  A qubit gives the spin blocks
-    ``det(X)^t Sym^{n-2t}(X)`` (``syms`` is the :func:`_sym_table`),
-    repeated ``C(n,t) - C(n,t-1)`` times, whose row j has weight j + t;
+    ``rows[i]``, eigenvalue ``s[i]``.  With a :func:`_sym_table` ``syms``,
+    a qubit gives the spin blocks ``det(X)^t Sym^{n-2t}(X)``, repeated
+    ``C(n,t) - C(n,t-1)`` times, whose row j has weight j + t;
     ``s = det(Q)^t q0^(n-2t-j) q1^j`` from running products, bit for bit
-    the diagonal of ``det(Q)^t Sym^{n-2t}(Q)``.  Other dimensions give
-    ``M`` as one block.
+    the diagonal of ``det(Q)^t Sym^{n-2t}(Q)``.  With ``syms`` None (other
+    dimensions, or a caller that needs rows over tensor positions) ``M``
+    is the one block.
     """
     q, _ = pair.sigma_eig
     X = _sigma_basis(pair)
-    if pair.dim != 2:
-        return [(1, tensor_power(X, n), np.arange(pair.dim**n), reduce(np.kron, [q] * n))]
+    if syms is None:
+        s = reduce(np.multiply.outer, [q] * n).ravel()  # np.kron bit for bit, 10x faster
+        return [(1, tensor_power(X, n), np.arange(pair.dim**n), s)]
     det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
     det_q = complex(q[0] * q[1])
     p0, p1 = (np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(n, x)))) for x in q)
