@@ -29,11 +29,10 @@ from .exponents import (
     solve_rate_parameter,
 )
 from .finite_n import (
-    _blocks,
     _level_data,
     _log_levels,
     _pinched_errors,
-    _sym_table,
+    _sweep,
     build_pinched_test,
     build_plain_test,
     error_probabilities,
@@ -373,9 +372,8 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         pair = random_pair(rng)
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
-        syms = _sym_table(pair, 2)
-        for n in (1, 2):
-            levels, _ = _level_data(pair, n, _blocks(pair, n, syms))
+        for n, blocks in _sweep(pair, (1, 2)):
+            levels, _ = _level_data(pair, n, blocks)
             eps = [_pinched_errors(levels, n, a, pair.tol) for a in grid]
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 # The one dense budget on d^n, a fixed constant checked by
 # ``operators.check_dense_budget``: ``tensor_power`` checks its own n, and
-# every finite-n entry point checks the largest n of its range before any
-# work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
+# ``finite_n._sweep``, behind every finite-n sweep, checks the largest n of
+# its range before any work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
 # and qutrits to n = 7.  In fresh processes on a 2-core Xeon with OpenBLAS,
 # ``qht finite-n --preset qubit-generic --n-max 12``, whose eigensolves are
 # at most 13 x 13, takes 0.35 s and 40 MiB; a seeded qutrit at

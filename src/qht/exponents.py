@@ -445,13 +445,13 @@ def classical_hoeffding(p, q, r: float) -> float:
 class ExponentCurve:
     """Sampled curve of one exponent function, for export and plotting."""
 
-    parameter_name: str  # "s", "a" or "r"
+    parameter_name: str  # "s" or "a"
     params: np.ndarray
     values: np.ndarray
     argmax_s: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.parameter_name not in ("s", "a", "r"):
+        if self.parameter_name not in ("s", "a"):
             raise ValueError(f"unknown parameter name {self.parameter_name!r}")
         if len(self.params) != len(self.values):
             raise ValueError("params and values must have equal length")

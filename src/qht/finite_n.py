@@ -9,24 +9,24 @@ arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
 rho_n has one representation for every finite-n quantity: in sigma's
-eigenbasis, as the blocks of :func:`_blocks`, each row in one eigenspace
-of ``sigma_n``.  Qubit sweeps take the Schur-Weyl spin blocks, of size at
-most n + 1, so no d^n x d^n matrix is formed; other dimensions, and
-:func:`build_pinched_test` (its eigenvectors run over tensor positions),
-take ``(V* rho V)^{(x)n}`` as one block.  The levels of sigma_n (its
-eigenvalues grouped by their log, each a union of whole types, so never
-dependent on the order of the tensor factors) with the spectrum of
-pinch(rho_n) on each, read off the blocks by :func:`_level_data`, are the
-one representation of the pinched test: :func:`_kept` is its keep rule,
-and the errors (:func:`_pinched_errors`) and v(sigma_n) are sums over the
-levels, derived once per n.  The key residual of :func:`verify_bounds`
-and the plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe`
-run on the same blocks.  Only :func:`build_pinched_test` forms the dense
+eigenbasis, as blocks whose rows each lie in one eigenspace of sigma_n.
+:func:`_sweep` alone validates a sweep's blocklengths, checks the dense
+budget ``MAX_TENSOR_DIM`` and picks the blocks: qubit spin blocks, of
+size at most n + 1, else ``M = (V* rho V)^{(x)n}`` as one block, which
+:func:`build_pinched_test` takes in every dimension (its eigenvectors run
+over tensor positions).  The levels of sigma_n (its eigenvalues grouped
+by their log, each a union of whole types, so never dependent on the
+order of the tensor factors) with the spectrum of pinch(rho_n) on each,
+read off the blocks by :func:`_level_data`, are the one representation
+of the pinched test: :func:`_kept` is its keep rule, and the errors
+(:func:`_pinched_errors`) and v(sigma_n) are sums over the levels,
+derived once per n.  The key residual of :func:`verify_bounds` and the
+plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on
+the same blocks.  Only :func:`build_pinched_test` forms the dense
 operator.  Every entry point reads its clustering tolerance from
-``pair.tol`` and checks the dense budget ``MAX_TENSOR_DIM`` for the
-largest n it is asked for before any work.  The dense
-:func:`build_plain_test`, :func:`error_probabilities` and pinching
-residual of :mod:`qht.operators` stay the cross-checks.
+``pair.tol``.  The dense :func:`build_plain_test`,
+:func:`error_probabilities` and pinching residual of :mod:`qht.operators`
+stay the cross-checks.
 """
 
 import math
@@ -45,6 +45,7 @@ from .errors import (
 from .exponents import _pair_transform, phi, phi_bar, relative_entropy
 from .operators import (
     _gap_clusters,
+    check_blocklength,
     check_dense_budget,
     hermitian_part,
     positive_projection,
@@ -203,14 +204,13 @@ def _level_data(pair: HypothesisPair, n: int, blocks):
 
     The levels are those of :func:`_log_levels` at the pair's
     ``cluster_rel_tol``, so numerically coincident eigenvalue products
-    always share one.  The rows of a block of :func:`_blocks` that lie in
+    always share one.  The rows of a block of :func:`_sweep` that lie in
     one level form a sub-block of pinch(rho_n); a level's spectrum is the
     eigenvalues of its sub-blocks, each repeated the block's multiplicity.
     Returns the levels, each with its log weight, its positions (the
     columns of ``V^{(x)n}`` it spans) and, where one sub-block of
     multiplicity 1 covers it (the one-block path), its eigenvectors; and
-    the level of every position, for :func:`_key_residual`.  Nothing is
-    cached, and callers check the dimension budget.
+    the level of every position, for :func:`_key_residual`.
     """
     logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
     label = np.empty(len(order), dtype=int)
@@ -281,12 +281,11 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     strict inequality of the positive projection.  The operator is ``W W*``
     with W the kept block eigenvectors in the columns of ``V^{(x)n}``, so
     it commutes with sigma_n by construction; its ``errors`` are the level
-    sums of :func:`_pinched_errors`.  The levels come from the one-block
-    path in every dimension, since W runs over tensor positions.
+    sums of :func:`_pinched_errors`.  W runs over tensor positions, so the
+    levels come from :func:`_tensor_block` in every dimension.
     """
     a = float(a)
-    check_dense_budget(pair.dim, n)
-    levels, _ = _level_data(pair, n, _blocks(pair, n, None))
+    levels, _ = _level_data(pair, n, _tensor_block(pair, n))
     Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
@@ -301,7 +300,7 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
 def build_plain_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     """Projection onto the positive part of rho_n - e^{na} sigma_n, unpinched."""
     a = float(a)
-    check_dense_budget(pair.dim, n)
+    check_dense_budget(pair.dim, check_blocklength(n))
     if n * a > 700.0:
         # e^{na} overflows; the scaled alternative dominates everywhere on
         # its support, which is everything for an invertible pair.
@@ -344,7 +343,7 @@ def _key_residual(pair: HypothesisPair, v: int, label, blocks) -> float:
 
     In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels,
     ``M = (V* rho V)^{(x)n}``, with ``v`` levels.  Each row of a block of
-    :func:`_blocks` lies in the level ``label`` gives its position ``rows``
+    :func:`_sweep` lies in the level ``label`` gives its position ``rows``
     (levels are unions of whole types), so the residual is the direct sum
     of ``v blockdiag(R) - R``, each repeated ``m`` times, and the
     clustering rule runs on that spectrum with multiplicities.
@@ -372,19 +371,13 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     sigma_n levels are derived once per n, and the errors of every
     threshold, v(sigma_n) and the pinching residual all come from them; no
     test operator is built.  The levels and :func:`_key_residual` share
-    the :func:`_blocks` of each n, whose ``Sym^N`` table is built once for
-    the whole range.  The dense budget is checked for the largest n before
-    any work.
+    the blocks of each n from :func:`_sweep`.
     """
-    n_range = list(n_range)
-    n_top = max(n_range, default=0)
-    check_dense_budget(pair.dim, n_top)
+    sweep = _sweep(pair, n_range)
     transform = _pair_transform(pair, "psi_bar")
     phis = {float(a): transform(float(a))[0] for a in a_grid}
-    syms = _sym_table(pair, n_top)
     reports = []
-    for n in n_range:
-        blocks = _blocks(pair, n, syms)
+    for n, blocks in sweep:
         levels, label = _level_data(pair, n, blocks)
         key = _key_residual(pair, len(levels), label, blocks)
         pref = int((n + 1) ** pair.dim)
@@ -393,7 +386,7 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
             ep = _pinched_errors(levels, n, a, pair.tol)
             reports.append(
                 BoundReport(
-                    n=int(n),
+                    n=n,
                     a=a,
                     alpha=ep.alpha,
                     alpha_bound=pref * math.exp(-n * phis[a]),
@@ -413,19 +406,17 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
     rate (1/n) log beta next to -a + (d/n) log(n+1), from the levels of
-    the :func:`_blocks` of each n.  The dense budget is checked for n_max
-    before any work.
+    the :func:`_sweep` blocks of each n.
     """
-    check_dense_budget(pair.dim, int(n_max))
+    sweep = _sweep(pair, range(1, check_blocklength(n_max) + 1))
     a = float(a)
     div = relative_entropy(pair)
     if a >= div:
         raise RateAboveDivergence(f"a = {a} is not below D = {div}")
     value, _ = phi_bar(pair, a)
-    syms = _sym_table(pair, int(n_max))
     points = []
-    for n in range(1, int(n_max) + 1):
-        levels, _ = _level_data(pair, n, _blocks(pair, n, syms))
+    for n, blocks in sweep:
+        levels, _ = _level_data(pair, n, blocks)
         ep = _pinched_errors(levels, n, a, pair.tol)
         rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
@@ -466,33 +457,17 @@ def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
     return S * np.sqrt(binom[N][None, :] / binom[N][:, None])
 
 
-def _sym_table(pair: HypothesisPair, n_max: int):
-    """``Sym^N(V* rho V)`` for N = 0..n_max of a qubit pair, once per range; else None."""
-    if pair.dim != 2:
-        return None
-    X = _sigma_basis(pair)
-    return [_sym_power(X, N) for N in range(n_max + 1)]
+def _spin_blocks(pair: HypothesisPair, n: int, X: np.ndarray, syms) -> list:
+    """rho_n of a qubit pair in sigma's eigenbasis as blocks ``(m, R, rows, s)``.
 
-
-def _blocks(pair: HypothesisPair, n: int, syms) -> list:
-    """rho_n in sigma's eigenbasis as blocks ``(m, R, rows, s)``.
-
-    ``M = (V* rho V)^{(x)n}`` is unitarily, by a unitary that commutes with
-    sigma_n, the direct sum of the blocks ``R``, each repeated ``m``
-    times.  Row i of a block lies in the sigma_n eigenspace of position
-    ``rows[i]``, eigenvalue ``s[i]``.  With a :func:`_sym_table` ``syms``,
-    a qubit gives the spin blocks ``det(X)^t Sym^{n-2t}(X)``, repeated
-    ``C(n,t) - C(n,t-1)`` times, whose row j has weight j + t;
-    ``s = det(Q)^t q0^(n-2t-j) q1^j`` from running products, bit for bit
-    the diagonal of ``det(Q)^t Sym^{n-2t}(Q)``.  With ``syms`` None (other
-    dimensions, or a caller that needs rows over tensor positions) ``M``
-    is the one block.
+    ``M = X^{(x)n}``, ``X = V* rho V``, is, by a unitary commuting with
+    sigma_n, the direct sum of ``R = det(X)^t syms[n-2t]``, with
+    ``syms[N] = Sym^N(X)``, each repeated ``m = C(n,t) - C(n,t-1)`` times.
+    Row j, weight j + t, is at position ``rows[j]`` with sigma_n eigenvalue
+    ``s[j]``, from running products bit for bit the diagonal of
+    ``det(Q)^t Sym^{n-2t}(Q)``.
     """
     q, _ = pair.sigma_eig
-    X = _sigma_basis(pair)
-    if syms is None:
-        s = reduce(np.multiply.outer, [q] * n).ravel()  # np.kron bit for bit, 10x faster
-        return [(1, tensor_power(X, n), np.arange(pair.dim**n), s)]
     det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
     det_q = complex(q[0] * q[1])
     p0, p1 = (np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(n, x)))) for x in q)
@@ -506,8 +481,33 @@ def _blocks(pair: HypothesisPair, n: int, syms) -> list:
     return blocks
 
 
+def _tensor_block(pair: HypothesisPair, n: int) -> list:
+    """``M = (V* rho V)^{(x)n}`` as the one block, its rows the tensor positions."""
+    M = tensor_power(_sigma_basis(pair), n)  # validates n and the budget first
+    # np.kron bit for bit, 10x faster
+    s = reduce(np.multiply.outer, [pair.sigma_eig[0]] * n).ravel()
+    return [(1, M, np.arange(pair.dim**n), s)]
+
+
+def _sweep(pair: HypothesisPair, n_range):
+    """``(n, blocks)`` for each n of ``n_range``, built one n at a time.
+
+    On the call, not at the first ``next``, it validates every n, checks
+    the dense budget for the largest and picks :func:`_spin_blocks` on one
+    ``Sym^N`` table for a qubit, else :func:`_tensor_block`.
+    """
+    n_range = [check_blocklength(n) for n in n_range]
+    n_top = max(n_range, default=0)
+    check_dense_budget(pair.dim, n_top)
+    if pair.dim != 2:
+        return ((n, _tensor_block(pair, n)) for n in n_range)
+    X = _sigma_basis(pair)
+    syms = [_sym_power(X, N) for N in range(n_top + 1)]
+    return ((n, _spin_blocks(pair, n, X, syms)) for n in n_range)
+
+
 def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbabilities:
-    """Errors of the plain test {rho_n > e^{na} sigma_n} from the :func:`_blocks`.
+    """Errors of the plain test {rho_n > e^{na} sigma_n} from the :func:`_sweep` blocks.
 
     ``rho_n - e^{na} sigma_n`` is unitarily the direct sum of the blocks
     ``R - e^{na} diag(s)``, each repeated ``m`` times.  An eigenvalue is
@@ -548,20 +548,15 @@ def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureRepor
     beta_n <= e^{-n(phi(a)+a)} at every n, with no prefactor.  The report
     keeps its EXPERIMENTAL label and asserts nothing.
 
-    The errors are those of :func:`_plain_errors` on the :func:`_blocks`
-    of each n, whose ``Sym^N`` table is built once for the whole range; no
-    test operator is built.  The dense budget is checked for the largest n
-    before any work.
+    The errors are those of :func:`_plain_errors` on the :func:`_sweep`
+    blocks of each n; no test operator is built.
     """
-    n_range = [int(n) for n in n_range]
-    n_top = max(n_range, default=0)
-    check_dense_budget(pair.dim, n_top)
+    sweep = _sweep(pair, n_range)
     a = float(a)
     value, _ = phi(pair, a)
-    syms = _sym_table(pair, n_top)
     rows = []
-    for n in n_range:
-        ep = _plain_errors(pair, n, a, _blocks(pair, n, syms))
+    for n, blocks in sweep:
+        ep = _plain_errors(pair, n, a, blocks)
         la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf
         lb = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         rows.append(

@@ -250,14 +250,20 @@ def check_dense_budget(dim: int, n: int) -> None:
         raise DimensionBudgetExceeded(f"dim {dim}^{n} exceeds budget {MAX_TENSOR_DIM}")
 
 
+def check_blocklength(n) -> int:
+    """``n`` as an int; ValueError unless it is an integer (numpy's too) of at least 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"blocklength must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def tensor_power(A, n: int) -> np.ndarray:
     """n-fold Kronecker power of a square operator, within the dense budget."""
     M = as_complex_matrix(A)
-    if n < 1 or int(n) != n:
-        raise ValueError(f"tensor power order must be a positive integer, got {n}")
+    n = check_blocklength(n)
     check_dense_budget(M.shape[0], n)
-    out = np.array([[1.0 + 0.0j]])
-    for _ in range(int(n)):
+    out = M.copy()  # n = 1 must not hand back the caller's array
+    for _ in range(n - 1):
         out = np.kron(out, M)
     return out
 

@@ -559,6 +559,14 @@ class TestSweepCurve:
                 np.array([0.5, 1.5]),
             )
 
+    def test_curve_parameter_is_s_or_a(self):
+        # nothing samples a curve over r; "r" is no parameter name
+        grid = np.array([0.0, 1.0])
+        for name in ("s", "a"):
+            assert qht.ExponentCurve(name, grid, grid).parameter_name == name
+        with pytest.raises(ValueError, match="parameter name"):
+            qht.ExponentCurve("r", grid, grid)
+
 
 class TestPairValidation:
     def test_trace_violation_named(self):

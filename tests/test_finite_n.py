@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import qht
 from qht import checks, finite_n, operators
 from qht.finite_n import (
-    _blocks,
     _kept,
     _key_residual,
     _level_data,
@@ -17,8 +16,8 @@ from qht.finite_n import (
     _pinched_errors,
     _plain_errors,
     _sigma_basis,
+    _sweep,
     _sym_power,
-    _sym_table,
 )
 from qht.operators import hermitian_part, positive_projection, tensor_power
 
@@ -37,9 +36,15 @@ def exact_errors(pair, test):
     )
 
 
+def sweep_blocks(pair, n):
+    """The blocks a sweep takes at n: spin blocks for a qubit, ``M`` otherwise."""
+    ((_, blocks),) = _sweep(pair, [n])
+    return blocks
+
+
 def sweep_levels(pair, n):
-    """The sigma_n levels of a sweep: spin blocks for a qubit, ``M`` otherwise."""
-    return _level_data(pair, n, _blocks(pair, n, _sym_table(pair, n)))[0]
+    """The sigma_n levels of a sweep at n."""
+    return _level_data(pair, n, sweep_blocks(pair, n))[0]
 
 
 @pytest.fixture
@@ -428,9 +433,7 @@ class TestVerifyBounds:
         monkeypatch.setattr(finite_n, "_gap_clusters", spy)
         X = _sigma_basis(pair)
         n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
-        syms = _sym_table(pair, n_max)
-        for n in range(1, n_max + 1):
-            blocks = _blocks(pair, n, syms)
+        for n, blocks in _sweep(pair, range(1, n_max + 1)):
             levels, label = _level_data(pair, n, blocks)
             order = np.concatenate([lev.positions for lev in levels])
             M = tensor_power(X, n)[np.ix_(order, order)]
@@ -619,7 +622,8 @@ class TestBudgetBeforeWork:
         def refuse(*args, **kwargs):
             raise AssertionError("blocklength computed before the budget check")
 
-        for name in ("_level_data", "_sym_table", "_blocks", "_plain_errors", "tensor_power"):
+        qutrit = qht.random_pair(0, dim=3)
+        for name in ("_sym_power", "_tensor_block", "_level_data", "_plain_errors", "tensor_power"):
             monkeypatch.setattr(finite_n, name, refuse)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.verify_bounds(generic, range(1, 14), [0.1])
@@ -628,7 +632,77 @@ class TestBudgetBeforeWork:
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.conjecture_probe(generic, range(1, 14), 0.1)
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.conjecture_probe(qht.random_pair(0, dim=3), range(1, 9), 0.1)
+            qht.verify_bounds(qutrit, range(1, 9), [0.1])
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.stein_trace(qutrit, 0.1, 8)
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            qht.conjecture_probe(qutrit, range(1, 9), 0.1)
+
+
+class TestBlocklengthValidation:
+    @pytest.mark.parametrize("n", [0, -1, 2.5])
+    @pytest.mark.parametrize("dim", [2, 3], ids=["qubit", "qutrit"])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda pair, n: qht.verify_bounds(pair, [n], [0.1]),
+            lambda pair, n: qht.stein_trace(pair, 0.1, n),
+            lambda pair, n: qht.conjecture_probe(pair, [n], 0.1),
+            lambda pair, n: qht.build_pinched_test(pair, n, 0.1),
+            lambda pair, n: qht.build_plain_test(pair, n, 0.1),
+        ],
+        ids=["verify_bounds", "stein_trace", "conjecture_probe",
+             "build_pinched_test", "build_plain_test"],
+    )
+    def test_invalid_blocklength_raises_before_any_work(self, entry, dim, n, monkeypatch):
+        # 0.1 lies below the relative entropy of both pairs, so stein_trace
+        # reaches its blocklengths; a spied call that returns is work done
+        computed = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                computed.append(name)
+                return out
+
+            return wrapped
+
+        pair = qht.random_pair(0, dim=dim)
+        assert qht.relative_entropy(pair) > 0.1
+        for name in ("_sym_power", "_level_data", "tensor_power"):
+            monkeypatch.setattr(finite_n, name, spy(name, getattr(finite_n, name)))
+        with pytest.raises(ValueError, match="blocklength"):
+            entry(pair, n)
+        assert computed == []
+
+    def test_sweep_checks_on_the_call_and_builds_lazily(self, generic, monkeypatch):
+        # the checks run before the first next(), the blocks one n per next()
+        qutrit = qht.random_pair(0, dim=3)
+        with pytest.raises(ValueError, match="blocklength"):
+            _sweep(qutrit, [1, 0])
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            _sweep(generic, range(1, 14))
+        powers = []
+
+        def spy(A, n):
+            powers.append(n)
+            return tensor_power(A, n)
+
+        monkeypatch.setattr(finite_n, "tensor_power", spy)
+        sweep = _sweep(qutrit, [1, 2, 3])
+        assert powers == []
+        assert next(sweep)[0] == 1 and powers == [1]
+        assert next(sweep)[0] == 2 and powers == [1, 2]
+
+    @pytest.mark.parametrize("dim", [2, 3], ids=["qubit", "qutrit"])
+    def test_empty_ranges_and_numpy_integers(self, dim):
+        pair = qht.random_pair(0, dim=dim)
+        assert qht.verify_bounds(pair, [], [0.1]) == []
+        assert qht.conjecture_probe(pair, [], 0.1).rows == ()
+        assert qht.verify_bounds(pair, np.arange(1, 3), [0.1]) == qht.verify_bounds(
+            pair, range(1, 3), [0.1]
+        )
+        assert qht.stein_trace(pair, 0.1, np.int64(2)) == qht.stein_trace(pair, 0.1, 2)
 
 
 class TestSteinTrace:
@@ -693,7 +767,7 @@ def dense_plain_errors(pair, n, a):
 
 
 def block_plain_errors(pair, n, a):
-    return _plain_errors(pair, n, a, _blocks(pair, n, _sym_table(pair, n)))
+    return _plain_errors(pair, n, a, sweep_blocks(pair, n))
 
 
 class TestSpinBlocks:
@@ -710,8 +784,7 @@ class TestSpinBlocks:
         np.testing.assert_array_equal(_sym_power(X, 0), np.ones((1, 1)))
 
     def test_multiplicities_fill_the_space(self, generic):
-        for n in range(1, 13):
-            blocks = _blocks(generic, n, _sym_table(generic, n))
+        for n, blocks in _sweep(generic, range(1, 13)):
             assert [len(R) for _, R, _, _ in blocks] == [n - 2 * t + 1 for t in range(n // 2 + 1)]
             assert sum(m * len(R) for m, R, _, _ in blocks) == 2**n
             for t, (_, R, rows, s) in enumerate(blocks):
@@ -730,20 +803,20 @@ class TestSpinBlocks:
         q, _ = pair.sigma_eig
         Q = np.diag(q).astype(complex)
         det = complex(Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0])
-        for n in range(1, 13):
-            for t, (_, _, _, s) in enumerate(_blocks(pair, n, _sym_table(pair, n))):
+        for n, blocks in _sweep(pair, range(1, 13)):
+            for t, (_, _, _, s) in enumerate(blocks):
                 S = det**t * _sym_power(Q, n - 2 * t)
                 np.testing.assert_array_equal(s.view(np.int64), S.diagonal().real.view(np.int64))
                 assert not (S - np.diag(S.diagonal())).any()
 
     def test_block_spectrum_matches_dense(self):
         for pair in seeded_pairs(3) + [qht.preset_pair("qubit-generic")] + seeded_pairs(2, dim=3):
-            for n in range(1, 7 if pair.dim == 2 else 4):
+            for n, blocks in _sweep(pair, range(1, 7 if pair.dim == 2 else 4)):
                 for a in (-0.2, 0.1, 0.5 * qht.relative_entropy(pair)):
                     thr = math.exp(n * a)
                     spectrum = np.sort(np.concatenate([
                         np.repeat(np.linalg.eigvalsh(R - thr * np.diag(s)), m)
-                        for m, R, _, s in _blocks(pair, n, _sym_table(pair, n))
+                        for m, R, _, s in blocks
                     ]))
                     rho_n = tensor_power(pair.rho, n)
                     dense = np.linalg.eigvalsh(rho_n - thr * tensor_power(pair.sigma, n))

@@ -261,6 +261,19 @@ class TestTensorPower:
         with pytest.raises(ValueError):
             qht.tensor_power(np.eye(2), 0)
 
+    def test_first_power_is_a_bitwise_copy(self):
+        # a leading [[1]] factor turns the real part of -0.0 - 1j into +0.0
+        A = np.array([[0.5, complex(-0.0, -1.0)], [complex(-0.0, 1.0), -0.0]])
+        out = qht.tensor_power(A, 1)
+        assert out is not A
+        np.testing.assert_array_equal(out.view(np.int64), A.view(np.int64))
+
+    def test_numpy_integer_order(self):
+        A = rng_hermitian(7, 2)
+        np.testing.assert_array_equal(qht.tensor_power(A, np.int64(3)), qht.tensor_power(A, 3))
+        with pytest.raises(ValueError, match="blocklength"):
+            qht.tensor_power(A, 2.5)
+
 
 class TestMinEigenvalue:
     @pytest.mark.parametrize(
