@@ -156,8 +156,13 @@ def _cmd_exponents(args) -> int:
     grid = args.grid_s
     print(f"dim = {pair.dim}")
     print(f"relative_entropy = {_FMT(relative_entropy(pair))}")
-    rows = zip(grid, psi_bar_values(pair, grid), psi_values(pair, grid))
-    sys.stdout.write(ser.table_to_csv(("s", "psi_bar", "psi"), rows))
+    columns = ("s", "psi_bar", "psi")
+    values = zip(grid, psi_bar_values(pair, grid), psi_values(pair, grid))
+    rows = [dict(zip(columns, row)) for row in values]
+    csv_text = ser.table_to_csv(columns, rows)
+    _write(args.out, "exponents.csv", csv_text)
+    _write(args.out, "exponents.json", ser.payload_to_json(rows))
+    sys.stdout.write(csv_text)
     return 0
 
 

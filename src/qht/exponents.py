@@ -19,16 +19,16 @@ Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
 ``sigma^0`` act as support projectors.  ``classical_psi`` keeps its own
 convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
 
-Every maximization over s (``phi``, ``phi_bar`` and the rate objective)
-scans a grid of kernel values and refines the grid argmax by safeguarded
-Newton steps on the kernel's closed-form first and second derivatives.
-The settings are fixed: ``GRID_POINTS`` grid points, at most
-``NEWTON_STEPS`` Newton steps, and a rate bisection that narrows its
-bracket to ``BISECTION_WIDTH``.  A pair's kernel terms and each of its grid
-scans are built once per pair and kernel: they are cached on the pair and
-freed with it, and every function here that takes a pair reads them from
-there.  A scan also memoizes the kernel's moments at the grid points where
-Newton refinement starts.
+Every maximization over s (``phi``, ``phi_bar``, the rate objective and
+the finite-n envelopes) is a method of one ``_Scan``: it scans a grid of
+kernel values and refines the grid argmax by safeguarded Newton steps on
+the kernel's closed-form first and second derivatives.  The settings are
+fixed: ``GRID_POINTS`` grid points, at most ``NEWTON_STEPS`` Newton steps,
+and a rate bisection that narrows its bracket to ``BISECTION_WIDTH``.  A
+pair's kernel terms, and one scan per kernel and grid, are cached on the
+pair and freed with it; every function here that takes a pair reads them
+from there.  A scan also memoizes the kernel's moments at the grid points
+where Newton refinement starts.
 """
 
 import math
@@ -197,18 +197,18 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
 
 
 class _Scan:
-    """A kernel E scanned on one s-grid.
+    """A kernel E on the grid ``linspace(lower, 1, GRID_POINTS)``, maximized by its methods.
 
     The moments (E, E', E'') at grid points are memoized: every
     maximization over the grid starts its Newton steps at its grid argmax,
     and different thresholds often share it.
     """
 
-    def __init__(self, terms, name: str, grid: np.ndarray):
+    def __init__(self, terms, name: str, lower: float = 0.0):
         self.terms = terms
         self.name = name
-        self.grid = grid
-        self.values = _exponent(terms, grid, name)
+        self.grid = np.linspace(lower, 1.0, GRID_POINTS)
+        self.values = _exponent(terms, self.grid, name)
         self._at_grid = {}
 
     def grid_moments(self, k: int) -> tuple[float, float, float]:
@@ -216,112 +216,73 @@ class _Scan:
             self._at_grid[k] = _exponent_point(self.terms, float(self.grid[k]), self.name)
         return self._at_grid[k]
 
+    def maximize(self, vals: np.ndarray, lift, done=None):
+        """Grid argmax of ``vals`` (the objective on the grid), refined by Newton.
 
-def _grid_then_refine(vals: np.ndarray, scan: _Scan, lift, done=None):
-    """Grid argmax of ``vals`` (the objective on ``scan.grid``), refined by Newton.
-
-    ``lift(s, E, E1, E2)`` turns the kernel moments at s into the objective
-    and its first two s-derivatives.  Newton steps on the slope start at the
-    grid argmax k and stay inside the bracket ``[grid[k-1], grid[k+1]]``,
-    which shrinks to the side the slope points to; where the curvature is
-    not negative or a step would leave the bracket, the step bisects it
-    instead.  The refinement stops when a step falls to roundoff or after
-    ``NEWTON_STEPS`` steps, or as soon as ``done(best value)`` holds.  Returns
-    ``(s, value, k)`` for the best probed point: the grid point wins unless
-    strictly beaten, and ties go to the smaller s.
-    """
-    grid = scan.grid
-    k = int(np.argmax(vals))
-    lo = float(grid[max(k - 1, 0)])
-    hi = float(grid[min(k + 1, len(grid) - 1)])
-    best_x, best_v = float(grid[k]), float(vals[k])
-    if done is not None and done(best_v):
-        return best_x, best_v, k
-    x = best_x
-    _, d1, d2 = lift(x, *scan.grid_moments(k))
-    for _ in range(NEWTON_STEPS):
-        if d1 > 0.0:
-            lo = x
-        elif d1 < 0.0:
-            hi = x
-        else:
-            break
-        newton = -d1 / d2 if d2 < 0.0 else math.inf
-        if abs(newton) <= _STEP_ROUNDOFF:
-            break
-        step = x + newton
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - x) <= _STEP_ROUNDOFF:
-            break
-        x = step
-        v, d1, d2 = lift(x, *_exponent_point(scan.terms, x, scan.name))
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-            if done is not None and done(best_v):
+        ``lift(s, E, E1, E2)`` turns the kernel moments at s into the objective
+        and its first two s-derivatives.  Newton steps on the slope start at the
+        grid argmax k and stay inside the bracket ``[grid[k-1], grid[k+1]]``,
+        which shrinks to the side the slope points to; where the curvature is
+        not negative or a step would leave the bracket, the step bisects it
+        instead.  The refinement stops when a step falls to roundoff or after
+        ``NEWTON_STEPS`` steps, or as soon as ``done(best value)`` holds.  Returns
+        ``(s, value, k)`` for the best probed point: the grid point wins unless
+        strictly beaten, and ties go to the smaller s.
+        """
+        grid = self.grid
+        k = int(np.argmax(vals))
+        lo = float(grid[max(k - 1, 0)])
+        hi = float(grid[min(k + 1, len(grid) - 1)])
+        best_x, best_v = float(grid[k]), float(vals[k])
+        if done is not None and done(best_v):
+            return best_x, best_v, k
+        x = best_x
+        _, d1, d2 = lift(x, *self.grid_moments(k))
+        for _ in range(NEWTON_STEPS):
+            if d1 > 0.0:
+                lo = x
+            elif d1 < 0.0:
+                hi = x
+            else:
                 break
-    return best_x, best_v, k
+            newton = -d1 / d2 if d2 < 0.0 else math.inf
+            if abs(newton) <= _STEP_ROUNDOFF:
+                break
+            step = x + newton
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi)
+            if abs(step - x) <= _STEP_ROUNDOFF:
+                break
+            x = step
+            v, d1, d2 = lift(x, *_exponent_point(self.terms, x, self.name))
+            if v > best_v or (v == best_v and x < best_x):
+                best_x, best_v = x, v
+                if done is not None and done(best_v):
+                    break
+        return best_x, best_v, k
 
+    def transform(self, a: float, done=None) -> tuple[float, float]:
+        """``(max over the grid's s of E(s) - a s, argmax)``; ``done`` as in :meth:`maximize`."""
 
-def _transform(terms, name: str):
-    """``a -> (max over s in [0, 1] of E(s) - a s, argmax)`` for the kernel E.
-
-    The grid values of E are computed once, so each threshold costs one
-    argmax over the grid plus a few Newton steps.  ``done`` is passed to
-    :func:`_grid_then_refine` and may end the refinement early.
-    """
-    scan = _Scan(terms, name, np.linspace(0.0, 1.0, GRID_POINTS))
-
-    def at(a: float, done=None) -> tuple[float, float]:
         def lift(s, v, d1, d2):
             return v - a * s, d1 - a, d2
 
-        s_star, value, _ = _grid_then_refine(scan.values - a * scan.grid, scan, lift, done)
+        s_star, value, _ = self.maximize(self.values - a * self.grid, lift, done)
         return value, s_star
 
-    return at
+    def rate(self, r: float) -> float:
+        """max over the grid's s of ``h(s) = (E(s) - (1-s) r) / s``.
 
+        ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.
+        """
 
-def _pair_transform(pair: HypothesisPair, name: str):
-    """The pair's cached :func:`_transform` of the kernel ``name``."""
-    return _cached(pair, ("phi", name), lambda: _transform(_terms(pair, name), name))
-
-
-def phi_bar(pair: HypothesisPair, a: float) -> tuple[float, float]:
-    """max over s in [0, 1] of psi_bar(s) - a s, with the maximizing s.
-
-    Concavity of psi_bar is not established, so a dense grid scan runs
-    first and safeguarded Newton steps only refine the winning bracket.
-    Ties break toward smaller s.
-    """
-    return _pair_transform(pair, "psi_bar")(float(a))
-
-
-def phi(pair: HypothesisPair, a: float) -> tuple[float, float]:
-    """max over s in [0, 1] of psi(s) - a s, with the maximizing s.
-
-    psi'' < 0 makes the objective strictly concave; it takes the same grid
-    scan and Newton refinement as :func:`phi_bar`.
-    """
-    return _pair_transform(pair, "psi")(float(a))
-
-
-def _rate_objective(terms, name: str):
-    """``r -> max over s in (0, 1] of h(s) = (E(s) - (1-s) r) / s`` for the kernel E.
-
-    ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.  The grid
-    values of E are computed once for every r.
-    """
-    scan = _Scan(terms, name, np.linspace(S_MIN, 1.0, GRID_POINTS))
-
-    def at(r: float) -> float:
         def lift(s, E, E1, E2):
             h = (E - (1.0 - s) * r) / s
             h1 = (E1 + r - h) / s
             return h, h1, (E2 - 2.0 * h1) / s
 
-        vals = (scan.values - (1.0 - scan.grid) * r) / scan.grid
-        _, value, k = _grid_then_refine(vals, scan, lift)
+        vals = (self.values - (1.0 - self.grid) * r) / self.grid
+        _, value, k = self.maximize(vals, lift)
         if k == 0:
             warnings.warn(
                 f"rate objective peaked at the lower cutoff s = {S_MIN}; "
@@ -331,7 +292,29 @@ def _rate_objective(terms, name: str):
             )
         return value
 
-    return at
+
+def _scan(pair: HypothesisPair, name: str, lower: float = 0.0) -> _Scan:
+    """The pair's cached scan of the kernel ``name`` on ``[lower, 1]``."""
+    return _cached(pair, (name, lower), lambda: _Scan(_terms(pair, name), name, lower))
+
+
+def phi_bar(pair: HypothesisPair, a: float) -> tuple[float, float]:
+    """max over s in [0, 1] of psi_bar(s) - a s, with the maximizing s.
+
+    Concavity of psi_bar is not established, so a dense grid scan runs
+    first and safeguarded Newton steps only refine the winning bracket.
+    Ties break toward smaller s.
+    """
+    return _scan(pair, "psi_bar").transform(float(a))
+
+
+def phi(pair: HypothesisPair, a: float) -> tuple[float, float]:
+    """max over s in [0, 1] of psi(s) - a s, with the maximizing s.
+
+    psi'' < 0 makes the objective strictly concave; it takes the same grid
+    scan and Newton refinement as :func:`phi_bar`.
+    """
+    return _scan(pair, "psi").transform(float(a))
 
 
 def hoeffding_rate(pair: HypothesisPair, r: float) -> float:
@@ -342,10 +325,7 @@ def hoeffding_rate(pair: HypothesisPair, r: float) -> float:
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    objective = _cached(
-        pair, "rate", lambda: _rate_objective(_terms(pair, "psi_bar"), "psi_bar")
-    )
-    return objective(float(r))
+    return _scan(pair, "psi_bar", S_MIN).rate(float(r))
 
 
 def solve_rate_parameter(pair: HypothesisPair, r: float) -> float:
@@ -363,7 +343,7 @@ def solve_rate_parameter(pair: HypothesisPair, r: float) -> float:
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    transform = _pair_transform(pair, "psi_bar")
+    transform = _scan(pair, "psi_bar").transform
 
     def exceeds(a):
         return transform(a, lambda v: v > r)[0] > r
@@ -438,7 +418,7 @@ def classical_hoeffding(p, q, r: float) -> float:
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)
-    return _rate_objective(terms, "classical")(float(r))
+    return _Scan(terms, "classical", S_MIN).rate(float(r))
 
 
 @dataclass(frozen=True)
@@ -482,7 +462,7 @@ def sweep_curve(pair: HypothesisPair, which: str, grid) -> ExponentCurve:
     if which == "psi":
         return ExponentCurve("s", grid, psi_values(pair, grid))
     if which in ("phi_bar", "phi"):
-        transform = _pair_transform(pair, "psi_bar" if which == "phi_bar" else "psi")
+        transform = _scan(pair, "psi_bar" if which == "phi_bar" else "psi").transform
         values = np.empty_like(grid)
         argmax = np.empty_like(grid)
         for i, a in enumerate(grid):

@@ -42,7 +42,7 @@ from .errors import (
     NonHermitianInput,
     RateAboveDivergence,
 )
-from .exponents import _pair_transform, phi, phi_bar, relative_entropy
+from .exponents import phi, phi_bar, relative_entropy
 from .operators import (
     _gap_clusters,
     check_blocklength,
@@ -374,8 +374,7 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     the blocks of each n from :func:`_sweep`.
     """
     sweep = _sweep(pair, n_range)
-    transform = _pair_transform(pair, "psi_bar")
-    phis = {float(a): transform(float(a))[0] for a in a_grid}
+    phis = {float(a): phi_bar(pair, a)[0] for a in a_grid}
     reports = []
     for n, blocks in sweep:
         levels, label = _level_data(pair, n, blocks)

@@ -56,6 +56,17 @@ def check_hermitian(M) -> np.ndarray:
     return A
 
 
+def hermitian_eigh(M):
+    """``(A, w, V)``: ``M`` as a matrix A and the ``eigh`` of its Hermitian part.
+
+    A's symmetry is held to ``HERMITIAN_TOL * (1 + max|w|)``, not to a 2-norm.
+    """
+    A = as_complex_matrix(M)
+    w, V = np.linalg.eigh(hermitian_part(A))
+    _require_symmetric(A, 1.0 + (np.abs(w).max() if w.size else 0.0))
+    return A, w, V
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Clustered eigensystem of a Hermitian operator.
@@ -108,13 +119,10 @@ def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecompositi
     eigenspace is spanned by the corresponding eigenvectors.  Tensor powers
     produce numerically coincident eigenvalues, and merging them is what
     keeps v(A) at its exact-arithmetic value.  Hermitian symmetry is
-    checked as in :func:`check_hermitian`, but scaled by ``1 + max|w|`` over
-    the eigenvalues w of the Hermitian part instead of a separate 2-norm.
+    checked by :func:`hermitian_eigh`.
     """
-    A = as_complex_matrix(H)
-    w, V = np.linalg.eigh(hermitian_part(A))
-    means, sizes, norm = _gap_clusters(w, tol)
-    _require_symmetric(A, 1.0 + norm)
+    _, w, V = hermitian_eigh(H)
+    means, sizes, _ = _gap_clusters(w, tol)
     return SpectralDecomposition(eigenvalues=means, vectors=V, sizes=sizes)
 
 
@@ -178,11 +186,9 @@ def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Projector onto the strictly positive eigenspaces of Hermitian ``X``.
 
     Eigenvalues are kept by the rule of :func:`strictly_positive`; Hermitian
-    symmetry is checked as in :func:`eigendecompose`.
+    symmetry is checked by :func:`hermitian_eigh`.
     """
-    A = as_complex_matrix(X)
-    w, V = np.linalg.eigh(hermitian_part(A))
-    _require_symmetric(A, 1.0 + (np.abs(w).max() if w.size else 0.0))
+    _, w, V = hermitian_eigh(X)
     return (V * strictly_positive(w, tol).astype(float)) @ V.conj().T
 
 

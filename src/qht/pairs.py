@@ -12,19 +12,27 @@ from .errors import (
     ParseError,
     SingularInput,
 )
-from .operators import check_hermitian, hermitian_part
+from .operators import hermitian_eigh
 
 
-def check_density(M) -> np.ndarray:
-    """Validate a density operator: Hermitian, PSD within tolerance, unit trace."""
-    A = check_hermitian(M)
-    w = np.linalg.eigvalsh(hermitian_part(A))
+def _density_eig(M):
+    """A validated density operator and its eigensystem ``(clip(w, 0), V)``.
+
+    One :func:`qht.operators.hermitian_eigh` checks, in this order, Hermitian
+    symmetry, positivity within ``PSD_TOL`` and unit trace.
+    """
+    A, w, V = hermitian_eigh(M)
     if w.min() < -PSD_TOL:
         raise NotPositiveSemidefinite(f"min eigenvalue {w.min():.3e}")
     tr = np.trace(A).real
     if abs(tr - 1.0) > TRACE_TOL:
         raise InvariantViolation("trace", f"trace is {tr!r}, expected 1")
-    return A
+    return A, (np.clip(w, 0.0, None), V)
+
+
+def check_density(M) -> np.ndarray:
+    """Validate a density operator: Hermitian, PSD within tolerance, unit trace."""
+    return _density_eig(M)[0]
 
 
 class HypothesisPair:
@@ -35,16 +43,16 @@ class HypothesisPair:
     tests read its ``cluster_rel_tol``, and the exponent functions run at
     fixed settings.  In strict mode (the default ToleranceConfig) both
     states must be positive definite, because the exponent functions take
-    inverse powers and logarithms of them.  Eigendecompositions of both
-    states are computed once and cached; eigenvalues within ``PSD_TOL``
-    below zero are floored at zero.  The kernel terms and grid scans of
-    :mod:`qht.exponents` are cached on the pair too, keyed by kernel, and
-    freed with it.
+    inverse powers and logarithms of them.  ``rho_eig`` and ``sigma_eig``
+    are the eigensystems ``(w, V)`` of the one eigensolve that validates
+    each state; eigenvalues within ``PSD_TOL`` below zero are floored at
+    zero.  The kernel terms of :mod:`qht.exponents`, and one scan per
+    kernel and grid, are cached on the pair too and freed with it.
     """
 
     def __init__(self, rho, sigma, tol: ToleranceConfig = DEFAULT_TOL):
-        rho = check_density(rho)
-        sigma = check_density(sigma)
+        rho, self.rho_eig = _density_eig(rho)
+        sigma, self.sigma_eig = _density_eig(sigma)
         if rho.shape != sigma.shape:
             raise DimensionMismatch(
                 f"rho has dimension {rho.shape[0]}, sigma {sigma.shape[0]}"
@@ -56,16 +64,6 @@ class HypothesisPair:
         self._exponent_cache = {}
         if tol.strict:
             self.assert_invertible("strict mode")
-
-    @cached_property
-    def rho_eig(self):
-        w, V = np.linalg.eigh(hermitian_part(self.rho))
-        return np.clip(w, 0.0, None), V
-
-    @cached_property
-    def sigma_eig(self):
-        w, V = np.linalg.eigh(hermitian_part(self.sigma))
-        return np.clip(w, 0.0, None), V
 
     def _min_support_ratio(self) -> float:
         p, _ = self.rho_eig

@@ -18,7 +18,7 @@ import numpy as np
 
 from qht.config import POSITIVITY_ROUNDOFF
 from qht.errors import BracketFailure
-from qht.exponents import _psi_bar_terms, _transform, relative_entropy
+from qht.exponents import _psi_bar_terms, _Scan, relative_entropy
 
 
 def weight_form(pair):
@@ -109,7 +109,7 @@ def reference_rate_parameter(pair, r):
     The bracket-and-bisect loop of ``solve_rate_parameter`` as it was before
     the per-pair cache: every probe takes the full Newton refinement.
     """
-    transform = _transform(_psi_bar_terms(pair), "psi_bar")
+    transform = _Scan(_psi_bar_terms(pair), "psi_bar").transform
 
     def value(a):
         return transform(a)[0]

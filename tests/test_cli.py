@@ -54,6 +54,19 @@ class TestExponentsCommand:
         s_values = [float(row.split(",")[0]) for row in lines[3:]]
         assert s_values == pytest.approx([0.1 * k for k in range(11)], abs=1e-15)
 
+    def test_out_writes_the_printed_table(self, capsys, tmp_path):
+        _, plain, _ = run(capsys, "exponents", "--preset", "qubit-generic")
+        code, out, _ = run(capsys, "exponents", "--preset", "qubit-generic", "--out", str(tmp_path))
+        assert code == 0
+        assert out == plain
+        csv_text = (tmp_path / "exponents.csv").read_text(encoding="utf-8")
+        assert csv_text == out[out.index("s,psi_bar,psi\n") :]
+        payload = json.loads((tmp_path / "exponents.json").read_text(encoding="utf-8"))
+        lines = csv_text.strip().split("\n")
+        assert len(payload) == len(lines) - 1
+        for row, line in zip(payload, lines[1:]):
+            assert list(row) == ["s", "psi_bar", "psi"]
+            assert [row[k] for k in row] == [float(x) for x in line.split(",")]
 
     def test_module_entry_point(self, capsys):
         # python -m qht runs the same command line as main()

@@ -8,6 +8,7 @@ import pytest
 import qht
 from qht import exponents
 from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms, _real_trace
+from qht.operators import hermitian_part
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
 from oracles import (
@@ -446,7 +447,14 @@ class TestPairCache:
         for r in (0.01, 0.1, 0.5):
             qht.solve_rate_parameter(pair, r)
             qht.hoeffding_rate(pair, r)
-        assert scans == [2001] * 2
+        grid = np.linspace(-1.0, 2.0, 7)
+        for a in grid:
+            qht.phi(pair, a)
+        qht.sweep_curve(pair, "phi_bar", grid)
+        qht.sweep_curve(pair, "phi", grid)
+        qht.verify_bounds(pair, range(1, 3), grid)
+        # psi_bar on [0, 1], psi_bar on [S_MIN, 1] and psi on [0, 1]
+        assert scans == [2001] * 3
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_rate_parameter_matches_full_probes(self, dim):
@@ -592,6 +600,39 @@ class TestPairValidation:
     def test_strict_mode_rejects_singular(self):
         with pytest.raises(qht.SingularInput):
             qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
+
+    def test_one_eigensolve_per_state(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh", "svd", "norm"):
+            solver = getattr(np.linalg, name)
+
+            def spy(*args, _name=name, _solver=solver, **kwargs):
+                calls.append(_name)
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        rho = np.array([[0.7, 0.1 + 0.1j], [0.1 - 0.1j, 0.3]])
+        sigma = np.array([[0.4, -0.15j], [0.15j, 0.6]])
+        pair = qht.HypothesisPair(rho, sigma)
+        assert calls == ["eigh", "eigh"]
+        monkeypatch.undo()
+        for state, (w, V) in ((rho, pair.rho_eig), (sigma, pair.sigma_eig)):
+            ref_w, ref_V = np.linalg.eigh(hermitian_part(state))
+            assert np.array_equal(w, np.clip(ref_w, 0.0, None))
+            assert np.array_equal(V, ref_V)
+
+    def test_error_order(self):
+        asym_negative = np.array([[1.5, 0.3], [0.0, -0.5]])
+        off_trace = np.diag([0.5, 0.49])
+        with pytest.raises(qht.NonHermitianInput):
+            qht.check_density(asym_negative)
+        with pytest.raises(qht.InvariantViolation) as err:
+            qht.HypothesisPair(off_trace, asym_negative)
+        assert err.value.check == "trace"
+        with pytest.raises(qht.NotPositiveSemidefinite):
+            qht.HypothesisPair(np.eye(3) / 3.0, np.diag([1.5, -0.5]))
+        with pytest.raises(qht.DimensionMismatch):
+            qht.HypothesisPair(np.eye(3) / 3.0, np.diag([1.0, 0.0]))
 
     def test_smoothing_restores_rank(self):
         tol = qht.ToleranceConfig(strict=False)
