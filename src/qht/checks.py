@@ -6,7 +6,9 @@ residual stays inside the stated tolerance.  The suite is the library's
 self-test: it covers the pinching identities, the key operator
 inequality, the eigenvalue-count bound, the ordering and shape of the
 exponent functions, derivative consistency, the finite-n envelopes and
-the classical reductions.
+the classical reductions.  The derivative check compares against a
+40-digit reference psi computed with the standard library's ``decimal``
+module (:func:`decimal_psi`).
 """
 
 import math
@@ -231,31 +233,64 @@ def check_phi_bar_shape(rng, n_samples) -> CheckResult:
     return CheckResult("phi_bar shape", worst <= 1e-9, worst, 1e-9, detail)
 
 
+# Significant digits of the derivative check's reference psi.
+PSI_REFERENCE_DIGITS = 40
+
+
+def _reference_context():
+    # decimal is imported here, so only a run of the derivative check loads it
+    import decimal
+
+    return decimal.localcontext(decimal.Context(prec=PSI_REFERENCE_DIGITS))
+
+
+def decimal_psi(pair):
+    """The reference psi of ``pair`` at 40 digits, as a function of a Decimal s.
+
+    psi(s) = -ln sum_ij |<u_i|v_j>|^2 p_i^(1-s) q_j^s over the eigensystems
+    (p, U) of rho and (q, V) of sigma, in stdlib ``decimal`` with every
+    operation rounded to ``PSI_REFERENCE_DIGITS``, whatever the caller's
+    context.  Each power is exp(t ln x), with ln p and ln q taken once here.
+    Form s itself at ``PSI_REFERENCE_DIGITS`` too.
+    """
+    from decimal import Decimal
+
+    p, U = pair.rho_eig
+    q, V = pair.sigma_eig
+    W = np.abs(U.conj().T @ V) ** 2
+    weights = [[Decimal(float(x)) for x in row] for row in W]
+    with _reference_context():
+        ln_p = [Decimal(float(x)).ln() for x in p]
+        ln_q = [Decimal(float(x)).ln() for x in q]
+
+    def psi(s):
+        with _reference_context():
+            P = [((1 - s) * x).exp() for x in ln_p]
+            Q = [(s * x).exp() for x in ln_q]
+            tot = sum(w * Pi * Qj for Pi, row in zip(P, weights) for Qj, w in zip(Q, row))
+            return -tot.ln()
+
+    return psi
+
+
 def check_derivatives(rng, n_samples) -> CheckResult:
-    import mpmath as mp
+    """psi' and psi'' against central differences of :func:`decimal_psi`.
+
+    The 40-digit reference uses stdlib ``decimal``, so the differences at
+    h = 1e-5 keep about 30 digits and the residual is the float path's.
+    """
+    from decimal import Decimal
 
     worst = 0.0
     h = 1e-5
     for _ in range(n_samples):
         pair = random_pair(rng)
-        p, U = pair.rho_eig
-        q, V = pair.sigma_eig
-        W = np.abs(U.conj().T @ V) ** 2
-
-        def psi_hp(s):
-            P = [mp.mpf(float(x)) ** (1 - s) for x in p]
-            Q = [mp.mpf(float(x)) ** s for x in q]
-            tot = mp.mpf(0)
-            for i in range(pair.dim):
-                for j in range(pair.dim):
-                    tot += mp.mpf(float(W[i, j])) * P[i] * Q[j]
-            return -mp.log(tot)
-
-        with mp.workdps(40):
+        psi_hp = decimal_psi(pair)
+        with _reference_context():
             for s in (0.1, 0.3, 0.5, 0.7, 0.9):
                 d1, d2 = psi_derivatives(pair, s)
-                sh = mp.mpf(s)
-                hh = mp.mpf(h)
+                sh = Decimal(s)
+                hh = Decimal(h)
                 up, mid, down = psi_hp(sh + hh), psi_hp(sh), psi_hp(sh - hh)
                 fd1 = float((up - down) / (2 * hh))
                 fd2 = float((up - 2 * mid + down) / hh**2)

@@ -1,5 +1,7 @@
 """Validated hypothesis pairs, state constructors and named presets."""
 
+from __future__ import annotations
+
 from functools import cached_property
 
 import numpy as np
@@ -19,9 +21,12 @@ def _density_eig(M):
     """A validated density operator and its eigensystem ``(clip(w, 0), V)``.
 
     One :func:`qht.operators.hermitian_eigh` checks, in this order, Hermitian
-    symmetry, positivity within ``PSD_TOL`` and unit trace.
+    symmetry, positivity within ``PSD_TOL`` and unit trace; a 0 x 0 matrix
+    is no state and raises DimensionMismatch.
     """
     A, w, V = hermitian_eigh(M)
+    if not w.size:
+        raise DimensionMismatch("a state needs dimension at least 1, got 0")
     if w.min() < -PSD_TOL:
         raise NotPositiveSemidefinite(f"min eigenvalue {w.min():.3e}")
     tr = np.trace(A).real
@@ -90,7 +95,7 @@ class HypothesisPair:
         q, V = self.sigma_eig
         return (V * np.log(q)) @ V.conj().T
 
-    def smoothed(self, delta: float) -> "HypothesisPair":
+    def smoothed(self, delta: float) -> HypothesisPair:
         """Mix both states with delta * I/d to guarantee full rank."""
         if not 0.0 < delta < 1.0:
             raise ValueError(f"smoothing delta must lie in (0, 1), got {delta}")

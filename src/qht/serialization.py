@@ -6,10 +6,11 @@ load.  Every result table goes through two writers.  ``table_to_csv``
 writes a header of column names, which for a record table are its
 dataclass's field names in order, then one line per row: ints as
 ``str``, floats at 17 significant digits with ``-0.0`` written as ``0``,
-infinities as ``inf``/``-inf`` and None as an empty cell.
+infinities as ``inf``/``-inf``, NaN as ``nan`` and None as an empty cell.
 ``payload_to_json`` writes records as dicts of their fields (recursing
 into tuples and lists), keeps ``-0.0`` and writes non-finite floats as the
-strings ``"inf"``/``"-inf"``, since strict JSON has no infinity literal.
+strings ``"inf"``/``"-inf"``/``"nan"``, since strict JSON has no literal for
+them.
 Identical inputs produce byte-identical outputs.
 """
 
@@ -36,10 +37,12 @@ def _fmt(x) -> str:
 
 
 def _jnum(x):
-    # strict JSON has no Infinity literal
+    # strict JSON has no Infinity or NaN literal
     x = float(x)
     if math.isfinite(x):
         return x
+    if math.isnan(x):
+        return "nan"
     return "-inf" if x < 0 else "inf"
 
 

@@ -1,8 +1,13 @@
+import decimal
+from decimal import Decimal
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import psi_scalar_mp
 from qht import checks
-from qht.pairs import random_density
+from qht.pairs import random_density, random_pair
 
 
 class TestTypeCounting:
@@ -36,3 +41,35 @@ class TestTypeCounting:
         result = checks.check_type_counting(np.random.default_rng([3, 3]), 2)
         assert not result.passed
         assert result.worst == 1.0
+
+
+REFERENCE = decimal.Context(prec=checks.PSI_REFERENCE_DIGITS)
+
+
+class TestDecimalPsi:
+    @pytest.mark.parametrize("seed,dim", [(0, 2), (1, 2), (2, 3), (3, 3), (4, 4), (5, 4)])
+    def test_matches_mpmath_at_40_digits(self, seed, dim):
+        # the derivative check's reference, at its s and s +- h, against mpmath
+        pair = random_pair(seed, dim)
+        psi = checks.decimal_psi(pair)
+        worst = mp.mpf(0)
+        for s in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for step in (-1, 0, 1):
+                with decimal.localcontext(REFERENCE):
+                    got = psi(Decimal(s) + step * Decimal(1e-5))
+                with mp.workdps(checks.PSI_REFERENCE_DIGITS):
+                    t = mp.mpf(s) + step * mp.mpf(1e-5)
+                ref = psi_scalar_mp(pair, t, dps=checks.PSI_REFERENCE_DIGITS)
+                with mp.workdps(60):
+                    worst = max(worst, abs(mp.mpf(str(got)) - ref) / abs(ref))
+        assert worst < mp.mpf("1e-30")
+
+    def test_caller_context_does_not_round(self):
+        # the reference rounds in its own 40-digit context, not the caller's
+        pair = random_pair(0, 2)
+        psi = checks.decimal_psi(pair)
+        s = Decimal(0.5)
+        with decimal.localcontext(decimal.Context(prec=5)):
+            coarse = psi(s)
+        assert coarse == psi(s)
+        assert len(coarse.as_tuple().digits) > 30

@@ -87,6 +87,50 @@ class TestExponentsCommand:
         assert done.stdout == out
 
 
+# Runs in a fresh interpreter and reports which optional imports each step loaded.
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+import qht.cli
+
+def heavy():
+    return sorted(name for name in ("decimal", "mpmath", "numpy.random") if name in sys.modules)
+
+seen = {"import": heavy()}
+layers = sorted(name for name in sys.modules if name.startswith("qht."))
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(qht.cli.main(["exponents"]))
+    seen["exponents"] = heavy()
+    codes.append(qht.cli.main(["verify", "--pairs", "1", "--n-max", "1"]))
+    seen["verify"] = heavy()
+print(json.dumps({"seen": seen, "layers": layers, "codes": codes}))
+"""
+
+
+class TestImportFootprint:
+    def test_fresh_process_loads_only_what_the_run_uses(self):
+        # numpy.random and decimal load only for verify's random draws and its
+        # derivative check, and mpmath never; every layer module that
+        # perfbench/spans.py wraps is loaded by import qht.cli
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        report = json.loads(done.stdout.strip().splitlines()[-1])
+        assert report["codes"] == [0, 0]
+        assert report["seen"]["import"] == []
+        assert report["seen"]["exponents"] == []
+        assert "mpmath" not in report["seen"]["verify"]
+        layers = ("checks", "cli", "exponents", "finite_n", "operators", "pairs", "serialization")
+        assert {f"qht.{layer}" for layer in layers} <= set(report["layers"])
+
+
 class TestCurvesCommand:
     def test_commuting_columns_coincide(self, capsys, tmp_path):
         out_dir = tmp_path / "curves"

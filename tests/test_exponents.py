@@ -597,6 +597,13 @@ class TestPairValidation:
         with pytest.raises(qht.DimensionMismatch):
             qht.HypothesisPair(np.eye(2) / 2.0, np.eye(3) / 3.0)
 
+    def test_empty_state_rejected(self):
+        empty = np.zeros((0, 0))
+        with pytest.raises(qht.DimensionMismatch):
+            qht.HypothesisPair(empty, empty)
+        with pytest.raises(qht.DimensionMismatch):
+            qht.check_density(empty)
+
     def test_strict_mode_rejects_singular(self):
         with pytest.raises(qht.SingularInput):
             qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))

@@ -157,6 +157,12 @@ class TestReportExports:
         assert payload["label"] == "EXPERIMENTAL"
         assert payload["rows"][0]["log_alpha_rate"] == "-inf"
 
+    def test_nan_written_as_nan(self):
+        # the JSON mirror of a CSV row says nan where the CSV does, not inf
+        rows = [{"x": float("nan"), "y": float("inf"), "z": float("-inf")}]
+        assert ser.table_to_csv(("x", "y", "z"), rows) == "x,y,z\nnan,inf,-inf\n"
+        assert json.loads(ser.payload_to_json(rows)) == [{"x": "nan", "y": "inf", "z": "-inf"}]
+
     def test_hoeffding_table(self):
         text = ser.table_to_csv(("r", "u", "a_r"), [(0.1, 0.2, 0.1)])
         assert text == "r,u,a_r\n0.10000000000000001,0.20000000000000001,0.10000000000000001\n"
