@@ -6,9 +6,12 @@ r-grid), ``finite-n`` (exact error/bound table), ``verify`` (invariant
 suite, exit 1 on failure) and ``conjecture`` (plain-test probe, labeled
 EXPERIMENTAL).  Exit codes: 0 success, 1 failed verification, 2 usage or
 validation errors.  Identical invocations produce byte-identical files.
+``main(argv)`` may be called any number of times in one process; each call
+gives the same bytes as a separate invocation with the same argv.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,6 +44,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid entries must be numbers: {spec!r}")
+    if not np.isfinite((lo, hi, step)).all():
+        raise argparse.ArgumentTypeError(f"grid entries must be finite: {spec!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need hi >= lo and step > 0: {spec!r}")
     count = int(round((hi - lo) / step))
@@ -89,7 +94,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared after it.
+
+    Sharing is safe because every default is a scalar or a string, and
+    argparse converts string defaults afresh on each parse, so no parse sees
+    another's grid arrays.
+    """
     parser = argparse.ArgumentParser(
         prog="qht",
         description="Error exponents and finite-n bounds for quantum hypothesis testing",
@@ -143,12 +155,29 @@ def _load(args):
     return ser.load_pair(source, ToleranceConfig(**settings), smoothing_delta=delta)
 
 
-def _write(out_dir: str | None, name: str, text: str) -> None:
+def _cannot_write(path, exc: OSError) -> ValueError:
+    return ValueError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
+
+
+def _make_out_dir(out_dir: str | None) -> None:
+    """Create ``--out`` once, before any work, so an unusable path prints no table."""
     if out_dir is None:
         return
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    (path / name).write_text(text, encoding="utf-8", newline="\n")
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(out_dir, exc) from exc
+
+
+def _write(out_dir: str | None, name: str, text: str) -> None:
+    """Write one output file into ``--out``, which ``main`` has already created."""
+    if out_dir is None:
+        return
+    path = Path(out_dir) / name
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
 
 
 def _cmd_exponents(args) -> int:
@@ -264,14 +293,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _make_out_dir(getattr(args, "out", None))  # verify takes no --out
         return _DISPATCH[args.command](args)
-    except QhtError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (QhtError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

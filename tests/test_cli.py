@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,27 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_run(argv):
+    """``python -m qht`` with this checkout's sources, in a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "qht", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+        check=False,
+    )
+
+
+def read_files(directory: Path) -> dict[str, bytes]:
+    if not directory.is_dir():
+        return {}
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
 class TestGridParsing:
     def test_inclusive_grid(self):
         grid = _parse_grid("0:1:0.25")
@@ -27,7 +49,8 @@ class TestGridParsing:
     def test_malformed(self):
         import argparse
 
-        for bad in ("0:1", "a:b:c", "1:0:0.1", "0:1:0"):
+        for bad in ("0:1", "a:b:c", "1:0:0.1", "0:1:0", "0:inf:0.1", "-inf:1:0.1",
+                    "0:1:inf", "nan:1:0.1"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_grid(bad)
 
@@ -70,21 +93,52 @@ class TestExponentsCommand:
 
     def test_module_entry_point(self, capsys):
         # python -m qht runs the same command line as main()
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         argv = ["exponents", "--preset", "commuting-1", "--grid-s", "0:1:0.5"]
-        done = subprocess.run(
-            [sys.executable, "-m", "qht", *argv],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-            check=False,
-        )
+        done = fresh_run(argv)
         code, out, _ = run(capsys, *argv)
         assert done.returncode == code == 0
         assert done.stdout == out
+
+
+# In one process, calls whose options differ from the call before, a usage
+# error and --help, each followed by a valid call.  The last argv repeats the
+# first.  The flag says whether the call also gets --out.
+SHARED_PARSER_SEQUENCE = [
+    (["exponents", "--grid-s", "0:1:0.5"], True),
+    (["exponents"], True),
+    (["curves", "--smooth", "--smoothing-delta", "1e-3"], True),
+    (["curves"], True),
+    (["exponents", "--input", "f", "--preset", "identical"], False),
+    (["hoeffding", "--grid-r", "0.1:0.3:0.1"], True),
+    (["--help"], False),
+    (["exponents", "--grid-s", "0:1:0.5"], True),
+]
+
+
+class TestSharedParser:
+    def test_calls_in_one_process_match_fresh_invocations(self, capsys, monkeypatch, tmp_path):
+        # the help text wraps at the terminal width, which COLUMNS fixes for both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        build_parser.cache_clear()
+        out_dir = tmp_path / "out"
+        fresh = {}
+        for argv, takes_out in SHARED_PARSER_SEQUENCE:
+            argv = argv + (["--out", str(out_dir)] if takes_out else [])
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            files = read_files(out_dir)
+            shutil.rmtree(out_dir, ignore_errors=True)
+            if tuple(argv) not in fresh:
+                done = fresh_run(argv)
+                fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr, read_files(out_dir))
+                shutil.rmtree(out_dir, ignore_errors=True)
+            assert (code, captured.out, captured.err, files) == fresh[tuple(argv)], argv
+        assert [code for code, *_ in fresh.values()] == [0, 0, 0, 0, 2, 0, 0]
+        assert build_parser.cache_info().misses == 1
+        assert build_parser() is build_parser()
 
 
 # Runs in a fresh interpreter and reports which optional imports each step loaded.
@@ -389,6 +443,52 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "finite and strictly positive" in err
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("exponents", "--grid-s", "0:inf:0.1"),
+            ("curves", "--grid-a", "-inf:1:0.1"),
+            ("hoeffding", "--grid-r", "0.1:inf:0.1"),
+        ],
+        ids=lambda part: part.removeprefix("--"),
+    )
+    def test_non_finite_grid_rejected(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"qht {command}: error: argument {flag}: grid entries must be finite: {value!r}"
+        ]
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
+    def test_unusable_out_rejected_before_any_work(self, capsys, tmp_path, sub):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n", encoding="utf-8")
+        out = afile / sub if sub else afile
+        code, stdout, err = run(capsys, "exponents", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        reason = "Not a directory" if sub else "File exists"
+        assert err == f"error: cannot write {str(out)!r}: {reason}\n"
+        assert afile.read_text(encoding="utf-8") == "kept\n"
+
+    def test_failed_write_is_a_usage_error(self, capsys, tmp_path):
+        (tmp_path / "exponents.csv").mkdir()
+        code, _, err = run(capsys, "exponents", "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"error: cannot write {str(tmp_path / 'exponents.csv')!r}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_out_exists_before_validation(self, capsys, tmp_path):
+        out = tmp_path / "made"
+        code, _, err = run(capsys, "exponents", "--smoothing-delta", "0.5", "--out", str(out))
+        assert code == 2
+        assert "--smooth" in err
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")
