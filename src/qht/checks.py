@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
+from .config import DEFAULT_TOL, THRESHOLD_FRACTIONS
 from .exponents import (
     classical_hoeffding,
     hoeffding_rate,
@@ -52,6 +52,7 @@ from .operators import (
 )
 from .pairs import (
     HypothesisPair,
+    complex_gaussian,
     random_density,
     random_diagonal_pair,
     random_pair,
@@ -75,17 +76,12 @@ class CheckResult:
         return text
 
 
-def _random_hermitian(rng, dim):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(G)
-
-
 def check_pinching_commutation(rng, n_samples) -> CheckResult:
     worst = 0.0
     for _ in range(n_samples):
         dim = int(rng.integers(2, 5))
-        A = _random_hermitian(rng, dim)
-        B = _random_hermitian(rng, dim)
+        A = hermitian_part(complex_gaussian(rng, dim))
+        B = hermitian_part(complex_gaussian(rng, dim))
         dec = eigendecompose(A)
         P = pinch(dec, B)
         comm = np.linalg.norm(P @ A - A @ P, 2)
@@ -98,8 +94,8 @@ def check_pinching_trace_identity(rng, n_samples) -> CheckResult:
     worst = 0.0
     for _ in range(n_samples):
         dim = int(rng.integers(2, 5))
-        A = _random_hermitian(rng, dim)
-        B = _random_hermitian(rng, dim)
+        A = hermitian_part(complex_gaussian(rng, dim))
+        B = hermitian_part(complex_gaussian(rng, dim))
         C = A @ A @ A - 2.0 * A + 0.7 * np.eye(dim)  # commutes with A
         dec = eigendecompose(A)
         gap = abs(np.trace(B @ C) - np.trace(pinch(dec, B) @ C))
@@ -164,7 +160,7 @@ def check_spectral_roundtrip(rng, n_samples) -> CheckResult:
     worst = 0.0
     for _ in range(n_samples):
         dim = int(rng.integers(2, 6))
-        H = _random_hermitian(rng, dim)
+        H = hermitian_part(complex_gaussian(rng, dim))
         dec = eigendecompose(H)
         err = np.linalg.norm(dec.reconstruct() - H, 2) / np.linalg.norm(H, 2)
         worst = max(worst, float(err))
@@ -176,10 +172,10 @@ def check_operator_convexity(rng, n_samples) -> CheckResult:
     worst_gap = 0.0
     for _ in range(n_samples):
         dim = int(rng.integers(2, 4))
-        G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        G = complex_gaussian(rng, dim)
         A = G @ G.conj().T
-        X = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        Y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        X = complex_gaussian(rng, dim)
+        Y = complex_gaussian(rng, dim)
         t = float(rng.random())
         gap = operator_convexity_gap(A, X, Y, t)
         closed = t * (1.0 - t) * (X - Y).conj().T @ A @ (X - Y)
@@ -354,7 +350,7 @@ def check_finite_n_bounds(rng, n_samples, n_max) -> CheckResult:
     for _ in range(n_samples):
         pair = random_pair(rng)
         div = relative_entropy(pair)
-        a_grid = (0.25 * div, 0.5 * div, 0.75 * div, 0.9 * div)
+        a_grid = [f * div for f in THRESHOLD_FRACTIONS]
         for r in verify_bounds(pair, range(1, n_max + 1), a_grid):
             worst = max(worst, r.alpha - r.alpha_bound, r.beta - r.beta_bound)
     return CheckResult("finite-n envelopes", worst <= 1e-12, worst, 1e-12)

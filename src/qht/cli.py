@@ -12,6 +12,7 @@ gives the same bytes as a separate invocation with the same argv.
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import serialization as ser
 from .checks import run_all_checks
-from .config import ToleranceConfig
+from .config import THRESHOLD_FRACTIONS, ToleranceConfig
 from .errors import QhtError
 from .exponents import (
     hoeffding_rate,
@@ -33,6 +34,9 @@ from .finite_n import BoundReport, ConjectureRow, conjecture_probe, verify_bound
 from .pairs import PRESETS
 
 _FMT = ser._fmt
+
+# Most points a grid flag takes; the largest default grid has 101.
+MAX_GRID_POINTS = 100_000
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -48,8 +52,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid entries must be finite: {spec!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"need hi >= lo and step > 0: {spec!r}")
-    count = int(round((hi - lo) / step))
-    grid = lo + step * np.arange(count + 1)
+    steps = (hi - lo) / step  # inf where hi - lo overflows, so test it before round()
+    if steps >= MAX_GRID_POINTS or round(steps) + 1 > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
+    grid = lo + step * np.arange(round(steps) + 1)
     return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
 
 
@@ -180,6 +186,14 @@ def _write(out_dir: str | None, name: str, text: str) -> None:
         raise _cannot_write(path, exc) from exc
 
 
+def _write_table(out_dir: str | None, stem: str, columns, rows, payload) -> str:
+    """The CSV of ``rows``, written with the JSON of ``payload`` as ``stem.csv``/``.json``."""
+    csv_text = ser.table_to_csv(columns, rows)
+    _write(out_dir, f"{stem}.csv", csv_text)
+    _write(out_dir, f"{stem}.json", ser.payload_to_json(payload))
+    return csv_text
+
+
 def _cmd_exponents(args) -> int:
     pair = _load(args)
     grid = args.grid_s
@@ -188,10 +202,7 @@ def _cmd_exponents(args) -> int:
     columns = ("s", "psi_bar", "psi")
     values = zip(grid, psi_bar_values(pair, grid), psi_values(pair, grid))
     rows = [dict(zip(columns, row)) for row in values]
-    csv_text = ser.table_to_csv(columns, rows)
-    _write(args.out, "exponents.csv", csv_text)
-    _write(args.out, "exponents.json", ser.payload_to_json(rows))
-    sys.stdout.write(csv_text)
+    sys.stdout.write(_write_table(args.out, "exponents", columns, rows, rows))
     return 0
 
 
@@ -217,9 +228,7 @@ def _cmd_curves(args) -> int:
         ("phi", a_grid),
     ):
         payload = _curve_payload(sweep_curve(pair, name, grid))
-        csv_text = ser.table_to_csv(_SAMPLE_COLUMNS, payload["samples"])
-        _write(args.out, f"{name}.csv", csv_text)
-        _write(args.out, f"{name}.json", ser.payload_to_json(payload))
+        csv_text = _write_table(args.out, name, _SAMPLE_COLUMNS, payload["samples"], payload)
         if args.out is None:
             sys.stdout.write(f"# {name}\n" + csv_text)
     if args.out is not None:
@@ -234,26 +243,16 @@ def _cmd_hoeffding(args) -> int:
         r = float(r)
         a_r = solve_rate_parameter(pair, r)
         rows.append({"r": r, "u": hoeffding_rate(pair, r), "a_r": a_r})
-    csv_text = ser.table_to_csv(("r", "u", "a_r"), rows)
-    _write(args.out, "hoeffding.csv", csv_text)
-    _write(args.out, "hoeffding.json", ser.payload_to_json(rows))
-    sys.stdout.write(csv_text)
+    sys.stdout.write(_write_table(args.out, "hoeffding", ("r", "u", "a_r"), rows, rows))
     return 0
 
 
 def _cmd_finite_n(args) -> int:
     pair = _load(args)
     div = relative_entropy(pair)
-    a_grid = (
-        args.grid_a
-        if args.grid_a is not None
-        else np.array([0.25, 0.5, 0.75, 0.9]) * div
-    )
+    a_grid = args.grid_a if args.grid_a is not None else np.array(THRESHOLD_FRACTIONS) * div
     reports = verify_bounds(pair, range(1, args.n_max + 1), a_grid)
-    csv_text = ser.table_to_csv(BoundReport, reports)
-    _write(args.out, "bound_report.csv", csv_text)
-    _write(args.out, "bound_report.json", ser.payload_to_json(reports))
-    sys.stdout.write(csv_text)
+    sys.stdout.write(_write_table(args.out, "bound_report", BoundReport, reports, reports))
     return 0
 
 
@@ -274,11 +273,8 @@ def _cmd_conjecture(args) -> int:
     print("# test (Audenaert et al., PRL 98, 160501, 2007); this table asserts nothing.")
     for a in a_grid:
         report = conjecture_probe(pair, range(1, args.n_max + 1), float(a))
-        csv_text = ser.table_to_csv(ConjectureRow, report.rows)
-        sys.stdout.write(csv_text)
         stem = f"conjecture_a_{_FMT(float(a))}"
-        _write(args.out, f"{stem}.csv", csv_text)
-        _write(args.out, f"{stem}.json", ser.payload_to_json(report))
+        sys.stdout.write(_write_table(args.out, stem, ConjectureRow, report.rows, report))
     return 0
 
 
@@ -296,7 +292,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _make_out_dir(getattr(args, "out", None))  # verify takes no --out
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout drains to devnull so the exit flush prints nothing; 141 = 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (QhtError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

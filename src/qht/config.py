@@ -27,6 +27,8 @@ TRACE_TOL = 1e-10
 # Roundoff margin of the strict positivity {X > 0}, relative to the
 # spectral norm of X: computed eigenvalues within it of zero carry no sign.
 POSITIVITY_ROUNDOFF = 16 * sys.float_info.epsilon
+# Default thresholds a of a finite-n table, as fractions of the relative entropy.
+THRESHOLD_FRACTIONS = (0.25, 0.5, 0.75, 0.9)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ Every exponent is ``-log Re sum_k c_k exp(s r_k)``, evaluated by one kernel
 over terms built from the eigenbases ``rho = sum_i p_i |u_i><u_i|`` and
 ``sigma = sum_j q_j |v_j><v_j|``: for psi ``c_ij = |<u_i|v_j>|^2 p_i`` and
 ``r_ij = log q_j - log p_i`` (the classical exponent is the diagonal case),
-for psi_bar ``c_ijk = M_kj C_ji conj(C_ki)`` and
-``r_ijk = (log q_j + log q_k)/2 - log p_i`` with ``C = V* U``, ``M = V* rho V``.
+for psi_bar ``c_ijk = X_kj C_ji conj(C_ki)`` and
+``r_ijk = (log q_j + log q_k)/2 - log p_i`` with ``C = V* U``, ``X = V* rho V``.
 Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
 ``sigma^0`` act as support projectors.  ``classical_psi`` keeps its own
 convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
@@ -25,10 +25,10 @@ kernel values and refines the grid argmax by safeguarded Newton steps on
 the kernel's closed-form first and second derivatives.  The settings are
 fixed: ``GRID_POINTS`` grid points, at most ``NEWTON_STEPS`` Newton steps,
 and a rate bisection that narrows its bracket to ``BISECTION_WIDTH``.  A
-pair's kernel terms, and one scan per kernel and grid, are cached on the
-pair and freed with it; every function here that takes a pair reads them
-from there.  A scan also memoizes the kernel's moments at the grid points
-where Newton refinement starts.
+pair's kernel terms, one scan per kernel and grid, and its relative
+entropy are cached on the pair and freed with it; every function here
+that takes a pair reads them from there.  A scan also memoizes the
+kernel's moments at the grid points where Newton refinement starts.
 """
 
 import math
@@ -134,8 +134,7 @@ def _psi_bar_terms(pair: HypothesisPair):
     p, U = pair.rho_eig
     q, V = pair.sigma_eig
     C = V.conj().T @ U
-    M = V.conj().T @ pair.rho @ V
-    T = np.einsum("kj,ji,ki->ijk", M, C, C.conj())
+    T = np.einsum("kj,ji,ki->ijk", pair.rho_in_sigma_basis, C, C.conj())
     half_log_q = np.log(q) / 2.0
     r = half_log_q[None, :, None] + half_log_q[None, None, :] - np.log(p)[:, None, None]
     return T.ravel(), r.ravel()
@@ -176,10 +175,18 @@ def psi(pair: HypothesisPair, s: float) -> float:
     return float(psi_values(pair, s)[0])
 
 
-def relative_entropy(pair: HypothesisPair) -> float:
-    """Quantum relative entropy Tr[rho (log rho - log sigma)]."""
-    value = np.trace(pair.rho @ (pair.log_rho - pair.log_sigma))
+def _dense_relative_entropy(pair: HypothesisPair) -> float:
+    # matrix logs, not the kernel: check_derivatives compares this with psi'(0)
+    pair.assert_invertible("relative_entropy")
+    (p, U), (q, V) = pair.rho_eig, pair.sigma_eig
+    log_ratio = (U * np.log(p)) @ U.conj().T - (V * np.log(q)) @ V.conj().T
+    value = np.trace(pair.rho @ log_ratio)
     return float(_real_trace(np.atleast_1d(value), "relative entropy")[0])
+
+
+def relative_entropy(pair: HypothesisPair) -> float:
+    """Quantum relative entropy Tr[rho (log rho - log sigma)], once per pair."""
+    return _cached(pair, "relative_entropy", lambda: _dense_relative_entropy(pair))
 
 
 def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:

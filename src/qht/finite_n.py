@@ -193,12 +193,6 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
-def _sigma_basis(pair: HypothesisPair) -> np.ndarray:
-    """``X = V* rho V``: rho in sigma's eigenbasis."""
-    _, V = pair.sigma_eig
-    return V.conj().T @ pair.rho @ V
-
-
 def _level_data(pair: HypothesisPair, n: int, blocks):
     """Eigenvalue levels of sigma_n with the spectra of pinch(rho_n) on them.
 
@@ -399,6 +393,11 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     return reports
 
 
+def _log_rate(x: float, n: int) -> float:
+    """``(1/n) log x``, or ``-inf`` where the error x is 0."""
+    return math.log(x) / n if x > 0.0 else -math.inf
+
+
 def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     """Errors of the pinched test for n = 1..n_max at fixed a below D.
 
@@ -417,7 +416,6 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     for n, blocks in sweep:
         levels, _ = _level_data(pair, n, blocks)
         ep = _pinched_errors(levels, n, a, pair.tol)
-        rate = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         points.append(
             SteinPoint(
                 n=n,
@@ -425,11 +423,16 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
                 alpha=ep.alpha,
                 alpha_bound=(n + 1) ** pair.dim * math.exp(-n * value),
                 beta=ep.beta,
-                log_beta_rate=rate,
+                log_beta_rate=_log_rate(ep.beta, n),
                 log_beta_envelope=-a + (pair.dim / n) * math.log(n + 1.0),
             )
         )
     return points
+
+
+def _running_powers(x, N: int) -> np.ndarray:
+    """``[1, x, x^2, ..., x^N]`` as complex running products, never ``x**k``."""
+    return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(N, x))))
 
 
 def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
@@ -439,14 +442,11 @@ def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
     with k ones, so ``X^{(x)N}`` maps it into the span of the others.
     Column k is the coefficient vector of
     ``(x00 + x10 z)^{N-k} (x01 + x11 z)^k`` in powers of z, one convolution,
-    with entry j rescaled by ``sqrt(C(N,k)/C(N,j))``.  Powers are running
-    products, so equal inputs give bitwise equal blocks.
+    with entry j rescaled by ``sqrt(C(N,k)/C(N,j))``.  Powers are the
+    running products of :func:`_running_powers`, so equal inputs give
+    bitwise equal blocks.
     """
-
-    def powers(x):
-        return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(N, x))))
-
-    p00, p10, p01, p11 = (powers(X[i, j]) for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    p00, p10, p01, p11 = (_running_powers(x, N) for x in X.ravel(order="F"))
     binom = np.array([[math.comb(m, i) for i in range(N + 1)] for m in range(N + 1)], float)
     S = np.empty((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
@@ -456,20 +456,22 @@ def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
     return S * np.sqrt(binom[N][None, :] / binom[N][:, None])
 
 
-def _spin_blocks(pair: HypothesisPair, n: int, X: np.ndarray, syms) -> list:
+def _spin_blocks(pair: HypothesisPair, n: int, syms) -> list:
     """rho_n of a qubit pair in sigma's eigenbasis as blocks ``(m, R, rows, s)``.
 
-    ``M = X^{(x)n}``, ``X = V* rho V``, is, by a unitary commuting with
-    sigma_n, the direct sum of ``R = det(X)^t syms[n-2t]``, with
-    ``syms[N] = Sym^N(X)``, each repeated ``m = C(n,t) - C(n,t-1)`` times.
+    ``M = X^{(x)n}``, ``X = V* rho V`` (``pair.rho_in_sigma_basis``), is, by
+    a unitary commuting with sigma_n, the direct sum of
+    ``R = det(X)^t syms[n-2t]``, with ``syms[N] = Sym^N(X)``, each repeated
+    ``m = C(n,t) - C(n,t-1)`` times.
     Row j, weight j + t, is at position ``rows[j]`` with sigma_n eigenvalue
     ``s[j]``, from running products bit for bit the diagonal of
     ``det(Q)^t Sym^{n-2t}(Q)``.
     """
     q, _ = pair.sigma_eig
+    X = pair.rho_in_sigma_basis
     det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
     det_q = complex(q[0] * q[1])
-    p0, p1 = (np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(n, x)))) for x in q)
+    p0, p1 = (_running_powers(x, n) for x in q)
     blocks = []
     for t in range(n // 2 + 1):
         N = n - 2 * t
@@ -482,7 +484,7 @@ def _spin_blocks(pair: HypothesisPair, n: int, X: np.ndarray, syms) -> list:
 
 def _tensor_block(pair: HypothesisPair, n: int) -> list:
     """``M = (V* rho V)^{(x)n}`` as the one block, its rows the tensor positions."""
-    M = tensor_power(_sigma_basis(pair), n)  # validates n and the budget first
+    M = tensor_power(pair.rho_in_sigma_basis, n)  # validates n and the budget first
     # np.kron bit for bit, 10x faster
     s = reduce(np.multiply.outer, [pair.sigma_eig[0]] * n).ravel()
     return [(1, M, np.arange(pair.dim**n), s)]
@@ -500,9 +502,8 @@ def _sweep(pair: HypothesisPair, n_range):
     check_dense_budget(pair.dim, n_top)
     if pair.dim != 2:
         return ((n, _tensor_block(pair, n)) for n in n_range)
-    X = _sigma_basis(pair)
-    syms = [_sym_power(X, N) for N in range(n_top + 1)]
-    return ((n, _spin_blocks(pair, n, X, syms)) for n in n_range)
+    syms = [_sym_power(pair.rho_in_sigma_basis, N) for N in range(n_top + 1)]
+    return ((n, _spin_blocks(pair, n, syms)) for n in n_range)
 
 
 def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbabilities:
@@ -556,17 +557,15 @@ def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureRepor
     rows = []
     for n, blocks in sweep:
         ep = _plain_errors(pair, n, a, blocks)
-        la = math.log(ep.alpha) / n if ep.alpha > 0.0 else -math.inf
-        lb = math.log(ep.beta) / n if ep.beta > 0.0 else -math.inf
         rows.append(
             ConjectureRow(
                 n=n,
                 a=a,
                 alpha=ep.alpha,
-                log_alpha_rate=la,
+                log_alpha_rate=_log_rate(ep.alpha, n),
                 alpha_conjecture=-value,
                 beta=ep.beta,
-                log_beta_rate=lb,
+                log_beta_rate=_log_rate(ep.beta, n),
                 beta_conjecture=-(value + a),
             )
         )

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .config import DEFAULT_TOL, PSD_TOL, SUPPORT_CUTOFF, TRACE_TOL, ToleranceConfig
@@ -51,49 +49,36 @@ class HypothesisPair:
     inverse powers and logarithms of them.  ``rho_eig`` and ``sigma_eig``
     are the eigensystems ``(w, V)`` of the one eigensolve that validates
     each state; eigenvalues within ``PSD_TOL`` below zero are floored at
-    zero.  The kernel terms of :mod:`qht.exponents`, and one scan per
-    kernel and grid, are cached on the pair too and freed with it.
+    zero.  ``rho_in_sigma_basis`` is ``X = V* rho V``, which the psi_bar
+    terms and every finite-n block read.  The kernel terms of
+    :mod:`qht.exponents`, one scan per kernel and grid, and the relative
+    entropy are cached on the pair too and freed with it.
     """
 
     def __init__(self, rho, sigma, tol: ToleranceConfig = DEFAULT_TOL):
-        rho, self.rho_eig = _density_eig(rho)
-        sigma, self.sigma_eig = _density_eig(sigma)
-        if rho.shape != sigma.shape:
+        self.rho, self.rho_eig = _density_eig(rho)
+        self.sigma, self.sigma_eig = _density_eig(sigma)
+        if self.rho.shape != self.sigma.shape:
             raise DimensionMismatch(
-                f"rho has dimension {rho.shape[0]}, sigma {sigma.shape[0]}"
+                f"rho has dimension {self.rho.shape[0]}, sigma {self.sigma.shape[0]}"
             )
-        self.rho = rho
-        self.sigma = sigma
-        self.dim = rho.shape[0]
+        _, V = self.sigma_eig
+        self.rho_in_sigma_basis = V.conj().T @ self.rho @ V
+        self.dim = self.rho.shape[0]
         self.tol = tol
         self._exponent_cache = {}
         if tol.strict:
             self.assert_invertible("strict mode")
 
-    def _min_support_ratio(self) -> float:
-        p, _ = self.rho_eig
-        q, _ = self.sigma_eig
-        return min(p.min() / p.max(), q.min() / q.max())
-
     def assert_invertible(self, context: str) -> None:
         """Raise SingularInput unless both states have full support."""
-        if self._min_support_ratio() <= SUPPORT_CUTOFF:
+        (p, _), (q, _) = self.rho_eig, self.sigma_eig
+        ratio = min(p.min() / p.max(), q.min() / q.max())
+        if ratio <= SUPPORT_CUTOFF:
             raise SingularInput(
                 f"{context} requires positive definite states; "
-                f"smallest relative eigenvalue is {self._min_support_ratio():.3e}"
+                f"smallest relative eigenvalue is {ratio:.3e}"
             )
-
-    @cached_property
-    def log_rho(self):
-        self.assert_invertible("log_rho")
-        p, U = self.rho_eig
-        return (U * np.log(p)) @ U.conj().T
-
-    @cached_property
-    def log_sigma(self):
-        self.assert_invertible("log_sigma")
-        q, V = self.sigma_eig
-        return (V * np.log(q)) @ V.conj().T
 
     def smoothed(self, delta: float) -> HypothesisPair:
         """Mix both states with delta * I/d to guarantee full rank."""
@@ -115,9 +100,14 @@ class HypothesisPair:
 RANDOM_FLOOR = 1e-6
 
 
+def complex_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A dim x dim standard complex normal matrix, real part drawn first."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Draw G G*/Tr[G G*] from a standard complex normal G, floored to full rank."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = complex_gaussian(rng, dim)
     W = G @ G.conj().T
     rho = W / np.trace(W).real
     return (1.0 - RANDOM_FLOOR) * rho + RANDOM_FLOOR * np.eye(dim) / dim
@@ -139,7 +129,7 @@ def random_diagonal_pair(seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL)
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary from the QR factorization of a complex Gaussian."""
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    G = complex_gaussian(rng, dim)
     Q, R = np.linalg.qr(G)
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 

@@ -10,7 +10,7 @@ import pytest
 
 import qht
 from qht import serialization as ser
-from qht.cli import _parse_grid, build_parser, main
+from qht.cli import MAX_GRID_POINTS, _parse_grid, build_parser, main
 from qht.finite_n import ConjectureRow
 
 
@@ -20,16 +20,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def fresh_run(argv):
-    """``python -m qht`` with this checkout's sources, in a new interpreter."""
+def checkout_env():
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = [src, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def fresh_run(argv):
+    """``python -m qht`` with this checkout's sources, in a new interpreter."""
     return subprocess.run(
         [sys.executable, "-m", "qht", *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=checkout_env(),
         timeout=60,
         check=False,
     )
@@ -53,6 +57,47 @@ class TestGridParsing:
                     "0:1:inf", "nan:1:0.1"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_grid(bad)
+
+    def test_point_cap(self):
+        import argparse
+
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        for bad in (f"0:{MAX_GRID_POINTS}:1", "-1e308:1e308:1", "0:1e12:1", "0:1:1e-320"):
+            with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+                _parse_grid(bad)
+
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:1", "0:1e12:1"])
+    def test_too_many_points_is_a_usage_error(self, grid):
+        # hi - lo overflowing and a grid too large to allocate both exit 2
+        # with one error line, before any array is formed
+        done = fresh_run(["exponents", f"--grid-s={grid}"])
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        errors = [line for line in done.stderr.splitlines() if "error:" in line]
+        assert errors == [
+            f"qht exponents: error: argument --grid-s: grid has more than "
+            f"{MAX_GRID_POINTS} points: {grid!r}"
+        ]
+
+
+def test_closed_stdout_exits_141_with_nothing_on_stderr():
+    # psi_bar at 10001 points prints far more than a pipe buffer holds, so
+    # the process is still writing when the reader closes its end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qht", "curves", "--grid-s", "0:1:0.0001"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=checkout_env(),
+    )
+    try:
+        assert proc.stdout.readline() == b"# psi_bar\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 141
+    assert err == b""
 
 
 class TestExponentsCommand:

@@ -60,10 +60,67 @@ class TestRelativeEntropy:
             assert qht.relative_entropy(pair) >= -1e-12
 
     def test_singular_rejected(self):
+        # a build that raises stores nothing, so every call raises
         tol = qht.ToleranceConfig(strict=False)
         pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), tol)
-        with pytest.raises(qht.SingularInput):
-            qht.relative_entropy(pair)
+        for _ in range(2):
+            with pytest.raises(qht.SingularInput):
+                qht.relative_entropy(pair)
+        assert not pair._exponent_cache
+
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_is_the_dense_matrix_log_trace(self, pair):
+        # bit for bit the trace of rho (log rho - log sigma) with both logs
+        # formed densely from the pair's eigensystems, not psi'(0)
+        p, U = pair.rho_eig
+        q, V = pair.sigma_eig
+        rho_log = (U * np.log(p)) @ U.conj().T
+        sigma_log = (V * np.log(q)) @ V.conj().T
+        reference = float(np.trace(pair.rho @ (rho_log - sigma_log)).real)
+        assert qht.relative_entropy(pair) == reference
+
+    def test_built_once_per_pair(self, monkeypatch):
+        builds = []
+        dense = exponents._dense_relative_entropy
+
+        def spy(pair):
+            builds.append(pair)
+            return dense(pair)
+
+        monkeypatch.setattr(exponents, "_dense_relative_entropy", spy)
+        pairs = seeded_pairs(2, start=90, dim=3)
+        for pair in pairs + pairs:
+            value = qht.relative_entropy(pair)
+            assert pair._exponent_cache["relative_entropy"] == value
+        qht.solve_rate_parameter(pairs[0], 0.1)
+        assert builds == pairs
+
+    def test_pair_keeps_no_matrix_logs(self, generic):
+        qht.relative_entropy(generic)
+        for name in ("log_rho", "log_sigma"):
+            assert not hasattr(qht.HypothesisPair, name)
+            assert not hasattr(generic, name)
+
+
+class TestRhoInSigmaBasis:
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_is_v_star_rho_v_bit_for_bit(self, pair):
+        _, V = pair.sigma_eig
+        X = pair.rho_in_sigma_basis
+        reference = V.conj().T @ pair.rho @ V
+        assert X.dtype == reference.dtype
+        assert X.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_psi_bar_terms_read_it(self, dim):
+        # with rho itself gone the terms can only come from the stored X,
+        # and they equal a fresh pair's bit for bit
+        pair = qht.random_pair(95, dim)
+        c, r = _psi_bar_terms(qht.HypothesisPair(pair.rho, pair.sigma, pair.tol))
+        pair.rho = None
+        c_x, r_x = _psi_bar_terms(pair)
+        assert c_x.tobytes() == c.tobytes()
+        assert r_x.tobytes() == r.tobytes()
 
 
 class TestPsiBar:

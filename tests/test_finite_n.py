@@ -15,7 +15,6 @@ from qht.finite_n import (
     _log_levels,
     _pinched_errors,
     _plain_errors,
-    _sigma_basis,
     _sweep,
     _sym_power,
 )
@@ -431,7 +430,7 @@ class TestVerifyBounds:
             return operators._gap_clusters(w, tol)
 
         monkeypatch.setattr(finite_n, "_gap_clusters", spy)
-        X = _sigma_basis(pair)
+        X = pair.rho_in_sigma_basis
         n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
         for n, blocks in _sweep(pair, range(1, n_max + 1)):
             levels, label = _level_data(pair, n, blocks)
@@ -614,6 +613,21 @@ class TestKeepRule:
         for r in qht.verify_bounds(pair, range(1, n + 1), [a]):
             assert r.alpha <= r.alpha_bound + 1e-12
             assert r.beta <= r.beta_bound + 1e-12
+
+
+@pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 3), (4, 2)])
+def test_sweep_blocks_read_the_pairs_rho_in_sigma_basis(dim, n_max):
+    # with rho itself gone the blocks can only come from the stored
+    # X = V* rho V, and they equal a fresh pair's bit for bit
+    pair = qht.random_pair(96, dim)
+    fresh = list(_sweep(qht.HypothesisPair(pair.rho, pair.sigma, pair.tol), range(1, n_max + 1)))
+    pair.rho = None
+    for (n, blocks), (n_ref, reference) in zip(_sweep(pair, range(1, n_max + 1)), fresh):
+        assert n == n_ref and len(blocks) == len(reference)
+        for block, ref in zip(blocks, reference):
+            assert block[0] == ref[0]
+            for got, want in zip(block[1:], ref[1:]):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestBudgetBeforeWork:
