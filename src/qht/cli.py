@@ -33,8 +33,6 @@ from .exponents import (
 from .finite_n import BoundReport, ConjectureRow, conjecture_probe, verify_bounds
 from .pairs import PRESETS
 
-_FMT = ser._fmt
-
 # Most points a grid flag takes; the largest default grid has 101.
 MAX_GRID_POINTS = 100_000
 
@@ -175,22 +173,23 @@ def _make_out_dir(out_dir: str | None) -> None:
         raise _cannot_write(out_dir, exc) from exc
 
 
-def _write(out_dir: str | None, name: str, text: str) -> None:
+def _write(out_dir: str, name: str, text: str) -> None:
     """Write one output file into ``--out``, which ``main`` has already created."""
-    if out_dir is None:
-        return
     path = Path(out_dir) / name
     try:
-        path.write_text(text, encoding="utf-8", newline="\n")
+        path.write_bytes(text.encode("utf-8"))
     except OSError as exc:
         raise _cannot_write(path, exc) from exc
 
 
-def _write_table(out_dir: str | None, stem: str, columns, rows, payload) -> str:
-    """The CSV of ``rows``, written with the JSON of ``payload`` as ``stem.csv``/``.json``."""
-    csv_text = ser.table_to_csv(columns, rows)
-    _write(out_dir, f"{stem}.csv", csv_text)
-    _write(out_dir, f"{stem}.json", ser.payload_to_json(payload))
+def _write_table(out_dir: str | None, stem: str, csv_text: str, to_json, payload) -> str:
+    """Write ``csv_text`` and ``to_json(payload)`` as ``stem.csv``/``.json``; return the CSV.
+
+    Without ``--out`` nothing is written and no JSON is rendered.
+    """
+    if out_dir is not None:
+        _write(out_dir, f"{stem}.csv", csv_text)
+        _write(out_dir, f"{stem}.json", to_json(payload))
     return csv_text
 
 
@@ -198,23 +197,13 @@ def _cmd_exponents(args) -> int:
     pair = _load(args)
     grid = args.grid_s
     print(f"dim = {pair.dim}")
-    print(f"relative_entropy = {_FMT(relative_entropy(pair))}")
+    print(f"relative_entropy = {ser.format_cell(relative_entropy(pair))}")
     columns = ("s", "psi_bar", "psi")
     values = zip(grid, psi_bar_values(pair, grid), psi_values(pair, grid))
     rows = [dict(zip(columns, row)) for row in values]
-    sys.stdout.write(_write_table(args.out, "exponents", columns, rows, rows))
+    csv_text = ser.table_to_csv(columns, rows)
+    sys.stdout.write(_write_table(args.out, "exponents", csv_text, ser.payload_to_json, rows))
     return 0
-
-
-_SAMPLE_COLUMNS = ("param", "value", "argmax_s")
-
-
-def _curve_payload(curve) -> dict:
-    """A curve as its parameter name and one sample dict per grid point."""
-    argmax = [None] * len(curve) if curve.argmax_s is None else curve.argmax_s
-    rows = zip(curve.params, curve.values, argmax)
-    samples = [dict(zip(_SAMPLE_COLUMNS, row)) for row in rows]
-    return {"parameter_name": curve.parameter_name, "samples": samples}
 
 
 def _cmd_curves(args) -> int:
@@ -227,8 +216,8 @@ def _cmd_curves(args) -> int:
         ("phi_bar", a_grid),
         ("phi", a_grid),
     ):
-        payload = _curve_payload(sweep_curve(pair, name, grid))
-        csv_text = _write_table(args.out, name, _SAMPLE_COLUMNS, payload["samples"], payload)
+        curve = sweep_curve(pair, name, grid)
+        csv_text = _write_table(args.out, name, ser.curve_to_csv(curve), ser.curve_to_json, curve)
         if args.out is None:
             sys.stdout.write(f"# {name}\n" + csv_text)
     if args.out is not None:
@@ -243,7 +232,8 @@ def _cmd_hoeffding(args) -> int:
         r = float(r)
         a_r = solve_rate_parameter(pair, r)
         rows.append({"r": r, "u": hoeffding_rate(pair, r), "a_r": a_r})
-    sys.stdout.write(_write_table(args.out, "hoeffding", ("r", "u", "a_r"), rows, rows))
+    csv_text = ser.table_to_csv(("r", "u", "a_r"), rows)
+    sys.stdout.write(_write_table(args.out, "hoeffding", csv_text, ser.payload_to_json, rows))
     return 0
 
 
@@ -252,7 +242,8 @@ def _cmd_finite_n(args) -> int:
     div = relative_entropy(pair)
     a_grid = args.grid_a if args.grid_a is not None else np.array(THRESHOLD_FRACTIONS) * div
     reports = verify_bounds(pair, range(1, args.n_max + 1), a_grid)
-    sys.stdout.write(_write_table(args.out, "bound_report", BoundReport, reports, reports))
+    csv_text = ser.table_to_csv(BoundReport, reports)
+    sys.stdout.write(_write_table(args.out, "bound_report", csv_text, ser.payload_to_json, reports))
     return 0
 
 
@@ -273,8 +264,9 @@ def _cmd_conjecture(args) -> int:
     print("# test (Audenaert et al., PRL 98, 160501, 2007); this table asserts nothing.")
     for a in a_grid:
         report = conjecture_probe(pair, range(1, args.n_max + 1), float(a))
-        stem = f"conjecture_a_{_FMT(float(a))}"
-        sys.stdout.write(_write_table(args.out, stem, ConjectureRow, report.rows, report))
+        stem = f"conjecture_a_{ser.format_cell(float(a))}"
+        csv_text = ser.table_to_csv(ConjectureRow, report.rows)
+        sys.stdout.write(_write_table(args.out, stem, csv_text, ser.payload_to_json, report))
     return 0
 
 

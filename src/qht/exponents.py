@@ -387,9 +387,9 @@ def check_distribution(p) -> np.ndarray:
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatch(f"expected a 1-D distribution, got shape {p.shape}")
     if (p < 0.0).any():
-        raise InvariantViolation("probability", f"negative entry {p.min()!r}")
+        raise InvariantViolation("probability", f"negative entry {float(p.min())!r}")
     if abs(p.sum() - 1.0) > 1e-12:
-        raise InvariantViolation("normalization", f"sum is {p.sum()!r}")
+        raise InvariantViolation("normalization", f"sum is {float(p.sum())!r}")
     return p
 
 
@@ -440,8 +440,10 @@ class ExponentCurve:
     def __post_init__(self):
         if self.parameter_name not in ("s", "a"):
             raise ValueError(f"unknown parameter name {self.parameter_name!r}")
-        if len(self.params) != len(self.values):
-            raise ValueError("params and values must have equal length")
+        if len(self.params) != len(self.values) or (
+            self.argmax_s is not None and len(self.argmax_s) != len(self.params)
+        ):
+            raise ValueError("params, values and argmax_s must have equal length")
         if (np.diff(self.params) <= 0.0).any():
             raise InvariantViolation("grid", "parameters must be strictly increasing")
         if self.argmax_s is not None and (

@@ -29,7 +29,7 @@ def _density_eig(M):
         raise NotPositiveSemidefinite(f"min eigenvalue {w.min():.3e}")
     tr = np.trace(A).real
     if abs(tr - 1.0) > TRACE_TOL:
-        raise InvariantViolation("trace", f"trace is {tr!r}, expected 1")
+        raise InvariantViolation("trace", f"trace is {float(tr)!r}, expected 1")
     return A, (np.clip(w, 0.0, None), V)
 
 

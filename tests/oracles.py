@@ -9,9 +9,17 @@ on a grid built for the one call, qubit plain-test errors from spin blocks whose
 are string-pair counts, plain-test errors of any dimension from a dense
 eigensolve of ``rho_n - e^{na} sigma_n``, and pinched-test errors from the
 sigma_n levels of the index types, all diagonalized in mpmath.
+
+The table writers at the end are the cell-by-cell CSV writer and the
+``json.dumps(indent=2)`` JSON writer that ``qht.serialization`` replaced,
+kept as the byte-for-byte reference for its column-wise writers, with the
+per-sample curve payload the command line used to build.
 """
 
+import dataclasses
 import itertools
+import json
+import math
 
 import mpmath as mp
 import numpy as np
@@ -296,3 +304,79 @@ def pinched_test_errors_mp(pair, n, a, dps=60):
                 else:
                     alpha += x
         return float(alpha), float(beta)
+
+
+# Table writers, as qht.serialization and qht.cli had them.
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    x = float(x)
+    if math.isinf(x):
+        return "-inf" if x < 0 else "inf"
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return f"{x:.17g}"
+
+
+def _jnum(x):
+    # strict JSON has no Infinity or NaN literal
+    x = float(x)
+    if math.isfinite(x):
+        return x
+    if math.isnan(x):
+        return "nan"
+    return "-inf" if x < 0 else "inf"
+
+
+def _cells(row, names):
+    if dataclasses.is_dataclass(row):
+        return [getattr(row, name) for name in names]
+    if isinstance(row, dict):
+        return [row[name] for name in names]
+    return list(row)
+
+
+def table_to_csv(columns, rows) -> str:
+    """CSV table: a header line, then one line per row.
+
+    ``columns`` is a record dataclass, whose field names in order are the
+    header, or a sequence of column names.  A row is a record, a dict keyed
+    by the column names or a sequence in column order.
+    """
+    if dataclasses.is_dataclass(columns):
+        columns = [f.name for f in dataclasses.fields(columns)]
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = _cells(row, columns)
+        lines.append(",".join(str(x) if isinstance(x, int) else _fmt(x) for x in cells))
+    return "\n".join(lines) + "\n"
+
+
+def _plain(obj):
+    if isinstance(obj, float):
+        return _jnum(obj)
+    if isinstance(obj, dict):
+        return {key: _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    return obj
+
+
+def payload_to_json(obj) -> str:
+    """Indented JSON of records (as field dicts), dicts, lists and scalars."""
+    return json.dumps(_plain(obj), indent=2) + "\n"
+
+
+_SAMPLE_COLUMNS = ("param", "value", "argmax_s")
+
+
+def _curve_payload(curve) -> dict:
+    """A curve as its parameter name and one sample dict per grid point."""
+    argmax = [None] * len(curve) if curve.argmax_s is None else curve.argmax_s
+    rows = zip(curve.params, curve.values, argmax)
+    samples = [dict(zip(_SAMPLE_COLUMNS, row)) for row in rows]
+    return {"parameter_name": curve.parameter_name, "samples": samples}

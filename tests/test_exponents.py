@@ -7,7 +7,7 @@ import pytest
 
 import qht
 from qht import exponents
-from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms, _real_trace
+from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms, _real_trace, check_distribution
 from qht.operators import hermitian_part
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
@@ -556,6 +556,13 @@ class TestClassical:
             0.5, abs=1e-15
         )
 
+    def test_invalid_distribution_messages(self):
+        # plain floats, not numpy's np.float64(...) reprs
+        with pytest.raises(qht.InvariantViolation, match=r"\(probability\): negative entry -0\.25$"):
+            check_distribution([1.25, -0.25])
+        with pytest.raises(qht.InvariantViolation, match=r"\(normalization\): sum is 0\.75$"):
+            check_distribution([0.5, 0.25])
+
     def test_support_size_mismatch(self):
         with pytest.raises(qht.DimensionMismatch):
             qht.classical_psi([0.5, 0.5], [0.5, 0.3, 0.2], 0.5)
@@ -623,6 +630,9 @@ class TestSweepCurve:
                 np.array([1.0, 2.0]),
                 np.array([0.5, 1.5]),
             )
+        # the writers take one argmax per sample; a short array no longer truncates the table
+        with pytest.raises(ValueError, match="equal length"):
+            qht.ExponentCurve("a", np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.5]))
 
     def test_curve_parameter_is_s_or_a(self):
         # nothing samples a curve over r; "r" is no parameter name
@@ -639,6 +649,8 @@ class TestPairValidation:
         with pytest.raises(qht.InvariantViolation) as err:
             qht.HypothesisPair(bad, np.diag([0.5, 0.5]))
         assert err.value.check == "trace"
+        # a plain float, not numpy's np.float64(...) repr
+        assert str(err.value) == "InvariantViolation(trace): trace is 0.99, expected 1"
 
     def test_hermitian_violation_named(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])

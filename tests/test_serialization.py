@@ -1,22 +1,21 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import qht
 from qht import serialization as ser
-from qht.cli import _SAMPLE_COLUMNS, _curve_payload
 from qht.exponents import ExponentCurve
 from qht.finite_n import BoundReport, ConjectureReport, ConjectureRow, SteinPoint
-
-
-def curve_csv(curve):
-    return ser.table_to_csv(_SAMPLE_COLUMNS, _curve_payload(curve)["samples"])
-
-
-def curve_json(curve):
-    return ser.payload_to_json(_curve_payload(curve))
 
 
 class TestMatrixExchange:
@@ -32,6 +31,62 @@ class TestMatrixExchange:
             ser.matrix_from_dict([1, 2, 3])
         with pytest.raises(qht.ParseError):
             ser.matrix_from_dict({"dim": 2, "re": [[1, 0], [0, 1]], "im": [[0, 0]]})
+
+
+# A pair file with sigma = I/2; the slots are rho's dim, re[0][0] and im[0][1], as JSON text.
+PAIR_TEXT = (
+    '{"rho": {"dim": %s, "re": [[%s, 0], [0, 0.5]], "im": [[0, %s], [0, 0]]}, '
+    '"sigma": {"dim": 2, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}}'
+)
+
+
+class TestMatrixValidation:
+    """Malformed pair files are ParseErrors, raised while parsing, before any eigensolve."""
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entries(self, literal):
+        for text in (PAIR_TEXT % (2, literal, 0), PAIR_TEXT % (2, 0.5, literal)):
+            with pytest.raises(qht.ParseError, match="entries must be finite"):
+                qht.pair_from_json(text)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, "2", None])
+    def test_dim_must_be_an_int(self, dim):
+        with pytest.raises(qht.ParseError, match="dim must be an integer"):
+            qht.pair_from_json(PAIR_TEXT % (json.dumps(dim), 0.5, 0))
+
+    @pytest.mark.parametrize("entry", ["0.5", True, None, [0.5], 10**400])
+    def test_entries_must_be_numbers(self, entry):
+        with pytest.raises(qht.ParseError, match="must be numbers|malformed"):
+            qht.pair_from_json(PAIR_TEXT % (2, json.dumps(entry), 0))
+
+    def test_ints_and_floats_accepted(self):
+        pair = qht.pair_from_json(PAIR_TEXT % (2, 0.5, 0))
+        np.testing.assert_array_equal(pair.rho, np.eye(2) / 2)
+
+    def test_no_eigensolve_before_the_error(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolve on unparsed input")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for text in (PAIR_TEXT % (2, "NaN", 0), PAIR_TEXT % (2.5, 0.5, 0), PAIR_TEXT % (2, '"0.5"', 0)):
+            with pytest.raises(qht.ParseError):
+                qht.pair_from_json(text)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_cli_exit_2_under_warnings_as_errors(self, tmp_path, literal):
+        path = tmp_path / "pair.json"
+        path.write_text(PAIR_TEXT % (2, literal, 0), encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qht", "exponents", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+            timeout=60,
+            check=False,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == 'error: matrix "re" entries must be finite\n'
 
 
 class TestPairRoundtrip:
@@ -105,7 +160,7 @@ class TestLoadPair:
 class TestCurveExport:
     def test_csv_shape_and_precision(self, generic):
         curve = qht.sweep_curve(generic, "psi_bar", np.linspace(0.0, 1.0, 5))
-        text = curve_csv(curve)
+        text = ser.curve_to_csv(curve)
         lines = text.strip().split("\n")
         assert lines[0] == "param,value,argmax_s"
         assert len(lines) == 6
@@ -117,19 +172,19 @@ class TestCurveExport:
 
     def test_phi_curve_has_argmax(self, generic):
         curve = qht.sweep_curve(generic, "phi_bar", np.linspace(-0.1, 0.3, 5))
-        rows = curve_csv(curve).strip().split("\n")[1:]
+        rows = ser.curve_to_csv(curve).strip().split("\n")[1:]
         assert all(len(r.split(",")) == 3 and r.split(",")[2] != "" for r in rows)
 
     def test_json_mirror(self, generic):
         curve = qht.sweep_curve(generic, "phi", np.linspace(-0.1, 0.3, 3))
-        payload = json.loads(curve_json(curve))
+        payload = json.loads(ser.curve_to_json(curve))
         assert payload["parameter_name"] == "a"
         assert len(payload["samples"]) == 3
         sample = payload["samples"][0]
         assert set(sample) == {"param", "value", "argmax_s"}
 
     def test_negative_zero_normalized(self):
-        assert ser._fmt(-0.0) == "0"
+        assert ser.format_cell(-0.0) == "0"
 
 
 class TestReportExports:
@@ -279,11 +334,11 @@ class TestPinnedFormats:
 
     def test_psi_curve_without_argmax(self):
         curve = ExponentCurve("s", np.array([0.0, 0.5, 1.0]), np.array([-0.0, 1 / 3, 0.0]))
-        assert curve_csv(curve) == (
+        assert ser.curve_to_csv(curve) == (
             "param,value,argmax_s\n0,0,\n0.5,0.33333333333333331,\n1,0,\n"
         )
         sample = '    {{\n      "param": {p},\n      "value": {v},\n      "argmax_s": null\n    }}'
-        assert curve_json(curve) == (
+        assert ser.curve_to_json(curve) == (
             '{\n  "parameter_name": "s",\n  "samples": [\n'
             + ",\n".join(
                 sample.format(p=p, v=v)
@@ -299,14 +354,14 @@ class TestPinnedFormats:
             np.array([0.0, 0.1, 2 / 3]),
             np.array([1.0, 0.5, 0.0]),
         )
-        assert curve_csv(curve) == (
+        assert ser.curve_to_csv(curve) == (
             "param,value,argmax_s\n"
             "-0.5,0,1\n"
             "0,0.10000000000000001,0.5\n"
             "0.25,0.66666666666666663,0\n"
         )
         sample = '    {{\n      "param": {p},\n      "value": {v},\n      "argmax_s": {m}\n    }}'
-        assert curve_json(curve) == (
+        assert ser.curve_to_json(curve) == (
             '{\n  "parameter_name": "a",\n  "samples": [\n'
             + ",\n".join(
                 sample.format(p=p, v=v, m=m)
@@ -327,3 +382,195 @@ class TestPinnedFormats:
         assert ser.payload_to_json([row]) == (
             '[\n  {\n    "r": 0.1,\n    "u": 0.2,\n    "a_r": 0.1\n  }\n]\n'
         )
+
+
+# Cells the writers take: floats at every edge, numpy float64, ints, bools,
+# None and strings (the CSV writer reads a string as a float, as it always did).
+EDGE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1.7976931348623157e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+TEXT = st.one_of(
+    st.sampled_from(['say "hi"', "back\\slash", "naïve ∞ 🙂", "100%", "%s%%", "", "1.5", "-inf"]),
+    st.text(max_size=8),
+)
+SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    TEXT,
+)
+# a column is all floats, all float64, all ints, all None or any mix
+COLUMN_CELLS = st.sampled_from([FLOATS, FLOATS.map(np.float64), st.integers(), st.none(), SCALARS])
+
+
+@dataclasses.dataclass(frozen=True)
+class Triple:
+    x: object
+    y: object
+    z: object
+
+
+@st.composite
+def tables(draw, numeric=False):
+    """(columns, rows) with one row kind: records, dicts keyed by the columns or sequences."""
+    kind = draw(st.sampled_from(["record", "dict", "tuple", "list"]))
+    names = ["x", "y", "z"] if kind == "record" else draw(st.lists(TEXT, max_size=4, unique=True))
+    count = draw(st.integers(0, 6))
+    columns = []
+    for _ in names:
+        cells = FLOATS if numeric else draw(COLUMN_CELLS)
+        columns.append(draw(st.lists(cells, min_size=count, max_size=count)))
+    rows = list(zip(*columns)) if columns else [()] * count
+    if kind == "record":
+        return Triple, [Triple(*row) for row in rows]
+    if kind == "dict":
+        return names, [dict(zip(names, row)) for row in rows]
+    return names, [list(row) if kind == "list" else row for row in rows]
+
+
+@st.composite
+def conjecture_reports(draw):
+    rows = draw(st.lists(st.tuples(st.integers(1, 12), *[SCALARS] * 7), max_size=5))
+    return ConjectureReport(
+        label=draw(TEXT),
+        a=draw(SCALARS),
+        phi_value=draw(FLOATS),
+        rows=tuple(ConjectureRow(*row) for row in rows),
+    )
+
+
+@st.composite
+def curves(draw):
+    count = draw(st.integers(0, 8))
+    params = np.cumsum(draw(st.lists(st.floats(0.001, 10.0), min_size=count, max_size=count)))
+    params = params - draw(st.floats(-5.0, 5.0))
+    values = np.array(draw(st.lists(FLOATS, min_size=count, max_size=count)), dtype=float)
+    argmax = None
+    if draw(st.booleans()):
+        argmax = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
+    return ExponentCurve(draw(st.sampled_from(["s", "a"])), params, values, argmax)
+
+
+def payloads():
+    """The shapes the JSON writer serves, and nestings that defeat the column path."""
+    cell_lists = st.lists(SCALARS, max_size=4)
+    leaves = st.one_of(SCALARS, cell_lists)
+    nested = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(TEXT, inner, max_size=3),
+            st.tuples(inner, inner),
+        ),
+        max_leaves=12,
+    )
+    curve_wrappers = st.builds(
+        lambda name, samples: {"parameter_name": name, "samples": samples},
+        st.sampled_from(["s", "a"]),
+        tables().map(lambda table: [dict(zip("pvm", row)) for row in zip(*columns_of(*table))]),
+    )
+    return st.one_of(
+        tables().map(lambda table: table[1]),
+        conjecture_reports(),
+        curve_wrappers,
+        nested,
+        # records of one shape, some with a container in a field
+        st.lists(st.builds(Triple, leaves, leaves, SCALARS), min_size=1, max_size=4),
+        st.lists(st.fixed_dictionaries({"k": SCALARS, "v": leaves}), min_size=1, max_size=4),
+        st.lists(st.one_of(st.builds(Triple, SCALARS, SCALARS, SCALARS), st.dictionaries(TEXT, SCALARS)), max_size=4),
+    )
+
+
+def columns_of(columns, rows):
+    """The cells of a generated table, column by column."""
+    if columns is Triple:
+        return [[row.x for row in rows], [row.y for row in rows], [row.z for row in rows]]
+    if rows and isinstance(rows[0], dict):
+        return [[row[name] for row in rows] for name in columns]
+    return [list(column) for column in zip(*rows)]
+
+
+def same_outcome(new, old, *args):
+    """``new(*args)`` returns what ``old(*args)`` returns, or raises the same error type."""
+    try:
+        expected = old(*args)
+    except Exception as exc:  # noqa: BLE001 - the reference decides which errors are expected
+        with pytest.raises(type(exc)):
+            new(*args)
+    else:
+        assert new(*args) == expected
+
+
+class TestWritersMatchReference:
+    """The column-wise writers against the cell-by-cell ones they replaced (tests/oracles.py)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_csv(self, table):
+        same_outcome(ser.table_to_csv, oracles.table_to_csv, *table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables(numeric=True))
+    def test_numeric_csv(self, table):
+        assert ser.table_to_csv(*table) == oracles.table_to_csv(*table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads())
+    def test_json(self, payload):
+        assert ser.payload_to_json(payload) == oracles.payload_to_json(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(conjecture_reports())
+    def test_conjecture_report(self, report):
+        assert ser.payload_to_json(report) == oracles.payload_to_json(report)
+        same_outcome(ser.table_to_csv, oracles.table_to_csv, ConjectureRow, report.rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(curves())
+    def test_curve(self, curve):
+        payload = oracles._curve_payload(curve)
+        assert ser.curve_to_json(curve) == oracles.payload_to_json(payload)
+        reference = oracles.table_to_csv(oracles._SAMPLE_COLUMNS, payload["samples"])
+        assert ser.curve_to_csv(curve) == reference
+
+    def test_edge_cells(self):
+        rows = [dict(zip("ab", (x, np.float64(x)))) for x in EDGE_FLOATS] + [{"a": None, "b": 7}]
+        assert ser.table_to_csv(("a", "b"), rows) == oracles.table_to_csv(("a", "b"), rows)
+        assert ser.payload_to_json(rows) == oracles.payload_to_json(rows)
+
+    def test_column_path_decisions(self):
+        # each case steers one choice between a column's one-pass format and cell-by-cell
+        floats = [0.5, -0.0, 5e-324, 1.7976931348623157e308]
+        cases = [
+            [{"x": x} for x in floats],  # all finite floats: one format per column
+            [{"x": x} for x in floats + [math.inf, math.nan]],  # non-finite: cell by cell
+            [{"x": np.float64(x)} for x in floats],
+            [{"x": None, "y": True}, {"x": None, "y": False}],  # all-None column, bools
+            [{"100%": 1, '"q"': "%s"}],  # keys and text that carry % and quotes
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],  # same keys, other order
+            [{"a": [1.5]}, {"a": [2.5]}],  # a container in a field
+            [Triple(1, 2, 3), {"x": 1, "y": 2, "z": 3}],  # two kinds of record
+        ]
+        for rows in cases:
+            assert ser.payload_to_json(rows) == oracles.payload_to_json(rows)
+        for rows in cases[:4]:
+            columns = list(rows[0])
+            assert ser.table_to_csv(columns, rows) == oracles.table_to_csv(columns, rows)
+
+    def test_empty_tables(self):
+        for columns in (BoundReport, ("a", "b"), ()):
+            assert ser.table_to_csv(columns, []) == oracles.table_to_csv(columns, [])
+        for payload in ([], (), {}, [{}], [{}, {}], {"rows": []}):
+            assert ser.payload_to_json(payload) == oracles.payload_to_json(payload)
+
+    def test_unserializable_cell_raises_as_json_does(self):
+        for cell in (np.float32(0.5), np.int64(3), object()):
+            with pytest.raises(TypeError):
+                oracles.payload_to_json([{"x": cell}])
+            with pytest.raises(TypeError):
+                ser.payload_to_json([{"x": cell}])
+
+    def test_format_cell_is_the_csv_cell(self):
+        for x in EDGE_FLOATS + [None, 3, True, np.float64(-0.0), 0.1, "2.5"]:
+            assert ser.format_cell(x) == (str(x) if isinstance(x, int) else oracles._fmt(x))
