@@ -404,8 +404,8 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n, blocks in _sweep(pair, (1, 2)):
-            levels, _ = _level_data(pair, n, blocks)
-            eps = [_pinched_errors(levels, n, a, pair.tol) for a in grid]
+            spectrum, _ = _level_data(pair, n, blocks)
+            eps = [_pinched_errors(spectrum, n, a, pair.tol) for a in grid]
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])
             worst = max(worst, float((-np.diff(alphas)).max()))

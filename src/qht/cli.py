@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("conjecture", help="plain-test probe (EXPERIMENTAL)")
     _add_common(p)
     p.add_argument("--tol-cluster", type=float, help="override cluster_rel_tol")
-    p.add_argument("--n-max", type=_positive_int, default=6)
+    p.add_argument("--n-max", type=_positive_int, help="default: largest n <= 6 with d^n <= 729")
     p.add_argument("--grid-a", type=_parse_grid, default=None)
 
     return parser
@@ -258,12 +258,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_conjecture(args) -> int:
     pair = _load(args)
+    n_max = args.n_max or max(n for n in range(1, 7) if n == 1 or pair.dim**n <= 729)
     div = relative_entropy(pair)
     a_grid = args.grid_a if args.grid_a is not None else np.array([0.5 * div])
     print("# EXPERIMENTAL: the rate targets below are proven upper bounds for the plain")
     print("# test (Audenaert et al., PRL 98, 160501, 2007); this table asserts nothing.")
     for a in a_grid:
-        report = conjecture_probe(pair, range(1, args.n_max + 1), float(a))
+        report = conjecture_probe(pair, range(1, n_max + 1), float(a))
         stem = f"conjecture_a_{ser.format_cell(float(a))}"
         csv_text = ser.table_to_csv(ConjectureRow, report.rows)
         sys.stdout.write(_write_table(args.out, stem, csv_text, ser.payload_to_json, report))

@@ -14,19 +14,19 @@ eigenbasis, as blocks whose rows each lie in one eigenspace of sigma_n.
 budget ``MAX_TENSOR_DIM`` and picks the blocks: qubit spin blocks, of
 size at most n + 1, else ``M = (V* rho V)^{(x)n}`` as one block, which
 :func:`build_pinched_test` takes in every dimension (its eigenvectors run
-over tensor positions).  The levels of sigma_n (its eigenvalues grouped
-by their log, each a union of whole types, so never dependent on the
-order of the tensor factors) with the spectrum of pinch(rho_n) on each,
-read off the blocks by :func:`_level_data`, are the one representation
-of the pinched test: :func:`_kept` is its keep rule, and the errors
-(:func:`_pinched_errors`) and v(sigma_n) are sums over the levels,
-derived once per n.  The key residual of :func:`verify_bounds` and the
-plain test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on
-the same blocks.  Only :func:`build_pinched_test` forms the dense
-operator.  Every entry point reads its clustering tolerance from
-``pair.tol``.  The dense :func:`build_plain_test`,
-:func:`error_probabilities` and pinching residual of :mod:`qht.operators`
-stay the cross-checks.
+over tensor positions).  :func:`_level_split` cuts the blocks into
+sub-blocks on the levels of sigma_n (its eigenvalues grouped by their
+log, each a union of whole types, so never dependent on the order of the
+tensor factors).  Their eigenvalues with integer multiplicities, one flat
+:class:`_Spectrum` per n (:func:`_level_data`), are the one representation
+of the pinched test: :func:`_kept` is its keep rule, one mask, and the
+errors (:func:`_pinched_errors`) are one pass over it.  The key residual
+of :func:`verify_bounds` and the plain test {rho_n > e^{na} sigma_n} of
+:func:`conjecture_probe` run on the same blocks.  Only
+:func:`build_pinched_test` forms the dense operator.  Every entry point
+reads its clustering tolerance from ``pair.tol``.  The dense
+:func:`build_plain_test`, :func:`error_probabilities` and pinching
+residual of :mod:`qht.operators` stay the cross-checks.
 """
 
 import math
@@ -157,11 +157,13 @@ class ConjectureReport:
 
 
 @dataclass(frozen=True)
-class _Level:
-    log_weight: float
-    positions: np.ndarray  # tensor-product indices of the level's basis vectors
-    eigenvalues: np.ndarray  # ascending, with multiplicities
-    vectors: np.ndarray | None  # over the positions, on the one-block path
+class _Spectrum:
+    """The log weights of the sigma_n levels and the spectrum of pinch(rho_n) on them."""
+
+    log_weights: np.ndarray  # shape (v,)
+    level: np.ndarray  # for each sub-block eigenvalue: its level,
+    w: np.ndarray  # its value, ascending within the level,
+    m: np.ndarray  # and the integer multiplicity of its block, as a float
 
 
 def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
@@ -193,75 +195,70 @@ def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
     return logq, order, sizes
 
 
-def _level_data(pair: HypothesisPair, n: int, blocks):
-    """Eigenvalue levels of sigma_n with the spectra of pinch(rho_n) on them.
+def _level_split(pair: HypothesisPair, n: int, blocks):
+    """The :class:`_Spectrum` of the :func:`_sweep` blocks at n, with eigenvectors.
 
-    The levels are those of :func:`_log_levels` at the pair's
-    ``cluster_rel_tol``, so numerically coincident eigenvalue products
-    always share one.  The rows of a block of :func:`_sweep` that lie in
-    one level form a sub-block of pinch(rho_n); a level's spectrum is the
-    eigenvalues of its sub-blocks, each repeated the block's multiplicity.
-    Returns the levels, each with its log weight, its positions (the
-    columns of ``V^{(x)n}`` it spans) and, where one sub-block of
-    multiplicity 1 covers it (the one-block path), its eigenvectors; and
-    the level of every position, for :func:`_key_residual`.
+    A block's rows in one level of :func:`_log_levels` (at the pair's
+    ``cluster_rel_tol``) form a sub-block of pinch(rho_n), solved by
+    ``eigh``.  Also returns the level of every position (for
+    :func:`_key_residual`) and, per sub-block, the columns of ``V^{(x)n}``
+    it spans and its eigenvectors.
     """
     logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
     label = np.empty(len(order), dtype=int)
     label[order] = np.repeat(np.arange(len(sizes)), sizes)
-    parts = [[] for _ in sizes]
-    for m, R, rows, _ in blocks:
+    # a level is all -inf (singular sigma) or all finite
+    log_weights = np.array([logq[p].mean() for p in np.split(order, np.cumsum(sizes)[:-1])])
+    level, m, w, vectors = [], [], [], []
+    for mult, R, rows, _ in blocks:
         # rows ascend, so this keeps a level's rows in their order in ``order``
         local = np.argsort(logq[rows], kind="stable")
         cuts = [0, *(np.flatnonzero(np.diff(label[rows[local]])) + 1).tolist(), len(local)]
         for idx in (local[i:j] for i, j in zip(cuts, cuts[1:])):
-            w, U = np.linalg.eigh(hermitian_part(R[np.ix_(idx, idx)]))
-            parts[label[rows[idx[0]]]].append((np.repeat(w, m), U if m == 1 else None))
-    levels = []
-    ends = np.cumsum(sizes).tolist()
-    for i, j, level_parts in zip([0, *ends], ends, parts):
-        positions = order[i:j]
-        w = np.concatenate([spectrum for spectrum, _ in level_parts])
-        vectors = level_parts[0][1] if len(level_parts) == 1 else None
-        # a level is all -inf (singular sigma) or all finite
-        log_weight = float(logq[positions].mean())
-        levels.append(_Level(log_weight, positions, w[np.argsort(w, kind="stable")], vectors))
-    return levels, label
+            values, U = np.linalg.eigh(hermitian_part(R[np.ix_(idx, idx)]))
+            level.append(label[rows[idx]])
+            m.append(np.full(len(idx), float(mult)))
+            w.append(values)
+            vectors.append((rows[idx], U))
+    level, m, w = (np.concatenate(x) for x in (level, m, w))
+    # stable, all float: a first int sort or int-float cast pages in 64-128 KiB of numpy
+    by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
+    return _Spectrum(log_weights, level[by_level], w[by_level], m[by_level]), label, vectors
 
 
-def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
-    """Where the pinched test at threshold ``a`` starts in a level's block spectrum.
+def _level_data(pair: HypothesisPair, n: int, blocks):
+    """The :class:`_Spectrum` of the :func:`_sweep` blocks at n and the level of every position."""
+    return _level_split(pair, n, blocks)[:2]
+
+
+def _kept(spectrum, n: int, a: float, tol: ToleranceConfig) -> np.ndarray:
+    """Which entries of ``spectrum`` the pinched test at threshold ``a`` keeps.
 
     The keep rule: a block eigenvalue w is in the test when it exceeds the
-    threshold ``thr = e^{na}`` times the level's weight by the relative
-    margin ``w > thr * (1 + cluster_rel_tol)``, so a level whose
-    eigenvalues all sit near thr, as for rho = sigma, keeps nothing.  The
-    spectrum ascends, so the kept eigenvalues are ``eigenvalues[cut:]``
-    for the returned cut.  Above log 2 the threshold exceeds the block's
-    norm, at most 1, and nothing is kept.
+    threshold ``thr = e^{na}`` times its level's weight by the relative
+    margin ``w > thr * (1 + cluster_rel_tol)``, so a level whose eigenvalues
+    all sit near thr, as for rho = sigma, keeps nothing.  Above log 2 the
+    threshold exceeds the block's norm, at most 1, and nothing is kept.
+    Thresholds are scalar ``math.exp``, as numpy's may differ in the last
+    bit.
     """
-    w = level.eigenvalues
-    log_thr = n * a + level.log_weight
-    if log_thr > math.log(2.0):
-        return len(w)
-    thr = math.exp(log_thr)
-    return len(w) - int(np.count_nonzero(w > thr * (1.0 + tol.cluster_rel_tol)))
+    log_thr = (n * a + spectrum.log_weights).tolist()
+    thr = np.array([math.exp(x) if x <= math.log(2.0) else math.inf for x in log_thr])
+    return spectrum.w > (thr * (1.0 + tol.cluster_rel_tol))[spectrum.level]
 
 
-def _pinched_errors(levels, n: int, a: float, tol: ToleranceConfig) -> ErrorProbabilities:
-    """alpha and beta of the pinched test at threshold ``a`` from the levels.
+def _pinched_errors(spectrum, n: int, a: float, tol: ToleranceConfig) -> ErrorProbabilities:
+    """alpha and beta of the pinched test at threshold ``a`` from one pass over the spectrum.
 
-    alpha sums the block eigenvalues left out; beta weights each kept
-    direction with its sigma_n eigenvalue, exact even where a dense trace
+    alpha sums ``m w`` over the entries left out; beta weights each level's
+    kept count with its sigma_n eigenvalue, exact even where a dense trace
     underflows.
     """
-    cuts = [_kept(lev, n, a, tol) for lev in levels]
-    alpha = sum(float(lev.eigenvalues[:cut].sum()) for lev, cut in zip(levels, cuts))
-    beta = sum(
-        math.exp(lev.log_weight) * (len(lev.eigenvalues) - cut)
-        for lev, cut in zip(levels, cuts)
-        if cut < len(lev.eigenvalues) and math.isfinite(lev.log_weight)
-    )
+    keep = _kept(spectrum, n, a, tol)
+    alpha = float((spectrum.m * spectrum.w)[~keep].sum())
+    counts = np.bincount(spectrum.level, np.where(keep, spectrum.m, 0.0)).tolist()
+    weights = spectrum.log_weights.tolist()
+    beta = sum(math.exp(lw) * c for lw, c in zip(weights, counts) if c and math.isfinite(lw))
     return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
 
 
@@ -274,20 +271,22 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     within a relative margin of the threshold stay outside, matching the
     strict inequality of the positive projection.  The operator is ``W W*``
     with W the kept block eigenvectors in the columns of ``V^{(x)n}``, so
-    it commutes with sigma_n by construction; its ``errors`` are the level
-    sums of :func:`_pinched_errors`.  W runs over tensor positions, so the
-    levels come from :func:`_tensor_block` in every dimension.
+    it commutes with sigma_n by construction; its ``errors`` are those of
+    :func:`_pinched_errors`.  W runs over tensor positions, so
+    :func:`_level_split` runs on :func:`_tensor_block` in every dimension.
     """
     a = float(a)
-    levels, _ = _level_data(pair, n, _tensor_block(pair, n))
+    spectrum, _, vectors = _level_split(pair, n, _tensor_block(pair, n))
+    # one sub-block per level: a level keeps the top of its eigh spectrum
+    kept = np.bincount(spectrum.level[_kept(spectrum, n, a, pair.tol)], minlength=len(vectors))
     Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
     W = np.hstack([
-        Vn[:, lev.positions] @ lev.vectors[:, _kept(lev, n, a, pair.tol) :].copy()
-        for lev in levels
+        Vn[:, positions] @ U[:, len(U) - k :].copy()
+        for (positions, U), k in zip(vectors, kept.tolist())
     ])
-    errors = _pinched_errors(levels, n, a, pair.tol)
+    errors = _pinched_errors(spectrum, n, a, pair.tol)
     return TestOperator(operator=W @ W.conj().T, n=n, a=a, errors=errors)
 
 
@@ -362,21 +361,20 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
 
     One report per (n, a); the envelopes come from the same phi_bar value
     per threshold, all read off the pair's cached psi_bar grid.  The
-    sigma_n levels are derived once per n, and the errors of every
-    threshold, v(sigma_n) and the pinching residual all come from them; no
-    test operator is built.  The levels and :func:`_key_residual` share
-    the blocks of each n from :func:`_sweep`.
+    spectrum of each n (:func:`_level_data`) gives the errors of every
+    threshold and v(sigma_n), and shares the :func:`_sweep` blocks with
+    :func:`_key_residual`; no test operator is built.
     """
     sweep = _sweep(pair, n_range)
     phis = {float(a): phi_bar(pair, a)[0] for a in a_grid}
     reports = []
     for n, blocks in sweep:
-        levels, label = _level_data(pair, n, blocks)
-        key = _key_residual(pair, len(levels), label, blocks)
+        spectrum, label = _level_data(pair, n, blocks)
+        key = _key_residual(pair, len(spectrum.log_weights), label, blocks)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
-            ep = _pinched_errors(levels, n, a, pair.tol)
+            ep = _pinched_errors(spectrum, n, a, pair.tol)
             reports.append(
                 BoundReport(
                     n=n,
@@ -386,7 +384,7 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
                     beta=ep.beta,
                     beta_bound=pref * math.exp(-n * (phis[a] + a)),
                     key_residual=key,
-                    v_sigma_n=len(levels),
+                    v_sigma_n=len(spectrum.log_weights),
                     type_bound=pref,
                 )
             )
@@ -403,8 +401,8 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
 
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
-    rate (1/n) log beta next to -a + (d/n) log(n+1), from the levels of
-    the :func:`_sweep` blocks of each n.
+    rate (1/n) log beta next to -a + (d/n) log(n+1), from the spectrum
+    of each n.
     """
     sweep = _sweep(pair, range(1, check_blocklength(n_max) + 1))
     a = float(a)
@@ -414,8 +412,8 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     value, _ = phi_bar(pair, a)
     points = []
     for n, blocks in sweep:
-        levels, _ = _level_data(pair, n, blocks)
-        ep = _pinched_errors(levels, n, a, pair.tol)
+        spectrum, _ = _level_data(pair, n, blocks)
+        ep = _pinched_errors(spectrum, n, a, pair.tol)
         points.append(
             SteinPoint(
                 n=n,

@@ -10,6 +10,11 @@ are string-pair counts, plain-test errors of any dimension from a dense
 eigensolve of ``rho_n - e^{na} sigma_n``, and pinched-test errors from the
 sigma_n levels of the index types, all diagonalized in mpmath.
 
+The pinched test's keep rule and error sums over levels that hold their
+spectrum repeated once per copy of its block, with one prefix sum per
+level, are the per-level loop that ``qht.finite_n`` replaced by one pass
+over its flat spectrum with multiplicities, kept as its reference.
+
 The table writers at the end are the cell-by-cell CSV writer and the
 ``json.dumps(indent=2)`` JSON writer that ``qht.serialization`` replaced,
 kept as the byte-for-byte reference for its column-wise writers, with the
@@ -25,8 +30,10 @@ import mpmath as mp
 import numpy as np
 
 from qht.config import POSITIVITY_ROUNDOFF
+from qht.config import ToleranceConfig
 from qht.errors import BracketFailure
 from qht.exponents import _psi_bar_terms, _Scan, relative_entropy
+from qht.finite_n import ErrorProbabilities
 
 
 def weight_form(pair):
@@ -304,6 +311,65 @@ def pinched_test_errors_mp(pair, n, a, dps=60):
                 else:
                     alpha += x
         return float(alpha), float(beta)
+
+
+# The pinched test over repeated level spectra, as qht.finite_n had it.
+
+
+@dataclasses.dataclass(frozen=True)
+class _Level:
+    log_weight: float
+    eigenvalues: np.ndarray  # ascending, with multiplicities
+
+
+def repeated_levels(spectrum):
+    """The levels of a flat ``finite_n._Spectrum``, each eigenvalue repeated its multiplicity."""
+    levels = []
+    for k, log_weight in enumerate(spectrum.log_weights.tolist()):
+        at = spectrum.level == k
+        levels.append(_Level(log_weight, np.repeat(spectrum.w[at], spectrum.m[at].astype(int))))
+    return levels
+
+
+def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
+    """Where the pinched test at threshold ``a`` starts in a level's block spectrum.
+
+    The keep rule: a block eigenvalue w is in the test when it exceeds the
+    threshold ``thr = e^{na}`` times the level's weight by the relative
+    margin ``w > thr * (1 + cluster_rel_tol)``, so a level whose
+    eigenvalues all sit near thr, as for rho = sigma, keeps nothing.  The
+    spectrum ascends, so the kept eigenvalues are ``eigenvalues[cut:]``
+    for the returned cut.  Above log 2 the threshold exceeds the block's
+    norm, at most 1, and nothing is kept.
+    """
+    w = level.eigenvalues
+    log_thr = n * a + level.log_weight
+    if log_thr > math.log(2.0):
+        return len(w)
+    thr = math.exp(log_thr)
+    return len(w) - int(np.count_nonzero(w > thr * (1.0 + tol.cluster_rel_tol)))
+
+
+def _pinched_errors(levels, n: int, a: float, tol: ToleranceConfig) -> ErrorProbabilities:
+    """alpha and beta of the pinched test at threshold ``a`` from the levels.
+
+    alpha sums the block eigenvalues left out; beta weights each kept
+    direction with its sigma_n eigenvalue, exact even where a dense trace
+    underflows.
+    """
+    cuts = [_kept(lev, n, a, tol) for lev in levels]
+    alpha = sum(float(lev.eigenvalues[:cut].sum()) for lev, cut in zip(levels, cuts))
+    beta = sum(
+        math.exp(lev.log_weight) * (len(lev.eigenvalues) - cut)
+        for lev, cut in zip(levels, cuts)
+        if cut < len(lev.eigenvalues) and math.isfinite(lev.log_weight)
+    )
+    return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
+
+
+def level_kept_counts(levels, n, a, tol):
+    """How many eigenvalues, with multiplicity, each level keeps at threshold ``a``."""
+    return [len(lev.eigenvalues) - _kept(lev, n, a, tol) for lev in levels]
 
 
 # Table writers, as qht.serialization and qht.cli had them.

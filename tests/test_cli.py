@@ -393,6 +393,24 @@ class TestConjectureCommand:
         ).splitlines(keepends=True)
 
 
+    @pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 6), (4, 4), (5, 4), (6, 3), (28, 1)])
+    def test_default_n_max_keeps_d_to_the_n_within_729(self, capsys, tmp_path, dim, n_max):
+        # the largest n <= 6 with d^n <= 3^6, the largest default block for
+        # d <= 3, worked out from the loaded pair; an explicit --n-max is
+        # taken as given
+        path = tmp_path / "pair.json"
+        path.write_text(qht.pair_to_json(qht.random_pair(0, dim)), encoding="utf-8")
+        code, out, _ = run(capsys, "conjecture", "--input", str(path))
+        assert code == 0
+        assert [int(row.split(",")[0]) for row in out.splitlines()[3:]] == list(range(1, n_max + 1))
+        code, explicit, _ = run(capsys, "conjecture", "--input", str(path), "--n-max", str(n_max))
+        assert explicit == out
+        if dim == 4:
+            code, out, _ = run(capsys, "conjecture", "--input", str(path), "--n-max", "5")
+            assert code == 0
+            assert len(out.splitlines()[3:]) == 5
+
+
 class TestErrorPaths:
     def test_invalid_pair_file_names_invariant(self, capsys, tmp_path):
         from qht import serialization as ser

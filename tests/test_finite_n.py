@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qht
@@ -12,6 +12,7 @@ from qht.finite_n import (
     _kept,
     _key_residual,
     _level_data,
+    _level_split,
     _log_levels,
     _pinched_errors,
     _plain_errors,
@@ -21,6 +22,7 @@ from qht.finite_n import (
 from qht.operators import hermitian_part, positive_projection, tensor_power
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
+import oracles
 from oracles import dense_plain_test_errors_mp, pinched_test_errors_mp, plain_test_errors_mp
 
 
@@ -41,9 +43,21 @@ def sweep_blocks(pair, n):
     return blocks
 
 
-def sweep_levels(pair, n):
-    """The sigma_n levels of a sweep at n."""
+def sweep_spectrum(pair, n):
+    """The level spectrum of a sweep at n."""
     return _level_data(pair, n, sweep_blocks(pair, n))[0]
+
+
+def level_positions(pair, n):
+    """The tensor positions of each sigma_n level, from :func:`_log_levels`."""
+    _, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
+    return np.split(order, np.cumsum(sizes)[:-1])
+
+
+def level_spectrum(spectrum, k):
+    """Level k's eigenvalues, each repeated its multiplicity, ascending."""
+    at = spectrum.level == k
+    return np.repeat(spectrum.w[at], spectrum.m[at].astype(int))
 
 
 @pytest.fixture
@@ -52,11 +66,11 @@ def level_counts(monkeypatch):
     counts = []
 
     def spy(*args):
-        levels, label = _level_data(*args)
-        counts.append(len(levels))
-        return levels, label
+        spectrum, label, vectors = _level_split(*args)
+        counts.append(len(spectrum.log_weights))
+        return spectrum, label, vectors
 
-    monkeypatch.setattr(finite_n, "_level_data", spy)
+    monkeypatch.setattr(finite_n, "_level_split", spy)
     return counts
 
 
@@ -137,9 +151,10 @@ class TestBuildPinchedTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
-                levels = sweep_levels(pair, n)
-                assert len(levels) == 2
-                assert [len(lev.positions) for lev in levels] == [2**n - 1, 1]
+                spectrum = sweep_spectrum(pair, n)
+                assert len(spectrum.log_weights) == 2
+                assert [len(p) for p in level_positions(pair, n)] == [2**n - 1, 1]
+                assert np.bincount(spectrum.level, spectrum.m).tolist() == [2**n - 1, 1]
                 ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1))
                 assert abs(ep.alpha - 0.6**n) <= 1e-15
                 assert ep.beta == 0.0
@@ -433,23 +448,26 @@ class TestVerifyBounds:
         X = pair.rho_in_sigma_basis
         n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
         for n, blocks in _sweep(pair, range(1, n_max + 1)):
-            levels, label = _level_data(pair, n, blocks)
-            order = np.concatenate([lev.positions for lev in levels])
+            spectrum, label = _level_data(pair, n, blocks)
+            v = len(spectrum.log_weights)
+            positions = level_positions(pair, n)
+            order = np.concatenate(positions)
             M = tensor_power(X, n)[np.ix_(order, order)]
-            sizes = [len(lev.positions) for lev in levels]
-            residual = len(levels) * operators.block_diagonal(M, sizes) - M
-            key = _key_residual(pair, len(levels), label, blocks)
+            sizes = [len(p) for p in positions]
+            residual = v * operators.block_diagonal(M, sizes) - M
+            key = _key_residual(pair, v, label, blocks)
             assert abs(key - qht.min_eigenvalue(residual, pair.tol)) <= 1e-14
             dense = np.linalg.eigvalsh(hermitian_part(residual))
-            assert np.abs(spectra[-1] - dense).max() <= 1e-14 * len(levels)
+            assert np.abs(spectra[-1] - dense).max() <= 1e-14 * v
             ends = np.cumsum(sizes)
-            for lev, start, end in zip(levels, ends - sizes, ends):
+            for k, (start, end) in enumerate(zip(ends - sizes, ends)):
                 w = np.linalg.eigh(hermitian_part(M[start:end, start:end]))[0]
-                assert lev.eigenvalues.shape == w.shape
+                got = level_spectrum(spectrum, k)
+                assert got.shape == w.shape
                 if pair.dim == 2:
-                    assert np.abs(lev.eigenvalues - w).max() <= 5e-16
+                    assert np.abs(got - w).max() <= 5e-16
                 else:
-                    np.testing.assert_array_equal(lev.eigenvalues.view(np.int64), w.view(np.int64))
+                    np.testing.assert_array_equal(got.view(np.int64), w.view(np.int64))
 
     def test_split_prone_levels_hold_whole_weights(self, monkeypatch):
         # logs summed in string order differ in the last bit within one
@@ -458,8 +476,8 @@ class TestVerifyBounds:
         # residual needs no tensor_power
         pair = split_prone_pair()
         weights = [
-            sorted(set(sum(np.unravel_index(lev.positions, (2,) * 4)).tolist()))
-            for lev in sweep_levels(pair, 4)
+            sorted(set(sum(np.unravel_index(p, (2,) * 4)).tolist()))
+            for p in level_positions(pair, 4)
         ]
         assert weights == [[0, 1], [2, 3], [4]]
 
@@ -486,7 +504,7 @@ class TestVerifyBounds:
         reports = qht.verify_bounds(pair, range(1, 5), grid)
         points = [p for a in grid for p in qht.stein_trace(pair, a, 4)]
         for r in reports + points:
-            own = _pinched_errors(sweep_levels(pair, r.n), r.n, r.a, pair.tol)
+            own = _pinched_errors(sweep_spectrum(pair, r.n), r.n, r.a, pair.tol)
             assert (r.alpha, r.beta) == (own.alpha, own.beta)
             ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
             assert r.beta == ep.beta
@@ -572,10 +590,10 @@ class TestKeepRule:
         div = qht.relative_entropy(pair)
         grid = (-0.5, 0.0, 0.5, 0.25 * div, 0.5 * div, 0.9 * div, div + 0.5)
         for n in range(1, 6):
-            levels = sweep_levels(pair, n)
+            spectrum = sweep_spectrum(pair, n)
             for a in grid:
                 alpha, beta = pinched_test_errors_mp(pair, n, a)
-                ep = _pinched_errors(levels, n, a, qht.DEFAULT_TOL)
+                ep = _pinched_errors(spectrum, n, a, qht.DEFAULT_TOL)
                 assert abs(ep.alpha - alpha) <= 1e-13 * alpha
                 assert abs(ep.beta - beta) <= 1e-13 * beta
 
@@ -589,10 +607,9 @@ class TestKeepRule:
 
     def test_identical_pair_keeps_nothing_at_zero(self, identical):
         for n in range(1, 9):
-            levels = sweep_levels(identical, n)
-            for lev in levels:
-                assert _kept(lev, n, 0.0, qht.DEFAULT_TOL) == len(lev.eigenvalues)
-            ep = _pinched_errors(levels, n, 0.0, qht.DEFAULT_TOL)
+            spectrum = sweep_spectrum(identical, n)
+            assert not _kept(spectrum, n, 0.0, qht.DEFAULT_TOL).any()
+            ep = _pinched_errors(spectrum, n, 0.0, qht.DEFAULT_TOL)
             assert ep.beta == 0.0
             assert abs(ep.alpha - 1.0) <= 1e-14
 
@@ -604,8 +621,7 @@ class TestKeepRule:
         pair = qht.random_pair(data.draw(st.integers(0, 2**31 - 1), label="seed"), dim)
         div = qht.relative_entropy(pair)
         a = data.draw(st.floats(-0.5, div + 0.5), label="a")
-        levels = sweep_levels(pair, n)
-        ep = _pinched_errors(levels, n, a, qht.DEFAULT_TOL)
+        ep = _pinched_errors(sweep_spectrum(pair, n), n, a, qht.DEFAULT_TOL)
         test = qht.build_pinched_test(pair, n, a)
         alpha_dense, beta_dense = exact_errors(pair, test)
         assert abs(ep.alpha - alpha_dense) <= 1e-12
@@ -613,6 +629,89 @@ class TestKeepRule:
         for r in qht.verify_bounds(pair, range(1, n + 1), [a]):
             assert r.alpha <= r.alpha_bound + 1e-12
             assert r.beta <= r.beta_bound + 1e-12
+
+
+def spectrum_pair(data):
+    """A pair for the spectrum tests: seeded d = 2..4, merged levels, singular or split-prone."""
+    kind = data.draw(st.sampled_from(["seeded", "singular", "split-prone"]), label="kind")
+    if kind == "singular":
+        tol = qht.ToleranceConfig(strict=False)
+        return qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
+    if kind == "split-prone":
+        return split_prone_pair()
+    dim = data.draw(st.integers(2, 4), label="dim")
+    cluster_rel_tol = data.draw(st.sampled_from([1e-10, 1.0, 2.5]), label="cluster_rel_tol")
+    seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+    return qht.random_pair(seed, dim, qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol))
+
+
+class TestFlatSpectrum:
+    # The flat spectrum with multiplicities against the per-level loop over
+    # repeated spectra it replaced (oracles._pinched_errors).
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_repeated_level_spectra(self, data):
+        # thresholds on a crossing of the keep rule, where exp(n a) times a
+        # level's weight meets one of its eigenvalues, with or without the
+        # 1 + cluster_rel_tol margin, or where its threshold meets log 2;
+        # and one ulp either side
+        pair = spectrum_pair(data)
+        n = data.draw(st.integers(1, {2: 10, 3: 4, 4: 3}[pair.dim]), label="n")
+        spectrum = sweep_spectrum(pair, n)
+        i = data.draw(st.integers(0, len(spectrum.w) - 1), label="entry")
+        log_weight = spectrum.log_weights[spectrum.level[i]]
+        assume(spectrum.w[i] > 0.0 and math.isfinite(log_weight))
+        crossing = data.draw(
+            st.sampled_from([
+                math.log(spectrum.w[i]),
+                math.log(spectrum.w[i]) - math.log1p(pair.tol.cluster_rel_tol),
+                math.log(2.0),
+            ]),
+            label="crossing",
+        )
+        a = (crossing - log_weight) / n
+        a = float(np.nextafter(a, data.draw(st.sampled_from([-math.inf, a, math.inf]), label="ulp")))
+        levels = oracles.repeated_levels(spectrum)
+        keep = _kept(spectrum, n, a, pair.tol)
+        kept = np.bincount(spectrum.level, spectrum.m * keep, len(levels)).tolist()
+        assert kept == oracles.level_kept_counts(levels, n, a, pair.tol)
+        ep = _pinched_errors(spectrum, n, a, pair.tol)
+        ref = oracles._pinched_errors(levels, n, a, pair.tol)
+        assert ep.beta.hex() == ref.beta.hex()
+        assert abs(ep.alpha - ref.alpha) <= 1e-15 * abs(ref.alpha)
+
+    def test_qubit_spectrum_holds_each_spin_sub_block_eigenvalue_once(self):
+        # n = 12: one entry per row of the spin blocks, sum_t (n - 2t + 1) =
+        # 49, where the repeated level spectra held 4096
+        for tol in (qht.DEFAULT_TOL, qht.ToleranceConfig(cluster_rel_tol=1.0)):
+            spectrum = sweep_spectrum(qht.preset_pair("qubit-generic", tol), 12)
+            assert len(spectrum.w) <= sum(12 - 2 * t + 1 for t in range(7)) == 49
+
+    @pytest.mark.parametrize(
+        "pair",
+        seeded_pairs(2)
+        + [qht.preset_pair("qubit-skewed"), split_prone_pair()]
+        + [qht.random_pair(1, 2, qht.ToleranceConfig(cluster_rel_tol=2.5))]
+        + seeded_pairs(2, dim=3)
+        + [qht.random_pair(1, 3, qht.ToleranceConfig(cluster_rel_tol=1.0))]
+        + seeded_pairs(1, dim=4),
+        ids=["d2-0", "d2-1", "skewed", "split-prone", "d2-1-merged",
+             "d3-0", "d3-1", "d3-1-merged", "d4-0"],
+    )
+    def test_multiplicities_fill_each_level(self, pair):
+        # a level's multiplicities sum to its size, so they total d^n, and
+        # the spectrum is that of pinch(rho_n), of unit trace
+        for n in range(1, {2: 12, 3: 5, 4: 4}[pair.dim] + 1):
+            spectrum = sweep_spectrum(pair, n)
+            sizes = [len(p) for p in level_positions(pair, n)]
+            assert np.bincount(spectrum.level, spectrum.m).tolist() == sizes
+            assert sum(sizes) == pair.dim**n
+            assert (spectrum.m == np.round(spectrum.m)).all() and spectrum.m.min() >= 1.0
+            for k in range(len(sizes)):
+                w = spectrum.w[spectrum.level == k]
+                assert (np.diff(w) >= 0.0).all()
+            assert abs(float((spectrum.m * spectrum.w).sum()) - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 3), (4, 2)])
@@ -637,7 +736,7 @@ class TestBudgetBeforeWork:
             raise AssertionError("blocklength computed before the budget check")
 
         qutrit = qht.random_pair(0, dim=3)
-        for name in ("_sym_power", "_tensor_block", "_level_data", "_plain_errors", "tensor_power"):
+        for name in ("_sym_power", "_tensor_block", "_level_split", "_plain_errors", "tensor_power"):
             monkeypatch.setattr(finite_n, name, refuse)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.verify_bounds(generic, range(1, 14), [0.1])
@@ -683,7 +782,7 @@ class TestBlocklengthValidation:
 
         pair = qht.random_pair(0, dim=dim)
         assert qht.relative_entropy(pair) > 0.1
-        for name in ("_sym_power", "_level_data", "tensor_power"):
+        for name in ("_sym_power", "_level_split", "tensor_power"):
             monkeypatch.setattr(finite_n, name, spy(name, getattr(finite_n, name)))
         with pytest.raises(ValueError, match="blocklength"):
             entry(pair, n)
