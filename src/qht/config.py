@@ -50,7 +50,7 @@ class ToleranceConfig:
     Every other threshold is a fixed constant: ``PSD_TOL``,
     ``SUPPORT_CUTOFF``, ``HERMITIAN_TOL`` and ``TRACE_TOL`` here, the
     idempotency slack ``qht.finite_n.PROJ_TOL`` of test operators, and the
-    grid, Newton and bisection settings of :mod:`qht.exponents`.
+    grid, Newton and rate-solve settings of :mod:`qht.exponents`.
     """
 
     cluster_rel_tol: float = 1e-10

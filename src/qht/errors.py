@@ -67,4 +67,4 @@ class ParseError(QhtError):
 
 
 class RateTooSmallWarning(UserWarning):
-    """The ratio objective peaked at the lower cutoff of the search interval."""
+    """The ratio objective peaked at the first positive point of its s-grid."""

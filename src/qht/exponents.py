@@ -20,15 +20,17 @@ Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
 convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
 
 Every maximization over s (``phi``, ``phi_bar``, the rate objective and
-the finite-n envelopes) is a method of one ``_Scan``: it scans a grid of
-kernel values and refines the grid argmax by safeguarded Newton steps on
-the kernel's closed-form first and second derivatives.  The settings are
-fixed: ``GRID_POINTS`` grid points, at most ``NEWTON_STEPS`` Newton steps,
-and a rate bisection that narrows its bracket to ``BISECTION_WIDTH``.  A
-pair's kernel terms, one scan per kernel and grid, and its relative
+the finite-n envelopes) is a method of one ``_Scan``: it scans the kernel
+on one grid of [0, 1] and refines the grid argmax by safeguarded Newton
+steps on the kernel's closed-form first and second derivatives, read from
+one product of a 6 x K moment table with ``e^{s r}``.  The rate parameter
+a_r takes safeguarded Newton steps on phi_bar, whose slope is minus its
+maximizing s.  The settings are fixed: ``GRID_POINTS`` grid points, at
+most ``NEWTON_STEPS`` Newton steps per maximization, and a rate solve that
+stops at steps or brackets of width ``BISECTION_WIDTH``.  A pair's kernel
+terms, one scan (with its moment table) per kernel, and its relative
 entropy are cached on the pair and freed with it; every function here
-that takes a pair reads them from there.  A scan also memoizes the
-kernel's moments at the grid points where Newton refinement starts.
+that takes a pair reads them from there.
 """
 
 import math
@@ -47,17 +49,13 @@ from .errors import (
 )
 from .pairs import HypothesisPair
 
-# Lower cutoff of the s-interval for the ratio objective in the rate bound;
-# the maximizer is interior for every r > 0, so the cutoff only guards 0/0.
-S_MIN = 1e-6
-
 _IMAG_RESIDUE = 1e-10
 
 # Points of every s-grid scanned before refinement.
 GRID_POINTS = 2001
 # Cap on the safeguarded Newton steps that refine a grid argmax.
 NEWTON_STEPS = 60
-# Width in a at which the rate-parameter bisection stops.
+# Step or bracket width in a at which the rate-parameter solve stops.
 BISECTION_WIDTH = 1e-11
 
 # A Newton step no longer than this (s lies in [0, 1]) ends the refinement.
@@ -92,22 +90,31 @@ def _exponent(terms, s: np.ndarray, name: str) -> np.ndarray:
     return -np.log(tr)
 
 
-def _exponent_point(terms, s: float, name: str) -> tuple[float, float, float]:
+def _moment_table(terms) -> np.ndarray:
+    """The real 6 x K table of Re and then Im of ``c_k r_k^j``, j = 0, 1, 2."""
+    c, r = terms
+    weighted = (c, c * r, c * r * r)
+    return np.array([w.real for w in weighted] + [w.imag for w in weighted])
+
+
+def _exponent_point(terms, s: float, name: str, table=None) -> tuple[float, float, float]:
     """The kernel value E and its s-derivatives E', E'' at one s.
 
     From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
     ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
-    The imaginary residue of each moment is held to :func:`_real_trace`'s rule.
+    All six real and imaginary parts are one product ``table @ e^{s r}``,
+    with ``table`` the terms' :func:`_moment_table` (built here if not
+    given).  The imaginary residue of each moment is held to
+    :func:`_real_trace`'s rule.
     """
-    c, r = terms
-    w = c * np.exp(s * r)
-    wr = w * r
-    moments = (w.sum(), wr.sum(), wr @ r)
-    for m in moments:
-        if abs(m.imag) > _IMAG_RESIDUE * (1.0 + abs(m.real)):
-            worst = max(abs(x.imag) for x in moments)
-            raise ArithmeticError(f"{name} trace: imaginary residue {worst:.3e} too large")
-    m0, m1, m2 = (float(m.real) for m in moments)
+    if table is None:
+        table = _moment_table(terms)
+    moments = (table @ np.exp(s * terms[1])).tolist()
+    real, imag = moments[:3], moments[3:]
+    if any(abs(i) > _IMAG_RESIDUE * (1.0 + abs(m)) for m, i in zip(real, imag)):
+        worst = max(map(abs, imag))
+        raise ArithmeticError(f"{name} trace: imaginary residue {worst:.3e} too large")
+    m0, m1, m2 = real
     if m0 <= 0.0:
         raise ArithmeticError(f"{name} trace is not positive")
     d1 = -m1 / m0
@@ -204,26 +211,19 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
 
 
 class _Scan:
-    """A kernel E on the grid ``linspace(lower, 1, GRID_POINTS)``, maximized by its methods.
+    """A kernel E on the grid ``linspace(0, 1, GRID_POINTS)``, maximized by its methods."""
 
-    The moments (E, E', E'') at grid points are memoized: every
-    maximization over the grid starts its Newton steps at its grid argmax,
-    and different thresholds often share it.
-    """
-
-    def __init__(self, terms, name: str, lower: float = 0.0):
+    def __init__(self, terms, name: str):
         self.terms = terms
         self.name = name
-        self.grid = np.linspace(lower, 1.0, GRID_POINTS)
+        self.grid = np.linspace(0.0, 1.0, GRID_POINTS)
         self.values = _exponent(terms, self.grid, name)
-        self._at_grid = {}
+        self.table = _moment_table(terms)
 
-    def grid_moments(self, k: int) -> tuple[float, float, float]:
-        if k not in self._at_grid:
-            self._at_grid[k] = _exponent_point(self.terms, float(self.grid[k]), self.name)
-        return self._at_grid[k]
+    def point(self, s: float) -> tuple[float, float, float]:
+        return _exponent_point(self.terms, s, self.name, self.table)
 
-    def maximize(self, vals: np.ndarray, lift, done=None):
+    def maximize(self, vals: np.ndarray, lift):
         """Grid argmax of ``vals`` (the objective on the grid), refined by Newton.
 
         ``lift(s, E, E1, E2)`` turns the kernel moments at s into the objective
@@ -232,19 +232,18 @@ class _Scan:
         which shrinks to the side the slope points to; where the curvature is
         not negative or a step would leave the bracket, the step bisects it
         instead.  The refinement stops when a step falls to roundoff or after
-        ``NEWTON_STEPS`` steps, or as soon as ``done(best value)`` holds.  Returns
-        ``(s, value, k)`` for the best probed point: the grid point wins unless
-        strictly beaten, and ties go to the smaller s.
+        ``NEWTON_STEPS`` steps.  Returns ``(s, value, k)`` for the best probed
+        point: the grid point wins unless strictly beaten, and ties go to the
+        smaller s.  Where the maximum is flat, roundoff in its values fixes the
+        returned s only to about the square root of machine epsilon.
         """
         grid = self.grid
         k = int(np.argmax(vals))
         lo = float(grid[max(k - 1, 0)])
         hi = float(grid[min(k + 1, len(grid) - 1)])
         best_x, best_v = float(grid[k]), float(vals[k])
-        if done is not None and done(best_v):
-            return best_x, best_v, k
         x = best_x
-        _, d1, d2 = lift(x, *self.grid_moments(k))
+        _, d1, d2 = lift(x, *self.point(x))
         for _ in range(NEWTON_STEPS):
             if d1 > 0.0:
                 lo = x
@@ -261,26 +260,25 @@ class _Scan:
             if abs(step - x) <= _STEP_ROUNDOFF:
                 break
             x = step
-            v, d1, d2 = lift(x, *_exponent_point(self.terms, x, self.name))
+            v, d1, d2 = lift(x, *self.point(x))
             if v > best_v or (v == best_v and x < best_x):
                 best_x, best_v = x, v
-                if done is not None and done(best_v):
-                    break
         return best_x, best_v, k
 
-    def transform(self, a: float, done=None) -> tuple[float, float]:
-        """``(max over the grid's s of E(s) - a s, argmax)``; ``done`` as in :meth:`maximize`."""
+    def transform(self, a: float) -> tuple[float, float]:
+        """``(max over s in [0, 1] of E(s) - a s, argmax)``."""
 
         def lift(s, v, d1, d2):
             return v - a * s, d1 - a, d2
 
-        s_star, value, _ = self.maximize(self.values - a * self.grid, lift, done)
+        s_star, value, _ = self.maximize(self.values - a * self.grid, lift)
         return value, s_star
 
     def rate(self, r: float) -> float:
-        """max over the grid's s of ``h(s) = (E(s) - (1-s) r) / s``.
+        """max over s in (0, 1] of ``h(s) = (E(s) - (1-s) r) / s``.
 
-        ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.
+        ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.  The grid
+        point s = 0, where h divides by zero, is masked out of the scan.
         """
 
         def lift(s, E, E1, E2):
@@ -288,11 +286,14 @@ class _Scan:
             h1 = (E1 + r - h) / s
             return h, h1, (E2 - 2.0 * h1) / s
 
-        vals = (self.values - (1.0 - self.grid) * r) / self.grid
+        grid = self.grid
+        vals = self.values - (1.0 - grid) * r
+        vals[1:] /= grid[1:]
+        vals[0] = -math.inf
         _, value, k = self.maximize(vals, lift)
-        if k == 0:
+        if k == 1:
             warnings.warn(
-                f"rate objective peaked at the lower cutoff s = {S_MIN}; "
+                f"rate objective peaked at the first positive grid point s = {grid[1]:g}; "
                 "the requested rate may be too small to resolve",
                 RateTooSmallWarning,
                 stacklevel=3,
@@ -300,9 +301,9 @@ class _Scan:
         return value
 
 
-def _scan(pair: HypothesisPair, name: str, lower: float = 0.0) -> _Scan:
-    """The pair's cached scan of the kernel ``name`` on ``[lower, 1]``."""
-    return _cached(pair, (name, lower), lambda: _Scan(_terms(pair, name), name, lower))
+def _scan(pair: HypothesisPair, name: str) -> _Scan:
+    """The pair's cached scan of the kernel ``name``."""
+    return _cached(pair, (name, "scan"), lambda: _Scan(_terms(pair, name), name))
 
 
 def phi_bar(pair: HypothesisPair, a: float) -> tuple[float, float]:
@@ -332,54 +333,52 @@ def hoeffding_rate(pair: HypothesisPair, r: float) -> float:
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
-    return _scan(pair, "psi_bar", S_MIN).rate(float(r))
+    return _scan(pair, "psi_bar").rate(float(r))
 
 
 def solve_rate_parameter(pair: HypothesisPair, r: float) -> float:
-    """Find a_r with phi_bar(a_r) = r by bisection.
+    """Find a_r with phi_bar(a_r) = r by safeguarded Newton steps.
 
-    phi_bar is convex, nonincreasing and ranges from 0 to infinity, so a
-    bracket always exists: the upper end starts where phi_bar vanishes
-    (one unit above the relative entropy), the lower end doubles downward,
-    and the bisection stops at width ``BISECTION_WIDTH``.  Each probe reads
-    the pair's cached psi_bar grid and only decides on which side of r
-    phi_bar(a) lies: its best value never decreases, so the probe stops
-    refining once that value settles the comparison, and a probe that stays
-    below r runs in full.  The result is the same bit for bit as with every
-    probe run to the end.
+    phi_bar is convex, nonincreasing and ranges from 0 to infinity, and its
+    slope at a is minus the maximizing s that the pair's psi_bar scan
+    returns with the value.  A bracket is found first: the upper end starts
+    where phi_bar vanishes (one unit above the relative entropy), and the
+    lower end doubles downward until phi_bar reaches r.  Newton steps on
+    ``phi_bar(a) - r`` start at the lower end, and each probe replaces the
+    bracket end on its side of r; a step that would leave the bracket goes
+    to its midpoint instead.  The solve stops when a step moves a by at most
+    ``BISECTION_WIDTH`` or the bracket is that narrow, and returns the last
+    Newton point.
     """
     if r <= 0.0:
         raise NonpositiveRate(f"rate must be positive, got {r}")
     transform = _scan(pair, "psi_bar").transform
-
-    def exceeds(a):
-        return transform(a, lambda v: v > r)[0] > r
-
-    def reaches(a):
-        return transform(a, lambda v: v >= r)[0] >= r
-
     a_hi = relative_entropy(pair) + 1.0
     step = 1.0
-    while exceeds(a_hi):
+    while transform(a_hi)[0] > r:
         a_hi += step
         step *= 2.0
         if a_hi > 1e6:
             raise BracketFailure("upper bracket exceeded 1e6")
-    a_lo = -1.0
-    while not reaches(a_lo):
-        a_lo *= 2.0
-        if a_lo < -1e6:
+    a = a_lo = -1.0
+    while (probe := transform(a))[0] < r:
+        a = a_lo = 2.0 * a
+        if a < -1e6:
             raise BracketFailure("lower bracket exceeded -1e6")
-    # |d phi_bar / d a| <= 1, so a bracket of width w pins the value to w.
+    value, s_star = probe
     for _ in range(200):
-        if a_hi - a_lo <= BISECTION_WIDTH:
-            break
-        mid = 0.5 * (a_lo + a_hi)
-        if reaches(mid):
-            a_lo = mid
+        if value >= r:
+            a_lo = a
         else:
-            a_hi = mid
-    return 0.5 * (a_lo + a_hi)
+            a_hi = a
+        step = a + (value - r) / s_star if s_star > 0.0 else math.inf
+        if not a_lo <= step <= a_hi:
+            step = 0.5 * (a_lo + a_hi)
+        if abs(step - a) <= BISECTION_WIDTH or a_hi - a_lo <= BISECTION_WIDTH:
+            break
+        a = step
+        value, s_star = transform(a)
+    return step
 
 
 def check_distribution(p) -> np.ndarray:
@@ -425,7 +424,7 @@ def classical_hoeffding(p, q, r: float) -> float:
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)
-    return _Scan(terms, "classical", S_MIN).rate(float(r))
+    return _Scan(terms, "classical").rate(float(r))
 
 
 @dataclass(frozen=True)

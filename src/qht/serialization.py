@@ -8,6 +8,7 @@ A result table is a list of records (dataclass instances or dicts) or of
 rows in column order.  ``table_to_csv`` writes a header of column names,
 which for a record table are its dataclass's field names in order, then one
 line per row, each cell as ``format_cell`` writes it: ints as ``str``,
+text verbatim (quoted by the ``csv`` module's rules where it must be),
 floats at 17 significant digits with ``-0.0`` written as ``0``, infinities
 as ``inf``/``-inf``, NaN as ``nan`` and None as an empty cell.
 ``payload_to_json`` writes records as objects of their fields (recursing
@@ -42,15 +43,21 @@ from .pairs import HypothesisPair, PRESETS, preset_pair
 
 
 def format_cell(x) -> str:
-    """One CSV cell: None empty, an int as ``str``, anything else as a float.
+    """One CSV cell: None empty, an int as ``str``, text verbatim, anything else as a float.
 
-    Floats take 17 significant digits, ``-0.0`` reads ``0`` and non-finite
-    values ``inf``, ``-inf`` and ``nan``.
+    Text that holds a comma, a double quote or a line break is quoted as the
+    ``csv`` module quotes it, with each quote doubled.  Floats take 17
+    significant digits, ``-0.0`` reads ``0`` and non-finite values ``inf``,
+    ``-inf`` and ``nan``.
     """
     if x is None:
         return ""
     if isinstance(x, int):
         return str(x)
+    if isinstance(x, str):
+        if any(ch in x for ch in ',"\r\n'):
+            return '"%s"' % x.replace('"', '""')
+        return x
     return "%.17g" % (float(x) + 0.0)
 
 

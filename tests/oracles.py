@@ -3,7 +3,8 @@
 Everything here recomputes expected values through a different route than
 the library: scalar eigenvalue-weight sums (psi) and dense matrix-power
 products (psi_bar) evaluated in mpmath for the exponent functions and their
-finite differences, brute-force grid scans for the one-dimensional
+finite differences, the kernel's value and derivatives at one s from
+complex sums over the terms, brute-force grid scans for the one-dimensional
 maximizations, the rate-parameter bisection with every probe run in full
 on a grid built for the one call, qubit plain-test errors from spin blocks whose entries
 are string-pair counts, plain-test errors of any dimension from a dense
@@ -15,13 +16,16 @@ spectrum repeated once per copy of its block, with one prefix sum per
 level, are the per-level loop that ``qht.finite_n`` replaced by one pass
 over its flat spectrum with multiplicities, kept as its reference.
 
-The table writers at the end are the cell-by-cell CSV writer and the
-``json.dumps(indent=2)`` JSON writer that ``qht.serialization`` replaced,
-kept as the byte-for-byte reference for its column-wise writers, with the
-per-sample curve payload the command line used to build.
+The table writers at the end are the cell-by-cell CSV writer, with text
+cells quoted by the ``csv`` module, and the ``json.dumps(indent=2)`` JSON
+writer that ``qht.serialization`` replaced, kept as the byte-for-byte
+reference for its column-wise writers, with the per-sample curve payload
+the command line used to build.
 """
 
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -32,7 +36,7 @@ import numpy as np
 from qht.config import POSITIVITY_ROUNDOFF
 from qht.config import ToleranceConfig
 from qht.errors import BracketFailure
-from qht.exponents import _psi_bar_terms, _Scan, relative_entropy
+from qht.exponents import _IMAG_RESIDUE, _psi_bar_terms, _Scan, relative_entropy
 from qht.finite_n import ErrorProbabilities
 
 
@@ -91,6 +95,27 @@ def psi_fd_mp(pair, s, h=1e-5, dps=40, exponent=psi_scalar_mp):
         return float(d1), float(d2)
 
 
+def complex_sum_point(terms, s, name):
+    """The kernel value E and its s-derivatives E', E'' at one s, from complex sums.
+
+    ``qht.exponents._exponent_point`` as it was before its moment table: the
+    moments ``sum_k c_k r_k^j e^{s r_k}`` are summed in complex arithmetic.
+    """
+    c, r = terms
+    w = c * np.exp(s * r)
+    wr = w * r
+    moments = (w.sum(), wr.sum(), wr @ r)
+    for m in moments:
+        if abs(m.imag) > _IMAG_RESIDUE * (1.0 + abs(m.real)):
+            worst = max(abs(x.imag) for x in moments)
+            raise ArithmeticError(f"{name} trace: imaginary residue {worst:.3e} too large")
+    m0, m1, m2 = (float(m.real) for m in moments)
+    if m0 <= 0.0:
+        raise ArithmeticError(f"{name} trace is not positive")
+    d1 = -m1 / m0
+    return -math.log(m0), d1, d1 * d1 - m2 / m0
+
+
 def classical_exponent(p, q, s):
     return -np.log((p[:, None] ** (1.0 - s) * q[:, None] ** s).sum(axis=0))
 
@@ -121,8 +146,9 @@ def grid_max_hoeffding(p, q, r, points=1_000_000):
 def reference_rate_parameter(pair, r):
     """a_r with phi_bar(a_r) = r, bisected on an uncached psi_bar grid.
 
-    The bracket-and-bisect loop of ``solve_rate_parameter`` as it was before
-    the per-pair cache: every probe takes the full Newton refinement.
+    The bracket-and-bisect loop that ``solve_rate_parameter`` ran before its
+    Newton steps and the per-pair cache: every probe takes the full Newton
+    refinement, and the bracket narrows to width 1e-11.
     """
     transform = _Scan(_psi_bar_terms(pair), "psi_bar").transform
 
@@ -375,9 +401,18 @@ def level_kept_counts(levels, n, a, tol):
 # Table writers, as qht.serialization and qht.cli had them.
 
 
+def _text(x: str) -> str:
+    """A text cell as the csv module writes it in a row of more than one field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([x, ""])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return _text(x)
     x = float(x)
     if math.isinf(x):
         return "-inf" if x < 0 else "inf"

@@ -328,9 +328,9 @@ VERIFY_SEED3_PAIRS5_NMAX3 = """\
 [PASS] pinched below plain exponent: worst 5.551e-16 (tol 1.0e-09)
 [PASS] phi_bar shape: worst 8.882e-16 (tol 1.0e-09)
 [PASS] derivative consistency: worst 6.139e-10 (tol 1.0e-06)
-[PASS] rate-parameter consistency: worst 4.007e-11 (tol 1.0e-07)
+[PASS] rate-parameter consistency: worst 2.220e-15 (tol 1.0e-07)
 [PASS] commuting-case reduction: worst 0.000e+00 (tol 1.0e-09)
-[PASS] unitary invariance: worst 2.279e-15 (tol 1.0e-09)
+[PASS] unitary invariance: worst 2.439e-15 (tol 1.0e-09)
 [PASS] finite-n envelopes: worst 0.000e+00 (tol 1.0e-12)
 [PASS] test projections and mass: worst 1.855e-15 (tol 1.0e-09) mass defect 1.332e-15 (tol 1e-12)
 [PASS] pinched equals plain when commuting: worst 0.000e+00 (tol 1.0e-10)

@@ -7,12 +7,20 @@ import pytest
 
 import qht
 from qht import exponents
-from qht.exponents import S_MIN, _exponent_point, _psi_bar_terms, _real_trace, check_distribution
+from qht.exponents import (
+    BISECTION_WIDTH,
+    _exponent_point,
+    _psi_bar_terms,
+    _real_trace,
+    _terms,
+    check_distribution,
+)
 from qht.operators import hermitian_part
 
 from conftest import seeded_diagonal_pairs, seeded_pairs
 from oracles import (
     brute_force_grid,
+    complex_sum_point,
     grid_max_hoeffding,
     grid_max_phi,
     psi_bar_matrix_mp,
@@ -309,7 +317,8 @@ class TestOptimizer:
 
     @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
     def test_hoeffding_rate_reaches_brute_force_max(self, pair):
-        s, E = brute_force_grid(lambda x: qht.psi_bar_values(pair, x), S_MIN)
+        # the 1e-6 cutoff keeps the brute-force grid clear of the division by s = 0
+        s, E = brute_force_grid(lambda x: qht.psi_bar_values(pair, x), 1e-6)
         for r in (0.01, 0.1, 0.5):
             assert qht.hoeffding_rate(pair, r) >= ((E - (1.0 - s) * r) / s).max() - 1e-13
 
@@ -340,6 +349,18 @@ class TestOptimizer:
         with warnings.catch_warnings():
             warnings.simplefilter("error", qht.RateTooSmallWarning)
             qht.hoeffding_rate(generic, 0.1)
+
+    def test_rate_warning_at_first_positive_grid_point(self):
+        # the warning fires when the scan's argmax is s = 1/2000, the first grid
+        # point above the masked s = 0: for r <= 1e-7 on the pair as the command
+        # line loads it, but not at r = 1e-6
+        pair = qht.load_pair("qubit-generic", qht.ToleranceConfig(strict=False), 1e-6)
+        for r in (1e-10, 1e-8, 1e-7):
+            with pytest.warns(qht.RateTooSmallWarning, match=r"s = 0\.0005;"):
+                qht.hoeffding_rate(pair, r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", qht.RateTooSmallWarning)
+            qht.hoeffding_rate(pair, 1e-6)
 
 
 class TestPhiBar:
@@ -510,18 +531,43 @@ class TestPairCache:
         qht.sweep_curve(pair, "phi_bar", grid)
         qht.sweep_curve(pair, "phi", grid)
         qht.verify_bounds(pair, range(1, 3), grid)
-        # psi_bar on [0, 1], psi_bar on [S_MIN, 1] and psi on [0, 1]
-        assert scans == [2001] * 3
+        # one [0, 1] grid per kernel: psi_bar, then psi
+        assert scans == [2001] * 2
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_rate_parameter_matches_full_probes(self, dim):
+    def test_rate_parameter_solves_phi_bar(self, dim, monkeypatch):
+        probes = []
+        transform = exponents._Scan.transform
+
+        def spy(scan, a):
+            probes.append(a)
+            return transform(scan, a)
+
+        monkeypatch.setattr(exponents._Scan, "transform", spy)
         doubled = False
         for pair in seeded_pairs(3, start=80, dim=dim):
             doubled = doubled or qht.phi_bar(pair, -1.0)[0] < 3.0
             for r in (0.01, 0.1, 0.5, 3.0):
                 reference = reference_rate_parameter(pair, r)
-                assert qht.solve_rate_parameter(pair, r) == reference
+                probes.clear()
+                a_r = qht.solve_rate_parameter(pair, r)
+                assert len(probes) <= 20
+                assert abs(a_r - reference) <= BISECTION_WIDTH
+                assert abs(qht.phi_bar(pair, a_r)[0] - r) <= 1e-13
+                assert abs(qht.hoeffding_rate(pair, r) - (r + a_r)) <= 1e-13
         assert doubled  # r = 3 took the lower bracket below -1 at least once
+
+    @pytest.mark.parametrize("name", ["psi", "psi_bar"])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_moment_table_matches_complex_sums(self, dim, name):
+        # measured worst gaps over seeds 0-9: 3.1e-15 (E), 1.9e-14 (E'), 2.1e-13 (E'')
+        for pair in seeded_pairs(3, dim=dim):
+            terms = _terms(pair, name)
+            for s in np.linspace(0.0, 1.0, 41):
+                point = _exponent_point(terms, float(s), name)
+                reference = complex_sum_point(terms, float(s), name)
+                for got, want, tol in zip(point, reference, (3e-14, 2e-13, 3e-12)):
+                    assert abs(got - want) <= tol
 
     def test_point_residue_rule_matches_real_trace(self):
         r = np.array([-1.0, 0.5])

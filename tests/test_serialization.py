@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -221,6 +223,16 @@ class TestReportExports:
     def test_hoeffding_table(self):
         text = ser.table_to_csv(("r", "u", "a_r"), [(0.1, 0.2, 0.1)])
         assert text == "r,u,a_r\n0.10000000000000001,0.20000000000000001,0.10000000000000001\n"
+
+    def test_text_column_reads_back(self):
+        labels = ["0.7", "foo", "a,b", 'say "hi"', "two\nlines", ""]
+        rows = [{"label": label, "x": 0.5 * k} for k, label in enumerate(labels)]
+        text = ser.table_to_csv(("label", "x"), rows)
+        assert text.startswith('label,x\n0.7,0\nfoo,0.5\n"a,b",1\n"say ""hi""",1.5\n')
+        back = list(csv.DictReader(io.StringIO(text, newline="")))
+        assert [row["label"] for row in back] == labels
+        assert [float(row["x"]) for row in back] == [row["x"] for row in rows]
+        assert [row["label"] for row in json.loads(ser.payload_to_json(rows))] == labels
 
 
 class TestPinnedFormats:
