@@ -8,7 +8,6 @@ functions and the trade-off rate that bound them.
 
 from .config import DEFAULT_TOL, MAX_TENSOR_DIM, ToleranceConfig
 from .errors import (
-    BracketFailure,
     DimensionBudgetExceeded,
     DimensionMismatch,
     InvariantViolation,

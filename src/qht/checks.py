@@ -300,6 +300,14 @@ def check_derivatives(rng, n_samples) -> CheckResult:
 
 
 def check_rate_consistency(rng, n_samples) -> CheckResult:
+    """The duality of the Hoeffding bound's two faces: phi_bar(a_r) = r, u(r) = r + a_r.
+
+    phi_bar(a) >= r exactly when ``a <= (psi_bar(s) - r) / s`` for some s in
+    (0, 1], so the threshold a_r is the rate objective's maximum u(r) minus
+    r.  ``solve_rate_parameter`` computes it that way, which makes the
+    second residual zero by construction; the first compares the transform's
+    maximization over s (``phi_bar``) against the rate objective's.
+    """
     worst = 0.0
     for _ in range(n_samples):
         pair = random_pair(rng)

@@ -50,7 +50,9 @@ class ToleranceConfig:
     Every other threshold is a fixed constant: ``PSD_TOL``,
     ``SUPPORT_CUTOFF``, ``HERMITIAN_TOL`` and ``TRACE_TOL`` here, the
     idempotency slack ``qht.finite_n.PROJ_TOL`` of test operators, and the
-    grid, Newton and rate-solve settings of :mod:`qht.exponents`.
+    grid and Newton settings ``GRID_POINTS`` and ``NEWTON_STEPS`` of
+    :mod:`qht.exponents`, shared by every maximization over s, the rate
+    parameter a_r included (the rate objective's maximum minus r).
     """
 
     cluster_rel_tol: float = 1e-10

@@ -51,11 +51,7 @@ class DimensionBudgetExceeded(QhtError):
 
 
 class NonpositiveRate(QhtError):
-    """Rate parameters must be strictly positive."""
-
-
-class BracketFailure(QhtError):
-    """The root finder could not bracket the requested value."""
+    """Rates must be positive and above the exponent's value at s = 0 (zero but for roundoff)."""
 
 
 class RateAboveDivergence(QhtError):

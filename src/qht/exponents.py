@@ -24,13 +24,14 @@ the finite-n envelopes) is a method of one ``_Scan``: it scans the kernel
 on one grid of [0, 1] and refines the grid argmax by safeguarded Newton
 steps on the kernel's closed-form first and second derivatives, read from
 one product of a 6 x K moment table with ``e^{s r}``.  The rate parameter
-a_r takes safeguarded Newton steps on phi_bar, whose slope is minus its
-maximizing s.  The settings are fixed: ``GRID_POINTS`` grid points, at
-most ``NEWTON_STEPS`` Newton steps per maximization, and a rate solve that
-stops at steps or brackets of width ``BISECTION_WIDTH``.  A pair's kernel
-terms, one scan (with its moment table) per kernel, and its relative
-entropy are cached on the pair and freed with it; every function here
-that takes a pair reads them from there.
+a_r with ``phi_bar(a_r) = r`` takes no search of its own: phi_bar(a) >= r
+holds exactly when ``a <= (psi_bar(s) - r) / s`` for some s in (0, 1], so
+``a_r = max_s (psi_bar(s) - r) / s = u(r) - r``, the rate objective's
+maximum u(r) minus r.  The settings are fixed: ``GRID_POINTS`` grid
+points and at most ``NEWTON_STEPS`` Newton steps per maximization.  A
+pair's kernel terms, one scan (with its moment table) per kernel, and its
+relative entropy are cached on the pair and freed with it; every function
+here that takes a pair reads them from there.
 """
 
 import math
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BracketFailure,
     DimensionMismatch,
     InvariantViolation,
     NonpositiveRate,
@@ -55,8 +55,6 @@ _IMAG_RESIDUE = 1e-10
 GRID_POINTS = 2001
 # Cap on the safeguarded Newton steps that refine a grid argmax.
 NEWTON_STEPS = 60
-# Step or bracket width in a at which the rate-parameter solve stops.
-BISECTION_WIDTH = 1e-11
 
 # A Newton step no longer than this (s lies in [0, 1]) ends the refinement.
 _STEP_ROUNDOFF = 4.0 * np.finfo(float).eps
@@ -279,7 +277,18 @@ class _Scan:
 
         ``h' = (E' + r - h) / s`` and ``h'' = (E'' - 2 h') / s``.  The grid
         point s = 0, where h divides by zero, is masked out of the scan.
+        Near s = 0, h tends to ``(E(0) - r) / s``, so a rate at or below
+        ``E(0) = -log Tr rho`` (zero but for roundoff) has no finite
+        maximum and raises :class:`NonpositiveRate`, as does r <= 0.
         """
+        if r <= 0.0:
+            raise NonpositiveRate(f"rate must be positive, got {r}")
+        floor = float(self.values[0])
+        if r <= floor:
+            raise NonpositiveRate(
+                f"rate must exceed {floor!r}, the {self.name} exponent at s = 0 "
+                f"(-log Tr rho, zero but for roundoff), got {r}"
+            )
 
         def lift(s, E, E1, E2):
             h = (E - (1.0 - s) * r) / s
@@ -328,57 +337,25 @@ def phi(pair: HypothesisPair, a: float) -> tuple[float, float]:
 def hoeffding_rate(pair: HypothesisPair, r: float) -> float:
     """Achievable second-kind exponent under the first-kind constraint e^{-nr}.
 
-    Maximizes ``(psi_bar(s) - (1-s) r) / s`` over s in (0, 1]; equals
-    ``r + a_r`` for the threshold a_r solving phi_bar(a_r) = r.
+    The maximum u(r) of ``(psi_bar(s) - (1-s) r) / s`` over s in (0, 1],
+    from the pair's psi_bar scan; u(r) - r is the threshold a_r of
+    :func:`solve_rate_parameter`.  Raises :class:`NonpositiveRate` for r at
+    or below ``psi_bar(0) = -log Tr rho``.
     """
-    if r <= 0.0:
-        raise NonpositiveRate(f"rate must be positive, got {r}")
     return _scan(pair, "psi_bar").rate(float(r))
 
 
 def solve_rate_parameter(pair: HypothesisPair, r: float) -> float:
-    """Find a_r with phi_bar(a_r) = r by safeguarded Newton steps.
+    """The threshold a_r with phi_bar(a_r) = r: the rate objective's maximum minus r.
 
-    phi_bar is convex, nonincreasing and ranges from 0 to infinity, and its
-    slope at a is minus the maximizing s that the pair's psi_bar scan
-    returns with the value.  A bracket is found first: the upper end starts
-    where phi_bar vanishes (one unit above the relative entropy), and the
-    lower end doubles downward until phi_bar reaches r.  Newton steps on
-    ``phi_bar(a) - r`` start at the lower end, and each probe replaces the
-    bracket end on its side of r; a step that would leave the bracket goes
-    to its midpoint instead.  The solve stops when a step moves a by at most
-    ``BISECTION_WIDTH`` or the bracket is that narrow, and returns the last
-    Newton point.
+    phi_bar(a) >= r holds exactly when ``a <= (psi_bar(s) - r) / s`` for
+    some s in (0, 1], and ``(psi_bar(s) - r) / s`` is the rate objective
+    ``(psi_bar(s) - (1-s) r) / s`` minus r.  So ``a_r = u(r) - r`` with
+    u(r) the maximum that :func:`hoeffding_rate` returns, read from the
+    same scan; it raises and warns where :func:`hoeffding_rate` does.
     """
-    if r <= 0.0:
-        raise NonpositiveRate(f"rate must be positive, got {r}")
-    transform = _scan(pair, "psi_bar").transform
-    a_hi = relative_entropy(pair) + 1.0
-    step = 1.0
-    while transform(a_hi)[0] > r:
-        a_hi += step
-        step *= 2.0
-        if a_hi > 1e6:
-            raise BracketFailure("upper bracket exceeded 1e6")
-    a = a_lo = -1.0
-    while (probe := transform(a))[0] < r:
-        a = a_lo = 2.0 * a
-        if a < -1e6:
-            raise BracketFailure("lower bracket exceeded -1e6")
-    value, s_star = probe
-    for _ in range(200):
-        if value >= r:
-            a_lo = a
-        else:
-            a_hi = a
-        step = a + (value - r) / s_star if s_star > 0.0 else math.inf
-        if not a_lo <= step <= a_hi:
-            step = 0.5 * (a_lo + a_hi)
-        if abs(step - a) <= BISECTION_WIDTH or a_hi - a_lo <= BISECTION_WIDTH:
-            break
-        a = step
-        value, s_star = transform(a)
-    return step
+    r = float(r)
+    return _scan(pair, "psi_bar").rate(r) - r
 
 
 def check_distribution(p) -> np.ndarray:
@@ -392,15 +369,20 @@ def check_distribution(p) -> np.ndarray:
     return p
 
 
+def _check_distributions(p, q) -> tuple[np.ndarray, np.ndarray]:
+    p = check_distribution(p)
+    q = check_distribution(q)
+    if p.shape != q.shape:
+        raise DimensionMismatch("distributions must have equal support size")
+    return p, q
+
+
 def classical_psi(p, q, s: float) -> float:
     """The sum ``Psi(s) = sum_x p(x)^{1-s} q(x)^s`` (not its negative log).
 
     Terms with p(x) = 0 contribute nothing for every s in [0, 1].
     """
-    p = check_distribution(p)
-    q = check_distribution(q)
-    if p.shape != q.shape:
-        raise DimensionMismatch("distributions must have equal support size")
+    p, q = _check_distributions(p, q)
     s = float(_check_s(s)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(p > 0.0, p ** (1.0 - s) * q**s, 0.0)
@@ -415,12 +397,7 @@ def classical_hoeffding(p, q, r: float) -> float:
     with Psi; on commuting (diagonal) quantum pairs this coincides with
     :func:`hoeffding_rate`.
     """
-    if r <= 0.0:
-        raise NonpositiveRate(f"rate must be positive, got {r}")
-    p = check_distribution(p)
-    q = check_distribution(q)
-    if p.shape != q.shape:
-        raise DimensionMismatch("distributions must have equal support size")
+    p, q = _check_distributions(p, q)
     if p.min() <= 0.0 or q.min() <= 0.0:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)

@@ -35,7 +35,6 @@ import numpy as np
 
 from qht.config import POSITIVITY_ROUNDOFF
 from qht.config import ToleranceConfig
-from qht.errors import BracketFailure
 from qht.exponents import _IMAG_RESIDUE, _psi_bar_terms, _Scan, relative_entropy
 from qht.finite_n import ErrorProbabilities
 
@@ -143,12 +142,16 @@ def grid_max_hoeffding(p, q, r, points=1_000_000):
     return float(vals.max())
 
 
+class ReferenceBracketFailure(ArithmeticError):
+    """The reference bisection could not bracket the requested value."""
+
+
 def reference_rate_parameter(pair, r):
     """a_r with phi_bar(a_r) = r, bisected on an uncached psi_bar grid.
 
-    The bracket-and-bisect loop that ``solve_rate_parameter`` ran before its
-    Newton steps and the per-pair cache: every probe takes the full Newton
-    refinement, and the bracket narrows to width 1e-11.
+    The bracket-and-bisect root search that ``solve_rate_parameter`` ran
+    before it read a_r off the rate objective's maximum: every probe takes
+    the full Newton refinement, and the bracket narrows to width 1e-11.
     """
     transform = _Scan(_psi_bar_terms(pair), "psi_bar").transform
 
@@ -161,12 +164,12 @@ def reference_rate_parameter(pair, r):
         a_hi += step
         step *= 2.0
         if a_hi > 1e6:
-            raise BracketFailure("upper bracket exceeded 1e6")
+            raise ReferenceBracketFailure("upper bracket exceeded 1e6")
     a_lo = -1.0
     while value(a_lo) < r:
         a_lo *= 2.0
         if a_lo < -1e6:
-            raise BracketFailure("lower bracket exceeded -1e6")
+            raise ReferenceBracketFailure("lower bracket exceeded -1e6")
     for _ in range(200):
         if a_hi - a_lo <= 1e-11:
             break

@@ -553,6 +553,17 @@ class TestErrorPaths:
         assert "--smooth" in err
         assert out.is_dir() and not any(out.iterdir())
 
+    def test_rate_below_the_value_at_zero_rejected(self, capsys):
+        # psi_bar(0) = -log Tr rho is 6.7e-16 on qubit-generic in floats: no a_r
+        # exists below it, and the rate objective has no finite maximum
+        code, out, err = run(capsys, "hoeffding", "--preset", "qubit-generic",
+                             "--grid-r", "1e-17:1e-17:1")
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: rate must exceed ")
+        assert line.endswith("got 1e-17")
+
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")
         assert code == 2

@@ -35,4 +35,3 @@ def test_pair_settings_are_the_only_settable_values():
     assert (config.PSD_TOL, config.SUPPORT_CUTOFF) == (1e-10, 1e-12)
     assert (config.HERMITIAN_TOL, config.TRACE_TOL) == (1e-10, 1e-10)
     assert (exponents.GRID_POINTS, exponents.NEWTON_STEPS) == (2001, 60)
-    assert exponents.BISECTION_WIDTH == 1e-11

@@ -1,4 +1,5 @@
 import gc
+import re
 import warnings
 import weakref
 
@@ -8,7 +9,6 @@ import pytest
 import qht
 from qht import exponents
 from qht.exponents import (
-    BISECTION_WIDTH,
     _exponent_point,
     _psi_bar_terms,
     _real_trace,
@@ -353,14 +353,16 @@ class TestOptimizer:
     def test_rate_warning_at_first_positive_grid_point(self):
         # the warning fires when the scan's argmax is s = 1/2000, the first grid
         # point above the masked s = 0: for r <= 1e-7 on the pair as the command
-        # line loads it, but not at r = 1e-6
+        # line loads it, but not at r = 1e-6; a_r is read from the same maximum,
+        # so solve_rate_parameter warns where hoeffding_rate does
         pair = qht.load_pair("qubit-generic", qht.ToleranceConfig(strict=False), 1e-6)
-        for r in (1e-10, 1e-8, 1e-7):
-            with pytest.warns(qht.RateTooSmallWarning, match=r"s = 0\.0005;"):
-                qht.hoeffding_rate(pair, r)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", qht.RateTooSmallWarning)
-            qht.hoeffding_rate(pair, 1e-6)
+        for fn in (qht.hoeffding_rate, qht.solve_rate_parameter):
+            for r in (1e-10, 1e-8, 1e-7):
+                with pytest.warns(qht.RateTooSmallWarning, match=r"s = 0\.0005;"):
+                    fn(pair, r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", qht.RateTooSmallWarning)
+                fn(pair, 1e-6)
 
 
 class TestPhiBar:
@@ -435,6 +437,8 @@ class TestHoeffdingRate:
             qht.hoeffding_rate(commuting, 0.0)
         with pytest.raises(qht.NonpositiveRate):
             qht.hoeffding_rate(commuting, -0.1)
+        with pytest.raises(qht.NonpositiveRate, match=r"^rate must be positive, got 0\.0$"):
+            qht.classical_hoeffding([0.5, 0.5], [0.9, 0.1], 0.0)
 
     def test_tiny_rate_warns(self, commuting):
         with pytest.warns(qht.RateTooSmallWarning):
@@ -460,8 +464,21 @@ class TestRateParameter:
                 assert qht.hoeffding_rate(pair, r) == pytest.approx(r + a_r, abs=1e-7)
 
     def test_rejects_nonpositive_rate(self, generic):
-        with pytest.raises(qht.NonpositiveRate):
+        with pytest.raises(qht.NonpositiveRate, match=r"^rate must be positive, got 0\.0$"):
             qht.solve_rate_parameter(generic, 0.0)
+
+    @pytest.mark.parametrize("fn", [qht.hoeffding_rate, qht.solve_rate_parameter])
+    def test_rejects_rate_at_or_below_the_value_at_zero(self, generic, fn):
+        # psi_bar(0) = -log Tr rho reads 6.7e-16 here in floats; for r below it
+        # phi_bar(a) >= r at every a, so no a_r exists, and the rate objective
+        # grows without bound as s -> 0
+        floor = float(exponents._scan(generic, "psi_bar").values[0])
+        assert 1e-17 < floor < 1e-15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (1e-17, floor):
+                with pytest.raises(qht.NonpositiveRate, match=re.escape(repr(floor))):
+                    fn(generic, r)
 
 
 def exponent_results(pair_of):
@@ -479,6 +496,14 @@ def exponent_results(pair_of):
     for which in ("phi_bar", "phi"):
         curve = qht.sweep_curve(pair_of(), which, a_grid)
         yield curve.values.tolist(), curve.argmax_s.tolist()
+
+
+def rate_warnings(fn, pair, r):
+    """``fn(pair, r)`` and the messages of the RateTooSmallWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", qht.RateTooSmallWarning)
+        value = fn(pair, r)
+    return value, [str(w.message) for w in caught]
 
 
 def fresh_copies(pair):
@@ -536,6 +561,8 @@ class TestPairCache:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_rate_parameter_solves_phi_bar(self, dim, monkeypatch):
+        # a_r is the rate objective's maximum minus r, read from the same scan
+        # without one transform probe; phi_bar(a_r) = r checks the duality
         probes = []
         transform = exponents._Scan.transform
 
@@ -544,18 +571,20 @@ class TestPairCache:
             return transform(scan, a)
 
         monkeypatch.setattr(exponents._Scan, "transform", spy)
-        doubled = False
         for pair in seeded_pairs(3, start=80, dim=dim):
-            doubled = doubled or qht.phi_bar(pair, -1.0)[0] < 3.0
-            for r in (0.01, 0.1, 0.5, 3.0):
+            for r in (1e-6, 1e-3, 0.01, 0.1, 0.5, 3.0, 10.0):
                 reference = reference_rate_parameter(pair, r)
                 probes.clear()
-                a_r = qht.solve_rate_parameter(pair, r)
-                assert len(probes) <= 20
-                assert abs(a_r - reference) <= BISECTION_WIDTH
+                a_r, solve_warned = rate_warnings(qht.solve_rate_parameter, pair, r)
+                assert probes == []
+                u, rate_warned = rate_warnings(qht.hoeffding_rate, pair, r)
+                assert a_r == u - r
+                assert abs(u - (r + a_r)) <= 1e-13
+                # r = 1e-6 peaks at the first positive grid point on one d = 3 pair
+                assert solve_warned == rate_warned
+                # 1e-11 is the width of the oracle's own bisection
+                assert abs(a_r - reference) <= 1e-11
                 assert abs(qht.phi_bar(pair, a_r)[0] - r) <= 1e-13
-                assert abs(qht.hoeffding_rate(pair, r) - (r + a_r)) <= 1e-13
-        assert doubled  # r = 3 took the lower bracket below -1 at least once
 
     @pytest.mark.parametrize("name", ["psi", "psi_bar"])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
