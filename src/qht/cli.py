@@ -27,7 +27,6 @@ from .exponents import (
     psi_bar_values,
     psi_values,
     relative_entropy,
-    solve_rate_parameter,
     sweep_curve,
 )
 from .finite_n import BoundReport, ConjectureRow, conjecture_probe, verify_bounds
@@ -173,23 +172,22 @@ def _make_out_dir(out_dir: str | None) -> None:
         raise _cannot_write(out_dir, exc) from exc
 
 
-def _write(out_dir: str, name: str, text: str) -> None:
-    """Write one output file into ``--out``, which ``main`` has already created."""
-    path = Path(out_dir) / name
-    try:
-        path.write_bytes(text.encode("utf-8"))
-    except OSError as exc:
-        raise _cannot_write(path, exc) from exc
+def _write_table(out_dir: str | None, stem: str, table: ser.Table, payload=None) -> str:
+    """Return ``table`` as CSV; under ``--out`` also write it as ``stem.csv`` and ``stem.json``.
 
-
-def _write_table(out_dir: str | None, stem: str, csv_text: str, to_json, payload) -> str:
-    """Write ``csv_text`` and ``to_json(payload)`` as ``stem.csv``/``.json``; return the CSV.
-
-    Without ``--out`` nothing is written and no JSON is rendered.
+    The JSON is ``payload`` (the table itself by default), which holds the
+    table.  Each format is rendered once, the JSON only under ``--out``,
+    which ``main`` has already created.
     """
+    csv_text = ser.table_to_csv(table)
     if out_dir is not None:
-        _write(out_dir, f"{stem}.csv", csv_text)
-        _write(out_dir, f"{stem}.json", to_json(payload))
+        json_text = ser.payload_to_json(table if payload is None else payload)
+        for name, text in ((f"{stem}.csv", csv_text), (f"{stem}.json", json_text)):
+            path = Path(out_dir) / name
+            try:
+                path.write_bytes(text.encode("utf-8"))
+            except OSError as exc:
+                raise _cannot_write(path, exc) from exc
     return csv_text
 
 
@@ -198,11 +196,9 @@ def _cmd_exponents(args) -> int:
     grid = args.grid_s
     print(f"dim = {pair.dim}")
     print(f"relative_entropy = {ser.format_cell(relative_entropy(pair))}")
-    columns = ("s", "psi_bar", "psi")
-    values = zip(grid, psi_bar_values(pair, grid), psi_values(pair, grid))
-    rows = [dict(zip(columns, row)) for row in values]
-    csv_text = ser.table_to_csv(columns, rows)
-    sys.stdout.write(_write_table(args.out, "exponents", csv_text, ser.payload_to_json, rows))
+    columns = [grid.tolist(), psi_bar_values(pair, grid).tolist(), psi_values(pair, grid).tolist()]
+    table = ser.Table(("s", "psi_bar", "psi"), columns)
+    sys.stdout.write(_write_table(args.out, "exponents", table))
     return 0
 
 
@@ -217,7 +213,11 @@ def _cmd_curves(args) -> int:
         ("phi", a_grid),
     ):
         curve = sweep_curve(pair, name, grid)
-        csv_text = _write_table(args.out, name, ser.curve_to_csv(curve), ser.curve_to_json, curve)
+        argmax = [None] * len(curve) if curve.argmax_s is None else curve.argmax_s.tolist()
+        columns = [curve.params.tolist(), curve.values.tolist(), argmax]
+        table = ser.Table(("param", "value", "argmax_s"), columns)
+        payload = {"parameter_name": curve.parameter_name, "samples": table}
+        csv_text = _write_table(args.out, name, table, payload)
         if args.out is None:
             sys.stdout.write(f"# {name}\n" + csv_text)
     if args.out is not None:
@@ -227,13 +227,11 @@ def _cmd_curves(args) -> int:
 
 def _cmd_hoeffding(args) -> int:
     pair = _load(args)
-    rows = []
-    for r in args.grid_r:
-        r = float(r)
-        a_r = solve_rate_parameter(pair, r)
-        rows.append({"r": r, "u": hoeffding_rate(pair, r), "a_r": a_r})
-    csv_text = ser.table_to_csv(("r", "u", "a_r"), rows)
-    sys.stdout.write(_write_table(args.out, "hoeffding", csv_text, ser.payload_to_json, rows))
+    rates = args.grid_r.tolist()
+    # the threshold a_r is the rate objective's maximum u(r) minus r
+    u = [hoeffding_rate(pair, r) for r in rates]
+    table = ser.Table(("r", "u", "a_r"), [rates, u, [u_r - r for u_r, r in zip(u, rates)]])
+    sys.stdout.write(_write_table(args.out, "hoeffding", table))
     return 0
 
 
@@ -242,8 +240,7 @@ def _cmd_finite_n(args) -> int:
     div = relative_entropy(pair)
     a_grid = args.grid_a if args.grid_a is not None else np.array(THRESHOLD_FRACTIONS) * div
     reports = verify_bounds(pair, range(1, args.n_max + 1), a_grid)
-    csv_text = ser.table_to_csv(BoundReport, reports)
-    sys.stdout.write(_write_table(args.out, "bound_report", csv_text, ser.payload_to_json, reports))
+    sys.stdout.write(_write_table(args.out, "bound_report", ser.records(BoundReport, reports)))
     return 0
 
 
@@ -266,8 +263,9 @@ def _cmd_conjecture(args) -> int:
     for a in a_grid:
         report = conjecture_probe(pair, range(1, n_max + 1), float(a))
         stem = f"conjecture_a_{ser.format_cell(float(a))}"
-        csv_text = ser.table_to_csv(ConjectureRow, report.rows)
-        sys.stdout.write(_write_table(args.out, stem, csv_text, ser.payload_to_json, report))
+        table = ser.records(ConjectureRow, report.rows)
+        payload = dict(vars(report), rows=table)
+        sys.stdout.write(_write_table(args.out, stem, table, payload))
     return 0
 
 

@@ -31,9 +31,10 @@ maximum u(r) minus r.  The settings are fixed: ``GRID_POINTS`` grid
 points and at most ``NEWTON_STEPS`` Newton steps per maximization.  A
 pair's kernel terms, one scan (with its moment table) per kernel, and its
 relative entropy are cached on the pair and freed with it; every function
-here that takes a pair reads them from there.
+here that takes a pair reads them from there, ``psi_derivatives`` included.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -95,18 +96,15 @@ def _moment_table(terms) -> np.ndarray:
     return np.array([w.real for w in weighted] + [w.imag for w in weighted])
 
 
-def _exponent_point(terms, s: float, name: str, table=None) -> tuple[float, float, float]:
+def _exponent_point(terms, s: float, name: str, table) -> tuple[float, float, float]:
     """The kernel value E and its s-derivatives E', E'' at one s.
 
     From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
     ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
     All six real and imaginary parts are one product ``table @ e^{s r}``,
-    with ``table`` the terms' :func:`_moment_table` (built here if not
-    given).  The imaginary residue of each moment is held to
-    :func:`_real_trace`'s rule.
+    with ``table`` the terms' :func:`_moment_table`.  The imaginary residue
+    of each moment is held to :func:`_real_trace`'s rule.
     """
-    if table is None:
-        table = _moment_table(terms)
     moments = (table @ np.exp(s * terms[1])).tolist()
     real, imag = moments[:3], moments[3:]
     if any(abs(i) > _IMAG_RESIDUE * (1.0 + abs(m)) for m, i in zip(real, imag)):
@@ -204,19 +202,27 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
     """
     s = float(_check_s(s)[0])
     pair.assert_invertible("psi_derivatives")
-    _, d1, d2 = _exponent_point(_terms(pair, "psi"), s, "psi")
+    _, d1, d2 = _scan(pair, "psi").point(s)
     return d1, d2
 
 
 class _Scan:
-    """A kernel E on the grid ``linspace(0, 1, GRID_POINTS)``, maximized by its methods."""
+    """A kernel E on the grid ``linspace(0, 1, GRID_POINTS)``, maximized by its methods.
+
+    The grid values are computed at the first maximization, so a scan that
+    is only read at single points (:func:`psi_derivatives`) costs its moment
+    table alone.
+    """
 
     def __init__(self, terms, name: str):
         self.terms = terms
         self.name = name
         self.grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        self.values = _exponent(terms, self.grid, name)
         self.table = _moment_table(terms)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        return _exponent(self.terms, self.grid, self.name)
 
     def point(self, s: float) -> tuple[float, float, float]:
         return _exponent_point(self.terms, s, self.name, self.table)

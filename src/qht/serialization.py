@@ -4,28 +4,29 @@ A matrix travels as ``{"dim": d, "re": [[...]], "im": [[...]]}`` with
 row-major entries.  On load ``dim`` must be an int and every entry a finite
 JSON number; the matrix is then validated against the Hermitian invariant.
 
-A result table is a list of records (dataclass instances or dicts) or of
-rows in column order.  ``table_to_csv`` writes a header of column names,
-which for a record table are its dataclass's field names in order, then one
-line per row, each cell as ``format_cell`` writes it: ints as ``str``,
-text verbatim (quoted by the ``csv`` module's rules where it must be),
-floats at 17 significant digits with ``-0.0`` written as ``0``, infinities
-as ``inf``/``-inf``, NaN as ``nan`` and None as an empty cell.
-``payload_to_json`` writes records as objects of their fields (recursing
-into dicts, tuples and lists) laid out as ``json.dumps(obj, indent=2)`` lays
-them out; it keeps ``-0.0`` and writes non-finite floats as the strings
+A result table is one :class:`Table`: its column names and its cells,
+column by column.  A producer gathers its cells into columns once: from
+arrays by ``.tolist()``, from lists as they are, or from dataclass records
+by :func:`records`, whose names are the dataclass's field names in order.
+``table_to_csv`` writes a header of the names, then one line per row, each
+cell as ``format_cell`` writes it: ints as ``str``, text verbatim (quoted
+by the ``csv`` module's rules where it must be), floats at 17 significant
+digits with ``-0.0`` written as ``0``, infinities as ``inf``/``-inf``, NaN
+as ``nan`` and None as an empty cell.  ``payload_to_json`` writes a table
+as a list of row objects keyed by its names, and recurses into the dicts,
+records, tuples and lists around one (a curve's ``{"parameter_name",
+"samples": table}``, a report's fields with ``"rows": table``, a pair
+file), laid out as ``json.dumps(obj, indent=2)`` lays them out; it keeps
+``-0.0`` and writes non-finite floats as the strings
 ``"inf"``/``"-inf"``/``"nan"``, since strict JSON has no literal for them.
-An exponent curve goes straight from its arrays to ``curve_to_csv`` and
-``curve_to_json``, as a table with the columns ``param, value, argmax_s``.
 
-Both writers work a column at a time.  A table's cells are gathered into
-columns once; each column is formatted in one pass chosen by the types of
-its cells, and the whole table is filled into one row template by a single
-``%``.  Only the small objects around a table (a report's header fields, a
-curve's parameter name) take the recursive path.  JSON is not written with
-``json.dumps(indent=...)``: CPython's C encoder serves only ``indent=None``,
-so an indented dump formats every value in the pure-Python encoder.
-Identical inputs produce byte-identical outputs.
+Both writers format a table a column at a time: each column in one pass
+chosen by the types of its cells, and the whole table filled into one row
+template by a single ``%``.  Only the small objects around a table take the
+recursive path.  JSON is not written with ``json.dumps(indent=...)``:
+CPython's C encoder serves only ``indent=None``, so an indented dump
+formats every value in the pure-Python encoder.  Identical inputs produce
+byte-identical outputs.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ import json
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -139,27 +140,24 @@ def load_pair(
     return pair
 
 
-class _Rows:
-    """A table held column by column: ``columns[j][i]`` is cell j of row i."""
+class Table:
+    """A result table held column by column: ``columns[j][i]`` is cell j of row i.
+
+    ``names`` are the column names in order: the CSV header and the keys of
+    each JSON row object.  Every column holds one cell per row.
+    """
 
     __slots__ = ("names", "columns", "count")
 
-    def __init__(self, names, columns: list[list], count: int):
-        self.names, self.columns, self.count = names, columns, count
+    def __init__(self, names, columns: list[list]):
+        self.names, self.columns = names, columns
+        self.count = len(columns[0]) if columns else 0
 
 
-def _table(names, rows) -> _Rows:
-    """Gather ``rows`` (all records, all dicts or all sequences) into columns."""
-    rows = list(rows)
-    if not rows:
-        columns = []
-    elif dataclasses.is_dataclass(rows[0]):
-        columns = [list(map(attrgetter(name), rows)) for name in names]
-    elif isinstance(rows[0], dict):
-        columns = [list(map(itemgetter(name), rows)) for name in names]
-    else:
-        columns = [list(column) for column in zip(*rows, strict=True)]
-    return _Rows(names, columns, len(rows))
+def records(kind, rows) -> Table:
+    """The records ``rows``, instances of the dataclass ``kind``, as a table of its fields."""
+    names = [f.name for f in dataclasses.fields(kind)]
+    return Table(names, [list(map(attrgetter(name), rows)) for name in names])
 
 
 def _fill(template: str, columns) -> str:
@@ -184,22 +182,11 @@ def _csv_column(cells) -> tuple[str, list | None]:
     return "%s", list(map(format_cell, cells))
 
 
-def _csv(table: _Rows) -> str:
+def table_to_csv(table: Table) -> str:
+    """CSV of ``table``: a header line of its names, then one line per row."""
     specs, values = zip(*map(_csv_column, table.columns)) if table.columns else ((), ())
     line = ",".join(specs) + "\n"
     return ",".join(table.names) + "\n" + _fill(line * table.count, values)
-
-
-def table_to_csv(columns, rows) -> str:
-    """CSV table: a header line, then one line per row.
-
-    ``columns`` is a record dataclass, whose field names in order are the
-    header, or a sequence of column names.  The rows are all records, all
-    dicts keyed by the column names or all sequences in column order.
-    """
-    if dataclasses.is_dataclass(columns):
-        columns = [f.name for f in dataclasses.fields(columns)]
-    return _csv(_table(columns, rows))
 
 
 def _json_scalar(x) -> str:
@@ -234,52 +221,22 @@ def _json_column(cells) -> tuple[str, list | None]:
     return "%s", list(map(_json_scalar, cells))
 
 
-def _json_rows(table: _Rows, indent: str) -> str:
-    """A list of flat records, as one template filled by one ``%``."""
+def _json_rows(table: Table, indent: str) -> str:
+    """A table as a list of row objects, one template filled by one ``%``."""
     if not table.count:
         return "[]"
     inner = indent + "  "
-    if table.names:
-        specs, values = zip(*map(_json_column, table.columns))
-        keys = (_json_str(name).replace("%", "%%") for name in table.names)
-        fields = ",".join(f"\n{inner}  {key}: {spec}" for key, spec in zip(keys, specs))
-        record = f"{{{fields}\n{inner}}}"
-    else:
-        record, values = "{}", ()
+    specs, values = zip(*map(_json_column, table.columns))
+    keys = (_json_str(name).replace("%", "%%") for name in table.names)
+    fields = ",".join(f"\n{inner}  {key}: {spec}" for key, spec in zip(keys, specs))
+    record = f"{{{fields}\n{inner}}}"
     template = f"[\n{inner}" + f",\n{inner}".join([record] * table.count) + f"\n{indent}]"
     return _fill(template, values)
 
 
-_SCALARS = (str, int, float, type(None))
-
-
-def _records(items) -> _Rows | None:
-    """``items`` as columns if they are records of one shape, else None.
-
-    Records of one shape are instances of one dataclass, or dicts with the
-    same keys in the same order, whose fields hold no containers.
-    """
-    kind = type(items[0])
-    if len(set(map(type, items))) != 1:
-        return None
-    if issubclass(kind, dict):
-        names = list(items[0])
-        if any(list(item) != names for item in items):
-            return None
-    elif issubclass(kind, (float, list, tuple)) or not dataclasses.is_dataclass(kind):
-        return None
-    else:
-        names = [f.name for f in dataclasses.fields(kind)]
-    table = _table(names, items)
-    for column in table.columns:
-        if not all(issubclass(t, _SCALARS) for t in set(map(type, column))):
-            return None
-    return table
-
-
 def _json(obj, indent: str = "") -> str:
     """``obj`` as JSON, laid out as ``json.dumps(indent=2)`` lays it out at ``indent``."""
-    if isinstance(obj, _Rows):
+    if isinstance(obj, Table):
         return _json_rows(obj, indent)
     if isinstance(obj, float):
         return _json_scalar(obj)
@@ -288,9 +245,6 @@ def _json(obj, indent: str = "") -> str:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        table = _records(obj)
-        if table is not None:
-            return _json_rows(table, indent)
         inner = indent + "  "
         return f"[\n{inner}" + f",\n{inner}".join([_json(x, inner) for x in obj]) + f"\n{indent}]"
     elif dataclasses.is_dataclass(obj):
@@ -305,27 +259,8 @@ def _json(obj, indent: str = "") -> str:
 
 
 def payload_to_json(obj) -> str:
-    """Indented JSON of records (as field dicts), dicts, lists and scalars."""
+    """Indented JSON of a :class:`Table` (a list of row objects), records, dicts, lists and scalars.
+
+    A record other than a table is an object of its dataclass fields.
+    """
     return _json(obj) + "\n"
-
-
-_CURVE_COLUMNS = ("param", "value", "argmax_s")
-
-
-def _curve_table(curve) -> _Rows:
-    """A curve's arrays as the columns ``param, value, argmax_s``."""
-    count = len(curve.params)
-    argmax = [None] * count if curve.argmax_s is None else np.asarray(curve.argmax_s).tolist()
-    columns = [np.asarray(curve.params).tolist(), np.asarray(curve.values).tolist(), argmax]
-    return _Rows(_CURVE_COLUMNS, columns, count)
-
-
-def curve_to_csv(curve) -> str:
-    """CSV of an ``ExponentCurve``: ``param,value,argmax_s``, argmax empty without one."""
-    return _csv(_curve_table(curve))
-
-
-def curve_to_json(curve) -> str:
-    """JSON of an ``ExponentCurve``: ``{"parameter_name", "samples": [...]}``."""
-    samples = _curve_table(curve)
-    return _json({"parameter_name": curve.parameter_name, "samples": samples}) + "\n"

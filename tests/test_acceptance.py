@@ -230,9 +230,9 @@ def test_criterion_9_conjecture_probe_runs():
     a = 0.5 * qht.relative_entropy(pair)
     probe = qht.conjecture_probe(pair, range(1, 7), a)
     from qht.finite_n import ConjectureRow
-    from qht.serialization import table_to_csv
+    from qht.serialization import records, table_to_csv
 
-    table = table_to_csv(ConjectureRow, probe.rows)
+    table = table_to_csv(records(ConjectureRow, probe.rows))
     elapsed = time.perf_counter() - start
     ok = (
         probe.label == "EXPERIMENTAL"

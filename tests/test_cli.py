@@ -100,6 +100,35 @@ def test_closed_stdout_exits_141_with_nothing_on_stderr():
     assert err == b""
 
 
+# Each table command on small grids, the stems of the files it writes under
+# --out in the order it prints them, and the key of the JSON mirror that holds
+# the rows (None where the mirror is the list of rows itself).
+TABLE_COMMANDS = [
+    (["exponents", "--grid-s", "0:1:0.25"], ["exponents"], None),
+    (
+        ["curves", "--grid-s", "0:1:0.25", "--grid-a=-0.5:0.5:0.25"],
+        ["psi_bar", "psi", "phi_bar", "phi"],
+        "samples",
+    ),
+    (["hoeffding", "--grid-r", "0.05:0.2:0.05"], ["hoeffding"], None),
+    (["finite-n", "--n-max", "2"], ["bound_report"], None),
+    (
+        ["conjecture", "--preset", "identical", "--n-max", "2", "--grid-a=-0.5:0:0.5"],
+        ["conjecture_a_-0.5", "conjecture_a_0"],
+        "rows",
+    ),
+]
+
+
+def csv_cell(text: str):
+    """A CSV cell as its JSON mirror holds it: empty as null, inf and nan as text, else a number."""
+    if text == "":
+        return None
+    if text in ("inf", "-inf", "nan"):
+        return text
+    return float(text)
+
+
 class TestExponentsCommand:
     def test_identical_preset_reports_zero(self, capsys):
         code, out, _ = run(capsys, "exponents", "--preset", "identical", "--grid-s", "0:1:0.5")
@@ -122,19 +151,31 @@ class TestExponentsCommand:
         s_values = [float(row.split(",")[0]) for row in lines[3:]]
         assert s_values == pytest.approx([0.1 * k for k in range(11)], abs=1e-15)
 
-    def test_out_writes_the_printed_table(self, capsys, tmp_path):
-        _, plain, _ = run(capsys, "exponents", "--preset", "qubit-generic")
-        code, out, _ = run(capsys, "exponents", "--preset", "qubit-generic", "--out", str(tmp_path))
+    @pytest.mark.parametrize(
+        "argv,stems,key", TABLE_COMMANDS, ids=[argv[0] for argv, _, _ in TABLE_COMMANDS]
+    )
+    def test_out_writes_the_printed_table(self, capsys, tmp_path, argv, stems, key):
+        _, plain, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--out", str(tmp_path))
         assert code == 0
-        assert out == plain
-        csv_text = (tmp_path / "exponents.csv").read_text(encoding="utf-8")
-        assert csv_text == out[out.index("s,psi_bar,psi\n") :]
-        payload = json.loads((tmp_path / "exponents.json").read_text(encoding="utf-8"))
-        lines = csv_text.strip().split("\n")
-        assert len(payload) == len(lines) - 1
-        for row, line in zip(payload, lines[1:]):
-            assert list(row) == ["s", "psi_bar", "psi"]
-            assert [row[k] for k in row] == [float(x) for x in line.split(",")]
+        names = sorted(f"{stem}.{suffix}" for stem in stems for suffix in ("csv", "json"))
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        tables = [(tmp_path / f"{stem}.csv").read_text(encoding="utf-8") for stem in stems]
+        if argv[0] == "curves":
+            # with --out, curves prints where it wrote its tables instead of them
+            assert plain == "".join(f"# {stem}\n{text}" for stem, text in zip(stems, tables))
+            assert out == f"wrote psi_bar/psi/phi_bar/phi curves to {tmp_path}\n"
+        else:
+            assert out == plain
+            assert out.endswith("".join(tables))
+        for stem, text in zip(stems, tables):
+            mirror = json.loads((tmp_path / f"{stem}.json").read_text(encoding="utf-8"))
+            rows = mirror if key is None else mirror[key]
+            header, *lines = text.splitlines()
+            assert len(rows) == len(lines) > 0
+            for row, line in zip(rows, lines):
+                assert list(row) == header.split(",")
+                assert list(row.values()) == [csv_cell(cell) for cell in line.split(",")]
 
     def test_module_entry_point(self, capsys):
         # python -m qht runs the same command line as main()
@@ -389,7 +430,7 @@ class TestConjectureCommand:
         pair = qht.preset_pair("qubit-generic", qht.ToleranceConfig(cluster_rel_tol=0.5))
         report = qht.conjecture_probe(pair, range(1, 5), 0.5 * qht.relative_entropy(pair))
         assert out.splitlines(keepends=True)[2:] == ser.table_to_csv(
-            ConjectureRow, report.rows
+            ser.records(ConjectureRow, report.rows)
         ).splitlines(keepends=True)
 
 
@@ -563,6 +604,13 @@ class TestErrorPaths:
         [line] = err.splitlines()
         assert line.startswith("error: rate must exceed ")
         assert line.endswith("got 1e-17")
+
+    def test_each_rate_warning_prints_once(self):
+        # u(r) comes from one maximization per r, and a_r = u(r) - r from no other
+        done = fresh_run(["hoeffding", "--preset", "qubit-generic", "--grid-r", "1e-9:3e-9:1e-9"])
+        assert done.returncode == 0
+        warned = [line for line in done.stderr.splitlines() if "RateTooSmallWarning" in line]
+        assert len(warned) == 1
 
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")

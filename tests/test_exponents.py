@@ -10,6 +10,7 @@ import qht
 from qht import exponents
 from qht.exponents import (
     _exponent_point,
+    _moment_table,
     _psi_bar_terms,
     _real_trace,
     _terms,
@@ -282,7 +283,7 @@ class TestSinglePointDerivatives:
         for pair in seeded_pairs(2, dim=dim):
             terms = _psi_bar_terms(pair)
             for s in (0.1, 0.5, 0.9):
-                value, d1, d2 = _exponent_point(terms, s, "psi_bar")
+                value, d1, d2 = _exponent_point(terms, s, "psi_bar", _moment_table(terms))
                 fd1, fd2 = psi_fd_mp(pair, s, exponent=psi_bar_matrix_mp)
                 assert value == pytest.approx(qht.psi_bar(pair, s), abs=1e-13)
                 assert d1 == pytest.approx(fd1, rel=1e-6)
@@ -593,7 +594,7 @@ class TestPairCache:
         for pair in seeded_pairs(3, dim=dim):
             terms = _terms(pair, name)
             for s in np.linspace(0.0, 1.0, 41):
-                point = _exponent_point(terms, float(s), name)
+                point = _exponent_point(terms, float(s), name, _moment_table(terms))
                 reference = complex_sum_point(terms, float(s), name)
                 for got, want, tol in zip(point, reference, (3e-14, 2e-13, 3e-12)):
                     assert abs(got - want) <= tol
@@ -605,9 +606,10 @@ class TestPairCache:
         with pytest.raises(ArithmeticError) as dense:
             _real_trace(np.array([w.sum(), (w * r).sum(), (w * r) @ r]), "psi_bar trace")
         with pytest.raises(ArithmeticError) as point:
-            _exponent_point((c, r), 0.3, "psi_bar")
+            _exponent_point((c, r), 0.3, "psi_bar", _moment_table((c, r)))
         assert str(point.value) == str(dense.value)
-        _exponent_point((c.real + 1e-12j, r), 0.3, "psi_bar")  # inside the bound
+        terms = (c.real + 1e-12j, r)
+        _exponent_point(terms, 0.3, "psi_bar", _moment_table(terms))  # inside the bound
 
 
 class TestClassical:

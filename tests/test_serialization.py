@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import io
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 import qht
 from qht import serialization as ser
+from qht.cli import main
 from qht.exponents import ExponentCurve
 from qht.finite_n import BoundReport, ConjectureReport, ConjectureRow, SteinPoint
 
@@ -160,9 +162,18 @@ class TestLoadPair:
 
 
 class TestCurveExport:
-    def test_csv_shape_and_precision(self, generic):
+    """The curve tables ``qht curves`` writes, read back from its files."""
+
+    def curve_files(self, tmp_path, *grids):
+        argv = ["curves", "--preset", "qubit-generic", *grids, "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return tmp_path
+
+    def test_csv_shape_and_precision(self, generic, tmp_path):
+        out = self.curve_files(tmp_path, "--grid-s", "0:1:0.25", "--grid-a", "0:0.1:0.1")
         curve = qht.sweep_curve(generic, "psi_bar", np.linspace(0.0, 1.0, 5))
-        text = ser.curve_to_csv(curve)
+        text = (out / "psi_bar.csv").read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "param,value,argmax_s"
         assert len(lines) == 6
@@ -172,14 +183,15 @@ class TestCurveExport:
         value = float(lines[2].split(",")[1])
         assert value == pytest.approx(float(curve.values[1]), abs=0.0)
 
-    def test_phi_curve_has_argmax(self, generic):
-        curve = qht.sweep_curve(generic, "phi_bar", np.linspace(-0.1, 0.3, 5))
-        rows = ser.curve_to_csv(curve).strip().split("\n")[1:]
+    def test_phi_curve_has_argmax(self, tmp_path):
+        out = self.curve_files(tmp_path, "--grid-s", "0:1:0.5", "--grid-a=-0.1:0.3:0.1")
+        rows = (out / "phi_bar.csv").read_text(encoding="utf-8").strip().split("\n")[1:]
+        assert len(rows) == 5
         assert all(len(r.split(",")) == 3 and r.split(",")[2] != "" for r in rows)
 
-    def test_json_mirror(self, generic):
-        curve = qht.sweep_curve(generic, "phi", np.linspace(-0.1, 0.3, 3))
-        payload = json.loads(ser.curve_to_json(curve))
+    def test_json_mirror(self, tmp_path):
+        out = self.curve_files(tmp_path, "--grid-s", "0:1:0.5", "--grid-a=-0.1:0.3:0.2")
+        payload = json.loads((out / "phi.json").read_text(encoding="utf-8"))
         assert payload["parameter_name"] == "a"
         assert len(payload["samples"]) == 3
         sample = payload["samples"][0]
@@ -191,52 +203,59 @@ class TestCurveExport:
 
 class TestReportExports:
     def test_bound_report_csv_columns(self, generic):
-        reports = qht.verify_bounds(generic, [1, 2], [0.1])
-        text = ser.table_to_csv(BoundReport, reports)
-        header = text.split("\n", 1)[0]
+        table = ser.records(BoundReport, qht.verify_bounds(generic, [1, 2], [0.1]))
+        header = ser.table_to_csv(table).split("\n", 1)[0]
         assert header == "n,a,alpha,alpha_bound,beta,beta_bound,key_residual,v_sigma_n,type_bound"
-        payload = json.loads(ser.payload_to_json(reports))
+        payload = json.loads(ser.payload_to_json(table))
         assert len(payload) == 2
         assert payload[0]["n"] == 1
 
     def test_stein_export(self, generic):
-        points = qht.stein_trace(generic, 0.1, 3)
-        text = ser.table_to_csv(SteinPoint, points)
+        table = ser.records(SteinPoint, qht.stein_trace(generic, 0.1, 3))
+        text = ser.table_to_csv(table)
         assert text.startswith("n,a,alpha,alpha_bound,beta,log_beta_rate,log_beta_envelope")
-        payload = json.loads(ser.payload_to_json(points))
+        payload = json.loads(ser.payload_to_json(table))
         assert [row["n"] for row in payload] == [1, 2, 3]
 
     def test_conjecture_export_handles_infinities(self, identical):
         report = qht.conjecture_probe(identical, [1, 2], -0.5)
-        text = ser.table_to_csv(ConjectureRow, report.rows)
-        assert "-inf" in text
-        payload = json.loads(ser.payload_to_json(report))
+        table = ser.records(ConjectureRow, report.rows)
+        assert "-inf" in ser.table_to_csv(table)
+        payload = json.loads(ser.payload_to_json(dict(vars(report), rows=table)))
         assert payload["label"] == "EXPERIMENTAL"
         assert payload["rows"][0]["log_alpha_rate"] == "-inf"
 
     def test_nan_written_as_nan(self):
         # the JSON mirror of a CSV row says nan where the CSV does, not inf
-        rows = [{"x": float("nan"), "y": float("inf"), "z": float("-inf")}]
-        assert ser.table_to_csv(("x", "y", "z"), rows) == "x,y,z\nnan,inf,-inf\n"
-        assert json.loads(ser.payload_to_json(rows)) == [{"x": "nan", "y": "inf", "z": "-inf"}]
+        table = ser.Table(("x", "y", "z"), [[math.nan], [math.inf], [-math.inf]])
+        assert ser.table_to_csv(table) == "x,y,z\nnan,inf,-inf\n"
+        assert json.loads(ser.payload_to_json(table)) == [{"x": "nan", "y": "inf", "z": "-inf"}]
 
     def test_hoeffding_table(self):
-        text = ser.table_to_csv(("r", "u", "a_r"), [(0.1, 0.2, 0.1)])
+        text = ser.table_to_csv(ser.Table(("r", "u", "a_r"), [[0.1], [0.2], [0.1]]))
         assert text == "r,u,a_r\n0.10000000000000001,0.20000000000000001,0.10000000000000001\n"
 
     def test_text_column_reads_back(self):
         labels = ["0.7", "foo", "a,b", 'say "hi"', "two\nlines", ""]
-        rows = [{"label": label, "x": 0.5 * k} for k, label in enumerate(labels)]
-        text = ser.table_to_csv(("label", "x"), rows)
+        xs = [0.5 * k for k in range(len(labels))]
+        table = ser.Table(("label", "x"), [labels, xs])
+        text = ser.table_to_csv(table)
         assert text.startswith('label,x\n0.7,0\nfoo,0.5\n"a,b",1\n"say ""hi""",1.5\n')
         back = list(csv.DictReader(io.StringIO(text, newline="")))
         assert [row["label"] for row in back] == labels
-        assert [float(row["x"]) for row in back] == [row["x"] for row in rows]
-        assert [row["label"] for row in json.loads(ser.payload_to_json(rows))] == labels
+        assert [float(row["x"]) for row in back] == xs
+        assert [row["label"] for row in json.loads(ser.payload_to_json(table))] == labels
+
+
+CURVE_COLUMNS = ("param", "value", "argmax_s")
 
 
 class TestPinnedFormats:
-    """Writer output for hand-built records, compared byte for byte."""
+    """Writer output for hand-built tables, compared byte for byte.
+
+    A table of records writes the same JSON as the list of records it was
+    gathered from.
+    """
 
     def test_bound_report(self):
         report = BoundReport(
@@ -250,12 +269,13 @@ class TestPinnedFormats:
             v_sigma_n=3,
             type_bound=9,
         )
-        assert ser.table_to_csv(BoundReport, [report]) == (
+        table = ser.records(BoundReport, [report])
+        assert ser.table_to_csv(table) == (
             "n,a,alpha,alpha_bound,beta,beta_bound,key_residual,v_sigma_n,type_bound\n"
             "2,0.10000000000000001,0.012345678901234568,7.3685767777018363,0,1e-300,"
             "3.5000000000000001e-15,3,9\n"
         )
-        assert ser.payload_to_json([report]) == (
+        assert ser.payload_to_json(table) == ser.payload_to_json([report]) == (
             "[\n"
             "  {\n"
             '    "n": 2,\n'
@@ -286,7 +306,8 @@ class TestPinnedFormats:
             for n, beta, rate in ((1, 1.0, 0.0), (2, 0.25, -math.log(2.0)))
         )
         report = ConjectureReport(label="EXPERIMENTAL", a=-0.5, phi_value=-0.0, rows=rows)
-        assert ser.table_to_csv(ConjectureRow, report.rows) == (
+        table = ser.records(ConjectureRow, report.rows)
+        assert ser.table_to_csv(table) == (
             "n,a,alpha,log_alpha_rate,alpha_conjecture,beta,log_beta_rate,beta_conjecture\n"
             "1,-0.5,0,-inf,0,1,0,0.5\n"
             "2,-0.5,0,-inf,0,0.25,-0.69314718055994529,0.5\n"
@@ -303,7 +324,8 @@ class TestPinnedFormats:
             '      "beta_conjecture": 0.5\n'
             "    }}"
         )
-        assert ser.payload_to_json(report) == (
+        as_written = dict(vars(report), rows=table)
+        assert ser.payload_to_json(as_written) == ser.payload_to_json(report) == (
             "{\n"
             '  "label": "EXPERIMENTAL",\n'
             '  "a": -0.5,\n'
@@ -325,12 +347,13 @@ class TestPinnedFormats:
             log_beta_rate=-math.inf,
             log_beta_envelope=-0.2 + (2 / 3) * math.log(4.0),
         )
-        assert ser.table_to_csv(SteinPoint, [point]) == (
+        table = ser.records(SteinPoint, [point])
+        assert ser.table_to_csv(table) == (
             "n,a,alpha,alpha_bound,beta,log_beta_rate,log_beta_envelope\n"
             "3,0.20000000000000001,0.050000000000000003,11.853091530907486,0,-inf,"
             "0.72419624074659361\n"
         )
-        assert ser.payload_to_json([point]) == (
+        assert ser.payload_to_json(table) == ser.payload_to_json([point]) == (
             "[\n"
             "  {\n"
             '    "n": 3,\n'
@@ -345,12 +368,12 @@ class TestPinnedFormats:
         )
 
     def test_psi_curve_without_argmax(self):
-        curve = ExponentCurve("s", np.array([0.0, 0.5, 1.0]), np.array([-0.0, 1 / 3, 0.0]))
-        assert ser.curve_to_csv(curve) == (
+        table = ser.Table(CURVE_COLUMNS, [[0.0, 0.5, 1.0], [-0.0, 1 / 3, 0.0], [None] * 3])
+        assert ser.table_to_csv(table) == (
             "param,value,argmax_s\n0,0,\n0.5,0.33333333333333331,\n1,0,\n"
         )
         sample = '    {{\n      "param": {p},\n      "value": {v},\n      "argmax_s": null\n    }}'
-        assert ser.curve_to_json(curve) == (
+        assert ser.payload_to_json({"parameter_name": "s", "samples": table}) == (
             '{\n  "parameter_name": "s",\n  "samples": [\n'
             + ",\n".join(
                 sample.format(p=p, v=v)
@@ -360,20 +383,15 @@ class TestPinnedFormats:
         )
 
     def test_phi_curve_with_argmax(self):
-        curve = ExponentCurve(
-            "a",
-            np.array([-0.5, 0.0, 0.25]),
-            np.array([0.0, 0.1, 2 / 3]),
-            np.array([1.0, 0.5, 0.0]),
-        )
-        assert ser.curve_to_csv(curve) == (
+        table = ser.Table(CURVE_COLUMNS, [[-0.5, 0.0, 0.25], [0.0, 0.1, 2 / 3], [1.0, 0.5, 0.0]])
+        assert ser.table_to_csv(table) == (
             "param,value,argmax_s\n"
             "-0.5,0,1\n"
             "0,0.10000000000000001,0.5\n"
             "0.25,0.66666666666666663,0\n"
         )
         sample = '    {{\n      "param": {p},\n      "value": {v},\n      "argmax_s": {m}\n    }}'
-        assert ser.curve_to_json(curve) == (
+        assert ser.payload_to_json({"parameter_name": "a", "samples": table}) == (
             '{\n  "parameter_name": "a",\n  "samples": [\n'
             + ",\n".join(
                 sample.format(p=p, v=v, m=m)
@@ -387,11 +405,11 @@ class TestPinnedFormats:
         )
 
     def test_hoeffding_row(self):
-        row = {"r": 0.1, "u": 0.2, "a_r": 0.1}
-        assert ser.table_to_csv(("r", "u", "a_r"), [row]) == (
+        table = ser.Table(("r", "u", "a_r"), [[0.1], [0.2], [0.1]])
+        assert ser.table_to_csv(table) == (
             "r,u,a_r\n0.10000000000000001,0.20000000000000001,0.10000000000000001\n"
         )
-        assert ser.payload_to_json([row]) == (
+        assert ser.payload_to_json(table) == (
             '[\n  {\n    "r": 0.1,\n    "u": 0.2,\n    "a_r": 0.1\n  }\n]\n'
         )
 
@@ -433,7 +451,7 @@ def tables(draw, numeric=False):
     for _ in names:
         cells = FLOATS if numeric else draw(COLUMN_CELLS)
         columns.append(draw(st.lists(cells, min_size=count, max_size=count)))
-    rows = list(zip(*columns)) if columns else [()] * count
+    rows = list(zip(*columns))  # a table without columns has no rows
     if kind == "record":
         return Triple, [Triple(*row) for row in rows]
     if kind == "dict":
@@ -514,45 +532,80 @@ def same_outcome(new, old, *args):
         assert new(*args) == expected
 
 
+def as_table(columns, rows) -> ser.Table:
+    """A generated table as the writers take it: records by ``records``, other rows by column."""
+    if dataclasses.is_dataclass(columns):
+        return ser.records(columns, rows)
+    return ser.Table(columns, columns_of(columns, rows))
+
+
+def csv_of(columns, rows) -> str:
+    return ser.table_to_csv(as_table(columns, rows))
+
+
+def row_objects(table: ser.Table) -> list[dict]:
+    """The rows of ``table`` as dicts keyed by its names, as the reference writes them."""
+    return [dict(zip(table.names, row)) for row in zip(*table.columns)]
+
+
 class TestWritersMatchReference:
     """The column-wise writers against the cell-by-cell ones they replaced (tests/oracles.py)."""
 
     @settings(max_examples=300, deadline=None)
     @given(tables())
     def test_csv(self, table):
-        same_outcome(ser.table_to_csv, oracles.table_to_csv, *table)
+        same_outcome(csv_of, oracles.table_to_csv, *table)
 
     @settings(max_examples=200, deadline=None)
     @given(tables(numeric=True))
     def test_numeric_csv(self, table):
-        assert ser.table_to_csv(*table) == oracles.table_to_csv(*table)
+        assert csv_of(*table) == oracles.table_to_csv(*table)
 
     @settings(max_examples=300, deadline=None)
     @given(payloads())
     def test_json(self, payload):
         assert ser.payload_to_json(payload) == oracles.payload_to_json(payload)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tables(), st.booleans())
+    def test_table_json(self, table, wrapped):
+        # a table is a list of row objects, alone or as a curve's samples
+        table = as_table(*table)
+        reference = row_objects(table)
+        if wrapped:
+            table, reference = ({"parameter_name": "s", "samples": x} for x in (table, reference))
+        assert ser.payload_to_json(table) == oracles.payload_to_json(reference)
+
     @settings(max_examples=100, deadline=None)
     @given(conjecture_reports())
     def test_conjecture_report(self, report):
-        assert ser.payload_to_json(report) == oracles.payload_to_json(report)
-        same_outcome(ser.table_to_csv, oracles.table_to_csv, ConjectureRow, report.rows)
+        expected = oracles.payload_to_json(report)
+        table = ser.records(ConjectureRow, report.rows)
+        assert ser.payload_to_json(dict(vars(report), rows=table)) == expected
+        assert ser.payload_to_json(report) == expected
+        same_outcome(csv_of, oracles.table_to_csv, ConjectureRow, report.rows)
 
     @settings(max_examples=100, deadline=None)
     @given(curves())
     def test_curve(self, curve):
         payload = oracles._curve_payload(curve)
-        assert ser.curve_to_json(curve) == oracles.payload_to_json(payload)
+        table = as_table(oracles._SAMPLE_COLUMNS, payload["samples"])
+        written = {"parameter_name": curve.parameter_name, "samples": table}
+        assert ser.payload_to_json(written) == oracles.payload_to_json(payload)
         reference = oracles.table_to_csv(oracles._SAMPLE_COLUMNS, payload["samples"])
-        assert ser.curve_to_csv(curve) == reference
+        assert ser.table_to_csv(table) == reference
 
     def test_edge_cells(self):
         rows = [dict(zip("ab", (x, np.float64(x)))) for x in EDGE_FLOATS] + [{"a": None, "b": 7}]
-        assert ser.table_to_csv(("a", "b"), rows) == oracles.table_to_csv(("a", "b"), rows)
+        table = as_table(("a", "b"), rows)
+        assert ser.table_to_csv(table) == oracles.table_to_csv(("a", "b"), rows)
+        assert ser.payload_to_json(table) == oracles.payload_to_json(rows)
         assert ser.payload_to_json(rows) == oracles.payload_to_json(rows)
 
     def test_column_path_decisions(self):
-        # each case steers one choice between a column's one-pass format and cell-by-cell
+        # each of the first five cases steers one choice between a column's
+        # one-pass format and cell-by-cell; the rest are lists of rows that
+        # no table holds, written by the recursive path
         floats = [0.5, -0.0, 5e-324, 1.7976931348623157e308]
         cases = [
             [{"x": x} for x in floats],  # all finite floats: one format per column
@@ -566,13 +619,17 @@ class TestWritersMatchReference:
         ]
         for rows in cases:
             assert ser.payload_to_json(rows) == oracles.payload_to_json(rows)
-        for rows in cases[:4]:
+        for rows in cases[:5]:
             columns = list(rows[0])
-            assert ser.table_to_csv(columns, rows) == oracles.table_to_csv(columns, rows)
+            table = as_table(columns, rows)
+            assert ser.payload_to_json(table) == oracles.payload_to_json(rows)
+            assert ser.table_to_csv(table) == oracles.table_to_csv(columns, rows)
 
     def test_empty_tables(self):
         for columns in (BoundReport, ("a", "b"), ()):
-            assert ser.table_to_csv(columns, []) == oracles.table_to_csv(columns, [])
+            table = as_table(columns, [])
+            assert ser.table_to_csv(table) == oracles.table_to_csv(columns, [])
+            assert ser.payload_to_json(table) == oracles.payload_to_json([])
         for payload in ([], (), {}, [{}], [{}, {}], {"rows": []}):
             assert ser.payload_to_json(payload) == oracles.payload_to_json(payload)
 
@@ -582,6 +639,8 @@ class TestWritersMatchReference:
                 oracles.payload_to_json([{"x": cell}])
             with pytest.raises(TypeError):
                 ser.payload_to_json([{"x": cell}])
+            with pytest.raises(TypeError):
+                ser.payload_to_json(ser.Table(("x",), [[cell]]))
 
     def test_format_cell_is_the_csv_cell(self):
         for x in EDGE_FLOATS + [None, 3, True, np.float64(-0.0), 0.1, "2.5"]:
