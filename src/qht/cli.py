@@ -4,8 +4,13 @@ Subcommands: ``exponents`` (point values), ``curves`` (CSV/JSON sweeps of
 the four exponent functions), ``hoeffding`` (trade-off rate over an
 r-grid), ``finite-n`` (exact error/bound table), ``verify`` (invariant
 suite, exit 1 on failure) and ``conjecture`` (plain-test probe, labeled
-EXPERIMENTAL).  Exit codes: 0 success, 1 failed verification, 2 usage or
-validation errors.  Identical invocations produce byte-identical files.
+EXPERIMENTAL).  All but ``verify`` load a pair from ``--input FILE`` (read
+as a file whatever its name) or ``--preset NAME`` (default
+``qubit-generic``), and reject a rank-deficient state unless ``--smooth
+[DELTA]`` mixes both states with ``DELTA * I/d`` (default 1e-6).  Exit
+codes: 0 success, 1 failed verification, 2 usage or validation errors (an
+escalated ``RateTooSmallWarning`` among them), 141 when stdout closes
+early (128 + SIGPIPE).  Identical invocations produce byte-identical files.
 ``main(argv)`` may be called any number of times in one process; each call
 gives the same bytes as a separate invocation with the same argv.
 """
@@ -21,7 +26,7 @@ import numpy as np
 from . import serialization as ser
 from .checks import run_all_checks
 from .config import THRESHOLD_FRACTIONS, ToleranceConfig
-from .errors import QhtError
+from .errors import QhtError, RateTooSmallWarning
 from .exponents import (
     hoeffding_rate,
     psi_bar_values,
@@ -69,7 +74,7 @@ def _positive_int(text: str) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     src = sub.add_mutually_exclusive_group()
-    src.add_argument("--input", help="JSON file with rho and sigma matrices")
+    src.add_argument("--input", type=Path, help="JSON file with rho and sigma matrices")
     src.add_argument(
         "--preset",
         choices=sorted(PRESETS),
@@ -77,23 +82,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--out", help="output directory for CSV/JSON files")
     sub.add_argument(
-        "--smoothing-delta",
-        type=float,
-        default=None,
-        help="mixing weight toward I/d used with --smooth (default 1e-6)",
-    )
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--strict",
-        action="store_true",
-        default=True,
-        help="reject rank-deficient states (default)",
-    )
-    mode.add_argument(
-        "--smooth",
-        dest="strict",
-        action="store_false",
-        help="mix states with I/d instead of rejecting rank deficiency",
+        "--smooth", nargs="?", const=1e-6, type=float, metavar="DELTA",
+        help="mix states with DELTA * I/d (default 1e-6); without it rank deficiency is an error",
     )
 
 
@@ -145,17 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    if args.strict and args.smoothing_delta is not None:
-        raise ValueError("--smoothing-delta takes effect only with --smooth")
-    settings = {"strict": args.strict}
+    settings = {"strict": args.smooth is None}
     # only finite-n and conjecture, whose tests cluster eigenvalues, take --tol-cluster
     if getattr(args, "tol_cluster", None) is not None:
         settings["cluster_rel_tol"] = args.tol_cluster
-    delta = None
-    if not args.strict:
-        delta = args.smoothing_delta if args.smoothing_delta is not None else 1e-6
     source = args.input or args.preset or "qubit-generic"
-    return ser.load_pair(source, ToleranceConfig(**settings), smoothing_delta=delta)
+    return ser.load_pair(source, ToleranceConfig(**settings), smoothing_delta=args.smooth)
 
 
 def _cannot_write(path, exc: OSError) -> ValueError:
@@ -290,7 +275,7 @@ def main(argv=None) -> int:
         # stdout drains to devnull so the exit flush prints nothing; 141 = 128 + SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (QhtError, ValueError) as exc:
+    except (QhtError, ValueError, RateTooSmallWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -32,6 +32,7 @@ byte-identical outputs.
 import dataclasses
 import json
 import math
+import os
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -121,11 +122,11 @@ def pair_from_json(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisP
 
 
 def load_pair(
-    path_or_preset: str,
+    path_or_preset: str | os.PathLike,
     tol: ToleranceConfig = DEFAULT_TOL,
     smoothing_delta: float | None = None,
 ) -> HypothesisPair:
-    """Load a pair from a preset name or a JSON file, optionally smoothed."""
+    """Load a pair, optionally smoothed: a path-like is a file, a ``str`` names a preset first."""
     if path_or_preset in PRESETS:
         pair = preset_pair(path_or_preset, tol)
     else:
@@ -133,7 +134,7 @@ def load_pair(
             with open(path_or_preset, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise ParseError(f"cannot read {path_or_preset!r}: {exc}") from exc
+            raise ParseError(f"cannot read {str(path_or_preset)!r}: {exc}") from exc
         pair = pair_from_json(text, tol)
     if smoothing_delta is not None:
         pair = pair.smoothed(smoothing_delta)

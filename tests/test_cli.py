@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +28,10 @@ def checkout_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
 
 
-def fresh_run(argv):
-    """``python -m qht`` with this checkout's sources, in a new interpreter."""
+def fresh_run(argv, flags=()):
+    """``python FLAGS -m qht ARGV`` with this checkout's sources, in a new interpreter."""
     return subprocess.run(
-        [sys.executable, "-m", "qht", *argv],
+        [sys.executable, *flags, "-m", "qht", *argv],
         capture_output=True,
         text=True,
         env=checkout_env(),
@@ -141,6 +142,16 @@ class TestExponentsCommand:
             assert abs(float(pb)) <= 1e-12
             assert abs(float(pp)) <= 1e-12
 
+    @pytest.mark.parametrize("name", sorted(qht.PRESETS))
+    def test_input_named_like_a_preset_is_read(self, capsys, tmp_path, monkeypatch, name):
+        pair = qht.random_pair(5, 2)
+        monkeypatch.chdir(tmp_path)
+        Path(name).write_text(ser.pair_to_json(pair), encoding="utf-8")
+        code, out, _ = run(capsys, "exponents", "--input", name)
+        assert code == 0
+        expected = ser.format_cell(qht.relative_entropy(pair))
+        assert out.splitlines()[1] == f"relative_entropy = {expected}"
+
     def test_default_grid(self, capsys):
         # argparse applies the grid type to string defaults too
         assert isinstance(build_parser().parse_args(["exponents"]).grid_s, np.ndarray)
@@ -192,7 +203,7 @@ class TestExponentsCommand:
 SHARED_PARSER_SEQUENCE = [
     (["exponents", "--grid-s", "0:1:0.5"], True),
     (["exponents"], True),
-    (["curves", "--smooth", "--smoothing-delta", "1e-3"], True),
+    (["curves", "--smooth", "1e-3"], True),
     (["curves"], True),
     (["exponents", "--input", "f", "--preset", "identical"], False),
     (["hoeffding", "--grid-r", "0.1:0.3:0.1"], True),
@@ -477,10 +488,14 @@ class TestErrorPaths:
         assert code == 2
         assert "hermitian" in err
 
-    def test_missing_file(self, capsys):
-        code, _, err = run(capsys, "exponents", "--input", "/nonexistent.json")
+    # '' is the path of the working directory, a directory, not a call for the default pair
+    @pytest.mark.parametrize("name", ["/nonexistent.json", ""], ids=["missing", "empty"])
+    def test_missing_file(self, capsys, name):
+        code, out, err = run(capsys, "exponents", "--input", name)
         assert code == 2
-        assert "error" in err
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: cannot read ")
 
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -498,20 +513,32 @@ class TestErrorPaths:
         path.write_text(json.dumps(payload), encoding="utf-8")
         strict_code, _, _ = run(capsys, "exponents", "--input", str(path))
         assert strict_code == 2
-        smooth_code, out, _ = run(
-            capsys, "exponents", "--input", str(path), "--smooth",
-            "--smoothing-delta", "1e-6",
-        )
+        smooth_code, out, _ = run(capsys, "exponents", "--input", str(path), "--smooth", "1e-6")
         assert smooth_code == 0
         assert "relative_entropy" in out
+        # a bare --smooth takes the default delta, 1e-6
+        assert run(capsys, "exponents", "--input", str(path), "--smooth") == (0, out, "")
 
-    def test_smoothing_delta_needs_smooth(self, capsys):
-        code, out, err = run(
-            capsys, "exponents", "--preset", "qubit-generic", "--smoothing-delta", "0.5"
-        )
-        assert code == 2
-        assert out == ""
-        assert "--smooth" in err
+    # strict is the absence of --smooth, and --smooth takes its delta itself
+    @pytest.mark.parametrize(
+        "flags,unrecognized",
+        [
+            ("--strict", "--strict"),
+            ("--smoothing-delta 0.5", "--smoothing-delta 0.5"),
+            ("--smooth --smoothing-delta 0.5", "--smoothing-delta 0.5"),
+        ],
+        ids=["strict", "smoothing-delta", "smooth-smoothing-delta"],
+    )
+    def test_removed_mode_flags_are_usage_errors(self, capsys, monkeypatch, flags, unrecognized):
+        monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+        with pytest.raises(SystemExit) as exc:
+            main(["exponents", "--preset", "qubit-generic", *flags.split()])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [usage, line] = captured.err.splitlines()
+        assert usage.startswith("usage: qht ")
+        assert line == f"qht: error: unrecognized arguments: {unrecognized}"
 
     @pytest.mark.parametrize("command", ["exponents", "curves", "hoeffding"])
     def test_tol_cluster_rejected_where_nothing_clusters(self, capsys, command):
@@ -589,9 +616,9 @@ class TestErrorPaths:
 
     def test_out_exists_before_validation(self, capsys, tmp_path):
         out = tmp_path / "made"
-        code, _, err = run(capsys, "exponents", "--smoothing-delta", "0.5", "--out", str(out))
+        code, _, err = run(capsys, "exponents", "--smooth", "2", "--out", str(out))
         assert code == 2
-        assert "--smooth" in err
+        assert err == "error: smoothing delta must lie in (0, 1), got 2.0\n"
         assert out.is_dir() and not any(out.iterdir())
 
     def test_rate_below_the_value_at_zero_rejected(self, capsys):
@@ -611,6 +638,19 @@ class TestErrorPaths:
         assert done.returncode == 0
         warned = [line for line in done.stderr.splitlines() if "RateTooSmallWarning" in line]
         assert len(warned) == 1
+
+    def test_escalated_rate_warning_is_a_usage_error(self, capsys):
+        # under -W error the warning is raised; exit 1 is kept for a failed verification
+        argv = ["hoeffding", "--preset", "qubit-generic", "--grid-r", "1e-9:3e-9:1e-9"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        done = fresh_run(argv, flags=["-W", "error"])
+        assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: rate objective peaked at the first positive grid point")
 
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")

@@ -143,11 +143,18 @@ class TestLoadPair:
         with pytest.raises(qht.ParseError):
             qht.load_pair("no-such-preset")
 
-    def test_file_roundtrip(self, tmp_path, generic):
-        path = tmp_path / "pair.json"
+    @pytest.mark.parametrize("name", ["pair.json", "identical"])
+    def test_file_roundtrip(self, tmp_path, monkeypatch, generic, name):
+        # a path-like is read as a file even where its name is a preset's;
+        # the same name as a str still names the preset
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / name
         path.write_text(qht.pair_to_json(generic), encoding="utf-8")
-        loaded = qht.load_pair(str(path))
-        np.testing.assert_array_equal(loaded.rho, generic.rho)
+        for source in (str(path), path, Path(name)):
+            loaded = qht.load_pair(source)
+            np.testing.assert_array_equal(loaded.rho, generic.rho)
+        if name in qht.PRESETS:
+            np.testing.assert_array_equal(qht.load_pair(name).rho, qht.preset_pair(name).rho)
 
     def test_smoothing_applied(self, tmp_path):
         payload = {
