@@ -23,7 +23,6 @@ from .errors import (
     SingularInStrictMode,
 )
 from .exponents import (
-    ExponentCurve,
     classical_hoeffding,
     classical_psi,
     hoeffding_rate,
@@ -36,7 +35,6 @@ from .exponents import (
     psi_values,
     relative_entropy,
     solve_rate_parameter,
-    sweep_curve,
 )
 from .finite_n import (
     BoundReport,

@@ -7,7 +7,8 @@ suite, exit 1 on failure) and ``conjecture`` (plain-test probe, labeled
 EXPERIMENTAL).  All but ``verify`` load a pair from ``--input FILE`` (read
 as a file whatever its name) or ``--preset NAME`` (default
 ``qubit-generic``), and reject a rank-deficient state unless ``--smooth
-[DELTA]`` mixes both states with ``DELTA * I/d`` (default 1e-6).  Exit
+[DELTA]`` mixes both states with ``DELTA * I/d`` (default 1e-6).  A grid
+that is not strictly increasing is a usage error at parse time.  Exit
 codes: 0 success, 1 failed verification, 2 usage or validation errors (an
 escalated ``RateTooSmallWarning`` among them), 141 when stdout closes
 early (128 + SIGPIPE).  Identical invocations produce byte-identical files.
@@ -29,10 +30,11 @@ from .config import THRESHOLD_FRACTIONS, ToleranceConfig
 from .errors import QhtError, RateTooSmallWarning
 from .exponents import (
     hoeffding_rate,
+    phi,
+    phi_bar,
     psi_bar_values,
     psi_values,
     relative_entropy,
-    sweep_curve,
 )
 from .finite_n import BoundReport, ConjectureRow, conjecture_probe, verify_bounds
 from .pairs import PRESETS
@@ -42,7 +44,10 @@ MAX_GRID_POINTS = 100_000
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Parse 'lo:hi:step' into an inclusive grid."""
+    """Parse 'lo:hi:step' into an inclusive, strictly increasing grid: the one grid check.
+
+    A step below the float spacing rounds neighbouring points to one value.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be lo:hi:step, got {spec!r}")
@@ -58,7 +63,10 @@ def _parse_grid(spec: str) -> np.ndarray:
     if steps >= MAX_GRID_POINTS or round(steps) + 1 > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid has more than {MAX_GRID_POINTS} points: {spec!r}")
     grid = lo + step * np.arange(round(steps) + 1)
-    return grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
+    grid = grid[grid <= hi + 1e-12 * max(1.0, abs(hi))]
+    if (np.diff(grid) <= 0.0).any():
+        raise argparse.ArgumentTypeError(f"grid points must be strictly increasing: {spec!r}")
+    return grid
 
 
 def _positive_int(text: str) -> int:
@@ -179,9 +187,11 @@ def _write_table(out_dir: str | None, stem: str, table: ser.Table, payload=None)
 def _cmd_exponents(args) -> int:
     pair = _load(args)
     grid = args.grid_s
-    print(f"dim = {pair.dim}")
-    print(f"relative_entropy = {ser.format_cell(relative_entropy(pair))}")
+    div = relative_entropy(pair)
+    # every column before the first line, so a grid outside [0, 1] prints nothing
     columns = [grid.tolist(), psi_bar_values(pair, grid).tolist(), psi_values(pair, grid).tolist()]
+    print(f"dim = {pair.dim}")
+    print(f"relative_entropy = {ser.format_cell(div)}")
     table = ser.Table(("s", "psi_bar", "psi"), columns)
     sys.stdout.write(_write_table(args.out, "exponents", table))
     return 0
@@ -191,17 +201,17 @@ def _cmd_curves(args) -> int:
     pair = _load(args)
     div = relative_entropy(pair)
     a_grid = args.grid_a if args.grid_a is not None else np.linspace(-0.5, div + 0.5, 101)
-    for name, grid in (
-        ("psi_bar", args.grid_s),
-        ("psi", args.grid_s),
-        ("phi_bar", a_grid),
-        ("phi", a_grid),
-    ):
-        curve = sweep_curve(pair, name, grid)
-        argmax = [None] * len(curve) if curve.argmax_s is None else curve.argmax_s.tolist()
-        columns = [curve.params.tolist(), curve.values.tolist(), argmax]
+    s, a = args.grid_s.tolist(), a_grid.tolist()
+    # phi_bar and phi give (value, argmax_s) at each a; every curve before any file
+    curves = {
+        "psi_bar": ("s", [s, psi_bar_values(pair, args.grid_s).tolist(), [None] * len(s)]),
+        "psi": ("s", [s, psi_values(pair, args.grid_s).tolist(), [None] * len(s)]),
+        "phi_bar": ("a", [a, *map(list, zip(*[phi_bar(pair, x) for x in a]))]),
+        "phi": ("a", [a, *map(list, zip(*[phi(pair, x) for x in a]))]),
+    }
+    for name, (parameter_name, columns) in curves.items():
         table = ser.Table(("param", "value", "argmax_s"), columns)
-        payload = {"parameter_name": curve.parameter_name, "samples": table}
+        payload = {"parameter_name": parameter_name, "samples": table}
         csv_text = _write_table(args.out, name, table, payload)
         if args.out is None:
             sys.stdout.write(f"# {name}\n" + csv_text)

@@ -37,7 +37,6 @@ here that takes a pair reads them from there, ``psi_derivatives`` included.
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -408,55 +407,3 @@ def classical_hoeffding(p, q, r: float) -> float:
         raise SingularInput("classical_hoeffding requires full common support")
     terms = _plain_terms(np.eye(p.size), p, q)
     return _Scan(terms, "classical").rate(float(r))
-
-
-@dataclass(frozen=True)
-class ExponentCurve:
-    """Sampled curve of one exponent function, for export and plotting."""
-
-    parameter_name: str  # "s" or "a"
-    params: np.ndarray
-    values: np.ndarray
-    argmax_s: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.parameter_name not in ("s", "a"):
-            raise ValueError(f"unknown parameter name {self.parameter_name!r}")
-        if len(self.params) != len(self.values) or (
-            self.argmax_s is not None and len(self.argmax_s) != len(self.params)
-        ):
-            raise ValueError("params, values and argmax_s must have equal length")
-        if (np.diff(self.params) <= 0.0).any():
-            raise InvariantViolation("grid", "parameters must be strictly increasing")
-        if self.argmax_s is not None and (
-            (self.argmax_s < 0.0).any() or (self.argmax_s > 1.0).any()
-        ):
-            raise InvariantViolation("argmax", "argmax_s must lie in [0, 1]")
-
-    def __len__(self):
-        return len(self.params)
-
-
-SWEEPABLE = ("psi_bar", "psi", "phi_bar", "phi")
-
-
-def sweep_curve(pair: HypothesisPair, which: str, grid) -> ExponentCurve:
-    """Sample one of psi_bar, psi, phi_bar, phi over a strictly increasing grid.
-
-    The phi-type sweeps record the maximizing s per grid point.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or (np.diff(grid) <= 0.0).any():
-        raise InvariantViolation("grid", "grid must be 1-D and strictly increasing")
-    if which == "psi_bar":
-        return ExponentCurve("s", grid, psi_bar_values(pair, grid))
-    if which == "psi":
-        return ExponentCurve("s", grid, psi_values(pair, grid))
-    if which in ("phi_bar", "phi"):
-        transform = _scan(pair, "psi_bar" if which == "phi_bar" else "psi").transform
-        values = np.empty_like(grid)
-        argmax = np.empty_like(grid)
-        for i, a in enumerate(grid):
-            values[i], argmax[i] = transform(float(a))
-        return ExponentCurve("a", grid, values, argmax)
-    raise ValueError(f"unknown curve {which!r}; expected one of {SWEEPABLE}")

@@ -478,9 +478,9 @@ def payload_to_json(obj) -> str:
 _SAMPLE_COLUMNS = ("param", "value", "argmax_s")
 
 
-def _curve_payload(curve) -> dict:
+def _curve_payload(parameter_name, params, values, argmax_s) -> dict:
     """A curve as its parameter name and one sample dict per grid point."""
-    argmax = [None] * len(curve) if curve.argmax_s is None else curve.argmax_s
-    rows = zip(curve.params, curve.values, argmax)
+    argmax = [None] * len(params) if argmax_s is None else argmax_s
+    rows = zip(params, values, argmax)
     samples = [dict(zip(_SAMPLE_COLUMNS, row)) for row in rows]
-    return {"parameter_name": curve.parameter_name, "samples": samples}
+    return {"parameter_name": parameter_name, "samples": samples}

@@ -58,6 +58,10 @@ class TestGridParsing:
                     "0:1:inf", "nan:1:0.1"):
             with pytest.raises(argparse.ArgumentTypeError):
                 _parse_grid(bad)
+        # steps below the float spacing round neighbouring points to one value
+        for bad in ("0.5:0.5000000000000001:1e-17", "1e16:1.0000000000000004e16:1"):
+            with pytest.raises(argparse.ArgumentTypeError, match="strictly increasing"):
+                _parse_grid(bad)
 
     def test_point_cap(self):
         import argparse
@@ -594,6 +598,38 @@ class TestErrorPaths:
             f"qht {command}: error: argument {flag}: grid entries must be finite: {value!r}"
         ]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("exponents", "--grid-s", "0.5:0.5000000000000001:1e-17"),
+            ("curves", "--grid-a", "0.5:0.5000000000000001:1e-17"),
+            ("hoeffding", "--grid-r", "1e16:1.0000000000000004e16:1"),
+            ("finite-n", "--grid-a", "1e16:1.0000000000000004e16:1"),
+            ("conjecture", "--grid-a", "1e16:1.0000000000000004e16:1"),
+        ],
+        ids=lambda part: part.removeprefix("--"),
+    )
+    def test_collapsed_grid_rejected(self, capsys, tmp_path, command, flag, value):
+        # a step below the float spacing repeats points; the parse rejects the
+        # grid before --out is made, so no table is printed and no file written
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"{flag}={value}", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [
+            f"qht {command}: error: argument {flag}: grid points must be strictly increasing: {value!r}"
+        ]
+        assert not out.exists()  # no psi_bar.csv from curves, nor any other file
+
+    @pytest.mark.parametrize("grid", ["-0.1:1:0.1", "0:1.5:0.5"])
+    def test_s_outside_unit_interval_prints_nothing(self, capsys, grid):
+        code, out, err = run(capsys, "exponents", f"--grid-s={grid}")
+        assert code == 2
+        assert out == ""
+        assert err == "error: s must lie in [0, 1]\n"
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-a-file"])
     def test_unusable_out_rejected_before_any_work(self, capsys, tmp_path, sub):

@@ -323,16 +323,6 @@ class TestOptimizer:
         for r in (0.01, 0.1, 0.5):
             assert qht.hoeffding_rate(pair, r) >= ((E - (1.0 - s) * r) / s).max() - 1e-13
 
-    @pytest.mark.parametrize("which", ["phi_bar", "phi"])
-    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
-    def test_sweep_equals_pointwise(self, pair, which):
-        fn = qht.phi_bar if which == "phi_bar" else qht.phi
-        grid = thresholds(pair)
-        curve = qht.sweep_curve(pair, which, grid)
-        points = np.array([fn(pair, a) for a in grid])
-        assert np.array_equal(curve.values, points[:, 0])
-        assert np.array_equal(curve.argmax_s, points[:, 1])
-
     @pytest.mark.parametrize("fn", [qht.phi_bar, qht.phi])
     def test_identical_argmax_at_the_edges(self, identical, fn):
         value, s_star = fn(identical, 0.5)
@@ -395,8 +385,9 @@ class TestPhiBar:
         for pair in seeded_pairs(5):
             div = qht.relative_entropy(pair)
             grid = np.linspace(-1.0, div + 1.0, 9)
-            vals = np.array([qht.phi_bar(pair, a)[0] for a in grid])
+            vals, argmax = np.array([qht.phi_bar(pair, a) for a in grid]).T
             assert (np.diff(vals) <= 1e-9).all()
+            assert ((argmax >= 0.0) & (argmax <= 1.0)).all()
             for i in range(len(grid) - 2):
                 mid = qht.phi_bar(pair, 0.5 * (grid[i] + grid[i + 2]))[0]
                 assert mid <= 0.5 * (vals[i] + vals[i + 2]) + 1e-9
@@ -494,9 +485,8 @@ def exponent_results(pair_of):
     for r in (0.01, 0.1, 0.5):
         yield qht.hoeffding_rate(pair_of(), r)
         yield qht.solve_rate_parameter(pair_of(), r)
-    for which in ("phi_bar", "phi"):
-        curve = qht.sweep_curve(pair_of(), which, a_grid)
-        yield curve.values.tolist(), curve.argmax_s.tolist()
+    for fn in (qht.phi_bar, qht.phi):
+        yield [fn(pair_of(), a) for a in a_grid]
 
 
 def rate_warnings(fn, pair, r):
@@ -554,8 +544,9 @@ class TestPairCache:
         grid = np.linspace(-1.0, 2.0, 7)
         for a in grid:
             qht.phi(pair, a)
-        qht.sweep_curve(pair, "phi_bar", grid)
-        qht.sweep_curve(pair, "phi", grid)
+        for a in grid:
+            qht.phi_bar(pair, a)
+            qht.phi(pair, a)
         qht.verify_bounds(pair, range(1, 3), grid)
         # one [0, 1] grid per kernel: psi_bar, then psi
         assert scans == [2001] * 2
@@ -670,54 +661,6 @@ class TestClassical:
             assert qht.hoeffding_rate(pair, 0.05) == pytest.approx(
                 qht.classical_hoeffding(p, q, 0.05), abs=1e-9
             )
-
-
-class TestSweepCurve:
-    def test_psi_bar_starts_at_origin(self, generic):
-        curve = qht.sweep_curve(generic, "psi_bar", S_GRID)
-        assert curve.parameter_name == "s"
-        assert curve.values[0] == pytest.approx(0.0, abs=1e-12)
-        assert curve.argmax_s is None
-
-    def test_phi_bar_nonincreasing_with_argmax(self, generic):
-        grid = np.linspace(-0.2, 0.5, 15)
-        curve = qht.sweep_curve(generic, "phi_bar", grid)
-        assert (np.diff(curve.values) <= 1e-9).all()
-        assert curve.argmax_s is not None
-        assert ((curve.argmax_s >= 0.0) & (curve.argmax_s <= 1.0)).all()
-
-    def test_psi_bar_below_psi_pointwise(self, generic):
-        low = qht.sweep_curve(generic, "psi_bar", S_GRID)
-        high = qht.sweep_curve(generic, "psi", S_GRID)
-        assert (low.values <= high.values + 1e-9).all()
-
-    def test_grid_validation(self, generic):
-        with pytest.raises(qht.InvariantViolation):
-            qht.sweep_curve(generic, "psi", [0.3, 0.2])
-        with pytest.raises(ValueError):
-            qht.sweep_curve(generic, "nope", S_GRID)
-
-    def test_curve_invariants(self):
-        with pytest.raises(qht.InvariantViolation):
-            qht.ExponentCurve("s", np.array([0.0, 0.0]), np.array([1.0, 2.0]))
-        with pytest.raises(qht.InvariantViolation):
-            qht.ExponentCurve(
-                "a",
-                np.array([0.0, 1.0]),
-                np.array([1.0, 2.0]),
-                np.array([0.5, 1.5]),
-            )
-        # the writers take one argmax per sample; a short array no longer truncates the table
-        with pytest.raises(ValueError, match="equal length"):
-            qht.ExponentCurve("a", np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([0.5]))
-
-    def test_curve_parameter_is_s_or_a(self):
-        # nothing samples a curve over r; "r" is no parameter name
-        grid = np.array([0.0, 1.0])
-        for name in ("s", "a"):
-            assert qht.ExponentCurve(name, grid, grid).parameter_name == name
-        with pytest.raises(ValueError, match="parameter name"):
-            qht.ExponentCurve("r", grid, grid)
 
 
 class TestPairValidation:

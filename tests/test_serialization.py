@@ -18,7 +18,6 @@ import oracles
 import qht
 from qht import serialization as ser
 from qht.cli import main
-from qht.exponents import ExponentCurve
 from qht.finite_n import BoundReport, ConjectureReport, ConjectureRow, SteinPoint
 
 
@@ -179,7 +178,7 @@ class TestCurveExport:
 
     def test_csv_shape_and_precision(self, generic, tmp_path):
         out = self.curve_files(tmp_path, "--grid-s", "0:1:0.25", "--grid-a", "0:0.1:0.1")
-        curve = qht.sweep_curve(generic, "psi_bar", np.linspace(0.0, 1.0, 5))
+        values = qht.psi_bar_values(generic, np.linspace(0.0, 1.0, 5))
         text = (out / "psi_bar.csv").read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "param,value,argmax_s"
@@ -188,7 +187,7 @@ class TestCurveExport:
         assert lines[1].endswith(",")
         # 17 significant digits survive a float round trip
         value = float(lines[2].split(",")[1])
-        assert value == pytest.approx(float(curve.values[1]), abs=0.0)
+        assert value == pytest.approx(float(values[1]), abs=0.0)
 
     def test_phi_curve_has_argmax(self, tmp_path):
         out = self.curve_files(tmp_path, "--grid-s", "0:1:0.5", "--grid-a=-0.1:0.3:0.1")
@@ -198,6 +197,8 @@ class TestCurveExport:
 
     def test_json_mirror(self, tmp_path):
         out = self.curve_files(tmp_path, "--grid-s", "0:1:0.5", "--grid-a=-0.1:0.3:0.2")
+        payload = json.loads((out / "psi.json").read_text(encoding="utf-8"))
+        assert payload["parameter_name"] == "s"
         payload = json.loads((out / "phi.json").read_text(encoding="utf-8"))
         assert payload["parameter_name"] == "a"
         assert len(payload["samples"]) == 3
@@ -486,7 +487,7 @@ def curves(draw):
     argmax = None
     if draw(st.booleans()):
         argmax = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=count, max_size=count)))
-    return ExponentCurve(draw(st.sampled_from(["s", "a"])), params, values, argmax)
+    return draw(st.sampled_from(["s", "a"])), params, values, argmax
 
 
 def payloads():
@@ -595,9 +596,9 @@ class TestWritersMatchReference:
     @settings(max_examples=100, deadline=None)
     @given(curves())
     def test_curve(self, curve):
-        payload = oracles._curve_payload(curve)
+        payload = oracles._curve_payload(*curve)
         table = as_table(oracles._SAMPLE_COLUMNS, payload["samples"])
-        written = {"parameter_name": curve.parameter_name, "samples": table}
+        written = {"parameter_name": curve[0], "samples": table}
         assert ser.payload_to_json(written) == oracles.payload_to_json(payload)
         reference = oracles.table_to_csv(oracles._SAMPLE_COLUMNS, payload["samples"])
         assert ser.table_to_csv(table) == reference
