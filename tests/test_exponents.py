@@ -1,4 +1,5 @@
 import gc
+import json
 import re
 import warnings
 import weakref
@@ -8,6 +9,7 @@ import pytest
 
 import qht
 from qht import exponents
+from qht.cli import main
 from qht.exponents import (
     _exponent_point,
     _moment_table,
@@ -322,6 +324,27 @@ class TestOptimizer:
         s, E = brute_force_grid(lambda x: qht.psi_bar_values(pair, x), 1e-6)
         for r in (0.01, 0.1, 0.5):
             assert qht.hoeffding_rate(pair, r) >= ((E - (1.0 - s) * r) / s).max() - 1e-13
+
+    @pytest.mark.parametrize("which", ["phi_bar", "phi"])
+    @pytest.mark.parametrize("pair", OPTIMIZER_PAIRS)
+    def test_sweep_equals_pointwise(self, pair, which, tmp_path, capsys):
+        # the table `qht curves` writes is the pointwise transform at each a,
+        # on the pair it loads from the file, value and argmax bit for bit
+        fn = qht.phi_bar if which == "phi_bar" else qht.phi
+        path = tmp_path / "pair.json"
+        path.write_text(qht.pair_to_json(pair), encoding="utf-8")
+        top = qht.relative_entropy(pair) + 0.5
+        grid = f"--grid-a=-1:{top}:{(top + 1.0) / 6}"
+        assert main(["curves", "--input", str(path), grid, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        payload = json.loads((tmp_path / f"{which}.json").read_text(encoding="utf-8"))
+        assert payload["parameter_name"] == "a"
+        table = np.array([[row["param"], row["value"], row["argmax_s"]] for row in payload["samples"]])
+        assert len(table) >= 6
+        loaded = qht.load_pair(path)
+        points = np.array([fn(loaded, a) for a in table[:, 0]])
+        assert np.array_equal(table[:, 1], points[:, 0])
+        assert np.array_equal(table[:, 2], points[:, 1])
 
     @pytest.mark.parametrize("fn", [qht.phi_bar, qht.phi])
     def test_identical_argmax_at_the_edges(self, identical, fn):

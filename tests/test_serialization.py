@@ -205,6 +205,54 @@ class TestCurveExport:
         sample = payload["samples"][0]
         assert set(sample) == {"param", "value", "argmax_s"}
 
+    def samples(self, out, name):
+        payload = json.loads((out / f"{name}.json").read_text(encoding="utf-8"))
+        rows = payload["samples"]
+        return payload["parameter_name"], *(np.array([r[k] for r in rows]) for k in oracles._SAMPLE_COLUMNS)
+
+    def test_psi_bar_starts_at_origin(self, tmp_path):
+        name, params, values, argmax = self.samples(self.curve_files(tmp_path), "psi_bar")
+        assert name == "s"
+        assert params[0] == 0.0
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        assert argmax.tolist() == [None] * len(params)
+
+    def test_phi_bar_nonincreasing_with_argmax(self, tmp_path):
+        out = self.curve_files(tmp_path, "--grid-a=-0.2:0.5:0.05")
+        name, params, values, argmax = self.samples(out, "phi_bar")
+        assert name == "a"
+        assert len(params) == 15
+        assert (np.diff(values) <= 1e-9).all()
+        assert ((argmax >= 0.0) & (argmax <= 1.0)).all()
+
+    def test_psi_bar_below_psi_pointwise(self, tmp_path):
+        out = self.curve_files(tmp_path, "--grid-s", "0:1:0.05")
+        _, s_low, low, _ = self.samples(out, "psi_bar")
+        _, s_high, high, _ = self.samples(out, "psi")
+        assert np.array_equal(s_low, s_high)
+        assert (low <= high + 1e-9).all()
+
+    def test_out_of_range_grid_writes_no_file(self, tmp_path, capsys):
+        # every curve is computed before the first file, so a bad s leaves none
+        out = tmp_path / "out"
+        assert main(["curves", "--grid-s=-0.1:1:0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: s must lie in [0, 1]\n"
+        assert list(out.iterdir()) == []
+
+    def test_curve_columns_have_equal_length(self, tmp_path):
+        out = self.curve_files(tmp_path, "--grid-s", "0:1:0.25", "--grid-a=-0.1:0.3:0.1")
+        for name, count in (("psi_bar", 5), ("psi", 5), ("phi_bar", 5), ("phi", 5)):
+            columns = self.samples(out, name)[1:]
+            assert [len(column) for column in columns] == [count] * 3
+            rows = (out / f"{name}.csv").read_text(encoding="utf-8").strip().split("\n")[1:]
+            assert [len(row.split(",")) for row in rows] == [3] * count
+
+    def test_curve_parameter_is_s_or_a(self, tmp_path):
+        # psi curves are sampled over s, the transforms over a; nothing over r
+        out = self.curve_files(tmp_path)
+        names = {name: self.samples(out, name)[0] for name in ("psi_bar", "psi", "phi_bar", "phi")}
+        assert names == {"psi_bar": "s", "psi": "s", "phi_bar": "a", "phi": "a"}
+
     def test_negative_zero_normalized(self):
         assert ser.format_cell(-0.0) == "0"
 
