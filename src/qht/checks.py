@@ -31,9 +31,10 @@ from .exponents import (
     solve_rate_parameter,
 )
 from .finite_n import (
-    _level_data,
-    _log_levels,
+    _level_split,
+    _levels,
     _pinched_errors,
+    _row_logs,
     _sweep,
     build_pinched_test,
     build_plain_test,
@@ -133,7 +134,8 @@ def check_type_counting(rng, n_samples) -> CheckResult:
         sigma = random_density(rng, dim)
         lam = np.clip(np.linalg.eigvalsh(hermitian_part(sigma)), 0.0, None)
         for n in range(1, 7):
-            v = len(_log_levels(lam, n, DEFAULT_TOL.cluster_rel_tol)[2])
+            strings = np.indices((dim,) * n).reshape(n, dim**n)
+            v = len(_levels(_row_logs(lam, strings), DEFAULT_TOL.cluster_rel_tol)[1])
             if dim**n <= 64:
                 v = max(v, eigendecompose(tensor_power(sigma, n)).v)
             margin = v - (n + 1) ** dim
@@ -412,7 +414,7 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n, blocks in _sweep(pair, (1, 2)):
-            spectrum, _ = _level_data(pair, n, blocks)
+            spectrum, _, _ = _level_split(blocks, pair.tol.cluster_rel_tol)
             eps = [_pinched_errors(spectrum, n, a, pair.tol) for a in grid]
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])

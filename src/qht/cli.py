@@ -37,7 +37,7 @@ from .exponents import (
     relative_entropy,
 )
 from .finite_n import BoundReport, ConjectureRow, conjecture_probe, verify_bounds
-from .pairs import PRESETS
+from .pairs import PRESETS, preset_pair
 
 # Most points a grid flag takes; the largest default grid has 101.
 MAX_GRID_POINTS = 100_000
@@ -147,8 +147,12 @@ def _load(args):
     # only finite-n and conjecture, whose tests cluster eigenvalues, take --tol-cluster
     if getattr(args, "tol_cluster", None) is not None:
         settings["cluster_rel_tol"] = args.tol_cluster
-    source = args.input or args.preset or "qubit-generic"
-    return ser.load_pair(source, ToleranceConfig(**settings), smoothing_delta=args.smooth)
+    tol = ToleranceConfig(**settings)
+    if args.input is None:
+        pair = preset_pair(args.preset or "qubit-generic", tol)
+    else:
+        pair = ser.load_pair(args.input, tol)
+    return pair if args.smooth is None else pair.smoothed(args.smooth)
 
 
 def _cannot_write(path, exc: OSError) -> ValueError:

@@ -9,20 +9,21 @@ arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
 rho_n has one representation for every finite-n quantity: in sigma's
-eigenbasis, as blocks whose rows each lie in one eigenspace of sigma_n.
+eigenbasis, as blocks whose rows each carry their sigma_n log-eigenvalue.
 :func:`_sweep` alone validates a sweep's blocklengths, checks the dense
 budget ``MAX_TENSOR_DIM`` and picks the blocks: qubit spin blocks, of
 size at most n + 1, else ``M = (V* rho V)^{(x)n}`` as one block, which
 :func:`build_pinched_test` takes in every dimension (its eigenvectors run
-over tensor positions).  :func:`_level_split` cuts the blocks into
-sub-blocks on the levels of sigma_n (its eigenvalues grouped by their
-log, each a union of whole types, so never dependent on the order of the
-tensor factors).  Their eigenvalues with integer multiplicities, one flat
-:class:`_Spectrum` per n (:func:`_level_data`), are the one representation
-of the pinched test: :func:`_kept` is its keep rule, one mask, and the
-errors (:func:`_pinched_errors`) are one pass over it.  The key residual
-of :func:`verify_bounds` and the plain test {rho_n > e^{na} sigma_n} of
-:func:`conjecture_probe` run on the same blocks.  Only
+over tensor positions).  :func:`_level_split` clusters the row logs into
+the levels of sigma_n (each a union of whole types, so never dependent on
+the order of the tensor factors) and cuts the blocks on them.  The
+sub-block eigenvalues with integer multiplicities, one flat
+:class:`_Spectrum` per n, are the one representation of the pinched
+test: :func:`_kept` is its keep rule, one mask, and the errors
+(:func:`_pinched_errors`) are one pass over it.  The key residual of
+:func:`verify_bounds`, whose rows :func:`stein_trace` reads, and the plain
+test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on the same
+blocks.  Only
 :func:`build_pinched_test` forms the dense operator.  Every entry point
 reads its clustering tolerance from ``pair.tol``.  The dense
 :func:`build_plain_test`, :func:`error_probabilities` and pinching
@@ -166,69 +167,74 @@ class _Spectrum:
     m: np.ndarray  # and the integer multiplicity of its block, as a float
 
 
-def _log_levels(eigenvalues, n: int, cluster_rel_tol: float):
-    """Levels of the n-fold products of ``eigenvalues``, grouped by their log.
+def _row_logs(eigenvalues, strings) -> np.ndarray:
+    """The sigma_n log-eigenvalue of each index string, a column of ``strings`` (n, k).
 
-    Returns ``(logq, order, sizes)``: the logs of all ``len(eigenvalues)**n``
-    products in tensor-product index order, a stable argsort of them, and
-    the number of consecutive ``order`` entries in each level.  Each log is
-    summed over its string's digits in sorted order, so the strings of one
-    type (the same digit counts) get bitwise-equal logs and every level is
-    a union of whole types, whatever the order of the tensor factors.  A
-    level starts where a log exceeds the first log of the current level by
-    more than ``cluster_rel_tol``; zero eigenvalues give ``-inf`` logs,
-    which form one level.  ``len(sizes)`` is the eigenvalue count v(sigma_n).
+    Digit logs are summed in sorted digit order, so the strings of one type
+    get bitwise-equal logs, along axis 0 of a C-contiguous gather: one digit
+    row at a time (numpy sums an F-ordered one pairwise, which can differ in
+    the last bit).  Zero eigenvalues give ``-inf`` logs.
     """
     with np.errstate(divide="ignore"):
         loglam = np.where(eigenvalues > 0.0, np.log(eigenvalues), -np.inf)
-    digits = np.indices((len(loglam),) * n).reshape(n, len(loglam) ** n)
-    # stable: the sort kernel of the argsort below, no other to page in
-    logq = loglam[np.sort(digits, axis=0, kind="stable")].sum(axis=0)
-    order = np.argsort(logq, kind="stable")
-    ranked = logq[order].tolist()
+    # stable: the sort kernel of the argsorts below, no other to page in
+    return loglam[np.sort(np.ascontiguousarray(strings), axis=0, kind="stable")].sum(axis=0)
+
+
+def _levels(logs, cluster_rel_tol: float):
+    """A stable argsort of the row logs ``logs`` and the size of each level along it.
+
+    A level starts where a log exceeds the first log of the current level
+    by more than ``cluster_rel_tol``; ``-inf`` logs form one level.  Over
+    :func:`_row_logs` a level is a union of whole types, whatever the order
+    of the tensor factors, and over all d^n strings there are v(sigma_n).
+    """
+    order = np.argsort(logs, kind="stable")
+    ranked = logs[order].tolist()
     sizes = []
     start = 0
     for i in range(1, len(ranked) + 1):
         if i == len(ranked) or ranked[i] > ranked[start] + cluster_rel_tol:
             sizes.append(i - start)
             start = i
-    return logq, order, sizes
+    return order, sizes
 
 
-def _level_split(pair: HypothesisPair, n: int, blocks):
-    """The :class:`_Spectrum` of the :func:`_sweep` blocks at n, with eigenvectors.
+def _level_split(blocks, cluster_rel_tol: float):
+    """The :class:`_Spectrum` of the :func:`_sweep` blocks, with eigenvectors.
 
-    A block's rows in one level of :func:`_log_levels` (at the pair's
-    ``cluster_rel_tol``) form a sub-block of pinch(rho_n), solved by
-    ``eigh``.  Also returns the level of every position (for
-    :func:`_key_residual`) and, per sub-block, the columns of ``V^{(x)n}``
-    it spans and its eigenvectors.
+    The blocks' row logs are cut into levels by :func:`_levels`.  A level's
+    log weight is the mean of its row logs, ascending, each repeated its
+    block's multiplicity: the floats of its strings' logs in sorted order.
+    A block's rows in one level form a sub-block of pinch(rho_n), solved
+    by ``eigh``.  Also returns each block's row levels (for
+    :func:`_key_residual`) and, per sub-block, its rows and eigenvectors.
     """
-    logq, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
+    logs = np.concatenate([b[2] for b in blocks])
+    order, sizes = _levels(logs, cluster_rel_tol)
     label = np.empty(len(order), dtype=int)
     label[order] = np.repeat(np.arange(len(sizes)), sizes)
+    ends = np.cumsum(sizes)[:-1]
+    counts = np.concatenate([np.full(len(b[2]), b[0]) for b in blocks])[order]
     # a level is all -inf (singular sigma) or all finite
-    log_weights = np.array([logq[p].mean() for p in np.split(order, np.cumsum(sizes)[:-1])])
+    per_level = zip(np.split(logs[order], ends), np.split(counts, ends))
+    log_weights = np.array([np.repeat(x, c).mean() for x, c in per_level])
+    levels = np.split(label, np.cumsum([len(b[2]) for b in blocks])[:-1])
     level, m, w, vectors = [], [], [], []
-    for mult, R, rows, _ in blocks:
-        # rows ascend, so this keeps a level's rows in their order in ``order``
-        local = np.argsort(logq[rows], kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(label[rows[local]])) + 1).tolist(), len(local)]
+    for (mult, R, row_logs, _), same in zip(blocks, levels):
+        # stable: ties keep row order, which fixes each sub-block's eigh bits
+        local = np.argsort(row_logs, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(same[local])) + 1).tolist(), len(local)]
         for idx in (local[i:j] for i, j in zip(cuts, cuts[1:])):
             values, U = np.linalg.eigh(hermitian_part(R[np.ix_(idx, idx)]))
-            level.append(label[rows[idx]])
+            level.append(same[idx])
             m.append(np.full(len(idx), float(mult)))
             w.append(values)
-            vectors.append((rows[idx], U))
+            vectors.append((idx, U))
     level, m, w = (np.concatenate(x) for x in (level, m, w))
     # stable, all float: a first int sort or int-float cast pages in 64-128 KiB of numpy
     by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
-    return _Spectrum(log_weights, level[by_level], w[by_level], m[by_level]), label, vectors
-
-
-def _level_data(pair: HypothesisPair, n: int, blocks):
-    """The :class:`_Spectrum` of the :func:`_sweep` blocks at n and the level of every position."""
-    return _level_split(pair, n, blocks)[:2]
+    return _Spectrum(log_weights, level[by_level], w[by_level], m[by_level]), levels, vectors
 
 
 def _kept(spectrum, n: int, a: float, tol: ToleranceConfig) -> np.ndarray:
@@ -276,7 +282,7 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     :func:`_level_split` runs on :func:`_tensor_block` in every dimension.
     """
     a = float(a)
-    spectrum, _, vectors = _level_split(pair, n, _tensor_block(pair, n))
+    spectrum, _, vectors = _level_split(_tensor_block(pair, n), pair.tol.cluster_rel_tol)
     # one sub-block per level: a level keeps the top of its eigh spectrum
     kept = np.bincount(spectrum.level[_kept(spectrum, n, a, pair.tol)], minlength=len(vectors))
     Vn = tensor_power(pair.sigma_eig[1], n)
@@ -331,26 +337,25 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
-def _key_residual(pair: HypothesisPair, v: int, label, blocks) -> float:
+def _key_residual(pair: HypothesisPair, v: int, levels, blocks) -> float:
     """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by ``min_eigenvalue``.
 
     In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels,
     ``M = (V* rho V)^{(x)n}``, with ``v`` levels.  Each row of a block of
-    :func:`_sweep` lies in the level ``label`` gives its position ``rows``
-    (levels are unions of whole types), so the residual is the direct sum
-    of ``v blockdiag(R) - R``, each repeated ``m`` times, and the
-    clustering rule runs on that spectrum with multiplicities.
+    :func:`_sweep` lies in one level, as ``levels`` gives it, so the
+    residual is the direct sum of ``v blockdiag(R) - R``, each repeated
+    ``m`` times, and the clustering rule runs on that spectrum with
+    multiplicities.
     """
     spectrum = []
-    for m, R, rows, _ in blocks:
-        same = label[rows]
+    for (m, R, _, _), same in zip(blocks, levels):
         # in place, bit for bit v * where(...) - R
         B = np.where(same[:, None] == same[None, :], R, 0.0)
         B *= v
         B -= R
         spectrum.append(np.repeat(np.linalg.eigvalsh(hermitian_part(B)), m))
     spectrum = np.concatenate(spectrum)
-    # the stable argsort of _log_levels: a first use of another numpy sort
+    # the stable argsort of _levels: a first use of another numpy sort
     # kernel maps its code pages, about 0.1 MiB of resident memory
     means, _, _ = _gap_clusters(spectrum[np.argsort(spectrum, kind="stable")], pair.tol)
     return float(means[0])
@@ -361,7 +366,7 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
 
     One report per (n, a); the envelopes come from the same phi_bar value
     per threshold, all read off the pair's cached psi_bar grid.  The
-    spectrum of each n (:func:`_level_data`) gives the errors of every
+    spectrum of each n (:func:`_level_split`) gives the errors of every
     threshold and v(sigma_n), and shares the :func:`_sweep` blocks with
     :func:`_key_residual`; no test operator is built.
     """
@@ -369,8 +374,8 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     phis = {float(a): phi_bar(pair, a)[0] for a in a_grid}
     reports = []
     for n, blocks in sweep:
-        spectrum, label = _level_data(pair, n, blocks)
-        key = _key_residual(pair, len(spectrum.log_weights), label, blocks)
+        spectrum, levels, _ = _level_split(blocks, pair.tol.cluster_rel_tol)
+        key = _key_residual(pair, len(spectrum.log_weights), levels, blocks)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
@@ -401,31 +406,27 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
 
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
-    rate (1/n) log beta next to -a + (d/n) log(n+1), from the spectrum
-    of each n.
+    rate (1/n) log beta next to -a + (d/n) log(n+1), read off the
+    :func:`verify_bounds` rows at ``a``.
     """
-    sweep = _sweep(pair, range(1, check_blocklength(n_max) + 1))
+    n_max = check_blocklength(n_max)
+    check_dense_budget(pair.dim, n_max)
     a = float(a)
     div = relative_entropy(pair)
     if a >= div:
         raise RateAboveDivergence(f"a = {a} is not below D = {div}")
-    value, _ = phi_bar(pair, a)
-    points = []
-    for n, blocks in sweep:
-        spectrum, _ = _level_data(pair, n, blocks)
-        ep = _pinched_errors(spectrum, n, a, pair.tol)
-        points.append(
-            SteinPoint(
-                n=n,
-                a=a,
-                alpha=ep.alpha,
-                alpha_bound=(n + 1) ** pair.dim * math.exp(-n * value),
-                beta=ep.beta,
-                log_beta_rate=_log_rate(ep.beta, n),
-                log_beta_envelope=-a + (pair.dim / n) * math.log(n + 1.0),
-            )
+    return [
+        SteinPoint(
+            n=r.n,
+            a=a,
+            alpha=r.alpha,
+            alpha_bound=r.alpha_bound,
+            beta=r.beta,
+            log_beta_rate=_log_rate(r.beta, r.n),
+            log_beta_envelope=-a + (pair.dim / r.n) * math.log(r.n + 1.0),
         )
-    return points
+        for r in verify_bounds(pair, range(1, n_max + 1), [a])
+    ]
 
 
 def _running_powers(x, N: int) -> np.ndarray:
@@ -455,13 +456,14 @@ def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
 
 
 def _spin_blocks(pair: HypothesisPair, n: int, syms) -> list:
-    """rho_n of a qubit pair in sigma's eigenbasis as blocks ``(m, R, rows, s)``.
+    """rho_n of a qubit pair in sigma's eigenbasis as blocks ``(m, R, logs, s)``.
 
     ``M = X^{(x)n}``, ``X = V* rho V`` (``pair.rho_in_sigma_basis``), is, by
     a unitary commuting with sigma_n, the direct sum of
     ``R = det(X)^t syms[n-2t]``, with ``syms[N] = Sym^N(X)``, each repeated
     ``m = C(n,t) - C(n,t-1)`` times.
-    Row j, weight j + t, is at position ``rows[j]`` with sigma_n eigenvalue
+    Row j, weight j + t, has the log ``logs[j]`` of the string of that
+    weight (:func:`_row_logs` on n + 1 strings) and sigma_n eigenvalue
     ``s[j]``, from running products bit for bit the diagonal of
     ``det(Q)^t Sym^{n-2t}(Q)``.
     """
@@ -470,22 +472,24 @@ def _spin_blocks(pair: HypothesisPair, n: int, syms) -> list:
     det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
     det_q = complex(q[0] * q[1])
     p0, p1 = (_running_powers(x, n) for x in q)
+    # column w holds w ones: the string of weight w, up to digit order
+    logs = _row_logs(q, np.triu(np.ones((n, n + 1), dtype=int), 1))
     blocks = []
     for t in range(n // 2 + 1):
         N = n - 2 * t
         m = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        rows = (1 << np.arange(t, N + t + 1)) - 1
         s = (det_q**t * (p0[N::-1] * p1[: N + 1])).real
-        blocks.append((m, det_x**t * syms[N], rows, s))
+        blocks.append((m, det_x**t * syms[N], logs[t : N + t + 1], s))
     return blocks
 
 
 def _tensor_block(pair: HypothesisPair, n: int) -> list:
-    """``M = (V* rho V)^{(x)n}`` as the one block, its rows the tensor positions."""
+    """``M = (V* rho V)^{(x)n}`` as the one block, its rows the tensor positions in order."""
     M = tensor_power(pair.rho_in_sigma_basis, n)  # validates n and the budget first
+    q = pair.sigma_eig[0]
     # np.kron bit for bit, 10x faster
-    s = reduce(np.multiply.outer, [pair.sigma_eig[0]] * n).ravel()
-    return [(1, M, np.arange(pair.dim**n), s)]
+    s = reduce(np.multiply.outer, [q] * n).ravel()
+    return [(1, M, _row_logs(q, np.indices((pair.dim,) * n).reshape(n, pair.dim**n)), s)]
 
 
 def _sweep(pair: HypothesisPair, n_range):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ParseError
-from .pairs import HypothesisPair, PRESETS, preset_pair
+from .pairs import HypothesisPair
 
 
 def format_cell(x) -> str:
@@ -121,24 +121,14 @@ def pair_from_json(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisP
     return HypothesisPair(rho, sigma, tol)
 
 
-def load_pair(
-    path_or_preset: str | os.PathLike,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    smoothing_delta: float | None = None,
-) -> HypothesisPair:
-    """Load a pair, optionally smoothed: a path-like is a file, a ``str`` names a preset first."""
-    if path_or_preset in PRESETS:
-        pair = preset_pair(path_or_preset, tol)
-    else:
-        try:
-            with open(path_or_preset, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read {str(path_or_preset)!r}: {exc}") from exc
-        pair = pair_from_json(text, tol)
-    if smoothing_delta is not None:
-        pair = pair.smoothed(smoothing_delta)
-    return pair
+def load_pair(path: str | os.PathLike, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
+    """Load a pair from the JSON file at ``path``, whatever its name."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {str(path)!r}: {exc}") from exc
+    return pair_from_json(text, tol)
 
 
 class Table:

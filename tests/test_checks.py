@@ -33,11 +33,12 @@ class TestTypeCounting:
         )
 
     def test_count_above_type_bound_fails(self, monkeypatch):
-        # one level more than (n+1)^d at every n must fail with margin 1
-        def too_many(eigenvalues, n, cluster_rel_tol):
-            return None, None, [1] * ((n + 1) ** len(eigenvalues) + 1)
+        # one level more than (n+1)^d at every n must fail with margin 1:
+        # (n+1)^d + 1 logs a unit apart, one level each
+        def too_many(eigenvalues, strings):
+            return np.arange((len(strings) + 1) ** len(eigenvalues) + 1.0)
 
-        monkeypatch.setattr(checks, "_log_levels", too_many)
+        monkeypatch.setattr(checks, "_row_logs", too_many)
         result = checks.check_type_counting(np.random.default_rng([3, 3]), 2)
         assert not result.passed
         assert result.worst == 1.0

@@ -369,7 +369,7 @@ class TestOptimizer:
         # point above the masked s = 0: for r <= 1e-7 on the pair as the command
         # line loads it, but not at r = 1e-6; a_r is read from the same maximum,
         # so solve_rate_parameter warns where hoeffding_rate does
-        pair = qht.load_pair("qubit-generic", qht.ToleranceConfig(strict=False), 1e-6)
+        pair = qht.preset_pair("qubit-generic", qht.ToleranceConfig(strict=False)).smoothed(1e-6)
         for fn in (qht.hoeffding_rate, qht.solve_rate_parameter):
             for r in (1e-10, 1e-8, 1e-7):
                 with pytest.warns(qht.RateTooSmallWarning, match=r"s = 0\.0005;"):

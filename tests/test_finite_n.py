@@ -11,11 +11,11 @@ from qht import checks, finite_n, operators
 from qht.finite_n import (
     _kept,
     _key_residual,
-    _level_data,
     _level_split,
-    _log_levels,
+    _levels,
     _pinched_errors,
     _plain_errors,
+    _row_logs,
     _sweep,
     _sym_power,
 )
@@ -45,12 +45,20 @@ def sweep_blocks(pair, n):
 
 def sweep_spectrum(pair, n):
     """The level spectrum of a sweep at n."""
-    return _level_data(pair, n, sweep_blocks(pair, n))[0]
+    return _level_split(sweep_blocks(pair, n), pair.tol.cluster_rel_tol)[0]
+
+
+def string_levels(eigenvalues, n, cluster_rel_tol):
+    """The levels of all d^n index strings: their logs in tensor-position order,
+    a stable argsort of the logs and the level sizes along it."""
+    d = len(eigenvalues)
+    logq = _row_logs(eigenvalues, np.indices((d,) * n).reshape(n, d**n))
+    return (logq, *_levels(logq, cluster_rel_tol))
 
 
 def level_positions(pair, n):
-    """The tensor positions of each sigma_n level, from :func:`_log_levels`."""
-    _, order, sizes = _log_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
+    """The tensor positions of each sigma_n level, from all d^n strings."""
+    _, order, sizes = string_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
     return np.split(order, np.cumsum(sizes)[:-1])
 
 
@@ -284,7 +292,7 @@ def split_prone_pair():
 
 def level_count(sigma, n):
     lam = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
-    return len(_log_levels(lam, n, qht.DEFAULT_TOL.cluster_rel_tol)[2])
+    return len(string_levels(lam, n, qht.DEFAULT_TOL.cluster_rel_tol)[2])
 
 
 class TestLogLevels:
@@ -303,7 +311,7 @@ class TestLogLevels:
 
     def test_levels_partition_the_products(self):
         lam = np.array([0.2, 0.3, 0.5])
-        logq, order, sizes = _log_levels(lam, 3, 1e-10)
+        logq, order, sizes = string_levels(lam, 3, 1e-10)
         assert sorted(order) == list(range(27))
         assert sum(sizes) == 27
         for level in np.split(logq[order], np.cumsum(sizes)[:-1]):
@@ -339,11 +347,11 @@ class TestLogLevels:
                 counts = np.stack([(digits == i).sum(axis=0) for i in range(d)])
                 _, type_id = np.unique(counts, axis=1, return_inverse=True)
                 reverse = np.ravel_multi_index(digits[::-1], (d,) * n)
-                logq = _log_levels(lam, n, 1e-10)[0]
+                logq = string_levels(lam, n, 1e-10)[0]
                 type_logs = np.unique(logq)
                 diffs = np.unique(type_logs[None, :] - type_logs[:, None])
                 for tol in diffs[diffs > 0]:
-                    logq, order, sizes = _log_levels(lam, n, tol)
+                    logq, order, sizes = string_levels(lam, n, tol)
                     level = np.empty(d**n, dtype=int)
                     level[order] = np.repeat(np.arange(len(sizes)), sizes)
                     # one bitwise log and one level per type
@@ -356,6 +364,58 @@ class TestLogLevels:
         for n in range(1, 7):
             assert level_count(np.eye(3) / 3.0, n) == 1
             assert level_count(np.diag([0.3, 0.3, 0.4]), n) == n + 1
+
+
+class TestRowLogs:
+    @pytest.mark.parametrize("cluster_rel_tol", [1e-10, 1.0, 2.5])
+    @pytest.mark.parametrize("d,n_max", [(2, 12), (3, 6), (4, 4)])
+    def test_block_rows_carry_their_strings_levels(self, d, n_max, cluster_rel_tol):
+        # each block row's log equals the log of its strings among all d^n,
+        # bit for bit: qubit row j of spin block t that of position
+        # 2^(j+t) - 1 (weight j + t), tensor-block row i that of position i.
+        # So each row lies in its strings' level, and each level's log
+        # weight is the mean of its strings' logs, bit for bit
+        tol = qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol, strict=False)
+        pairs = [qht.random_pair(seed, d, tol) for seed in range(2)]
+        if d == 2:
+            # singular sigma: -inf logs
+            pairs.append(qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol))
+        for pair in pairs:
+            for n, blocks in _sweep(pair, range(1, n_max + 1)):
+                logq, order, sizes = string_levels(pair.sigma_eig[0], n, cluster_rel_tol)
+                label = np.empty(d**n, dtype=int)
+                label[order] = np.repeat(np.arange(len(sizes)), sizes)
+                spectrum, levels, _ = _level_split(blocks, cluster_rel_tol)
+                for t, ((_, _, logs, _), same) in enumerate(zip(blocks, levels)):
+                    rows = (1 << np.arange(t, n - t + 1)) - 1 if d == 2 else np.arange(d**n)
+                    assert logs.tobytes() == logq[rows].tobytes()
+                    np.testing.assert_array_equal(same, label[rows])
+                weights = [logq[p].mean() for p in np.split(order, np.cumsum(sizes)[:-1])]
+                assert spectrum.log_weights.tobytes() == np.array(weights).tobytes()
+
+    @pytest.mark.parametrize("lam", [[0.3, 0.7], [0.45, 0.55], [0.2, 0.8]])
+    def test_logs_add_digit_rows_in_order(self, lam):
+        # the gather is C-contiguous whatever the strings' layout, so each
+        # log adds the sorted digit logs left to right; numpy sums an
+        # F-ordered gather pairwise, and at n = 12 that differs in the last bit
+        strings = np.indices((2,) * 12).reshape(12, 2**12)
+        log_q = np.log(lam).tolist()
+        want = [sum(log_q[k] for k in sorted(s)) for s in strings.T.tolist()]
+        for layout in (strings, np.asfortranarray(strings)):
+            assert _row_logs(np.array(lam), layout).tolist() == want
+
+    def test_qubit_sweep_logs_only_the_weight_strings(self, generic, monkeypatch):
+        # the spin blocks take their row logs from the n + 1 sorted weight
+        # strings: no qubit sweep enumerates the 2^n strings
+        shapes = []
+
+        def spy(eigenvalues, strings):
+            shapes.append(strings.shape)
+            return _row_logs(eigenvalues, strings)
+
+        monkeypatch.setattr(finite_n, "_row_logs", spy)
+        qht.verify_bounds(generic, range(1, 13), [0.1])
+        assert shapes == [(n, n + 1) for n in range(1, 13)]
 
 
 class TestVerifyBounds:
@@ -448,14 +508,14 @@ class TestVerifyBounds:
         X = pair.rho_in_sigma_basis
         n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
         for n, blocks in _sweep(pair, range(1, n_max + 1)):
-            spectrum, label = _level_data(pair, n, blocks)
+            spectrum, levels, _ = _level_split(blocks, pair.tol.cluster_rel_tol)
             v = len(spectrum.log_weights)
             positions = level_positions(pair, n)
             order = np.concatenate(positions)
             M = tensor_power(X, n)[np.ix_(order, order)]
             sizes = [len(p) for p in positions]
             residual = v * operators.block_diagonal(M, sizes) - M
-            key = _key_residual(pair, v, label, blocks)
+            key = _key_residual(pair, v, levels, blocks)
             assert abs(key - qht.min_eigenvalue(residual, pair.tol)) <= 1e-14
             dense = np.linalg.eigvalsh(hermitian_part(residual))
             assert np.abs(spectra[-1] - dense).max() <= 1e-14 * v
@@ -897,13 +957,15 @@ class TestSpinBlocks:
         np.testing.assert_array_equal(_sym_power(X, 0), np.ones((1, 1)))
 
     def test_multiplicities_fill_the_space(self, generic):
+        log_q = np.log(generic.sigma_eig[0])
         for n, blocks in _sweep(generic, range(1, 13)):
             assert [len(R) for _, R, _, _ in blocks] == [n - 2 * t + 1 for t in range(n // 2 + 1)]
             assert sum(m * len(R) for m, R, _, _ in blocks) == 2**n
-            for t, (_, R, rows, s) in enumerate(blocks):
+            for t, (_, R, logs, s) in enumerate(blocks):
                 # row j of block t has weight j + t
-                assert [bin(r).count("1") for r in rows] == list(range(t, n - t + 1))
-                assert len(rows) == len(s) == len(R)
+                weight = np.arange(t, n - t + 1)
+                np.testing.assert_allclose(logs, (n - weight) * log_q[0] + weight * log_q[1])
+                assert len(logs) == len(s) == len(R)
 
     @pytest.mark.parametrize(
         "pair",

@@ -133,27 +133,29 @@ class TestPairRoundtrip:
 
 class TestLoadPair:
     def test_presets(self):
-        pair = qht.load_pair("commuting-1")
+        pair = qht.preset_pair("commuting-1")
         assert pair.dim == 2
         np.testing.assert_allclose(pair.rho, np.diag([0.5, 0.5]))
         assert np.abs(pair.rho @ pair.sigma - pair.sigma @ pair.rho).max() <= 1e-15
 
-    def test_unknown_preset(self):
-        with pytest.raises(qht.ParseError):
-            qht.load_pair("no-such-preset")
+    def test_unknown_preset(self, tmp_path, monkeypatch):
+        # load_pair reads files only: a preset's name with no such file is an error
+        monkeypatch.chdir(tmp_path)
+        for name in ("no-such-preset", "commuting-1"):
+            with pytest.raises(qht.ParseError, match="cannot read"):
+                qht.load_pair(name)
+        with pytest.raises(qht.ParseError, match="unknown preset"):
+            qht.preset_pair("no-such-preset")
 
     @pytest.mark.parametrize("name", ["pair.json", "identical"])
     def test_file_roundtrip(self, tmp_path, monkeypatch, generic, name):
-        # a path-like is read as a file even where its name is a preset's;
-        # the same name as a str still names the preset
+        # a str or path-like is read as a file, even where its name is a preset's
         monkeypatch.chdir(tmp_path)
         path = tmp_path / name
         path.write_text(qht.pair_to_json(generic), encoding="utf-8")
-        for source in (str(path), path, Path(name)):
+        for source in (str(path), path, Path(name), name):
             loaded = qht.load_pair(source)
             np.testing.assert_array_equal(loaded.rho, generic.rho)
-        if name in qht.PRESETS:
-            np.testing.assert_array_equal(qht.load_pair(name).rho, qht.preset_pair(name).rho)
 
     def test_smoothing_applied(self, tmp_path):
         payload = {
@@ -163,7 +165,7 @@ class TestLoadPair:
         path = tmp_path / "singular.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         tol = qht.ToleranceConfig(strict=False)
-        pair = qht.load_pair(str(path), tol, smoothing_delta=1e-6)
+        pair = qht.load_pair(str(path), tol).smoothed(1e-6)
         assert qht.relative_entropy(pair) > 0.0
 
 
