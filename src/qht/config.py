@@ -4,16 +4,15 @@ import math
 import sys
 from dataclasses import dataclass
 
-# The one dense budget on d^n, a fixed constant checked by
-# ``operators.check_dense_budget``: ``tensor_power`` checks its own n, and
-# ``finite_n._sweep``, behind every finite-n sweep, checks the largest n of
-# its range before any work.  Dense eigensolves grow cubically.  4096 admits qubits to n = 12
-# and qutrits to n = 7.  In fresh processes on a 2-core Xeon with OpenBLAS,
-# ``qht finite-n --preset qubit-generic --n-max 12``, whose eigensolves are
-# at most 13 x 13, takes 0.35 s and 40 MiB; a seeded qutrit at
-# ``--n-max 7``, whose levels, key residual and plain test all read one
-# dense block per n, takes 3.3 to 3.7 s and 342 MiB in ``finite-n`` and
-# 12 to 15 s and 509 MiB in ``conjecture``.
+# The one budget: the length of the n-fold spectrum a path builds, checked
+# by ``operators.check_budget`` before any work.  Dense operators and the
+# plain test of ``conjecture_probe`` hold d^n to it; ``finite_n._sweep``
+# the rows of its blocks at the largest n: d^n, or (n + 2)^2 // 4 for the
+# qubit spin blocks.  4096 admits qutrits to n = 7 and qubit sweeps to
+# n = 126.  On a shared 2-core Xeon with OpenBLAS, ``qht finite-n --preset
+# qubit-generic --n-max 126`` takes 4.5 to 6.5 s and 60 MiB; a seeded
+# qutrit at ``--n-max 7`` takes 3.3 to 3.7 s and 342 MiB in ``finite-n``
+# and 12 to 15 s and 509 MiB in ``conjecture``.
 MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.

@@ -9,22 +9,25 @@ arithmetic, but it stays accurate when ``e^{na}`` spans hundreds of orders
 of magnitude, which a dense eigensolve of the difference cannot do.
 
 rho_n has one representation for every finite-n quantity: in sigma's
-eigenbasis, as blocks whose rows each carry their sigma_n log-eigenvalue.
-:func:`_sweep` alone validates a sweep's blocklengths, checks the dense
-budget ``MAX_TENSOR_DIM`` and picks the blocks: qubit spin blocks, of
-size at most n + 1, else ``M = (V* rho V)^{(x)n}`` as one block, which
-:func:`build_pinched_test` takes in every dimension (its eigenvectors run
-over tensor positions).  :func:`_level_split` clusters the row logs into
-the levels of sigma_n (each a union of whole types, so never dependent on
-the order of the tensor factors) and cuts the blocks on them.  The
-sub-block eigenvalues with integer multiplicities, one flat
-:class:`_Spectrum` per n, are the one representation of the pinched
-test: :func:`_kept` is its keep rule, one mask, and the errors
-(:func:`_pinched_errors`) are one pass over it.  The key residual of
-:func:`verify_bounds`, whose rows :func:`stein_trace` reads, and the plain
-test {rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on the same
-blocks.  Only
-:func:`build_pinched_test` forms the dense operator.  Every entry point
+eigenbasis, as blocks ``(m, R, logs, s)`` whose rows each carry their
+sigma_n log-eigenvalue, each block standing for ``m`` equal copies.
+:func:`_sweep` alone validates a sweep's blocklengths, checks the budget
+``MAX_TENSOR_DIM`` on the number of rows it builds and picks the blocks:
+qubit spin blocks, of size at most n + 1, else
+``M = (V* rho V)^{(x)n}`` as one block, which :func:`build_pinched_test`
+takes in every dimension (its eigenvectors run over tensor positions).
+:func:`_level_split` clusters the row logs into the levels of sigma_n
+(each a union of whole types, so never dependent on the order of the
+tensor factors) and cuts the blocks on them.  The sub-block eigenvalues
+with their multiplicities, one flat :class:`_Spectrum` per n, are the
+one representation of the pinched test: :func:`_kept` is its keep rule,
+one mask, and the errors (:func:`_pinched_errors`) are one pass over it.
+The key residual of :func:`verify_bounds`, whose rows :func:`stein_trace`
+reads, and the plain test {rho_n > e^{na} sigma_n} of
+:func:`conjecture_probe` run on the same blocks.  Multiplicities are
+exact ints in the blocks and floats in every array; no sweep expands a
+block m times, except the plain test, which stays on the dense budget.
+Only :func:`build_pinched_test` forms the dense operator.  Every entry point
 reads its clustering tolerance from ``pair.tol``.  The dense
 :func:`build_plain_test`, :func:`error_probabilities` and pinching
 residual of :mod:`qht.operators` stay the cross-checks.
@@ -47,6 +50,7 @@ from .exponents import phi, phi_bar, relative_entropy
 from .operators import (
     _gap_clusters,
     check_blocklength,
+    check_budget,
     check_dense_budget,
     hermitian_part,
     positive_projection,
@@ -204,21 +208,30 @@ def _level_split(blocks, cluster_rel_tol: float):
     """The :class:`_Spectrum` of the :func:`_sweep` blocks, with eigenvectors.
 
     The blocks' row logs are cut into levels by :func:`_levels`.  A level's
-    log weight is the mean of its row logs, ascending, each repeated its
-    block's multiplicity: the floats of its strings' logs in sorted order.
-    A block's rows in one level form a sub-block of pinch(rho_n), solved
-    by ``eigh``.  Also returns each block's row levels (for
-    :func:`_key_residual`) and, per sub-block, its rows and eigenvectors.
+    log weight comes from its distinct row logs, each counted with the
+    multiplicities of its rows summed: the one log of a level of one type,
+    else the count-weighted mean ``(x * c).sum() / c.sum()`` of its
+    distinct logs x, ascending.  Spin blocks and the tensor block give the
+    same logs and counts, so the same bits.  A block's rows in one level
+    form a sub-block of pinch(rho_n), solved by ``eigh``.  Also returns
+    each block's row levels (for :func:`_key_residual`) and, per
+    sub-block, its rows and eigenvectors.
     """
     logs = np.concatenate([b[2] for b in blocks])
     order, sizes = _levels(logs, cluster_rel_tol)
     label = np.empty(len(order), dtype=int)
     label[order] = np.repeat(np.arange(len(sizes)), sizes)
-    ends = np.cumsum(sizes)[:-1]
-    counts = np.concatenate([np.full(len(b[2]), b[0]) for b in blocks])[order]
-    # a level is all -inf (singular sigma) or all finite
-    per_level = zip(np.split(logs[order], ends), np.split(counts, ends))
-    log_weights = np.array([np.repeat(x, c).mean() for x, c in per_level])
+    ends = np.cumsum(sizes)[:-1].tolist()
+    # exact int counts; a level is all -inf (singular sigma) or all finite
+    counts = [m for m, _, row_logs, _ in blocks for _ in row_logs]
+    ranked = list(zip(logs[order].tolist(), [counts[i] for i in order.tolist()]))
+    log_weights = []
+    for start, end in zip([0, *ends], [*ends, len(ranked)]):
+        distinct = {}
+        for x, c in ranked[start:end]:
+            distinct[x] = distinct.get(x, 0) + c
+        x, c = np.array(list(distinct)), np.array(list(distinct.values()), dtype=float)
+        log_weights.append(x[0] if len(x) == 1 else (x * c).sum() / c.sum())
     levels = np.split(label, np.cumsum([len(b[2]) for b in blocks])[:-1])
     level, m, w, vectors = [], [], [], []
     for (mult, R, row_logs, _), same in zip(blocks, levels):
@@ -234,7 +247,8 @@ def _level_split(blocks, cluster_rel_tol: float):
     level, m, w = (np.concatenate(x) for x in (level, m, w))
     # stable, all float: a first int sort or int-float cast pages in 64-128 KiB of numpy
     by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
-    return _Spectrum(log_weights, level[by_level], w[by_level], m[by_level]), levels, vectors
+    spectrum = _Spectrum(np.array(log_weights), level[by_level], w[by_level], m[by_level])
+    return spectrum, levels, vectors
 
 
 def _kept(spectrum, n: int, a: float, tol: ToleranceConfig) -> np.ndarray:
@@ -344,21 +358,26 @@ def _key_residual(pair: HypothesisPair, v: int, levels, blocks) -> float:
     ``M = (V* rho V)^{(x)n}``, with ``v`` levels.  Each row of a block of
     :func:`_sweep` lies in one level, as ``levels`` gives it, so the
     residual is the direct sum of ``v blockdiag(R) - R``, each repeated
-    ``m`` times, and the clustering rule runs on that spectrum with
-    multiplicities.
+    ``m`` times.  Repeats add only zero gaps and leave ``max |w|`` as it
+    is, so the clustering rule runs on each eigenvalue once, and the
+    smallest cluster's mean weights each eigenvalue by its ``m``.
     """
-    spectrum = []
-    for (m, R, _, _), same in zip(blocks, levels):
+    w, m = [], []
+    for (mult, R, _, _), same in zip(blocks, levels):
         # in place, bit for bit v * where(...) - R
         B = np.where(same[:, None] == same[None, :], R, 0.0)
         B *= v
         B -= R
-        spectrum.append(np.repeat(np.linalg.eigvalsh(hermitian_part(B)), m))
-    spectrum = np.concatenate(spectrum)
+        w.append(np.linalg.eigvalsh(hermitian_part(B)))
+        m.append(np.full(len(R), float(mult)))
+    w, m = np.concatenate(w), np.concatenate(m)
     # the stable argsort of _levels: a first use of another numpy sort
     # kernel maps its code pages, about 0.1 MiB of resident memory
-    means, _, _ = _gap_clusters(spectrum[np.argsort(spectrum, kind="stable")], pair.tol)
-    return float(means[0])
+    order = np.argsort(w, kind="stable")
+    _, sizes, _ = _gap_clusters(w[order], pair.tol)
+    bottom = order[: sizes[0]]
+    # pairwise as .mean(), so with m = 1 the bits of the unweighted mean
+    return float((w[bottom] * m[bottom]).sum() / m[bottom].sum())
 
 
 def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
@@ -407,10 +426,9 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
     rate (1/n) log beta next to -a + (d/n) log(n+1), read off the
-    :func:`verify_bounds` rows at ``a``.
+    :func:`verify_bounds` rows at ``a``, whose sweep checks the budget.
     """
     n_max = check_blocklength(n_max)
-    check_dense_budget(pair.dim, n_max)
     a = float(a)
     div = relative_entropy(pair)
     if a >= div:
@@ -495,15 +513,20 @@ def _tensor_block(pair: HypothesisPair, n: int) -> list:
 def _sweep(pair: HypothesisPair, n_range):
     """``(n, blocks)`` for each n of ``n_range``, built one n at a time.
 
-    On the call, not at the first ``next``, it validates every n, checks
-    the dense budget for the largest and picks :func:`_spin_blocks` on one
-    ``Sym^N`` table for a qubit, else :func:`_tensor_block`.
+    On the call, not at the first ``next``, it validates every n and
+    checks the budget on the rows the largest builds, the length of its
+    spectrum: the d^n rows of :func:`_tensor_block`, or for a qubit the
+    ``(n + 2)**2 // 4`` rows of :func:`_spin_blocks`, taken on one
+    ``Sym^N`` table.
     """
     n_range = [check_blocklength(n) for n in n_range]
     n_top = max(n_range, default=0)
-    check_dense_budget(pair.dim, n_top)
     if pair.dim != 2:
+        check_dense_budget(pair.dim, n_top)
         return ((n, _tensor_block(pair, n)) for n in n_range)
+    # sum_t (n - 2t + 1) rows
+    rows = (n_top + 2) ** 2 // 4
+    check_budget(rows, f"spectrum length {rows} (spin blocks at n = {n_top})")
     syms = [_sym_power(pair.rho_in_sigma_basis, N) for N in range(n_top + 1)]
     return ((n, _spin_blocks(pair, n, syms)) for n in n_range)
 
@@ -551,8 +574,12 @@ def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureRepor
     keeps its EXPERIMENTAL label and asserts nothing.
 
     The errors are those of :func:`_plain_errors` on the :func:`_sweep`
-    blocks of each n; no test operator is built.
+    blocks of each n; no test operator is built.  Since those repeat
+    each block spectrum to all d^n eigenvalues, the range is held to the
+    dense budget.
     """
+    n_range = [check_blocklength(n) for n in n_range]
+    check_dense_budget(pair.dim, max(n_range, default=0))
     sweep = _sweep(pair, n_range)
     a = float(a)
     value, _ = phi(pair, a)

@@ -250,10 +250,15 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _spectral_sum(dec, f)
 
 
+def check_budget(length: int, what: str) -> None:
+    """Raise DimensionBudgetExceeded unless the n-fold ``length`` is within ``MAX_TENSOR_DIM``."""
+    if length > MAX_TENSOR_DIM:
+        raise DimensionBudgetExceeded(f"{what} exceeds budget {MAX_TENSOR_DIM}")
+
+
 def check_dense_budget(dim: int, n: int) -> None:
-    """Raise DimensionBudgetExceeded unless ``dim**n`` is within ``MAX_TENSOR_DIM``."""
-    if dim**n > MAX_TENSOR_DIM:
-        raise DimensionBudgetExceeded(f"dim {dim}^{n} exceeds budget {MAX_TENSOR_DIM}")
+    """:func:`check_budget` on the ``dim**n`` rows of an n-fold dense operator."""
+    check_budget(dim**n, f"dim {dim}^{n}")
 
 
 def check_blocklength(n) -> int:

@@ -689,7 +689,11 @@ class TestErrorPaths:
         assert line.startswith("error: rate objective peaked at the first positive grid point")
 
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
-        code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "13")
+        code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "127")
         assert code == 2
         assert out == ""
+        assert err == "error: spectrum length 4160 (spin blocks at n = 127) exceeds budget 4096\n"
+        # the plain test repeats the spin-block spectra to 2^n eigenvalues
+        code, _, err = run(capsys, "conjecture", "--preset", "qubit-generic", "--n-max", "13")
+        assert code == 2
         assert err == "error: dim 2^13 exceeds budget 4096\n"

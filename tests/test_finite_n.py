@@ -374,7 +374,8 @@ class TestRowLogs:
         # bit for bit: qubit row j of spin block t that of position
         # 2^(j+t) - 1 (weight j + t), tensor-block row i that of position i.
         # So each row lies in its strings' level, and each level's log
-        # weight is the mean of its strings' logs, bit for bit
+        # weight is that of its strings, bit for bit: the one distinct log
+        # of a single type, else the distinct logs' count-weighted mean
         tol = qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol, strict=False)
         pairs = [qht.random_pair(seed, d, tol) for seed in range(2)]
         if d == 2:
@@ -390,8 +391,30 @@ class TestRowLogs:
                     rows = (1 << np.arange(t, n - t + 1)) - 1 if d == 2 else np.arange(d**n)
                     assert logs.tobytes() == logq[rows].tobytes()
                     np.testing.assert_array_equal(same, label[rows])
-                weights = [logq[p].mean() for p in np.split(order, np.cumsum(sizes)[:-1])]
+                weights = []
+                for p in np.split(order, np.cumsum(sizes)[:-1]):
+                    x, c = np.unique(logq[p], return_counts=True)
+                    weights.append(x[0] if len(x) == 1 else (x * c).sum() / c.sum())
                 assert spectrum.log_weights.tobytes() == np.array(weights).tobytes()
+
+    @pytest.mark.parametrize("cluster_rel_tol", [1e-10, 1.0, 2.5])
+    def test_spin_and_tensor_blocks_give_the_same_level_weights(self, cluster_rel_tol):
+        # the two producers of qubit blocks: the n + 1 weight strings with
+        # multiplicities C(n,t) - C(n,t-1), and all 2^n strings once each.
+        # Up to n = 10, where M is 1024 x 1024 (8 for a singular sigma, whose
+        # -inf level of 2^n - 1 rows is one sub-block); the all-strings
+        # levels of test_block_rows_carry_their_strings_levels reach n = 12
+        tol = qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol, strict=False)
+        pairs = [(qht.random_pair(seed, 2, tol), 10) for seed in range(2)]
+        singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
+        for pair, n_max in [*pairs, (singular, 8)]:
+            for n, blocks in _sweep(pair, range(1, n_max + 1)):
+                spin = _level_split(blocks, cluster_rel_tol)[0]
+                tensor = _level_split(finite_n._tensor_block(pair, n), cluster_rel_tol)[0]
+                assert spin.log_weights.tobytes() == tensor.log_weights.tobytes()
+                assert np.bincount(spin.level, spin.m).tolist() == np.bincount(
+                    tensor.level, tensor.m
+                ).tolist()
 
     @pytest.mark.parametrize("lam", [[0.3, 0.7], [0.45, 0.55], [0.2, 0.8]])
     def test_logs_add_digit_rows_in_order(self, lam):
@@ -494,6 +517,8 @@ class TestVerifyBounds:
         # the block residual against v blockdiag(M) - M over the same levels,
         # with M = (V* rho V)^{(x)n} formed densely in level order; the whole
         # spectrum with multiplicities is compared, not just its bottom.  The
+        # clustering sees each sub-block eigenvalue once, ascending, and the
+        # test repeats each its block's multiplicity.  The
         # level spectra read off the blocks are compared, with multiplicities,
         # with those of the dense level blocks of M.  For d >= 3 the one block
         # is M in tensor-product order, so they agree bit for bit; the qubit
@@ -517,8 +542,16 @@ class TestVerifyBounds:
             residual = v * operators.block_diagonal(M, sizes) - M
             key = _key_residual(pair, v, levels, blocks)
             assert abs(key - qht.min_eigenvalue(residual, pair.tol)) <= 1e-14
+            sub = [
+                np.linalg.eigvalsh(hermitian_part(v * np.where(same[:, None] == same[None, :], R, 0.0) - R))
+                for (_, R, _, _), same in zip(blocks, levels)
+            ]
+            flat = np.concatenate(sub)
+            order = np.argsort(flat, kind="stable")
+            assert spectra[-1].tobytes() == flat[order].tobytes()
+            m = np.concatenate([np.full(len(w), mult) for w, (mult, *_) in zip(sub, blocks)])
             dense = np.linalg.eigvalsh(hermitian_part(residual))
-            assert np.abs(spectra[-1] - dense).max() <= 1e-14 * v
+            assert np.abs(np.repeat(flat[order], m[order]) - dense).max() <= 1e-14 * v
             ends = np.cumsum(sizes)
             for k, (start, end) in enumerate(zip(ends - sizes, ends)):
                 w = np.linalg.eigh(hermitian_part(M[start:end, start:end]))[0]
@@ -774,6 +807,33 @@ class TestFlatSpectrum:
             assert abs(float((spectrum.m * spectrum.w).sum()) - 1.0) <= 1e-13
 
 
+class TestQubitLevelsAtLargeN:
+    # one blocklength per call: the spin blocks hold (n + 2)^2 // 4 rows,
+    # 4096 at n = 126, the whole budget, where no dense check can follow
+
+    @pytest.mark.parametrize("n", [40, 126])
+    @pytest.mark.parametrize(
+        "pair", [qht.random_pair(1, 2), qht.preset_pair("qubit-skewed")], ids=["d2-1", "skewed"]
+    )
+    def test_mass_counts_and_pinched_stein_sandwich(self, pair, n):
+        # the multiplicities fill the 2^n-dimensional space exactly, the
+        # levels are the n + 1 weights, pinch(rho_n) has unit trace, and
+        # n D - log v <= D(pinch(rho_n) || sigma_n) <= n D (Hayashi's
+        # pinching bound below, monotonicity under pinching above)
+        div = qht.relative_entropy(pair)
+        ((_, blocks),) = _sweep(pair, [n])
+        assert sum(m * len(R) for m, R, _, _ in blocks) == 2**n
+        (report,) = qht.verify_bounds(pair, [n], [0.5 * div])
+        assert report.v_sigma_n == n + 1
+        spectrum = _level_split(blocks, pair.tol.cluster_rel_tol)[0]
+        assert abs(float((spectrum.m * spectrum.w).sum()) - 1.0) <= 1e-13
+        kept = spectrum.w > 0.0
+        w, m = spectrum.w[kept], spectrum.m[kept]
+        log_s = spectrum.log_weights[spectrum.level[kept]]
+        pinched = float((m * w * (np.log(w) - log_s)).sum())
+        assert n * div - math.log(n + 1) <= pinched <= n * div
+
+
 @pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 3), (4, 2)])
 def test_sweep_blocks_read_the_pairs_rho_in_sigma_basis(dim, n_max):
     # with rho itself gone the blocks can only come from the stored
@@ -798,10 +858,12 @@ class TestBudgetBeforeWork:
         qutrit = qht.random_pair(0, dim=3)
         for name in ("_sym_power", "_tensor_block", "_level_split", "_plain_errors", "tensor_power"):
             monkeypatch.setattr(finite_n, name, refuse)
+        # qubit levels: (n + 2)^2 // 4 spin-block rows, 4160 at n = 127; the
+        # qubit plain test repeats them to 2^n eigenvalues
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.verify_bounds(generic, range(1, 14), [0.1])
+            qht.verify_bounds(generic, range(1, 128), [0.1])
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.stein_trace(generic, 0.1, 13)
+            qht.stein_trace(generic, 0.1, 127)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.conjecture_probe(generic, range(1, 14), 0.1)
         with pytest.raises(qht.DimensionBudgetExceeded):
@@ -854,7 +916,9 @@ class TestBlocklengthValidation:
         with pytest.raises(ValueError, match="blocklength"):
             _sweep(qutrit, [1, 0])
         with pytest.raises(qht.DimensionBudgetExceeded):
-            _sweep(generic, range(1, 14))
+            _sweep(generic, range(1, 128))
+        with pytest.raises(qht.DimensionBudgetExceeded):
+            _sweep(qutrit, range(1, 9))
         powers = []
 
         def spy(A, n):
@@ -1136,6 +1200,13 @@ class TestPlainErrorsFromSpinBlocks:
             qht.build_plain_test(singular, 2, 400.0)
 
     def test_budget_checked_first(self, generic, monkeypatch):
+        # the plain test repeats each block spectrum to 2^n eigenvalues, so
+        # it keeps the dense budget where the qubit levels run on
+        def refuse(*args, **kwargs):
+            raise AssertionError("blocks built before the budget check")
+
+        assert len(qht.verify_bounds(generic, [13], [0.1])) == 1
+        monkeypatch.setattr(finite_n, "_sweep", refuse)
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.conjecture_probe(generic, [13], 0.1)
         monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 4)
