@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, THRESHOLD_FRACTIONS
+from .config import CLUSTER_REL_TOL, THRESHOLD_FRACTIONS
 from .exponents import (
     classical_hoeffding,
     hoeffding_rate,
@@ -135,7 +135,7 @@ def check_type_counting(rng, n_samples) -> CheckResult:
         lam = np.clip(np.linalg.eigvalsh(hermitian_part(sigma)), 0.0, None)
         for n in range(1, 7):
             strings = np.indices((dim,) * n).reshape(n, dim**n)
-            v = len(_levels(_row_logs(lam, strings), DEFAULT_TOL.cluster_rel_tol)[1])
+            v = len(_levels(_row_logs(lam, strings), CLUSTER_REL_TOL)[1])
             if dim**n <= 64:
                 v = max(v, eigendecompose(tensor_power(sigma, n)).v)
             margin = v - (n + 1) ** dim
@@ -414,8 +414,8 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n, blocks in _sweep(pair, (1, 2)):
-            spectrum, _, _ = _level_split(blocks, pair.tol.cluster_rel_tol)
-            eps = [_pinched_errors(spectrum, n, a, pair.tol) for a in grid]
+            spectrum, _, _ = _level_split(blocks, CLUSTER_REL_TOL)
+            eps = [_pinched_errors(spectrum, n, a) for a in grid]
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])
             worst = max(worst, float((-np.diff(alphas)).max()))

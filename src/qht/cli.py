@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("finite-n", help="exact finite-n errors and envelopes")
     _add_common(p)
-    p.add_argument("--tol-cluster", type=float, help="override cluster_rel_tol")
     p.add_argument("--n-max", type=_positive_int, default=4)
     p.add_argument("--grid-a", type=_parse_grid, default=None)
 
@@ -135,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("conjecture", help="plain-test probe (EXPERIMENTAL)")
     _add_common(p)
-    p.add_argument("--tol-cluster", type=float, help="override cluster_rel_tol")
     p.add_argument("--n-max", type=_positive_int, help="default: largest n <= 6 with d^n <= 729")
     p.add_argument("--grid-a", type=_parse_grid, default=None)
 
@@ -143,11 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    settings = {"strict": args.smooth is None}
-    # only finite-n and conjecture, whose tests cluster eigenvalues, take --tol-cluster
-    if getattr(args, "tol_cluster", None) is not None:
-        settings["cluster_rel_tol"] = args.tol_cluster
-    tol = ToleranceConfig(**settings)
+    tol = ToleranceConfig(strict=args.smooth is None)
     if args.input is None:
         pair = preset_pair(args.preset or "qubit-generic", tol)
     else:

@@ -1,6 +1,5 @@
 """The settable numerical configuration and the fixed tolerances and budget."""
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -17,6 +16,11 @@ MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.
 PSD_TOL = 1e-10
+# Eigenvalues closer than CLUSTER_REL_TOL times the spectral norm merge into
+# one distinct eigenvalue, so v(A) and every pinching block keep their
+# exact-arithmetic values under roundoff.  The finite-n tests group the
+# sigma_n log levels and take their keep margin by the same value.
+CLUSTER_REL_TOL = 1e-10
 # Eigenvalues at or below SUPPORT_CUTOFF * max_eigenvalue are treated as
 # zero when taking inverse powers or logarithms.
 SUPPORT_CUTOFF = 1e-12
@@ -32,21 +36,15 @@ THRESHOLD_FRACTIONS = (0.25, 0.5, 0.75, 0.9)
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """The numerical settings a computation takes, carried by its pair.
+    """The numerical setting a computation takes, carried by its pair.
 
-    cluster_rel_tol
-        Eigenvalues of a Hermitian operator whose consecutive gap is below
-        ``cluster_rel_tol * spectral_norm`` are merged into one distinct
-        eigenvalue; the eigenvalue count v(A) and all pinching blocks are
-        defined on these clusters.  The finite-n tests group the sigma_n
-        levels and keep block eigenvalues by the same value.
     strict
         When True (default), inverse powers and logarithms reject
         rank-deficient input instead of silently restricting to the support.
         Use :meth:`qht.pairs.HypothesisPair.smoothed` to mix in a multiple
         of the identity when rank-deficient states must be handled.
 
-    Every other threshold is a fixed constant: ``PSD_TOL``,
+    Every threshold is a fixed constant: ``PSD_TOL``, ``CLUSTER_REL_TOL``,
     ``SUPPORT_CUTOFF``, ``HERMITIAN_TOL`` and ``TRACE_TOL`` here, the
     idempotency slack ``qht.finite_n.PROJ_TOL`` of test operators, and the
     grid and Newton settings ``GRID_POINTS`` and ``NEWTON_STEPS`` of
@@ -54,14 +52,7 @@ class ToleranceConfig:
     parameter a_r included (the rate objective's maximum minus r).
     """
 
-    cluster_rel_tol: float = 1e-10
     strict: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.cluster_rel_tol) and self.cluster_rel_tol > 0.0):
-            raise ValueError(
-                f"cluster_rel_tol must be finite and strictly positive, got {self.cluster_rel_tol!r}"
-            )
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -28,7 +28,7 @@ reads, and the plain test {rho_n > e^{na} sigma_n} of
 exact ints in the blocks and floats in every array; no sweep expands a
 block m times, except the plain test, which stays on the dense budget.
 Only :func:`build_pinched_test` forms the dense operator.  Every entry point
-reads its clustering tolerance from ``pair.tol``.  The dense
+clusters at the fixed ``CLUSTER_REL_TOL``.  The dense
 :func:`build_plain_test`, :func:`error_probabilities` and pinching
 residual of :mod:`qht.operators` stay the cross-checks.
 """
@@ -39,7 +39,7 @@ from functools import reduce
 
 import numpy as np
 
-from .config import ToleranceConfig
+from .config import CLUSTER_REL_TOL
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -189,7 +189,8 @@ def _levels(logs, cluster_rel_tol: float):
     """A stable argsort of the row logs ``logs`` and the size of each level along it.
 
     A level starts where a log exceeds the first log of the current level
-    by more than ``cluster_rel_tol``; ``-inf`` logs form one level.  Over
+    by more than ``cluster_rel_tol`` (the library passes
+    ``CLUSTER_REL_TOL``); ``-inf`` logs form one level.  Over
     :func:`_row_logs` a level is a union of whole types, whatever the order
     of the tensor factors, and over all d^n strings there are v(sigma_n).
     """
@@ -251,12 +252,12 @@ def _level_split(blocks, cluster_rel_tol: float):
     return spectrum, levels, vectors
 
 
-def _kept(spectrum, n: int, a: float, tol: ToleranceConfig) -> np.ndarray:
+def _kept(spectrum, n: int, a: float) -> np.ndarray:
     """Which entries of ``spectrum`` the pinched test at threshold ``a`` keeps.
 
     The keep rule: a block eigenvalue w is in the test when it exceeds the
     threshold ``thr = e^{na}`` times its level's weight by the relative
-    margin ``w > thr * (1 + cluster_rel_tol)``, so a level whose eigenvalues
+    margin ``w > thr * (1 + CLUSTER_REL_TOL)``, so a level whose eigenvalues
     all sit near thr, as for rho = sigma, keeps nothing.  Above log 2 the
     threshold exceeds the block's norm, at most 1, and nothing is kept.
     Thresholds are scalar ``math.exp``, as numpy's may differ in the last
@@ -264,17 +265,17 @@ def _kept(spectrum, n: int, a: float, tol: ToleranceConfig) -> np.ndarray:
     """
     log_thr = (n * a + spectrum.log_weights).tolist()
     thr = np.array([math.exp(x) if x <= math.log(2.0) else math.inf for x in log_thr])
-    return spectrum.w > (thr * (1.0 + tol.cluster_rel_tol))[spectrum.level]
+    return spectrum.w > (thr * (1.0 + CLUSTER_REL_TOL))[spectrum.level]
 
 
-def _pinched_errors(spectrum, n: int, a: float, tol: ToleranceConfig) -> ErrorProbabilities:
+def _pinched_errors(spectrum, n: int, a: float) -> ErrorProbabilities:
     """alpha and beta of the pinched test at threshold ``a`` from one pass over the spectrum.
 
     alpha sums ``m w`` over the entries left out; beta weights each level's
     kept count with its sigma_n eigenvalue, exact even where a dense trace
     underflows.
     """
-    keep = _kept(spectrum, n, a, tol)
+    keep = _kept(spectrum, n, a)
     alpha = float((spectrum.m * spectrum.w)[~keep].sum())
     counts = np.bincount(spectrum.level, np.where(keep, spectrum.m, 0.0)).tolist()
     weights = spectrum.log_weights.tolist()
@@ -296,9 +297,9 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     :func:`_level_split` runs on :func:`_tensor_block` in every dimension.
     """
     a = float(a)
-    spectrum, _, vectors = _level_split(_tensor_block(pair, n), pair.tol.cluster_rel_tol)
+    spectrum, _, vectors = _level_split(_tensor_block(pair, n), CLUSTER_REL_TOL)
     # one sub-block per level: a level keeps the top of its eigh spectrum
-    kept = np.bincount(spectrum.level[_kept(spectrum, n, a, pair.tol)], minlength=len(vectors))
+    kept = np.bincount(spectrum.level[_kept(spectrum, n, a)], minlength=len(vectors))
     Vn = tensor_power(pair.sigma_eig[1], n)
     # contiguous copies of the kept vectors: matmul rounds a strided operand
     # differently, and verify prints roundoff-level residuals of this test
@@ -306,7 +307,7 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
         Vn[:, positions] @ U[:, len(U) - k :].copy()
         for (positions, U), k in zip(vectors, kept.tolist())
     ])
-    errors = _pinched_errors(spectrum, n, a, pair.tol)
+    errors = _pinched_errors(spectrum, n, a)
     return TestOperator(operator=W @ W.conj().T, n=n, a=a, errors=errors)
 
 
@@ -323,7 +324,7 @@ def build_plain_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     rho_n = tensor_power(pair.rho, n)
     sigma_n = tensor_power(pair.sigma, n)
     X = rho_n - math.exp(n * a) * sigma_n
-    return TestOperator(operator=positive_projection(X, pair.tol), n=n, a=a)
+    return TestOperator(operator=positive_projection(X), n=n, a=a)
 
 
 def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbabilities:
@@ -351,7 +352,7 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     )
 
 
-def _key_residual(pair: HypothesisPair, v: int, levels, blocks) -> float:
+def _key_residual(v: int, levels, blocks) -> float:
     """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by ``min_eigenvalue``.
 
     In sigma's eigenbasis this is ``v blockdiag(M) - M`` over the levels,
@@ -374,7 +375,7 @@ def _key_residual(pair: HypothesisPair, v: int, levels, blocks) -> float:
     # the stable argsort of _levels: a first use of another numpy sort
     # kernel maps its code pages, about 0.1 MiB of resident memory
     order = np.argsort(w, kind="stable")
-    _, sizes, _ = _gap_clusters(w[order], pair.tol)
+    _, sizes, _ = _gap_clusters(w[order])
     bottom = order[: sizes[0]]
     # pairwise as .mean(), so with m = 1 the bits of the unweighted mean
     return float((w[bottom] * m[bottom]).sum() / m[bottom].sum())
@@ -393,12 +394,12 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     phis = {float(a): phi_bar(pair, a)[0] for a in a_grid}
     reports = []
     for n, blocks in sweep:
-        spectrum, levels, _ = _level_split(blocks, pair.tol.cluster_rel_tol)
-        key = _key_residual(pair, len(spectrum.log_weights), levels, blocks)
+        spectrum, levels, _ = _level_split(blocks, CLUSTER_REL_TOL)
+        key = _key_residual(len(spectrum.log_weights), levels, blocks)
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
-            ep = _pinched_errors(spectrum, n, a, pair.tol)
+            ep = _pinched_errors(spectrum, n, a)
             reports.append(
                 BoundReport(
                     n=n,
@@ -452,25 +453,31 @@ def _running_powers(x, N: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(N, x))))
 
 
-def _sym_power(X: np.ndarray, N: int) -> np.ndarray:
+def _binomials(N: int) -> np.ndarray:
+    """The float table ``C(m, i)`` for ``m, i <= N``, zero above the diagonal."""
+    return np.array([[math.comb(m, i) for i in range(N + 1)] for m in range(N + 1)], float)
+
+
+def _sym_power(X: np.ndarray, N: int, binom: np.ndarray) -> np.ndarray:
     """``Sym^N(X)`` of a 2 x 2 matrix in the normalized Dicke basis.
 
     Basis vector k is the normalized symmetric sum of the N-qubit strings
     with k ones, so ``X^{(x)N}`` maps it into the span of the others.
     Column k is the coefficient vector of
     ``(x00 + x10 z)^{N-k} (x01 + x11 z)^k`` in powers of z, one convolution,
-    with entry j rescaled by ``sqrt(C(N,k)/C(N,j))``.  Powers are the
+    with entry j rescaled by ``sqrt(C(N,k)/C(N,j))``, read off ``binom``,
+    a :func:`_binomials` table of at least N + 1 rows.  Powers are the
     running products of :func:`_running_powers`, so equal inputs give
     bitwise equal blocks.
     """
     p00, p10, p01, p11 = (_running_powers(x, N) for x in X.ravel(order="F"))
-    binom = np.array([[math.comb(m, i) for i in range(N + 1)] for m in range(N + 1)], float)
     S = np.empty((N + 1, N + 1), dtype=complex)
     for k in range(N + 1):
         first = binom[N - k, : N - k + 1] * p00[N - k :: -1] * p10[: N - k + 1]
         second = binom[k, : k + 1] * p01[k::-1] * p11[: k + 1]
         S[:, k] = np.convolve(first, second)
-    return S * np.sqrt(binom[N][None, :] / binom[N][:, None])
+    row = binom[N, : N + 1]
+    return S * np.sqrt(row[None, :] / row[:, None])
 
 
 def _spin_blocks(pair: HypothesisPair, n: int, syms) -> list:
@@ -517,7 +524,7 @@ def _sweep(pair: HypothesisPair, n_range):
     checks the budget on the rows the largest builds, the length of its
     spectrum: the d^n rows of :func:`_tensor_block`, or for a qubit the
     ``(n + 2)**2 // 4`` rows of :func:`_spin_blocks`, taken on one
-    ``Sym^N`` table.
+    ``Sym^N`` table, built on one binomial table.
     """
     n_range = [check_blocklength(n) for n in n_range]
     n_top = max(n_range, default=0)
@@ -527,7 +534,8 @@ def _sweep(pair: HypothesisPair, n_range):
     # sum_t (n - 2t + 1) rows
     rows = (n_top + 2) ** 2 // 4
     check_budget(rows, f"spectrum length {rows} (spin blocks at n = {n_top})")
-    syms = [_sym_power(pair.rho_in_sigma_basis, N) for N in range(n_top + 1)]
+    binom = _binomials(n_top)
+    syms = [_sym_power(pair.rho_in_sigma_basis, N, binom) for N in range(n_top + 1)]
     return ((n, _spin_blocks(pair, n, syms)) for n in n_range)
 
 
@@ -553,7 +561,7 @@ def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbab
     )
     # kept clusters are a top segment of the sorted spectrum, so the test
     # keeps exactly the eigenvalues from the smallest kept one up
-    kept_values = spectrum[strictly_positive(spectrum, pair.tol)]
+    kept_values = spectrum[strictly_positive(spectrum)]
     cut = kept_values[0] if kept_values.size else math.inf
     alpha = beta = 0.0
     for (m, R, _, s), (w, U) in zip(blocks, eigs):

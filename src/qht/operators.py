@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import (
+    CLUSTER_REL_TOL,
     DEFAULT_TOL,
     HERMITIAN_TOL,
     MAX_TENSOR_DIM,
@@ -111,30 +112,30 @@ def _spectral_sum(dec: SpectralDecomposition, f) -> np.ndarray:
     return (V * np.repeat(f, dec.sizes)) @ V.conj().T
 
 
-def eigendecompose(H, tol: ToleranceConfig = DEFAULT_TOL) -> SpectralDecomposition:
+def eigendecompose(H) -> SpectralDecomposition:
     """Eigendecompose a Hermitian operator into gap-clustered eigenspaces.
 
     Raw eigenvalues whose consecutive gap is below
-    ``cluster_rel_tol * spectral_norm`` merge into a single cluster whose
+    ``CLUSTER_REL_TOL * spectral_norm`` merge into a single cluster whose
     eigenspace is spanned by the corresponding eigenvectors.  Tensor powers
     produce numerically coincident eigenvalues, and merging them is what
     keeps v(A) at its exact-arithmetic value.  Hermitian symmetry is
     checked by :func:`hermitian_eigh`.
     """
     _, w, V = hermitian_eigh(H)
-    means, sizes, _ = _gap_clusters(w, tol)
+    means, sizes, _ = _gap_clusters(w)
     return SpectralDecomposition(eigenvalues=means, vectors=V, sizes=sizes)
 
 
-def _gap_clusters(w: np.ndarray, tol: ToleranceConfig):
+def _gap_clusters(w: np.ndarray):
     """Clusters of the ascending eigenvalues ``w`` as :func:`eigendecompose` merges them.
 
     Returns ``(means, sizes, norm)``: the cluster means, the number of
     consecutive eigenvalues in each and the norm ``max |w|``; consecutive
-    eigenvalues merge where their gap is at most ``cluster_rel_tol * norm``.
+    eigenvalues merge where their gap is at most ``CLUSTER_REL_TOL * norm``.
     """
     norm = np.abs(w).max() if w.size else 0.0
-    breaks = np.flatnonzero(np.diff(w) > tol.cluster_rel_tol * norm) + 1
+    breaks = np.flatnonzero(np.diff(w) > CLUSTER_REL_TOL * norm) + 1
     means, sizes = _cluster_means(w, breaks)
     return means, sizes, norm
 
@@ -182,21 +183,21 @@ def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
     return V @ block_diagonal(V.conj().T @ A @ V, reference.sizes) @ V.conj().T
 
 
-def positive_projection(X, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def positive_projection(X) -> np.ndarray:
     """Projector onto the strictly positive eigenspaces of Hermitian ``X``.
 
     Eigenvalues are kept by the rule of :func:`strictly_positive`; Hermitian
     symmetry is checked by :func:`hermitian_eigh`.
     """
     _, w, V = hermitian_eigh(X)
-    return (V * strictly_positive(w, tol).astype(float)) @ V.conj().T
+    return (V * strictly_positive(w).astype(float)) @ V.conj().T
 
 
-def strictly_positive(w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def strictly_positive(w) -> np.ndarray:
     """Which of the ascending eigenvalues ``w`` of a Hermitian X lie in {X > 0}.
 
     Multiplicities are repeated entries.  The margin is
-    ``max(cluster_rel_tol * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``:
+    ``max(CLUSTER_REL_TOL * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``:
     relative to the top of the spectrum, so that for X = A - B with A, B >= 0
     it scales with the positive part and not with B, which can be larger by
     many orders of magnitude, and never below the roundoff of an eigensolve
@@ -207,9 +208,7 @@ def strictly_positive(w, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if not w.size:
         return np.zeros(0, dtype=bool)
-    margin = max(
-        tol.cluster_rel_tol * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max()
-    )
+    margin = max(CLUSTER_REL_TOL * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max())
     means, sizes = _cluster_means(w, np.flatnonzero(np.diff(w) > margin) + 1)
     return np.repeat(means > margin, sizes)
 
@@ -220,11 +219,12 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Integer ``t >= 0`` works on any Hermitian input.  Fractional or negative
     ``t`` requires a positive semidefinite operator; eigenvalues within
     ``PSD_TOL`` of zero are floored at zero first.  For ``t < 0`` the
-    operator must have full support: in strict mode a cluster at or below
-    ``SUPPORT_CUTOFF * max_eigenvalue`` raises, otherwise it is excluded
-    (inverse on the support).  ``t == 0`` returns the support projection.
+    operator must have full support: in strict mode (``tol.strict``) a
+    cluster at or below ``SUPPORT_CUTOFF * max_eigenvalue`` raises,
+    otherwise it is excluded (inverse on the support).  ``t == 0`` returns
+    the support projection.
     """
-    dec = eigendecompose(H, tol)
+    dec = eigendecompose(H)
     w = dec.eigenvalues.copy()
     norm = np.abs(w).max() if w.size else 0.0
     fractional = not float(t).is_integer()
@@ -279,21 +279,19 @@ def tensor_power(A, n: int) -> np.ndarray:
     return out
 
 
-def min_eigenvalue(X, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def min_eigenvalue(X) -> float:
     """Smallest clustered eigenvalue; X >= 0 iff this is >= -PSD_TOL * norm.
 
     The eigenvalues are clustered and the symmetry checked as by
     :func:`eigendecompose`, but no eigenvectors are computed.
     """
     A = as_complex_matrix(X)
-    means, _, norm = _gap_clusters(np.linalg.eigvalsh(hermitian_part(A)), tol)
+    means, _, norm = _gap_clusters(np.linalg.eigvalsh(hermitian_part(A)))
     _require_symmetric(A, 1.0 + norm)
     return float(means[0])
 
 
-def key_inequality_residual(
-    rho_n, sigma_n_decomp: SpectralDecomposition, tol: ToleranceConfig = DEFAULT_TOL
-) -> float:
+def key_inequality_residual(rho_n, sigma_n_decomp: SpectralDecomposition) -> float:
     """Signed residual of the pinching inequality rho <= v * pinch(rho).
 
     Returns the smallest eigenvalue of ``v * pinch(rho_n) - rho_n`` for the
@@ -306,7 +304,7 @@ def key_inequality_residual(
             f"state dimension {R.shape[0]} != PVM dimension {sigma_n_decomp.dim}"
         )
     residual = sigma_n_decomp.v * pinch(sigma_n_decomp, R) - R
-    return min_eigenvalue(residual, tol)
+    return min_eigenvalue(residual)
 
 
 def operator_convexity_gap(A, X, Y, t: float) -> np.ndarray:

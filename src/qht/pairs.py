@@ -41,12 +41,12 @@ def check_density(M) -> np.ndarray:
 class HypothesisPair:
     """A validated pair (rho, sigma) of equal-dimension density operators.
 
-    rho is the null hypothesis, sigma the alternative.  ``tol`` is the one
-    numerical configuration of every computation on the pair: the finite-n
-    tests read its ``cluster_rel_tol``, and the exponent functions run at
-    fixed settings.  In strict mode (the default ToleranceConfig) both
-    states must be positive definite, because the exponent functions take
-    inverse powers and logarithms of them.  ``rho_eig`` and ``sigma_eig``
+    rho is the null hypothesis, sigma the alternative.  ``tol`` holds the
+    one numerical setting of the pair, strict mode; every other threshold,
+    the clustering tolerance of the finite-n tests included, is fixed.  In
+    strict mode (the default ToleranceConfig) both states must be positive
+    definite, because the exponent functions take inverse powers and
+    logarithms of them.  ``rho_eig`` and ``sigma_eig``
     are the eigensystems ``(w, V)`` of the one eigensolve that validates
     each state; eigenvalues within ``PSD_TOL`` below zero are floored at
     zero.  ``rho_in_sigma_basis`` is ``X = V* rho V``, which the psi_bar

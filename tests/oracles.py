@@ -34,7 +34,6 @@ import mpmath as mp
 import numpy as np
 
 from qht.config import POSITIVITY_ROUNDOFF
-from qht.config import ToleranceConfig
 from qht.exponents import _IMAG_RESIDUE, _psi_bar_terms, _Scan, relative_entropy
 from qht.finite_n import ErrorProbabilities
 
@@ -360,7 +359,7 @@ def repeated_levels(spectrum):
     return levels
 
 
-def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
+def _kept(level: _Level, n: int, a: float, cluster_rel_tol: float) -> int:
     """Where the pinched test at threshold ``a`` starts in a level's block spectrum.
 
     The keep rule: a block eigenvalue w is in the test when it exceeds the
@@ -376,17 +375,17 @@ def _kept(level: _Level, n: int, a: float, tol: ToleranceConfig) -> int:
     if log_thr > math.log(2.0):
         return len(w)
     thr = math.exp(log_thr)
-    return len(w) - int(np.count_nonzero(w > thr * (1.0 + tol.cluster_rel_tol)))
+    return len(w) - int(np.count_nonzero(w > thr * (1.0 + cluster_rel_tol)))
 
 
-def _pinched_errors(levels, n: int, a: float, tol: ToleranceConfig) -> ErrorProbabilities:
+def _pinched_errors(levels, n: int, a: float, cluster_rel_tol: float) -> ErrorProbabilities:
     """alpha and beta of the pinched test at threshold ``a`` from the levels.
 
     alpha sums the block eigenvalues left out; beta weights each kept
     direction with its sigma_n eigenvalue, exact even where a dense trace
     underflows.
     """
-    cuts = [_kept(lev, n, a, tol) for lev in levels]
+    cuts = [_kept(lev, n, a, cluster_rel_tol) for lev in levels]
     alpha = sum(float(lev.eigenvalues[:cut].sum()) for lev, cut in zip(levels, cuts))
     beta = sum(
         math.exp(lev.log_weight) * (len(lev.eigenvalues) - cut)
@@ -396,9 +395,9 @@ def _pinched_errors(levels, n: int, a: float, tol: ToleranceConfig) -> ErrorProb
     return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
 
 
-def level_kept_counts(levels, n, a, tol):
+def level_kept_counts(levels, n, a, cluster_rel_tol):
     """How many eigenvalues, with multiplicity, each level keeps at threshold ``a``."""
-    return [len(lev.eigenvalues) - _kept(lev, n, a, tol) for lev in levels]
+    return [len(lev.eigenvalues) - _kept(lev, n, a, cluster_rel_tol) for lev in levels]
 
 
 # Table writers, as qht.serialization and qht.cli had them.

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 import qht
 from qht import checks, finite_n, operators
+from qht.config import CLUSTER_REL_TOL
 from qht.finite_n import (
+    _binomials,
     _kept,
     _key_residual,
     _level_split,
@@ -43,9 +45,9 @@ def sweep_blocks(pair, n):
     return blocks
 
 
-def sweep_spectrum(pair, n):
-    """The level spectrum of a sweep at n."""
-    return _level_split(sweep_blocks(pair, n), pair.tol.cluster_rel_tol)[0]
+def sweep_spectrum(pair, n, cluster_rel_tol=CLUSTER_REL_TOL):
+    """The level spectrum of a sweep at n, its levels cut at ``cluster_rel_tol``."""
+    return _level_split(sweep_blocks(pair, n), cluster_rel_tol)[0]
 
 
 def string_levels(eigenvalues, n, cluster_rel_tol):
@@ -56,10 +58,24 @@ def string_levels(eigenvalues, n, cluster_rel_tol):
     return (logq, *_levels(logq, cluster_rel_tol))
 
 
-def level_positions(pair, n):
+def level_positions(pair, n, cluster_rel_tol=CLUSTER_REL_TOL):
     """The tensor positions of each sigma_n level, from all d^n strings."""
-    _, order, sizes = string_levels(pair.sigma_eig[0], n, pair.tol.cluster_rel_tol)
+    _, order, sizes = string_levels(pair.sigma_eig[0], n, cluster_rel_tol)
     return np.split(order, np.cumsum(sizes)[:-1])
+
+
+def nearly_degenerate_pair(dim):
+    """A pair whose sigma has two eigenvalues within 2e-11 of each other.
+
+    At ``CLUSTER_REL_TOL`` its sigma_n levels merge types of distinct logs:
+    for the qubit (log ratio 3e-11) four weights each, 4 levels at n = 12
+    and 32 at n = 126; for the qutrit 16 levels of its 28 types at n = 6.
+    """
+    if dim == 2:
+        rho = np.array([[0.7, 0.1], [0.1, 0.3]])
+        return qht.HypothesisPair(rho, np.diag([0.5 + 7.5e-12, 0.5 - 7.5e-12]))
+    rho = qht.random_density(np.random.default_rng(0), 3)
+    return qht.HypothesisPair(rho, np.diag([0.3 + 1e-11, 0.3 - 1e-11, 0.4]))
 
 
 def level_spectrum(spectrum, k):
@@ -168,27 +184,30 @@ class TestBuildPinchedTest:
                 assert ep.beta == 0.0
 
 
-def test_every_entry_point_follows_the_pairs_cluster_tolerance(level_counts):
-    # cluster_rel_tol = 10 merges all sigma_n levels into one and leaves no
-    # eigenvalue of rho_n - e^{na} sigma_n strictly positive
-    coarse_tol = qht.ToleranceConfig(cluster_rel_tol=10.0)
-    coarse = qht.preset_pair("qubit-generic", coarse_tol)
+def test_every_entry_point_cuts_levels_at_the_fixed_tolerance(monkeypatch):
+    # the sigma_n levels of every finite-n entry point and check are cut at
+    # CLUSTER_REL_TOL, the one clustering tolerance
+    seen = []
+
+    def spy(cut):
+        def recorded(logs_or_blocks, cluster_rel_tol):
+            seen.append(cluster_rel_tol)
+            return cut(logs_or_blocks, cluster_rel_tol)
+
+        return recorded
+
+    for name in ("_levels", "_level_split"):
+        recorded = spy(getattr(finite_n, name))
+        for module in (finite_n, checks):
+            monkeypatch.setattr(module, name, recorded)
     generic = qht.preset_pair("qubit-generic")
     a = 0.5 * qht.relative_entropy(generic)
-    for pair, counts in ((coarse, [1, 1, 1, 1, 1]), (generic, [4, 4, 2, 3, 4])):
-        level_counts.clear()
-        qht.build_pinched_test(pair, 3, a)
-        qht.verify_bounds(pair, [3], [a])
-        qht.stein_trace(pair, a, 3)  # n = 1, 2, 3
-        assert level_counts == counts
-    assert not qht.build_plain_test(coarse, 3, a).operator.any()
-    assert qht.build_plain_test(generic, 3, a).operator.any()
-    qutrit = qht.random_pair(0, 3, coarse_tol)  # one block, the whole of rho_n
-    for pair in (coarse, qutrit):
-        (row,) = qht.conjecture_probe(pair, [3 if pair.dim == 2 else 2], a).rows
-        assert row.beta == 0.0
-        assert abs(row.alpha - 1.0) <= 1e-14
-    assert qht.conjecture_probe(generic, [3], a).rows[0].beta > 0.0
+    qht.build_pinched_test(generic, 3, a)
+    qht.verify_bounds(generic, [3], [a])
+    qht.stein_trace(generic, a, 3)
+    checks.check_error_monotonicity(np.random.default_rng(0), 1)
+    checks.check_type_counting(np.random.default_rng(0), 1)
+    assert len(seen) > 10 and set(seen) == {CLUSTER_REL_TOL}
 
 
 class TestBuildPlainTest:
@@ -235,6 +254,27 @@ class TestErrorProbabilities:
                 alpha_dense, beta_dense = exact_errors(pair, test)
                 assert ep.alpha == pytest.approx(alpha_dense, abs=1e-12)
                 assert ep.beta == pytest.approx(beta_dense, abs=1e-12)
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 4)])
+    def test_merged_levels_are_exact_at_the_fixed_tolerance(self, dim, n_max):
+        # levels that merge distinct sigma_n eigenvalues weight each kept
+        # direction by their count-weighted mean log: beta stayed within
+        # 4.0e-11 (qubit) and 2.1e-11 (qutrit) relative of the dense
+        # Tr[sigma_n A], and alpha, a sum over the same pinched blocks,
+        # within 3.3e-16
+        pair = nearly_degenerate_pair(dim)
+        div = qht.relative_entropy(pair)
+        rows = []
+        for n in range(1, n_max + 1):
+            spectrum, _, vectors = _level_split(sweep_blocks(pair, n), CLUSTER_REL_TOL)
+            rows += [len(idx) for idx, _ in vectors]
+            for a in (0.25 * div, 0.5 * div, 0.9 * div):
+                ep = _pinched_errors(spectrum, n, a)
+                alpha_dense, beta_dense = exact_errors(pair, qht.build_pinched_test(pair, n, a))
+                assert abs(ep.beta - beta_dense) <= 1e-9 * beta_dense
+                assert abs(ep.alpha - alpha_dense) <= 1e-12
+        # the merged path ran: some (spin) sub-block holds more than one row
+        assert max(rows) > 1
 
     def test_mass_consistency(self):
         for pair in seeded_pairs(4):
@@ -284,15 +324,18 @@ class TestErrorEnvelopes:
 
 
 def split_prone_pair():
-    # sigma eigenvalues 0.45 and 0.55 at a cluster_rel_tol within roundoff
-    # of their log ratio: found by a search over differences of level logs
-    tol = qht.ToleranceConfig(cluster_rel_tol=0.2006706954621511)
-    return qht.HypothesisPair(np.array([[0.7, 0.1], [0.1, 0.3]]), np.diag([0.45, 0.55]), tol)
+    # sigma's log ratio is a quarter of CLUSTER_REL_TOL, so the log four
+    # weights above a level's first lies on the level boundary within
+    # roundoff; logs summed in string order cut weight 4 in two from n = 7
+    # on.  Found by a search over sigma eigenvalues next to 0.5 +- 6.25e-12
+    return qht.HypothesisPair(
+        np.array([[0.7, 0.1], [0.1, 0.3]]), np.diag([0.5 + 6.25e-12, 0.5 - 6.25e-12])
+    )
 
 
 def level_count(sigma, n):
     lam = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)
-    return len(string_levels(lam, n, qht.DEFAULT_TOL.cluster_rel_tol)[2])
+    return len(string_levels(lam, n, CLUSTER_REL_TOL)[2])
 
 
 class TestLogLevels:
@@ -376,11 +419,14 @@ class TestRowLogs:
         # So each row lies in its strings' level, and each level's log
         # weight is that of its strings, bit for bit: the one distinct log
         # of a single type, else the distinct logs' count-weighted mean
-        tol = qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol, strict=False)
+        tol = qht.ToleranceConfig(strict=False)
         pairs = [qht.random_pair(seed, d, tol) for seed in range(2)]
         if d == 2:
             # singular sigma: -inf logs
             pairs.append(qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol))
+        if cluster_rel_tol == CLUSTER_REL_TOL and d < 4:
+            # merged levels, and a boundary within roundoff of a type's log
+            pairs += [nearly_degenerate_pair(d)] + ([split_prone_pair()] if d == 2 else [])
         for pair in pairs:
             for n, blocks in _sweep(pair, range(1, n_max + 1)):
                 logq, order, sizes = string_levels(pair.sigma_eig[0], n, cluster_rel_tol)
@@ -404,8 +450,10 @@ class TestRowLogs:
         # Up to n = 10, where M is 1024 x 1024 (8 for a singular sigma, whose
         # -inf level of 2^n - 1 rows is one sub-block); the all-strings
         # levels of test_block_rows_carry_their_strings_levels reach n = 12
-        tol = qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol, strict=False)
+        tol = qht.ToleranceConfig(strict=False)
         pairs = [(qht.random_pair(seed, 2, tol), 10) for seed in range(2)]
+        if cluster_rel_tol == CLUSTER_REL_TOL:
+            pairs += [(nearly_degenerate_pair(2), 10), (split_prone_pair(), 10)]
         singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
         for pair, n_max in [*pairs, (singular, 8)]:
             for n, blocks in _sweep(pair, range(1, n_max + 1)):
@@ -490,30 +538,35 @@ class TestVerifyBounds:
 
 
     @pytest.mark.parametrize(
-        "pair",
-        seeded_pairs(4)
-        + [qht.preset_pair(name) for name in ("qubit-skewed", "identical", "qubit-generic")]
+        "pair,cluster_rel_tol",
+        [(pair, CLUSTER_REL_TOL) for pair in seeded_pairs(4)]
+        + [(qht.preset_pair(name), CLUSTER_REL_TOL) for name in ("qubit-skewed", "identical", "qubit-generic")]
         + [
-            # a cluster_rel_tol above the log ratio of sigma's eigenvalues
-            # (0.76 and 1.18) merges weights into groups of two and three
-            qht.preset_pair("qubit-generic", qht.ToleranceConfig(cluster_rel_tol=1.0)),
-            qht.random_pair(1, 2, qht.ToleranceConfig(cluster_rel_tol=2.5)),
+            # a level cut above the log ratio of sigma's eigenvalues (0.76
+            # and 1.18) merges weights into groups of two and three
+            (qht.preset_pair("qubit-generic"), 1.0),
+            (qht.random_pair(1, 2), 2.5),
             # singular sigma: weights 1..n share the kernel level
-            qht.HypothesisPair(
-                np.array([[0.6, 0.2], [0.2, 0.4]]),
-                np.diag([1.0, 0.0]),
-                qht.ToleranceConfig(strict=False),
+            (
+                qht.HypothesisPair(
+                    np.array([[0.6, 0.2], [0.2, 0.4]]),
+                    np.diag([1.0, 0.0]),
+                    qht.ToleranceConfig(strict=False),
+                ),
+                CLUSTER_REL_TOL,
             ),
             # a level boundary within roundoff of a weight's log weight
-            split_prone_pair(),
+            (split_prone_pair(), CLUSTER_REL_TOL),
+            # merged levels at the fixed tolerance
+            (nearly_degenerate_pair(2), CLUSTER_REL_TOL),
+            (nearly_degenerate_pair(3), CLUSTER_REL_TOL),
         ]
-        + seeded_pairs(2, dim=3)
-        + seeded_pairs(1, dim=4),
+        + [(pair, CLUSTER_REL_TOL) for pair in seeded_pairs(2, dim=3) + seeded_pairs(1, dim=4)],
         ids=["d2-0", "d2-1", "d2-2", "d2-3", "skewed", "identical", "generic",
              "generic-merged", "d2-1-merged", "singular", "split-prone",
-             "d3-0", "d3-1", "d4-0"],
+             "d2-nearly-degenerate", "d3-nearly-degenerate", "d3-0", "d3-1", "d4-0"],
     )
-    def test_spin_key_residual_matches_dense_level_residual(self, pair, monkeypatch):
+    def test_spin_key_residual_matches_dense_level_residual(self, pair, cluster_rel_tol, monkeypatch):
         # the block residual against v blockdiag(M) - M over the same levels,
         # with M = (V* rho V)^{(x)n} formed densely in level order; the whole
         # spectrum with multiplicities is compared, not just its bottom.  The
@@ -525,23 +578,23 @@ class TestVerifyBounds:
         # spin sub-blocks stayed within 1.7e-16 of them (d2-1-merged).
         spectra = []
 
-        def spy(w, tol):
+        def spy(w):
             spectra.append(w)
-            return operators._gap_clusters(w, tol)
+            return operators._gap_clusters(w)
 
         monkeypatch.setattr(finite_n, "_gap_clusters", spy)
         X = pair.rho_in_sigma_basis
         n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
         for n, blocks in _sweep(pair, range(1, n_max + 1)):
-            spectrum, levels, _ = _level_split(blocks, pair.tol.cluster_rel_tol)
+            spectrum, levels, _ = _level_split(blocks, cluster_rel_tol)
             v = len(spectrum.log_weights)
-            positions = level_positions(pair, n)
+            positions = level_positions(pair, n, cluster_rel_tol)
             order = np.concatenate(positions)
             M = tensor_power(X, n)[np.ix_(order, order)]
             sizes = [len(p) for p in positions]
             residual = v * operators.block_diagonal(M, sizes) - M
-            key = _key_residual(pair, v, levels, blocks)
-            assert abs(key - qht.min_eigenvalue(residual, pair.tol)) <= 1e-14
+            key = _key_residual(v, levels, blocks)
+            assert abs(key - qht.min_eigenvalue(residual)) <= 1e-14
             sub = [
                 np.linalg.eigvalsh(hermitian_part(v * np.where(same[:, None] == same[None, :], R, 0.0) - R))
                 for (_, R, _, _), same in zip(blocks, levels)
@@ -564,15 +617,18 @@ class TestVerifyBounds:
 
     def test_split_prone_levels_hold_whole_weights(self, monkeypatch):
         # logs summed in string order differ in the last bit within one
-        # weight, and this cluster_rel_tol then cuts a weight in two; summed
+        # weight, and the level boundary then cuts weight 4 in two; summed
         # by type, every level holds whole weights and the qubit key
         # residual needs no tensor_power
         pair = split_prone_pair()
-        weights = [
-            sorted(set(sum(np.unravel_index(p, (2,) * 4)).tolist()))
-            for p in level_positions(pair, 4)
-        ]
-        assert weights == [[0, 1], [2, 3], [4]]
+        weights = {
+            n: [
+                sorted(set(sum(np.unravel_index(p, (2,) * n)).tolist()))
+                for p in level_positions(pair, n)
+            ]
+            for n in (4, 7)
+        }
+        assert weights == {4: [[0, 1, 2, 3, 4]], 7: [[0, 1, 2, 3], [4, 5, 6, 7]]}
 
         def refuse(*args, **kwargs):
             raise AssertionError("tensor_power formed")
@@ -597,7 +653,7 @@ class TestVerifyBounds:
         reports = qht.verify_bounds(pair, range(1, 5), grid)
         points = [p for a in grid for p in qht.stein_trace(pair, a, 4)]
         for r in reports + points:
-            own = _pinched_errors(sweep_spectrum(pair, r.n), r.n, r.a, pair.tol)
+            own = _pinched_errors(sweep_spectrum(pair, r.n), r.n, r.a)
             assert (r.alpha, r.beta) == (own.alpha, own.beta)
             ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
             assert r.beta == ep.beta
@@ -686,7 +742,7 @@ class TestKeepRule:
             spectrum = sweep_spectrum(pair, n)
             for a in grid:
                 alpha, beta = pinched_test_errors_mp(pair, n, a)
-                ep = _pinched_errors(spectrum, n, a, qht.DEFAULT_TOL)
+                ep = _pinched_errors(spectrum, n, a)
                 assert abs(ep.alpha - alpha) <= 1e-13 * alpha
                 assert abs(ep.beta - beta) <= 1e-13 * beta
 
@@ -701,8 +757,8 @@ class TestKeepRule:
     def test_identical_pair_keeps_nothing_at_zero(self, identical):
         for n in range(1, 9):
             spectrum = sweep_spectrum(identical, n)
-            assert not _kept(spectrum, n, 0.0, qht.DEFAULT_TOL).any()
-            ep = _pinched_errors(spectrum, n, 0.0, qht.DEFAULT_TOL)
+            assert not _kept(spectrum, n, 0.0).any()
+            ep = _pinched_errors(spectrum, n, 0.0)
             assert ep.beta == 0.0
             assert abs(ep.alpha - 1.0) <= 1e-14
 
@@ -714,7 +770,7 @@ class TestKeepRule:
         pair = qht.random_pair(data.draw(st.integers(0, 2**31 - 1), label="seed"), dim)
         div = qht.relative_entropy(pair)
         a = data.draw(st.floats(-0.5, div + 0.5), label="a")
-        ep = _pinched_errors(sweep_spectrum(pair, n), n, a, qht.DEFAULT_TOL)
+        ep = _pinched_errors(sweep_spectrum(pair, n), n, a)
         test = qht.build_pinched_test(pair, n, a)
         alpha_dense, beta_dense = exact_errors(pair, test)
         assert abs(ep.alpha - alpha_dense) <= 1e-12
@@ -725,17 +781,26 @@ class TestKeepRule:
 
 
 def spectrum_pair(data):
-    """A pair for the spectrum tests: seeded d = 2..4, merged levels, singular or split-prone."""
-    kind = data.draw(st.sampled_from(["seeded", "singular", "split-prone"]), label="kind")
+    """A pair for the spectrum tests and the tolerance its levels are cut at.
+
+    Seeded d = 2..4 at a drawn level cut, merged levels at the fixed one
+    (nearly degenerate), singular or split-prone.
+    """
+    kind = data.draw(
+        st.sampled_from(["seeded", "singular", "split-prone", "nearly-degenerate"]), label="kind"
+    )
     if kind == "singular":
         tol = qht.ToleranceConfig(strict=False)
-        return qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
+        singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
+        return singular, CLUSTER_REL_TOL
     if kind == "split-prone":
-        return split_prone_pair()
+        return split_prone_pair(), CLUSTER_REL_TOL
+    if kind == "nearly-degenerate":
+        return nearly_degenerate_pair(data.draw(st.integers(2, 3), label="dim")), CLUSTER_REL_TOL
     dim = data.draw(st.integers(2, 4), label="dim")
     cluster_rel_tol = data.draw(st.sampled_from([1e-10, 1.0, 2.5]), label="cluster_rel_tol")
     seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
-    return qht.random_pair(seed, dim, qht.ToleranceConfig(cluster_rel_tol=cluster_rel_tol))
+    return qht.random_pair(seed, dim), cluster_rel_tol
 
 
 class TestFlatSpectrum:
@@ -749,16 +814,16 @@ class TestFlatSpectrum:
         # level's weight meets one of its eigenvalues, with or without the
         # 1 + cluster_rel_tol margin, or where its threshold meets log 2;
         # and one ulp either side
-        pair = spectrum_pair(data)
+        pair, cluster_rel_tol = spectrum_pair(data)
         n = data.draw(st.integers(1, {2: 10, 3: 4, 4: 3}[pair.dim]), label="n")
-        spectrum = sweep_spectrum(pair, n)
+        spectrum = sweep_spectrum(pair, n, cluster_rel_tol)
         i = data.draw(st.integers(0, len(spectrum.w) - 1), label="entry")
         log_weight = spectrum.log_weights[spectrum.level[i]]
         assume(spectrum.w[i] > 0.0 and math.isfinite(log_weight))
         crossing = data.draw(
             st.sampled_from([
                 math.log(spectrum.w[i]),
-                math.log(spectrum.w[i]) - math.log1p(pair.tol.cluster_rel_tol),
+                math.log(spectrum.w[i]) - math.log1p(CLUSTER_REL_TOL),
                 math.log(2.0),
             ]),
             label="crossing",
@@ -766,38 +831,40 @@ class TestFlatSpectrum:
         a = (crossing - log_weight) / n
         a = float(np.nextafter(a, data.draw(st.sampled_from([-math.inf, a, math.inf]), label="ulp")))
         levels = oracles.repeated_levels(spectrum)
-        keep = _kept(spectrum, n, a, pair.tol)
+        keep = _kept(spectrum, n, a)
         kept = np.bincount(spectrum.level, spectrum.m * keep, len(levels)).tolist()
-        assert kept == oracles.level_kept_counts(levels, n, a, pair.tol)
-        ep = _pinched_errors(spectrum, n, a, pair.tol)
-        ref = oracles._pinched_errors(levels, n, a, pair.tol)
+        assert kept == oracles.level_kept_counts(levels, n, a, CLUSTER_REL_TOL)
+        ep = _pinched_errors(spectrum, n, a)
+        ref = oracles._pinched_errors(levels, n, a, CLUSTER_REL_TOL)
         assert ep.beta.hex() == ref.beta.hex()
         assert abs(ep.alpha - ref.alpha) <= 1e-15 * abs(ref.alpha)
 
     def test_qubit_spectrum_holds_each_spin_sub_block_eigenvalue_once(self):
         # n = 12: one entry per row of the spin blocks, sum_t (n - 2t + 1) =
         # 49, where the repeated level spectra held 4096
-        for tol in (qht.DEFAULT_TOL, qht.ToleranceConfig(cluster_rel_tol=1.0)):
-            spectrum = sweep_spectrum(qht.preset_pair("qubit-generic", tol), 12)
+        generic = qht.preset_pair("qubit-generic")
+        cases = [(generic, CLUSTER_REL_TOL), (generic, 1.0), (nearly_degenerate_pair(2), CLUSTER_REL_TOL)]
+        for pair, cluster_rel_tol in cases:
+            spectrum = sweep_spectrum(pair, 12, cluster_rel_tol)
             assert len(spectrum.w) <= sum(12 - 2 * t + 1 for t in range(7)) == 49
 
     @pytest.mark.parametrize(
-        "pair",
-        seeded_pairs(2)
-        + [qht.preset_pair("qubit-skewed"), split_prone_pair()]
-        + [qht.random_pair(1, 2, qht.ToleranceConfig(cluster_rel_tol=2.5))]
-        + seeded_pairs(2, dim=3)
-        + [qht.random_pair(1, 3, qht.ToleranceConfig(cluster_rel_tol=1.0))]
-        + seeded_pairs(1, dim=4),
-        ids=["d2-0", "d2-1", "skewed", "split-prone", "d2-1-merged",
-             "d3-0", "d3-1", "d3-1-merged", "d4-0"],
+        "pair,cluster_rel_tol",
+        [(pair, CLUSTER_REL_TOL) for pair in seeded_pairs(2)]
+        + [(qht.preset_pair("qubit-skewed"), CLUSTER_REL_TOL), (split_prone_pair(), CLUSTER_REL_TOL)]
+        + [(qht.random_pair(1, 2), 2.5), (nearly_degenerate_pair(2), CLUSTER_REL_TOL)]
+        + [(pair, CLUSTER_REL_TOL) for pair in seeded_pairs(2, dim=3)]
+        + [(qht.random_pair(1, 3), 1.0), (nearly_degenerate_pair(3), CLUSTER_REL_TOL)]
+        + [(pair, CLUSTER_REL_TOL) for pair in seeded_pairs(1, dim=4)],
+        ids=["d2-0", "d2-1", "skewed", "split-prone", "d2-1-merged", "d2-nearly-degenerate",
+             "d3-0", "d3-1", "d3-1-merged", "d3-nearly-degenerate", "d4-0"],
     )
-    def test_multiplicities_fill_each_level(self, pair):
+    def test_multiplicities_fill_each_level(self, pair, cluster_rel_tol):
         # a level's multiplicities sum to its size, so they total d^n, and
         # the spectrum is that of pinch(rho_n), of unit trace
         for n in range(1, {2: 12, 3: 5, 4: 4}[pair.dim] + 1):
-            spectrum = sweep_spectrum(pair, n)
-            sizes = [len(p) for p in level_positions(pair, n)]
+            spectrum = sweep_spectrum(pair, n, cluster_rel_tol)
+            sizes = [len(p) for p in level_positions(pair, n, cluster_rel_tol)]
             assert np.bincount(spectrum.level, spectrum.m).tolist() == sizes
             assert sum(sizes) == pair.dim**n
             assert (spectrum.m == np.round(spectrum.m)).all() and spectrum.m.min() >= 1.0
@@ -825,7 +892,7 @@ class TestQubitLevelsAtLargeN:
         assert sum(m * len(R) for m, R, _, _ in blocks) == 2**n
         (report,) = qht.verify_bounds(pair, [n], [0.5 * div])
         assert report.v_sigma_n == n + 1
-        spectrum = _level_split(blocks, pair.tol.cluster_rel_tol)[0]
+        spectrum = _level_split(blocks, CLUSTER_REL_TOL)[0]
         assert abs(float((spectrum.m * spectrum.w).sum()) - 1.0) <= 1e-13
         kept = spectrum.w > 0.0
         w, m = spectrum.w[kept], spectrum.m[kept]
@@ -1017,8 +1084,17 @@ class TestSpinBlocks:
         for N in range(1, 7):
             D = dicke_basis(N)
             dense = D.T @ tensor_power(X, N) @ D
-            assert np.abs(_sym_power(X, N) - dense).max() <= 1e-13
-        np.testing.assert_array_equal(_sym_power(X, 0), np.ones((1, 1)))
+            assert np.abs(_sym_power(X, N, _binomials(N)) - dense).max() <= 1e-13
+        np.testing.assert_array_equal(_sym_power(X, 0, _binomials(0)), np.ones((1, 1)))
+
+    def test_sym_power_reads_the_sweeps_binomial_table(self, generic):
+        # a sweep builds one binomial table for its largest n; Sym^N read off
+        # it is bit for bit Sym^N read off a table of its own
+        X = generic.rho_in_sigma_basis
+        binom = _binomials(40)
+        for N in range(41):
+            own = _sym_power(X, N, _binomials(N))
+            assert _sym_power(X, N, binom).tobytes() == own.tobytes()
 
     def test_multiplicities_fill_the_space(self, generic):
         log_q = np.log(generic.sigma_eig[0])
@@ -1044,7 +1120,7 @@ class TestSpinBlocks:
         det = complex(Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0])
         for n, blocks in _sweep(pair, range(1, 13)):
             for t, (_, _, _, s) in enumerate(blocks):
-                S = det**t * _sym_power(Q, n - 2 * t)
+                S = det**t * _sym_power(Q, n - 2 * t, _binomials(n))
                 np.testing.assert_array_equal(s.view(np.int64), S.diagonal().real.view(np.int64))
                 assert not (S - np.diag(S.diagonal())).any()
 
@@ -1151,9 +1227,9 @@ class TestPlainErrorsFromSpinBlocks:
         # eigenvalue products and take none
         calls = []
 
-        def spy(X, N):
+        def spy(X, N, binom):
             calls.append(N)
-            return _sym_power(X, N)
+            return _sym_power(X, N, binom)
 
         reference = qht.conjecture_probe(generic, range(1, 9), 0.1)
         reports = qht.verify_bounds(generic, range(1, 9), [0.1])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import qht
 from qht import operators
-from qht.config import HERMITIAN_TOL
+from qht.config import CLUSTER_REL_TOL, HERMITIAN_TOL
 from qht.operators import hermitian_part, strictly_positive
 
 from conftest import rng_hermitian
@@ -65,8 +65,8 @@ class TestEigendecompose:
             base[3:5] + 1e-13 * rng.standard_normal(2),
             np.kron(base[:4], base[:4]),
         ]))
-        means, sizes, norm = operators._gap_clusters(w, qht.DEFAULT_TOL)
-        breaks = np.flatnonzero(np.diff(w) > qht.DEFAULT_TOL.cluster_rel_tol * norm) + 1
+        means, sizes, norm = operators._gap_clusters(w)
+        breaks = np.flatnonzero(np.diff(w) > CLUSTER_REL_TOL * norm) + 1
         reference = np.array([c.mean() for c in np.split(w, breaks)])
         assert (sizes > 1).any() and (sizes == 1).any()
         np.testing.assert_array_equal(means, reference)
