@@ -6,7 +6,7 @@ probabilities exactly at finite blocklength, and computes the exponent
 functions and the trade-off rate that bound them.
 """
 
-from .config import DEFAULT_TOL, MAX_TENSOR_DIM, ToleranceConfig
+from .config import MAX_TENSOR_DIM
 from .errors import (
     DimensionBudgetExceeded,
     DimensionMismatch,
@@ -20,7 +20,6 @@ from .errors import (
     RateAboveDivergence,
     RateTooSmallWarning,
     SingularInput,
-    SingularInStrictMode,
 )
 from .exponents import (
     classical_hoeffding,

@@ -340,9 +340,7 @@ def check_unitary_invariance(rng, n_samples) -> CheckResult:
     for _ in range(n_samples):
         pair = random_pair(rng)
         U = random_unitary(rng, pair.dim)
-        rotated = HypothesisPair(
-            U @ pair.rho @ U.conj().T, U @ pair.sigma @ U.conj().T, pair.tol
-        )
+        rotated = HypothesisPair(U @ pair.rho @ U.conj().T, U @ pair.sigma @ U.conj().T)
         for s in (0.2, 0.7):
             worst = max(worst, abs(psi_bar(pair, s) - psi_bar(rotated, s)))
             worst = max(worst, abs(psi(pair, s) - psi(rotated, s)))

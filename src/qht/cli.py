@@ -6,12 +6,14 @@ r-grid), ``finite-n`` (exact error/bound table), ``verify`` (invariant
 suite, exit 1 on failure) and ``conjecture`` (plain-test probe, labeled
 EXPERIMENTAL).  All but ``verify`` load a pair from ``--input FILE`` (read
 as a file whatever its name) or ``--preset NAME`` (default
-``qubit-generic``), and reject a rank-deficient state unless ``--smooth
-[DELTA]`` mixes both states with ``DELTA * I/d`` (default 1e-6).  A grid
-that is not strictly increasing is a usage error at parse time.  Exit
-codes: 0 success, 1 failed verification, 2 usage or validation errors (an
-escalated ``RateTooSmallWarning`` among them), 141 when stdout closes
-early (128 + SIGPIPE).  Identical invocations produce byte-identical files.
+``qubit-generic``).  Each of them reads the relative entropy or psi_bar,
+which need full support, before it prints anything, so a rank-deficient
+state is rejected there, exit 2, unless ``--smooth [DELTA]`` mixes both
+states with ``DELTA * I/d`` (default 1e-6).  A grid that is not strictly
+increasing is a usage error at parse time.  Exit codes: 0 success, 1
+failed verification, 2 usage or validation errors (an escalated
+``RateTooSmallWarning`` among them), 141 when stdout closes early (128 +
+SIGPIPE).  Identical invocations produce byte-identical files.
 ``main(argv)`` may be called any number of times in one process; each call
 gives the same bytes as a separate invocation with the same argv.
 """
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import serialization as ser
 from .checks import run_all_checks
-from .config import THRESHOLD_FRACTIONS, ToleranceConfig
+from .config import THRESHOLD_FRACTIONS
 from .errors import QhtError, RateTooSmallWarning
 from .exponents import (
     hoeffding_rate,
@@ -141,11 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    tol = ToleranceConfig(strict=args.smooth is None)
     if args.input is None:
-        pair = preset_pair(args.preset or "qubit-generic", tol)
+        pair = preset_pair(args.preset or "qubit-generic")
     else:
-        pair = ser.load_pair(args.input, tol)
+        pair = ser.load_pair(args.input)
     return pair if args.smooth is None else pair.smoothed(args.smooth)
 
 

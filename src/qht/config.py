@@ -1,7 +1,14 @@
-"""The settable numerical configuration and the fixed tolerances and budget."""
+"""The fixed tolerances and budget: nothing here is a setting.
+
+The other fixed values are the idempotency slack ``qht.finite_n.PROJ_TOL``
+of test operators and the grid and Newton settings ``GRID_POINTS`` and
+``NEWTON_STEPS`` of :mod:`qht.exponents`, shared by every maximization over
+s.  The quantities that need full support reject a rank-deficient state
+where they are computed; :meth:`qht.pairs.HypothesisPair.smoothed` mixes in
+a multiple of the identity first.
+"""
 
 import sys
-from dataclasses import dataclass
 
 # The one budget: the length of the n-fold spectrum a path builds, checked
 # by ``operators.check_budget`` before any work.  Dense operators and the
@@ -21,8 +28,8 @@ PSD_TOL = 1e-10
 # exact-arithmetic values under roundoff.  The finite-n tests group the
 # sigma_n log levels and take their keep margin by the same value.
 CLUSTER_REL_TOL = 1e-10
-# Eigenvalues at or below SUPPORT_CUTOFF * max_eigenvalue are treated as
-# zero when taking inverse powers or logarithms.
+# Eigenvalues at or below SUPPORT_CUTOFF * max_eigenvalue count as zero: an
+# inverse power or a logarithm rejects an operator that has one.
 SUPPORT_CUTOFF = 1e-12
 # Validation slack for Hermitian symmetry and unit trace.
 HERMITIAN_TOL = 1e-10
@@ -33,26 +40,3 @@ POSITIVITY_ROUNDOFF = 16 * sys.float_info.epsilon
 # Default thresholds a of a finite-n table, as fractions of the relative entropy.
 THRESHOLD_FRACTIONS = (0.25, 0.5, 0.75, 0.9)
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The numerical setting a computation takes, carried by its pair.
-
-    strict
-        When True (default), inverse powers and logarithms reject
-        rank-deficient input instead of silently restricting to the support.
-        Use :meth:`qht.pairs.HypothesisPair.smoothed` to mix in a multiple
-        of the identity when rank-deficient states must be handled.
-
-    Every threshold is a fixed constant: ``PSD_TOL``, ``CLUSTER_REL_TOL``,
-    ``SUPPORT_CUTOFF``, ``HERMITIAN_TOL`` and ``TRACE_TOL`` here, the
-    idempotency slack ``qht.finite_n.PROJ_TOL`` of test operators, and the
-    grid and Newton settings ``GRID_POINTS`` and ``NEWTON_STEPS`` of
-    :mod:`qht.exponents`, shared by every maximization over s, the rate
-    parameter a_r included (the rate objective's maximum minus r).
-    """
-
-    strict: bool = True
-
-
-DEFAULT_TOL = ToleranceConfig()

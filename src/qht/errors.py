@@ -42,12 +42,8 @@ class SingularInput(QhtError):
     """An operator lacks the full support required by an inverse or log."""
 
 
-class SingularInStrictMode(SingularInput):
-    """Strict mode refuses to take an inverse power of a rank-deficient operator."""
-
-
 class DimensionBudgetExceeded(QhtError):
-    """A tensor power would exceed the configured dense-dimension budget."""
+    """An n-fold spectrum would be longer than the fixed budget ``MAX_TENSOR_DIM``."""
 
 
 class NonpositiveRate(QhtError):

@@ -49,6 +49,7 @@ from .errors import (
 from .exponents import phi, phi_bar, relative_entropy
 from .operators import (
     _gap_clusters,
+    block_diagonal,
     check_blocklength,
     check_budget,
     check_dense_budget,
@@ -365,8 +366,8 @@ def _key_residual(v: int, levels, blocks) -> float:
     """
     w, m = [], []
     for (mult, R, _, _), same in zip(blocks, levels):
-        # in place, bit for bit v * where(...) - R
-        B = np.where(same[:, None] == same[None, :], R, 0.0)
+        # in place, bit for bit v * block_diagonal(R, same) - R
+        B = block_diagonal(R, same)
         B *= v
         B -= R
         w.append(np.linalg.eigvalsh(hermitian_part(B)))

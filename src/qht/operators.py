@@ -11,13 +11,11 @@ import numpy as np
 
 from .config import (
     CLUSTER_REL_TOL,
-    DEFAULT_TOL,
     HERMITIAN_TOL,
     MAX_TENSOR_DIM,
     POSITIVITY_ROUNDOFF,
     PSD_TOL,
     SUPPORT_CUTOFF,
-    ToleranceConfig,
 )
 from .errors import (
     DimensionBudgetExceeded,
@@ -25,7 +23,7 @@ from .errors import (
     NegativeSpectrum,
     NonHermitianInput,
     NotPositiveSemidefinite,
-    SingularInStrictMode,
+    SingularInput,
 )
 
 
@@ -156,14 +154,13 @@ def _cluster_means(w: np.ndarray, breaks: np.ndarray):
     return means, sizes
 
 
-def block_diagonal(A: np.ndarray, sizes) -> np.ndarray:
-    """``A`` with every entry outside the consecutive diagonal blocks zeroed.
+def block_diagonal(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``A`` with entry (i, j) zeroed unless rows i and j carry the same label.
 
-    The blocks are ``sizes[0]`` rows and columns, then ``sizes[1]``, and so
-    on: the clusters of a SpectralDecomposition, in the basis of its vectors.
+    ``labels`` holds one label per row: for a SpectralDecomposition in the
+    basis of its vectors, the index of each row's cluster.
     """
-    cluster = np.repeat(np.arange(len(sizes)), sizes)
-    return np.where(cluster[:, None] == cluster[None, :], A, 0.0)
+    return np.where(labels[:, None] == labels[None, :], A, 0.0)
 
 
 def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
@@ -179,8 +176,9 @@ def pinch(reference: SpectralDecomposition, B) -> np.ndarray:
         raise DimensionMismatch(
             f"operator dimension {A.shape[0]} != reference dimension {reference.dim}"
         )
-    V = reference.vectors
-    return V @ block_diagonal(V.conj().T @ A @ V, reference.sizes) @ V.conj().T
+    V, sizes = reference.vectors, reference.sizes
+    cluster = np.repeat(np.arange(len(sizes)), sizes)
+    return V @ block_diagonal(V.conj().T @ A @ V, cluster) @ V.conj().T
 
 
 def positive_projection(X) -> np.ndarray:
@@ -213,16 +211,16 @@ def strictly_positive(w) -> np.ndarray:
     return np.repeat(means > margin, sizes)
 
 
-def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def matrix_power(H, t: float) -> np.ndarray:
     """Functional-calculus power of a Hermitian operator.
 
     Integer ``t >= 0`` works on any Hermitian input.  Fractional or negative
     ``t`` requires a positive semidefinite operator; eigenvalues within
     ``PSD_TOL`` of zero are floored at zero first.  For ``t < 0`` the
-    operator must have full support: in strict mode (``tol.strict``) a
-    cluster at or below ``SUPPORT_CUTOFF * max_eigenvalue`` raises,
-    otherwise it is excluded (inverse on the support).  ``t == 0`` returns
-    the support projection.
+    operator must have full support: a cluster at or below
+    ``SUPPORT_CUTOFF * max_eigenvalue`` raises SingularInput, and no
+    inverse on the support is taken.  ``t == 0`` returns the support
+    projection.
     """
     dec = eigendecompose(H)
     w = dec.eigenvalues.copy()
@@ -237,14 +235,8 @@ def matrix_power(H, t: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     if t == 0:
         f = (np.abs(w) > SUPPORT_CUTOFF * norm).astype(float)
-    elif t < 0:
-        small = w <= SUPPORT_CUTOFF * w.max()
-        if small.any() and tol.strict:
-            raise SingularInStrictMode(
-                f"negative power t={t} of a rank-deficient operator in strict mode"
-            )
-        f = np.zeros_like(w)
-        f[~small] = w[~small] ** t
+    elif t < 0 and w.min() <= SUPPORT_CUTOFF * w.max():
+        raise SingularInput(f"negative power t={t} of a rank-deficient operator")
     else:
         f = w**t
     return _spectral_sum(dec, f)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOL, PSD_TOL, SUPPORT_CUTOFF, TRACE_TOL, ToleranceConfig
+from .config import PSD_TOL, SUPPORT_CUTOFF, TRACE_TOL
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -41,21 +41,21 @@ def check_density(M) -> np.ndarray:
 class HypothesisPair:
     """A validated pair (rho, sigma) of equal-dimension density operators.
 
-    rho is the null hypothesis, sigma the alternative.  ``tol`` holds the
-    one numerical setting of the pair, strict mode; every other threshold,
-    the clustering tolerance of the finite-n tests included, is fixed.  In
-    strict mode (the default ToleranceConfig) both states must be positive
-    definite, because the exponent functions take inverse powers and
-    logarithms of them.  ``rho_eig`` and ``sigma_eig``
-    are the eigensystems ``(w, V)`` of the one eigensolve that validates
-    each state; eigenvalues within ``PSD_TOL`` below zero are floored at
-    zero.  ``rho_in_sigma_basis`` is ``X = V* rho V``, which the psi_bar
-    terms and every finite-n block read.  The kernel terms of
+    rho is the null hypothesis, sigma the alternative.  A pair takes no
+    setting, and any two valid states make one, rank-deficient ones
+    included.  A quantity that takes an inverse power or a logarithm of the
+    states (psi_bar and the scans over it, the relative entropy, the psi
+    derivatives, the plain test at n a > 700) calls
+    :meth:`assert_invertible` where it is computed.  ``rho_eig`` and
+    ``sigma_eig`` are the eigensystems ``(w, V)`` of the one eigensolve that
+    validates each state; eigenvalues within ``PSD_TOL`` below zero are
+    floored at zero.  ``rho_in_sigma_basis`` is ``X = V* rho V``, which the
+    psi_bar terms and every finite-n block read.  The kernel terms of
     :mod:`qht.exponents`, one scan per kernel and grid, and the relative
     entropy are cached on the pair too and freed with it.
     """
 
-    def __init__(self, rho, sigma, tol: ToleranceConfig = DEFAULT_TOL):
+    def __init__(self, rho, sigma):
         self.rho, self.rho_eig = _density_eig(rho)
         self.sigma, self.sigma_eig = _density_eig(sigma)
         if self.rho.shape != self.sigma.shape:
@@ -65,10 +65,7 @@ class HypothesisPair:
         _, V = self.sigma_eig
         self.rho_in_sigma_basis = V.conj().T @ self.rho @ V
         self.dim = self.rho.shape[0]
-        self.tol = tol
         self._exponent_cache = {}
-        if tol.strict:
-            self.assert_invertible("strict mode")
 
     def assert_invertible(self, context: str) -> None:
         """Raise SingularInput unless both states have full support."""
@@ -88,7 +85,6 @@ class HypothesisPair:
         return HypothesisPair(
             (1.0 - delta) * self.rho + delta * eye,
             (1.0 - delta) * self.sigma + delta * eye,
-            self.tol,
         )
 
     def __repr__(self):
@@ -113,18 +109,18 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return (1.0 - RANDOM_FLOOR) * rho + RANDOM_FLOOR * np.eye(dim) / dim
 
 
-def random_pair(seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
+def random_pair(seed, dim: int = 2) -> HypothesisPair:
     """Deterministic random full-rank pair; ``seed`` is an int or a Generator."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return HypothesisPair(random_density(rng, dim), random_density(rng, dim), tol)
+    return HypothesisPair(random_density(rng, dim), random_density(rng, dim))
 
 
-def random_diagonal_pair(seed, dim: int = 2, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
+def random_diagonal_pair(seed, dim: int = 2) -> HypothesisPair:
     """Deterministic commuting pair built from two random distributions."""
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     p = rng.random(dim) + RANDOM_FLOOR
     q = rng.random(dim) + RANDOM_FLOOR
-    return HypothesisPair(np.diag(p / p.sum()), np.diag(q / q.sum()), tol)
+    return HypothesisPair(np.diag(p / p.sum()), np.diag(q / q.sum()))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -165,7 +161,7 @@ PRESETS = {
 }
 
 
-def preset_pair(name: str, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
+def preset_pair(name: str) -> HypothesisPair:
     try:
         builder = PRESETS[name]
     except KeyError:
@@ -173,4 +169,4 @@ def preset_pair(name: str, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
     rho, sigma = builder()
-    return HypothesisPair(rho, sigma, tol)
+    return HypothesisPair(rho, sigma)

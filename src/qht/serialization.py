@@ -39,7 +39,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import DEFAULT_TOL, ToleranceConfig
 from .errors import ParseError
 from .pairs import HypothesisPair
 
@@ -109,7 +108,7 @@ def pair_to_json(pair: HypothesisPair) -> str:
     return _json(payload) + "\n"
 
 
-def pair_from_json(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
+def pair_from_json(text: str) -> HypothesisPair:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -118,17 +117,17 @@ def pair_from_json(text: str, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisP
         raise ParseError('pair files need top-level "rho" and "sigma" matrices')
     rho = matrix_from_dict(payload["rho"])
     sigma = matrix_from_dict(payload["sigma"])
-    return HypothesisPair(rho, sigma, tol)
+    return HypothesisPair(rho, sigma)
 
 
-def load_pair(path: str | os.PathLike, tol: ToleranceConfig = DEFAULT_TOL) -> HypothesisPair:
+def load_pair(path: str | os.PathLike) -> HypothesisPair:
     """Load a pair from the JSON file at ``path``, whatever its name."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {str(path)!r}: {exc}") from exc
-    return pair_from_json(text, tol)
+    return pair_from_json(text)
 
 
 class Table:

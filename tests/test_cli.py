@@ -492,24 +492,33 @@ class TestErrorPaths:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_smooth_mode_accepts_singular_input(self, capsys, tmp_path):
-        from qht import serialization as ser
-
-        payload = {
-            "rho": ser.matrix_to_dict(np.diag([1.0, 0.0])),
-            "sigma": ser.matrix_to_dict(np.diag([0.5, 0.5])),
-        }
+    @pytest.mark.parametrize("command", ["exponents", "curves", "hoeffding", "finite-n", "conjecture"])
+    @pytest.mark.parametrize(
+        "rho,sigma",
+        [
+            (np.diag([1.0, 0.0]), np.diag([0.5, 0.5])),
+            (np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0])),
+        ],
+        ids=["singular-rho", "singular-sigma"],
+    )
+    def test_rank_deficient_input_needs_smooth(self, capsys, tmp_path, command, rho, sigma):
+        # every table command reads the relative entropy or psi_bar, which
+        # need full support, before it prints or writes anything
         path = tmp_path / "singular.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        strict_code, _, _ = run(capsys, "exponents", "--input", str(path))
-        assert strict_code == 2
-        smooth_code, out, _ = run(capsys, "exponents", "--input", str(path), "--smooth", "1e-6")
-        assert smooth_code == 0
-        assert "relative_entropy" in out
+        path.write_text(ser.pair_to_json(qht.HypothesisPair(rho, sigma)), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, command, "--input", str(path), "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "requires positive definite states" in line
+        assert "Traceback" not in err
+        assert list(out_dir.iterdir()) == []
+        smooth_code, smooth_out, _ = run(capsys, command, "--input", str(path), "--smooth", "1e-6")
+        assert smooth_code == 0 and smooth_out
         # a bare --smooth takes the default delta, 1e-6
-        assert run(capsys, "exponents", "--input", str(path), "--smooth") == (0, out, "")
+        assert run(capsys, command, "--input", str(path), "--smooth") == (0, smooth_out, "")
 
-    # strict is the absence of --smooth, and --smooth takes its delta itself
+    # there is no strict mode to set, and --smooth takes its delta itself
     @pytest.mark.parametrize(
         "flags,unrecognized",
         [

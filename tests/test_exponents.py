@@ -72,8 +72,7 @@ class TestRelativeEntropy:
 
     def test_singular_rejected(self):
         # a build that raises stores nothing, so every call raises
-        tol = qht.ToleranceConfig(strict=False)
-        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), tol)
+        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
         for _ in range(2):
             with pytest.raises(qht.SingularInput):
                 qht.relative_entropy(pair)
@@ -127,7 +126,7 @@ class TestRhoInSigmaBasis:
         # with rho itself gone the terms can only come from the stored X,
         # and they equal a fresh pair's bit for bit
         pair = qht.random_pair(95, dim)
-        c, r = _psi_bar_terms(qht.HypothesisPair(pair.rho, pair.sigma, pair.tol))
+        c, r = _psi_bar_terms(qht.HypothesisPair(pair.rho, pair.sigma))
         pair.rho = None
         c_x, r_x = _psi_bar_terms(pair)
         assert c_x.tobytes() == c.tobytes()
@@ -155,8 +154,7 @@ class TestPsiBar:
             qht.psi_bar(commuting, -0.1)
 
     def test_requires_full_support(self):
-        tol = qht.ToleranceConfig(strict=False)
-        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), tol)
+        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
         with pytest.raises(qht.SingularInput):
             qht.psi_bar(pair, 0.5)
         # the plain exponent only needs PSD input: Tr[rho^{1/2} sigma^{1/2}]
@@ -369,7 +367,7 @@ class TestOptimizer:
         # point above the masked s = 0: for r <= 1e-7 on the pair as the command
         # line loads it, but not at r = 1e-6; a_r is read from the same maximum,
         # so solve_rate_parameter warns where hoeffding_rate does
-        pair = qht.preset_pair("qubit-generic", qht.ToleranceConfig(strict=False)).smoothed(1e-6)
+        pair = qht.preset_pair("qubit-generic").smoothed(1e-6)
         for fn in (qht.hoeffding_rate, qht.solve_rate_parameter):
             for r in (1e-10, 1e-8, 1e-7):
                 with pytest.warns(qht.RateTooSmallWarning, match=r"s = 0\.0005;"):
@@ -522,7 +520,7 @@ def rate_warnings(fn, pair, r):
 
 def fresh_copies(pair):
     """A new pair from the same matrices on every call, so no cache is warm."""
-    return lambda: qht.HypothesisPair(pair.rho, pair.sigma, pair.tol)
+    return lambda: qht.HypothesisPair(pair.rho, pair.sigma)
 
 
 class TestPairCache:
@@ -543,8 +541,7 @@ class TestPairCache:
         assert ref() is None
 
     def test_singular_pair_raises_on_every_call(self):
-        tol = qht.ToleranceConfig(strict=False)
-        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), tol)
+        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
         for _ in range(2):
             with pytest.raises(qht.SingularInput):
                 qht.phi_bar(pair, 0.1)
@@ -716,9 +713,38 @@ class TestPairValidation:
         with pytest.raises(qht.DimensionMismatch):
             qht.check_density(empty)
 
-    def test_strict_mode_rejects_singular(self):
-        with pytest.raises(qht.SingularInput):
-            qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
+    @pytest.mark.parametrize(
+        "rho,sigma,psi_half,phi_point",
+        [
+            # Tr[rho^{1-s} sigma^s] = 2^{-s}: phi(0.1) = log 2 - 0.1 at s = 1
+            (np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), 0.5 * np.log(2.0), (np.log(2.0) - 0.1, 1.0)),
+            # 0.6^{1-s} on sigma's support: phi(0.1) = psi(0) = -log Tr[rho P_sigma]
+            (np.diag([0.6, 0.4]), np.diag([1.0, 0.0]), -0.5 * np.log(0.6), (-np.log(0.6), 0.0)),
+        ],
+        ids=["singular-rho", "singular-sigma"],
+    )
+    def test_rank_deficient_pair_builds_and_rejects_where_needed(
+        self, rho, sigma, psi_half, phi_point
+    ):
+        # a pair takes any two states; full support is checked by the
+        # quantities that take rho^{-s} or a logarithm, when they are computed
+        pair = qht.HypothesisPair(rho, sigma)
+        assert qht.psi(pair, 0.5) == pytest.approx(psi_half, abs=1e-12)
+        assert qht.phi(pair, 0.1) == pytest.approx(phi_point, abs=1e-9)
+        cached = set(pair._exponent_cache)
+        needs_full_support = {
+            "psi_bar": lambda: qht.psi_bar(pair, 0.5),
+            "phi_bar": lambda: qht.phi_bar(pair, 0.1),
+            "hoeffding_rate": lambda: qht.hoeffding_rate(pair, 0.1),
+            "solve_rate_parameter": lambda: qht.solve_rate_parameter(pair, 0.1),
+            "relative_entropy": lambda: qht.relative_entropy(pair),
+            "psi_derivatives": lambda: qht.psi_derivatives(pair, 0.5),
+            "stein_trace": lambda: qht.stein_trace(pair, 0.1, 2),
+        }
+        for name, call in needs_full_support.items():
+            with pytest.raises(qht.SingularInput, match="requires positive definite states"):
+                call()
+            assert set(pair._exponent_cache) == cached, name
 
     def test_one_eigensolve_per_state(self, monkeypatch):
         calls = []
@@ -754,7 +780,6 @@ class TestPairValidation:
             qht.HypothesisPair(np.eye(3) / 3.0, np.diag([1.0, 0.0]))
 
     def test_smoothing_restores_rank(self):
-        tol = qht.ToleranceConfig(strict=False)
-        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]), tol)
+        pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
         smooth = pair.smoothed(1e-6)
         assert qht.relative_entropy(smooth) > 0.0

@@ -170,8 +170,7 @@ class TestBuildPinchedTest:
     def test_singular_sigma_levels_without_warnings(self):
         # the kernel of sigma_n is one level of log weight -inf; comparing
         # logs must not subtract -inf from -inf
-        tol = qht.ToleranceConfig(strict=False)
-        pair = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]), tol)
+        pair = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n in (1, 2, 3):
@@ -419,11 +418,10 @@ class TestRowLogs:
         # So each row lies in its strings' level, and each level's log
         # weight is that of its strings, bit for bit: the one distinct log
         # of a single type, else the distinct logs' count-weighted mean
-        tol = qht.ToleranceConfig(strict=False)
-        pairs = [qht.random_pair(seed, d, tol) for seed in range(2)]
+        pairs = [qht.random_pair(seed, d) for seed in range(2)]
         if d == 2:
             # singular sigma: -inf logs
-            pairs.append(qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol))
+            pairs.append(qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0])))
         if cluster_rel_tol == CLUSTER_REL_TOL and d < 4:
             # merged levels, and a boundary within roundoff of a type's log
             pairs += [nearly_degenerate_pair(d)] + ([split_prone_pair()] if d == 2 else [])
@@ -450,11 +448,10 @@ class TestRowLogs:
         # Up to n = 10, where M is 1024 x 1024 (8 for a singular sigma, whose
         # -inf level of 2^n - 1 rows is one sub-block); the all-strings
         # levels of test_block_rows_carry_their_strings_levels reach n = 12
-        tol = qht.ToleranceConfig(strict=False)
-        pairs = [(qht.random_pair(seed, 2, tol), 10) for seed in range(2)]
+        pairs = [(qht.random_pair(seed, 2), 10) for seed in range(2)]
         if cluster_rel_tol == CLUSTER_REL_TOL:
             pairs += [(nearly_degenerate_pair(2), 10), (split_prone_pair(), 10)]
-        singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
+        singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]))
         for pair, n_max in [*pairs, (singular, 8)]:
             for n, blocks in _sweep(pair, range(1, n_max + 1)):
                 spin = _level_split(blocks, cluster_rel_tol)[0]
@@ -548,11 +545,7 @@ class TestVerifyBounds:
             (qht.random_pair(1, 2), 2.5),
             # singular sigma: weights 1..n share the kernel level
             (
-                qht.HypothesisPair(
-                    np.array([[0.6, 0.2], [0.2, 0.4]]),
-                    np.diag([1.0, 0.0]),
-                    qht.ToleranceConfig(strict=False),
-                ),
+                qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0])),
                 CLUSTER_REL_TOL,
             ),
             # a level boundary within roundoff of a weight's log weight
@@ -592,7 +585,8 @@ class TestVerifyBounds:
             order = np.concatenate(positions)
             M = tensor_power(X, n)[np.ix_(order, order)]
             sizes = [len(p) for p in positions]
-            residual = v * operators.block_diagonal(M, sizes) - M
+            labels = np.repeat(np.arange(len(sizes)), sizes)
+            residual = v * operators.block_diagonal(M, labels) - M
             key = _key_residual(v, levels, blocks)
             assert abs(key - qht.min_eigenvalue(residual)) <= 1e-14
             sub = [
@@ -790,8 +784,7 @@ def spectrum_pair(data):
         st.sampled_from(["seeded", "singular", "split-prone", "nearly-degenerate"]), label="kind"
     )
     if kind == "singular":
-        tol = qht.ToleranceConfig(strict=False)
-        singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]), tol)
+        singular = qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]))
         return singular, CLUSTER_REL_TOL
     if kind == "split-prone":
         return split_prone_pair(), CLUSTER_REL_TOL
@@ -906,7 +899,7 @@ def test_sweep_blocks_read_the_pairs_rho_in_sigma_basis(dim, n_max):
     # with rho itself gone the blocks can only come from the stored
     # X = V* rho V, and they equal a fresh pair's bit for bit
     pair = qht.random_pair(96, dim)
-    fresh = list(_sweep(qht.HypothesisPair(pair.rho, pair.sigma, pair.tol), range(1, n_max + 1)))
+    fresh = list(_sweep(qht.HypothesisPair(pair.rho, pair.sigma), range(1, n_max + 1)))
     pair.rho = None
     for (n, blocks), (n_ref, reference) in zip(_sweep(pair, range(1, n_max + 1)), fresh):
         assert n == n_ref and len(blocks) == len(reference)
@@ -1246,12 +1239,11 @@ class TestPlainErrorsFromSpinBlocks:
             assert abs(row.alpha - 1.0) <= 1e-15
 
     def test_singular_pair_matches_dense_without_warnings(self):
-        tol = qht.ToleranceConfig(strict=False)
         for rho, sigma in (
             (np.diag([0.6, 0.4]), np.diag([1.0, 0.0])),
             (np.diag([1.0, 0.0]), np.diag([0.3, 0.7])),
         ):
-            pair = qht.HypothesisPair(rho, sigma, tol)
+            pair = qht.HypothesisPair(rho, sigma)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 for n in range(1, 7):
@@ -1268,8 +1260,7 @@ class TestPlainErrorsFromSpinBlocks:
         dense = dense_plain_errors(generic, 2, 400.0)
         assert (row.beta, dense.beta) == (0.0, 0.0)
         assert row.alpha == pytest.approx(dense.alpha, abs=1e-15)
-        tol = qht.ToleranceConfig(strict=False)
-        singular = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]), tol)
+        singular = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]))
         with pytest.raises(qht.SingularInput):
             block_plain_errors(singular, 2, 400.0)
         with pytest.raises(qht.SingularInput):

@@ -221,14 +221,10 @@ class TestMatrixPower:
         with pytest.raises(qht.NegativeSpectrum):
             qht.matrix_power(np.diag([1.0, -1.0]), 0.5)
 
-    def test_strict_mode_rejects_singular_inverse(self):
-        with pytest.raises(qht.SingularInStrictMode):
+    def test_negative_power_rejects_singular(self):
+        # no inverse on the support is taken
+        with pytest.raises(qht.SingularInput):
             qht.matrix_power(np.diag([1.0, 0.0]), -1.0)
-
-    def test_smoothing_mode_inverts_on_support(self):
-        tol = qht.ToleranceConfig(strict=False)
-        out = qht.matrix_power(np.diag([2.0, 0.0]), -1.0, tol)
-        np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_integer_power_on_indefinite(self):
         H = np.diag([1.0, -2.0])

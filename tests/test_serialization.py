@@ -164,8 +164,7 @@ class TestLoadPair:
         }
         path = tmp_path / "singular.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        tol = qht.ToleranceConfig(strict=False)
-        pair = qht.load_pair(str(path), tol).smoothed(1e-6)
+        pair = qht.load_pair(str(path)).smoothed(1e-6)
         assert qht.relative_entropy(pair) > 0.0
 
 
