@@ -19,19 +19,20 @@ Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
 ``sigma^0`` act as support projectors.  ``classical_psi`` keeps its own
 convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
 
-Every maximization over s (``phi``, ``phi_bar``, the rate objective and
-the finite-n envelopes) is a method of one ``_Scan``: it scans the kernel
-on one grid of [0, 1] and refines the grid argmax by safeguarded Newton
-steps on the kernel's closed-form first and second derivatives, read from
-one product of a 6 x K moment table with ``e^{s r}``.  The rate parameter
+The kernel is one ``_Scan`` per set of terms: it evaluates the exponent
+on any s, and every maximization over s (``phi``, ``phi_bar``, the rate
+objective and the finite-n envelopes) is one of its methods.  It scans
+one grid of [0, 1] and refines the grid argmax by safeguarded Newton
+steps on the closed-form first and second derivatives, read from one
+product of its 6 x K moment table with ``e^{s r}``.  The rate parameter
 a_r with ``phi_bar(a_r) = r`` takes no search of its own: phi_bar(a) >= r
 holds exactly when ``a <= (psi_bar(s) - r) / s`` for some s in (0, 1], so
 ``a_r = max_s (psi_bar(s) - r) / s = u(r) - r``, the rate objective's
 maximum u(r) minus r.  The settings are fixed: ``GRID_POINTS`` grid
 points and at most ``NEWTON_STEPS`` Newton steps per maximization.  A
-pair's kernel terms, one scan (with its moment table) per kernel, and its
-relative entropy are cached on the pair and freed with it; every function
-here that takes a pair reads them from there, ``psi_derivatives`` included.
+pair's two kernels, one scan each for psi and psi_bar, and its relative
+entropy are cached on the pair and freed with it; every function here
+that takes a pair reads them from there, ``psi_derivatives`` included.
 """
 
 import functools
@@ -76,46 +77,6 @@ def _check_s(s) -> np.ndarray:
     return s
 
 
-def _exponent(terms, s: np.ndarray, name: str) -> np.ndarray:
-    """The one kernel: ``-log Re sum_k c_k exp(s r_k)`` for each entry of s."""
-    c, r = terms
-    E = np.outer(s, r)
-    np.exp(E, out=E)
-    # two real products: a complex product would first copy E at twice its size
-    tr = _real_trace(E @ c.real + 1j * (E @ c.imag), f"{name} trace")
-    if (tr <= 0.0).any():
-        raise ArithmeticError(f"{name} trace is not positive")
-    return -np.log(tr)
-
-
-def _moment_table(terms) -> np.ndarray:
-    """The real 6 x K table of Re and then Im of ``c_k r_k^j``, j = 0, 1, 2."""
-    c, r = terms
-    weighted = (c, c * r, c * r * r)
-    return np.array([w.real for w in weighted] + [w.imag for w in weighted])
-
-
-def _exponent_point(terms, s: float, name: str, table) -> tuple[float, float, float]:
-    """The kernel value E and its s-derivatives E', E'' at one s.
-
-    From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
-    ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
-    All six real and imaginary parts are one product ``table @ e^{s r}``,
-    with ``table`` the terms' :func:`_moment_table`.  The imaginary residue
-    of each moment is held to :func:`_real_trace`'s rule.
-    """
-    moments = (table @ np.exp(s * terms[1])).tolist()
-    real, imag = moments[:3], moments[3:]
-    if any(abs(i) > _IMAG_RESIDUE * (1.0 + abs(m)) for m, i in zip(real, imag)):
-        worst = max(map(abs, imag))
-        raise ArithmeticError(f"{name} trace: imaginary residue {worst:.3e} too large")
-    m0, m1, m2 = real
-    if m0 <= 0.0:
-        raise ArithmeticError(f"{name} trace is not positive")
-    d1 = -m1 / m0
-    return -math.log(m0), d1, d1 * d1 - m2 / m0
-
-
 def _plain_terms(W, p, q):
     """Terms of ``sum_ij W_ij p_i^{1-s} q_j^s``, dropping p_i = 0 and q_j = 0."""
     keep = (p[:, None] > 0.0) & (q[None, :] > 0.0)
@@ -153,20 +114,20 @@ def _cached(pair: HypothesisPair, key, build):
     return cache[key]
 
 
-def _terms(pair: HypothesisPair, name: str):
-    """The pair's terms of the kernel ``name`` ("psi" or "psi_bar")."""
-    return _cached(pair, name, lambda: _TERMS[name](pair))
+def _scan(pair: HypothesisPair, name: str) -> "_Scan":
+    """The pair's cached kernel ``name`` ("psi" or "psi_bar")."""
+    return _cached(pair, name, lambda: _Scan(_TERMS[name](pair), name))
 
 
 def psi_bar_values(pair: HypothesisPair, s) -> np.ndarray:
     """Vectorized pinched exponent over an array of s values in [0, 1]."""
     s = _check_s(s)
-    return _exponent(_terms(pair, "psi_bar"), s, "psi_bar")
+    return _scan(pair, "psi_bar").at(s)
 
 
 def psi_values(pair: HypothesisPair, s) -> np.ndarray:
     """Vectorized plain exponent -log Tr[rho^{1-s} sigma^s] over s in [0, 1]."""
-    return _exponent(_terms(pair, "psi"), _check_s(s), "psi")
+    return _scan(pair, "psi").at(_check_s(s))
 
 
 def psi_bar(pair: HypothesisPair, s: float) -> float:
@@ -206,25 +167,60 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
 
 
 class _Scan:
-    """A kernel E on the grid ``linspace(0, 1, GRID_POINTS)``, maximized by its methods.
+    """The kernel ``E(s) = -log Re sum_k c_k exp(s r_k)`` of one set of terms.
 
-    The grid values are computed at the first maximization, so a scan that
-    is only read at single points (:func:`psi_derivatives`) costs its moment
-    table alone.
+    It keeps the exponents r, the grid ``linspace(0, 1, GRID_POINTS)`` that
+    every maximization scans, and the real 6 x K moment table of Re and
+    then Im of ``c_k r_k^j``, j = 0, 1, 2, whose rows 0 and 3 are the
+    weights c.  The grid and its values are made at the first maximization,
+    so a kernel that is only evaluated at given s (:func:`psi_bar_values`)
+    or read at single points (:func:`psi_derivatives`) costs its table alone.
     """
 
     def __init__(self, terms, name: str):
-        self.terms = terms
+        c, r = terms
+        weighted = (c, c * r, c * r * r)
+        self.r = r
         self.name = name
-        self.grid = np.linspace(0.0, 1.0, GRID_POINTS)
-        self.table = _moment_table(terms)
+        self.table = np.array([w.real for w in weighted] + [w.imag for w in weighted])
+
+    def at(self, s: np.ndarray) -> np.ndarray:
+        """E at each entry of s."""
+        E = np.outer(s, self.r)
+        np.exp(E, out=E)
+        # two real products: a complex product would first copy E at twice its size
+        tr = _real_trace(E @ self.table[0] + 1j * (E @ self.table[3]), f"{self.name} trace")
+        if (tr <= 0.0).any():
+            raise ArithmeticError(f"{self.name} trace is not positive")
+        return -np.log(tr)
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, GRID_POINTS)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
-        return _exponent(self.terms, self.grid, self.name)
+        return self.at(self.grid)
 
     def point(self, s: float) -> tuple[float, float, float]:
-        return _exponent_point(self.terms, s, self.name, self.table)
+        """E and its s-derivatives E', E'' at one s.
+
+        From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
+        ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
+        All six real and imaginary parts are one product ``table @ e^{s r}``.
+        The imaginary residue of each moment is held to
+        :func:`_real_trace`'s rule.
+        """
+        moments = (self.table @ np.exp(s * self.r)).tolist()
+        real, imag = moments[:3], moments[3:]
+        if any(abs(i) > _IMAG_RESIDUE * (1.0 + abs(m)) for m, i in zip(real, imag)):
+            worst = max(map(abs, imag))
+            raise ArithmeticError(f"{self.name} trace: imaginary residue {worst:.3e} too large")
+        m0, m1, m2 = real
+        if m0 <= 0.0:
+            raise ArithmeticError(f"{self.name} trace is not positive")
+        d1 = -m1 / m0
+        return -math.log(m0), d1, d1 * d1 - m2 / m0
 
     def maximize(self, vals: np.ndarray, lift):
         """Grid argmax of ``vals`` (the objective on the grid), refined by Newton.
@@ -315,17 +311,13 @@ class _Scan:
         return value
 
 
-def _scan(pair: HypothesisPair, name: str) -> _Scan:
-    """The pair's cached scan of the kernel ``name``."""
-    return _cached(pair, (name, "scan"), lambda: _Scan(_terms(pair, name), name))
-
-
 def phi_bar(pair: HypothesisPair, a: float) -> tuple[float, float]:
     """max over s in [0, 1] of psi_bar(s) - a s, with the maximizing s.
 
-    Concavity of psi_bar is not established, so a dense grid scan runs
-    first and safeguarded Newton steps only refine the winning bracket.
-    Ties break toward smaller s.
+    psi_bar is not concave: it can be convex in places (near s = 1 on some
+    pairs), so the maximizing s can jump as a moves.  A dense grid scan
+    therefore runs first, and safeguarded Newton steps only refine the
+    winning bracket.  Ties break toward smaller s.
     """
     return _scan(pair, "psi_bar").transform(float(a))
 

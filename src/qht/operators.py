@@ -49,16 +49,14 @@ def _require_symmetric(A: np.ndarray, scale: float) -> None:
 
 
 def check_hermitian(M) -> np.ndarray:
-    """Validate Hermitian symmetry of ``M`` relative to its spectral norm."""
-    A = as_complex_matrix(M)
-    _require_symmetric(A, 1.0 + (np.linalg.norm(A, 2) if A.size else 0.0))
-    return A
+    """``M`` as a matrix, its symmetry held to :func:`hermitian_eigh`'s rule."""
+    return hermitian_eigh(M)[0]
 
 
 def hermitian_eigh(M):
     """``(A, w, V)``: ``M`` as a matrix A and the ``eigh`` of its Hermitian part.
 
-    A's symmetry is held to ``HERMITIAN_TOL * (1 + max|w|)``, not to a 2-norm.
+    A's symmetry is held to ``HERMITIAN_TOL * (1 + max|w|)``.
     """
     A = as_complex_matrix(M)
     w, V = np.linalg.eigh(hermitian_part(A))
@@ -307,8 +305,7 @@ def operator_convexity_gap(A, X, Y, t: float) -> np.ndarray:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    A = check_hermitian(A)
-    wA = np.linalg.eigvalsh(hermitian_part(A))
+    A, wA, _ = hermitian_eigh(A)
     norm = np.abs(wA).max() if wA.size else 0.0
     if wA.min() < -PSD_TOL * norm:
         raise NotPositiveSemidefinite(

@@ -50,8 +50,8 @@ class HypothesisPair:
     ``sigma_eig`` are the eigensystems ``(w, V)`` of the one eigensolve that
     validates each state; eigenvalues within ``PSD_TOL`` below zero are
     floored at zero.  ``rho_in_sigma_basis`` is ``X = V* rho V``, which the
-    psi_bar terms and every finite-n block read.  The kernel terms of
-    :mod:`qht.exponents`, one scan per kernel and grid, and the relative
+    psi_bar terms and every finite-n block read.  One scan per exponent
+    kernel of :mod:`qht.exponents` (psi and psi_bar) and the relative
     entropy are cached on the pair too and freed with it.
     """
 
@@ -111,13 +111,13 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_pair(seed, dim: int = 2) -> HypothesisPair:
     """Deterministic random full-rank pair; ``seed`` is an int or a Generator."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     return HypothesisPair(random_density(rng, dim), random_density(rng, dim))
 
 
 def random_diagonal_pair(seed, dim: int = 2) -> HypothesisPair:
     """Deterministic commuting pair built from two random distributions."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     p = rng.random(dim) + RANDOM_FLOOR
     q = rng.random(dim) + RANDOM_FLOOR
     return HypothesisPair(np.diag(p / p.sum()), np.diag(q / q.sum()))

@@ -96,7 +96,7 @@ def psi_fd_mp(pair, s, h=1e-5, dps=40, exponent=psi_scalar_mp):
 def complex_sum_point(terms, s, name):
     """The kernel value E and its s-derivatives E', E'' at one s, from complex sums.
 
-    ``qht.exponents._exponent_point`` as it was before its moment table: the
+    ``qht.exponents._Scan.point`` as it was before its moment table: the
     moments ``sum_k c_k r_k^j e^{s r_k}`` are summed in complex arithmetic.
     """
     c, r = terms

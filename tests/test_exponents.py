@@ -11,11 +11,11 @@ import qht
 from qht import exponents
 from qht.cli import main
 from qht.exponents import (
-    _exponent_point,
-    _moment_table,
+    GRID_POINTS,
     _psi_bar_terms,
     _real_trace,
-    _terms,
+    _Scan,
+    _scan,
     check_distribution,
 )
 from qht.operators import hermitian_part
@@ -160,6 +160,21 @@ class TestPsiBar:
         # the plain exponent only needs PSD input: Tr[rho^{1/2} sigma^{1/2}]
         assert qht.psi(pair, 0.5) == pytest.approx(-np.log(np.sqrt(0.5)), abs=1e-12)
 
+    def test_not_concave(self):
+        # a pinned counterexample: psi_bar is convex from about s = 0.68 to 1
+        # on this pair, so the maximizing s of psi_bar(s) - a s can jump
+        pair = qht.random_pair(25, 2)
+        _, _, d2 = _scan(pair, "psi_bar").point(0.872)
+        _, fd2 = psi_fd_mp(pair, 0.872, dps=50, exponent=psi_bar_matrix_mp)
+        assert fd2 == pytest.approx(1.5979, abs=1e-4)
+        assert d2 == pytest.approx(fd2, rel=1e-6)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_values_are_the_scan_grid_values(self, dim):
+        pair = qht.random_pair(dim, dim)
+        values = qht.psi_bar_values(pair, np.linspace(0.0, 1.0, GRID_POINTS))
+        assert values.tobytes() == _scan(pair, "psi_bar").values.tobytes()
+
 
 class TestPsi:
     def test_zero_at_origin(self, generic):
@@ -281,9 +296,8 @@ class TestSinglePointDerivatives:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_psi_bar_against_mp_differences(self, dim):
         for pair in seeded_pairs(2, dim=dim):
-            terms = _psi_bar_terms(pair)
             for s in (0.1, 0.5, 0.9):
-                value, d1, d2 = _exponent_point(terms, s, "psi_bar", _moment_table(terms))
+                value, d1, d2 = _scan(pair, "psi_bar").point(s)
                 fd1, fd2 = psi_fd_mp(pair, s, exponent=psi_bar_matrix_mp)
                 assert value == pytest.approx(qht.psi_bar(pair, s), abs=1e-13)
                 assert d1 == pytest.approx(fd1, rel=1e-6)
@@ -540,6 +554,24 @@ class TestPairCache:
         gc.collect()
         assert ref() is None
 
+    def test_one_entry_per_kernel(self):
+        # one cache entry per kernel, plus the relative entropy
+        pair = qht.random_pair(75, 3)
+        qht.psi_bar_values(pair, S_GRID)
+        qht.psi_values(pair, S_GRID)
+        qht.psi_bar(pair, 0.5)
+        qht.psi(pair, 0.5)
+        qht.relative_entropy(pair)
+        qht.psi_derivatives(pair, 0.5)
+        qht.phi_bar(pair, 0.1)
+        qht.phi(pair, 0.1)
+        qht.hoeffding_rate(pair, 0.1)
+        qht.solve_rate_parameter(pair, 0.1)
+        qht.verify_bounds(pair, range(1, 3), np.linspace(-1.0, 2.0, 7))
+        qht.stein_trace(pair, 0.1, 2)
+        assert set(pair._exponent_cache) == {"psi", "psi_bar", "relative_entropy"}
+        assert all(isinstance(pair._exponent_cache[name], _Scan) for name in ("psi", "psi_bar"))
+
     def test_singular_pair_raises_on_every_call(self):
         pair = qht.HypothesisPair(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]))
         for _ in range(2):
@@ -549,13 +581,13 @@ class TestPairCache:
     def test_one_scan_per_grid(self, monkeypatch):
         pair = qht.random_pair(70, 3)
         scans = []
-        kernel = exponents._exponent
+        kernel = _Scan.at
 
-        def spy(terms, s, name):
+        def spy(scan, s):
             scans.append(len(s))
-            return kernel(terms, s, name)
+            return kernel(scan, s)
 
-        monkeypatch.setattr(exponents, "_exponent", spy)
+        monkeypatch.setattr(_Scan, "at", spy)
         for a in np.linspace(-1.0, 2.0, 20):
             qht.phi_bar(pair, a)
         for r in (0.01, 0.1, 0.5):
@@ -603,9 +635,9 @@ class TestPairCache:
     def test_moment_table_matches_complex_sums(self, dim, name):
         # measured worst gaps over seeds 0-9: 3.1e-15 (E), 1.9e-14 (E'), 2.1e-13 (E'')
         for pair in seeded_pairs(3, dim=dim):
-            terms = _terms(pair, name)
+            terms = exponents._TERMS[name](pair)
             for s in np.linspace(0.0, 1.0, 41):
-                point = _exponent_point(terms, float(s), name, _moment_table(terms))
+                point = _scan(pair, name).point(float(s))
                 reference = complex_sum_point(terms, float(s), name)
                 for got, want, tol in zip(point, reference, (3e-14, 2e-13, 3e-12)):
                     assert abs(got - want) <= tol
@@ -617,10 +649,9 @@ class TestPairCache:
         with pytest.raises(ArithmeticError) as dense:
             _real_trace(np.array([w.sum(), (w * r).sum(), (w * r) @ r]), "psi_bar trace")
         with pytest.raises(ArithmeticError) as point:
-            _exponent_point((c, r), 0.3, "psi_bar", _moment_table((c, r)))
+            _Scan((c, r), "psi_bar").point(0.3)
         assert str(point.value) == str(dense.value)
-        terms = (c.real + 1e-12j, r)
-        _exponent_point(terms, 0.3, "psi_bar", _moment_table(terms))  # inside the bound
+        _Scan((c.real + 1e-12j, r), "psi_bar").point(0.3)  # inside the bound
 
 
 class TestClassical:

@@ -340,6 +340,24 @@ class TestOperatorConvexity:
         with pytest.raises(qht.NotPositiveSemidefinite):
             qht.operator_convexity_gap(np.diag([1.0, -1.0]), np.eye(2), np.eye(2), 0.5)
 
+    @pytest.mark.parametrize("factor,raises", [(1.001, True), (0.999, False)])
+    def test_asymmetry_threshold(self, factor, raises):
+        # check_hermitian and the weight operator share hermitian_eigh's rule:
+        # the slack is HERMITIAN_TOL * (1 + max |eigenvalue|) of the Hermitian
+        # part, here 1e-10 * 3; |A - A*| is the one entry delta
+        delta = factor * HERMITIAN_TOL * 3.0
+        A = np.diag([2.0, 1.0]).astype(complex)
+        A[0, 1] = delta
+        assert 1.0 + np.abs(np.linalg.eigvalsh(hermitian_part(A))).max() == 3.0
+        if raises:
+            with pytest.raises(qht.NonHermitianInput):
+                qht.check_hermitian(A)
+            with pytest.raises(qht.NonHermitianInput):
+                qht.operator_convexity_gap(A, np.eye(2), np.eye(2), 0.5)
+        else:
+            assert qht.check_hermitian(A).tobytes() == A.tobytes()
+            qht.operator_convexity_gap(A, np.eye(2), np.eye(2), 0.5)
+
     def test_t_range(self):
         A, X, Y = self._triple(3)
         with pytest.raises(ValueError):
