@@ -183,13 +183,16 @@ class _Scan:
         self.r = r
         self.name = name
         self.table = np.array([w.real for w in weighted] + [w.imag for w in weighted])
+        self.real = not self.table[3].any()
 
     def at(self, s: np.ndarray) -> np.ndarray:
-        """E at each entry of s."""
+        """E at each entry of s; real weights (``real``) take no imaginary product."""
         E = np.outer(s, self.r)
         np.exp(E, out=E)
-        # two real products: a complex product would first copy E at twice its size
-        tr = _real_trace(E @ self.table[0] + 1j * (E @ self.table[3]), f"{self.name} trace")
+        tr = E @ self.table[0]
+        if not self.real:
+            # two real products: a complex product would first copy E at twice its size
+            tr = _real_trace(tr + 1j * (E @ self.table[3]), f"{self.name} trace")
         if (tr <= 0.0).any():
             raise ArithmeticError(f"{self.name} trace is not positive")
         return -np.log(tr)

@@ -16,18 +16,20 @@ sigma_n log-eigenvalue, each block standing for ``m`` equal copies.
 qubit spin blocks, of size at most n + 1, else
 ``M = (V* rho V)^{(x)n}`` as one block, which :func:`build_pinched_test`
 takes in every dimension (its eigenvectors run over tensor positions).
-:func:`_level_split` clusters the row logs into the levels of sigma_n
-(each a union of whole types, so never dependent on the order of the
-tensor factors) and cuts the blocks on them.  The sub-block eigenvalues
-with their multiplicities, one flat :class:`_Spectrum` per n, are the
-one representation of the pinched test: :func:`_kept` is its keep rule,
-one mask, and the errors (:func:`_pinched_errors`) are one pass over it.
-The key residual of :func:`verify_bounds`, whose rows :func:`stein_trace`
-reads, and the plain test {rho_n > e^{na} sigma_n} of
+The qubit tables (``Sym^N``, powers of q, row logs) are built once per
+sweep.  :func:`_level_split` clusters the row logs into the levels of
+sigma_n (each a union of whole types, so never dependent on the order of
+the tensor factors) and cuts the blocks on them, solving only sub-blocks
+of two rows or more.  The sub-block eigenvalues with their
+multiplicities, one flat :class:`_Spectrum` per n, are the one
+representation of the pinched test: :func:`_kept` is its keep rule, one
+mask, and the errors (:func:`_pinched_errors`) are one pass over it.  The
+key residual of :func:`verify_bounds` (whose rows :func:`stein_trace`
+reads, without it) and the plain test {rho_n > e^{na} sigma_n} of
 :func:`conjecture_probe` run on the same blocks.  Multiplicities are
 exact ints in the blocks and floats in every array; no sweep expands a
-block m times, except the plain test, which stays on the dense budget.
-Only :func:`build_pinched_test` forms the dense operator.  Every entry point
+block m times.  The plain test stays on the dense budget.  Only
+:func:`build_pinched_test` forms the dense operator.  Every entry point
 clusters at the fixed ``CLUSTER_REL_TOL``.  The dense
 :func:`build_plain_test`, :func:`error_probabilities` and pinching
 residual of :mod:`qht.operators` stay the cross-checks.
@@ -53,9 +55,9 @@ from .operators import (
     check_blocklength,
     check_budget,
     check_dense_budget,
+    _positivity_margin,
     hermitian_part,
     positive_projection,
-    strictly_positive,
     tensor_power,
 )
 from .pairs import HypothesisPair
@@ -172,6 +174,12 @@ class _Spectrum:
     m: np.ndarray  # and the integer multiplicity of its block, as a float
 
 
+def _digit_logs(eigenvalues) -> np.ndarray:
+    """The logs of sigma's eigenvalues, ``-inf`` for a zero one."""
+    with np.errstate(divide="ignore"):
+        return np.where(eigenvalues > 0.0, np.log(eigenvalues), -np.inf)
+
+
 def _row_logs(eigenvalues, strings) -> np.ndarray:
     """The sigma_n log-eigenvalue of each index string, a column of ``strings`` (n, k).
 
@@ -180,10 +188,9 @@ def _row_logs(eigenvalues, strings) -> np.ndarray:
     row at a time (numpy sums an F-ordered one pairwise, which can differ in
     the last bit).  Zero eigenvalues give ``-inf`` logs.
     """
-    with np.errstate(divide="ignore"):
-        loglam = np.where(eigenvalues > 0.0, np.log(eigenvalues), -np.inf)
     # stable: the sort kernel of the argsorts below, no other to page in
-    return loglam[np.sort(np.ascontiguousarray(strings), axis=0, kind="stable")].sum(axis=0)
+    strings = np.sort(np.ascontiguousarray(strings), axis=0, kind="stable")
+    return _digit_logs(eigenvalues)[strings].sum(axis=0)
 
 
 def _levels(logs, cluster_rel_tol: float):
@@ -206,51 +213,59 @@ def _levels(logs, cluster_rel_tol: float):
     return order, sizes
 
 
-def _level_split(blocks, cluster_rel_tol: float):
-    """The :class:`_Spectrum` of the :func:`_sweep` blocks, with eigenvectors.
+def _level_split(blocks, cluster_rel_tol: float, vectors: bool = False):
+    """The :class:`_Spectrum` of the :func:`_sweep` blocks.
 
-    The blocks' row logs are cut into levels by :func:`_levels`.  A level's
-    log weight comes from its distinct row logs, each counted with the
-    multiplicities of its rows summed: the one log of a level of one type,
-    else the count-weighted mean ``(x * c).sum() / c.sum()`` of its
-    distinct logs x, ascending.  Spin blocks and the tensor block give the
-    same logs and counts, so the same bits.  A block's rows in one level
-    form a sub-block of pinch(rho_n), solved by ``eigh``.  Also returns
-    each block's row levels (for :func:`_key_residual`) and, per
-    sub-block, its rows and eigenvectors.
+    The blocks' row logs are cut into levels by :func:`_levels`.  A level of
+    one type (first and last sorted log equal) weighs that log; any other
+    the count-weighted mean ``(x * c).sum() / c.sum()`` of its distinct
+    logs x, ascending, with exact int counts c.  Spin blocks and the tensor
+    block give the same logs and counts, so the same bits.  A block's rows
+    in one level, ordered by log, form a sub-block of pinch(rho_n), solved
+    by ``eigh``; a 1 x 1 one, as every qubit level of one weight gives, is
+    read off the real diagonal, which is what ``eigh`` returns, bit for
+    bit.  Also returns each block's row levels (for :func:`_key_residual`)
+    and, with ``vectors``, every sub-block's rows and eigenvectors.
     """
     logs = np.concatenate([b[2] for b in blocks])
     order, sizes = _levels(logs, cluster_rel_tol)
     label = np.empty(len(order), dtype=int)
     label[order] = np.repeat(np.arange(len(sizes)), sizes)
-    ends = np.cumsum(sizes)[:-1].tolist()
-    # exact int counts; a level is all -inf (singular sigma) or all finite
-    counts = [m for m, _, row_logs, _ in blocks for _ in row_logs]
-    ranked = list(zip(logs[order].tolist(), [counts[i] for i in order.tolist()]))
-    log_weights = []
-    for start, end in zip([0, *ends], [*ends, len(ranked)]):
+    ranked = logs[order]
+    ends = np.cumsum(sizes)
+    log_weights = ranked[ends - sizes]
+    mixed = np.flatnonzero(ranked[ends - 1] != log_weights).tolist()
+    # exact int counts, past 2^53 at n = 126; a level is all -inf (singular sigma) or all finite
+    counts = [m for m, _, row_logs, _ in blocks for _ in row_logs] if mixed else []
+    for k in mixed:
         distinct = {}
-        for x, c in ranked[start:end]:
-            distinct[x] = distinct.get(x, 0) + c
+        run = slice(ends[k] - sizes[k], ends[k])
+        for x, i in zip(ranked[run].tolist(), order[run].tolist()):
+            distinct[x] = distinct.get(x, 0) + counts[i]
         x, c = np.array(list(distinct)), np.array(list(distinct.values()), dtype=float)
-        log_weights.append(x[0] if len(x) == 1 else (x * c).sum() / c.sum())
-    levels = np.split(label, np.cumsum([len(b[2]) for b in blocks])[:-1])
-    level, m, w, vectors = [], [], [], []
-    for (mult, R, row_logs, _), same in zip(blocks, levels):
-        # stable: ties keep row order, which fixes each sub-block's eigh bits
-        local = np.argsort(row_logs, kind="stable")
-        cuts = [0, *(np.flatnonzero(np.diff(same[local])) + 1).tolist(), len(local)]
-        for idx in (local[i:j] for i, j in zip(cuts, cuts[1:])):
-            values, U = np.linalg.eigh(hermitian_part(R[np.ix_(idx, idx)]))
-            level.append(same[idx])
-            m.append(np.full(len(idx), float(mult)))
-            w.append(values)
-            vectors.append((idx, U))
-    level, m, w = (np.concatenate(x) for x in (level, m, w))
+        log_weights[k] = (x * c).sum() / c.sum()
+    lengths = [len(b[2]) for b in blocks]
+    first = np.cumsum([0, *lengths])
+    levels = np.split(label, first[1:-1])
+    block = np.repeat(np.arange(len(blocks), dtype=float), lengths)
+    # stable: each block's rows by log, ties in row order, which fixes each sub-block's eigh bits
+    rows = np.lexsort((logs, block))
+    level = label[rows]
+    w = np.concatenate([b[1].diagonal() for b in blocks]).real[rows]
+    cuts = np.flatnonzero((np.diff(level) != 0) | (np.diff(block) != 0)) + 1
+    bounds = np.concatenate(([0], cuts, [len(rows)]))
+    solve = np.arange(len(cuts) + 1) if vectors else np.flatnonzero(np.diff(bounds) > 1)
+    subblocks = []
+    for i, j in zip(bounds[solve].tolist(), bounds[solve + 1].tolist()):
+        k = int(block[i])
+        idx = rows[i:j] - first[k]
+        w[i:j], U = np.linalg.eigh(hermitian_part(blocks[k][1][np.ix_(idx, idx)]))
+        subblocks.append((idx, U))
+    m = np.repeat([float(b[0]) for b in blocks], lengths)
     # stable, all float: a first int sort or int-float cast pages in 64-128 KiB of numpy
     by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
-    spectrum = _Spectrum(np.array(log_weights), level[by_level], w[by_level], m[by_level])
-    return spectrum, levels, vectors
+    spectrum = _Spectrum(log_weights, level[by_level], w[by_level], m[by_level])
+    return spectrum, levels, subblocks if vectors else None
 
 
 def _kept(spectrum, n: int, a: float) -> np.ndarray:
@@ -298,7 +313,7 @@ def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
     :func:`_level_split` runs on :func:`_tensor_block` in every dimension.
     """
     a = float(a)
-    spectrum, _, vectors = _level_split(_tensor_block(pair, n), CLUSTER_REL_TOL)
+    spectrum, _, vectors = _level_split(_tensor_block(pair, n), CLUSTER_REL_TOL, vectors=True)
     # one sub-block per level: a level keeps the top of its eigh spectrum
     kept = np.bincount(spectrum.level[_kept(spectrum, n, a)], minlength=len(vectors))
     Vn = tensor_power(pair.sigma_eig[1], n)
@@ -391,12 +406,18 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
     threshold and v(sigma_n), and shares the :func:`_sweep` blocks with
     :func:`_key_residual`; no test operator is built.
     """
+    return _bound_reports(pair, n_range, a_grid, key=True)
+
+
+def _bound_reports(pair: HypothesisPair, n_range, a_grid, key: bool) -> list[BoundReport]:
+    """The :func:`verify_bounds` reports; without ``key`` their key residual is nan."""
     sweep = _sweep(pair, n_range)
     phis = {float(a): phi_bar(pair, a)[0] for a in a_grid}
     reports = []
     for n, blocks in sweep:
         spectrum, levels, _ = _level_split(blocks, CLUSTER_REL_TOL)
-        key = _key_residual(len(spectrum.log_weights), levels, blocks)
+        v = len(spectrum.log_weights)
+        residual = _key_residual(v, levels, blocks) if key else math.nan
         pref = int((n + 1) ** pair.dim)
         for a in a_grid:
             a = float(a)
@@ -409,8 +430,8 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
                     alpha_bound=pref * math.exp(-n * phis[a]),
                     beta=ep.beta,
                     beta_bound=pref * math.exp(-n * (phis[a] + a)),
-                    key_residual=key,
-                    v_sigma_n=len(spectrum.log_weights),
+                    key_residual=residual,
+                    v_sigma_n=v,
                     type_bound=pref,
                 )
             )
@@ -428,7 +449,8 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
     Reports alpha next to its envelope (n+1)^d e^{-n phi_bar(a)}, which
     decays since phi_bar(a) > 0 below the relative entropy, and the beta
     rate (1/n) log beta next to -a + (d/n) log(n+1), read off the
-    :func:`verify_bounds` rows at ``a``, whose sweep checks the budget.
+    :func:`verify_bounds` rows at ``a``, whose sweep checks the budget,
+    without their key residual.
     """
     n_max = check_blocklength(n_max)
     a = float(a)
@@ -445,7 +467,7 @@ def stein_trace(pair: HypothesisPair, a: float, n_max: int) -> list[SteinPoint]:
             log_beta_rate=_log_rate(r.beta, r.n),
             log_beta_envelope=-a + (pair.dim / r.n) * math.log(r.n + 1.0),
         )
-        for r in verify_bounds(pair, range(1, n_max + 1), [a])
+        for r in _bound_reports(pair, range(1, n_max + 1), [a], key=False)
     ]
 
 
@@ -454,59 +476,76 @@ def _running_powers(x, N: int) -> np.ndarray:
     return np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(N, x))))
 
 
-def _binomials(N: int) -> np.ndarray:
-    """The float table ``C(m, i)`` for ``m, i <= N``, zero above the diagonal."""
-    return np.array([[math.comb(m, i) for i in range(N + 1)] for m in range(N + 1)], float)
+def _sym_powers(X: np.ndarray, N: int) -> list:
+    """``[Sym^0(X), ..., Sym^N(X)]`` of a 2 x 2 matrix in the normalized Dicke basis.
 
-
-def _sym_power(X: np.ndarray, N: int, binom: np.ndarray) -> np.ndarray:
-    """``Sym^N(X)`` of a 2 x 2 matrix in the normalized Dicke basis.
-
-    Basis vector k is the normalized symmetric sum of the N-qubit strings
-    with k ones, so ``X^{(x)N}`` maps it into the span of the others.
-    Column k is the coefficient vector of
-    ``(x00 + x10 z)^{N-k} (x01 + x11 z)^k`` in powers of z, one convolution,
-    with entry j rescaled by ``sqrt(C(N,k)/C(N,j))``, read off ``binom``,
-    a :func:`_binomials` table of at least N + 1 rows.  Powers are the
-    running products of :func:`_running_powers`, so equal inputs give
-    bitwise equal blocks.
+    Basis vector k of ``Sym^M`` is the normalized symmetric sum of the
+    M-qubit strings with k ones, so ``X^{(x)M}`` maps it into the span of
+    the others.  Column k is the coefficient vector of
+    ``(x00 + x10 z)^{M-k} (x01 + x11 z)^k`` in powers of z, one convolution,
+    with entry j rescaled by ``sqrt(C(M,k)/C(M,j))``.  Powers are running
+    products (:func:`_running_powers`), whose prefixes are the shorter ones
+    bit for bit, so ``Sym^M`` does not depend on N.
     """
+    binom = np.array([[math.comb(M, i) for i in range(N + 1)] for M in range(N + 1)], float)
     p00, p10, p01, p11 = (_running_powers(x, N) for x in X.ravel(order="F"))
-    S = np.empty((N + 1, N + 1), dtype=complex)
-    for k in range(N + 1):
-        first = binom[N - k, : N - k + 1] * p00[N - k :: -1] * p10[: N - k + 1]
-        second = binom[k, : k + 1] * p01[k::-1] * p11[: k + 1]
-        S[:, k] = np.convolve(first, second)
-    row = binom[N, : N + 1]
-    return S * np.sqrt(row[None, :] / row[:, None])
+    j = np.arange(N + 1)
+    back = np.maximum(j[:, None] - j, 0)
+    # row M: C(M, i) a^(M-i) b^i, the coefficients of (a + b z)^M; zero above the diagonal
+    first = binom * p00[back] * p10
+    second = binom * p01[back] * p11
+    syms = []
+    for M in range(N + 1):
+        S = np.empty((M + 1, M + 1), dtype=complex)
+        for k in range(M + 1):
+            S[:, k] = np.convolve(first[M - k, : M - k + 1], second[k, : k + 1])
+        row = binom[M, : M + 1]
+        syms.append(S * np.sqrt(row[None, :] / row[:, None]))
+    return syms
 
 
-def _spin_blocks(pair: HypothesisPair, n: int, syms) -> list:
-    """rho_n of a qubit pair in sigma's eigenbasis as blocks ``(m, R, logs, s)``.
+def _weight_logs(q: np.ndarray, N: int) -> np.ndarray:
+    """``L[n, w]``, the sigma_n log of a weight-w string at length n, for w <= n <= N.
+
+    Bit for bit :func:`_row_logs`: ``n - w`` copies of ``log q0``, then
+    ``w`` of ``log q1``, added one at a time, as row n - w of running sums.
+    """
+    log0, log1 = _digit_logs(q)
+    table = np.full((N + 1, N + 1), log1)
+    table[:, 0] = np.cumsum(np.concatenate(([0.0], np.full(N, log0))))
+    table = np.cumsum(table, axis=1)
+    j = np.arange(N + 1)
+    return table[np.maximum(j[:, None] - j, 0), j]
+
+
+def _spin_blocks(pair: HypothesisPair, n_range):
+    """``(n, blocks)`` of a qubit pair for each n of ``n_range``, blocks ``(m, R, logs, s)``.
 
     ``M = X^{(x)n}``, ``X = V* rho V`` (``pair.rho_in_sigma_basis``), is, by
     a unitary commuting with sigma_n, the direct sum of
-    ``R = det(X)^t syms[n-2t]``, with ``syms[N] = Sym^N(X)``, each repeated
-    ``m = C(n,t) - C(n,t-1)`` times.
-    Row j, weight j + t, has the log ``logs[j]`` of the string of that
-    weight (:func:`_row_logs` on n + 1 strings) and sigma_n eigenvalue
+    ``R = det(X)^t Sym^{n-2t}(X)``, each repeated
+    ``m = C(n,t) - C(n,t-1)`` times.  Row j, weight j + t, has the log
+    ``logs[j]`` of the string of that weight and sigma_n eigenvalue
     ``s[j]``, from running products bit for bit the diagonal of
-    ``det(Q)^t Sym^{n-2t}(Q)``.
+    ``det(Q)^t Sym^{n-2t}(Q)``.  Its tables are built once, at the largest
+    n, and sliced for each n.
     """
+    n_top = max(n_range, default=0)
     q, _ = pair.sigma_eig
     X = pair.rho_in_sigma_basis
     det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
     det_q = complex(q[0] * q[1])
-    p0, p1 = (_running_powers(x, n) for x in q)
-    # column w holds w ones: the string of weight w, up to digit order
-    logs = _row_logs(q, np.triu(np.ones((n, n + 1), dtype=int), 1))
-    blocks = []
-    for t in range(n // 2 + 1):
-        N = n - 2 * t
-        m = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
-        s = (det_q**t * (p0[N::-1] * p1[: N + 1])).real
-        blocks.append((m, det_x**t * syms[N], logs[t : N + t + 1], s))
-    return blocks
+    syms = _sym_powers(X, n_top)
+    p0, p1 = (_running_powers(x, n_top) for x in q)
+    logs = _weight_logs(q, n_top)
+    for n in n_range:
+        blocks = []
+        for t in range(n // 2 + 1):
+            N = n - 2 * t
+            m = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
+            s = (det_q**t * (p0[N::-1] * p1[: N + 1])).real
+            blocks.append((m, det_x**t * syms[N], logs[n, t : N + t + 1], s))
+        yield n, blocks
 
 
 def _tensor_block(pair: HypothesisPair, n: int) -> list:
@@ -524,8 +563,7 @@ def _sweep(pair: HypothesisPair, n_range):
     On the call, not at the first ``next``, it validates every n and
     checks the budget on the rows the largest builds, the length of its
     spectrum: the d^n rows of :func:`_tensor_block`, or for a qubit the
-    ``(n + 2)**2 // 4`` rows of :func:`_spin_blocks`, taken on one
-    ``Sym^N`` table, built on one binomial table.
+    ``(n + 2)**2 // 4`` rows of :func:`_spin_blocks`.
     """
     n_range = [check_blocklength(n) for n in n_range]
     n_top = max(n_range, default=0)
@@ -535,9 +573,7 @@ def _sweep(pair: HypothesisPair, n_range):
     # sum_t (n - 2t + 1) rows
     rows = (n_top + 2) ** 2 // 4
     check_budget(rows, f"spectrum length {rows} (spin blocks at n = {n_top})")
-    binom = _binomials(n_top)
-    syms = [_sym_power(pair.rho_in_sigma_basis, N, binom) for N in range(n_top + 1)]
-    return ((n, _spin_blocks(pair, n, syms)) for n in n_range)
+    return _spin_blocks(pair, n_range)
 
 
 def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbabilities:
@@ -547,8 +583,10 @@ def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbab
     ``R - e^{na} diag(s)``, each repeated ``m`` times.  An eigenvalue is
     kept by the rule of :func:`strictly_positive` applied to all d^n of
     them, so up to roundoff the test is that of :func:`build_plain_test`;
-    ``alpha`` sums ``u* R u`` over the eigenvectors u left out and
-    ``beta`` sums ``s |u|^2`` over those kept, each weighted by ``m``.
+    repeats add only zero gaps, so it runs on each block eigenvalue once,
+    weighted by its ``m`` in the cluster means.  ``alpha`` sums ``u* R u``
+    over the eigenvectors u left out and ``beta`` sums ``s |u|^2`` over
+    those kept, each weighted by ``m``.
     """
     if n * a > 700.0:
         # as in build_plain_test: e^{na} overflows and the test is empty
@@ -557,13 +595,17 @@ def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbab
         return ErrorProbabilities(alpha=float(alpha), beta=0.0, n=n, a=a)
     thr = math.exp(n * a)
     eigs = [np.linalg.eigh(hermitian_part(R - thr * np.diag(s))) for _, R, _, s in blocks]
-    spectrum = np.sort(
-        np.concatenate([np.repeat(w, m) for (m, *_), (w, _) in zip(blocks, eigs)])
-    )
+    spectrum = np.concatenate([w for w, _ in eigs])
+    copies = np.repeat([float(b[0]) for b in blocks], [len(b[3]) for b in blocks])
+    order = np.argsort(spectrum, kind="stable")
+    spectrum, copies = spectrum[order], copies[order]
+    margin = _positivity_margin(spectrum)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(spectrum) > margin) + 1))
+    means = np.add.reduceat(spectrum * copies, starts) / np.add.reduceat(copies, starts)
     # kept clusters are a top segment of the sorted spectrum, so the test
     # keeps exactly the eigenvalues from the smallest kept one up
-    kept_values = spectrum[strictly_positive(spectrum)]
-    cut = kept_values[0] if kept_values.size else math.inf
+    kept = np.flatnonzero(means > margin)
+    cut = spectrum[starts[kept[0]]] if kept.size else math.inf
     alpha = beta = 0.0
     for (m, R, _, s), (w, U) in zip(blocks, eigs):
         kept = w >= cut
@@ -583,9 +625,8 @@ def conjecture_probe(pair: HypothesisPair, n_range, a: float) -> ConjectureRepor
     keeps its EXPERIMENTAL label and asserts nothing.
 
     The errors are those of :func:`_plain_errors` on the :func:`_sweep`
-    blocks of each n; no test operator is built.  Since those repeat
-    each block spectrum to all d^n eigenvalues, the range is held to the
-    dense budget.
+    blocks of each n; no test operator is built.  The range is held to the
+    dense budget, d^n.
     """
     n_range = [check_blocklength(n) for n in n_range]
     check_dense_budget(pair.dim, max(n_range, default=0))

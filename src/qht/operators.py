@@ -204,9 +204,14 @@ def strictly_positive(w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if not w.size:
         return np.zeros(0, dtype=bool)
-    margin = max(CLUSTER_REL_TOL * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max())
+    margin = _positivity_margin(w)
     means, sizes = _cluster_means(w, np.flatnonzero(np.diff(w) > margin) + 1)
     return np.repeat(means > margin, sizes)
+
+
+def _positivity_margin(w: np.ndarray) -> float:
+    """The margin of :func:`strictly_positive` for the ascending, nonempty ``w``."""
+    return max(CLUSTER_REL_TOL * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max())
 
 
 def matrix_power(H, t: float) -> np.ndarray:

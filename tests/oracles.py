@@ -14,7 +14,12 @@ sigma_n levels of the index types, all diagonalized in mpmath.
 The pinched test's keep rule and error sums over levels that hold their
 spectrum repeated once per copy of its block, with one prefix sum per
 level, are the per-level loop that ``qht.finite_n`` replaced by one pass
-over its flat spectrum with multiplicities, kept as its reference.
+over its flat spectrum with multiplicities, kept as its reference.  So are
+the finite-n constructions it replaced by per-sweep tables and one-step
+reads: the level split that solves every sub-block by its own ``eigh``,
+the qubit spin blocks with ``Sym^N`` and the powers of q rebuilt per N
+and per n and their row logs summed over weight strings, and the plain
+test's keep rule over the block spectra repeated to all d^n eigenvalues.
 
 The table writers at the end are the cell-by-cell CSV writer, with text
 cells quoted by the ``csv`` module, and the ``json.dumps(indent=2)`` JSON
@@ -35,7 +40,8 @@ import numpy as np
 
 from qht.config import POSITIVITY_ROUNDOFF
 from qht.exponents import _IMAG_RESIDUE, _psi_bar_terms, _Scan, relative_entropy
-from qht.finite_n import ErrorProbabilities
+from qht.finite_n import ErrorProbabilities, _levels, _row_logs, _running_powers, _Spectrum
+from qht.operators import hermitian_part, strictly_positive
 
 
 def weight_form(pair):
@@ -398,6 +404,100 @@ def _pinched_errors(levels, n: int, a: float, cluster_rel_tol: float) -> ErrorPr
 def level_kept_counts(levels, n, a, cluster_rel_tol):
     """How many eigenvalues, with multiplicity, each level keeps at threshold ``a``."""
     return [len(lev.eigenvalues) - _kept(lev, n, a, cluster_rel_tol) for lev in levels]
+
+
+# The finite-n constructions of per-sub-block, per-N and per-repeat work,
+# as qht.finite_n had them.
+
+
+def level_split(blocks, cluster_rel_tol):
+    """``(spectrum, levels, vectors)`` of the sweep blocks, each sub-block solved by ``eigh``.
+
+    Every level's log weight comes from a dict of its distinct logs with
+    exact int counts; every sub-block, one row or more, is gathered and
+    solved on its own, and its rows and eigenvectors kept.
+    """
+    logs = np.concatenate([b[2] for b in blocks])
+    order, sizes = _levels(logs, cluster_rel_tol)
+    label = np.empty(len(order), dtype=int)
+    label[order] = np.repeat(np.arange(len(sizes)), sizes)
+    ends = np.cumsum(sizes)[:-1].tolist()
+    counts = [m for m, _, row_logs, _ in blocks for _ in row_logs]
+    ranked = list(zip(logs[order].tolist(), [counts[i] for i in order.tolist()]))
+    log_weights = []
+    for start, end in zip([0, *ends], [*ends, len(ranked)]):
+        distinct = {}
+        for x, c in ranked[start:end]:
+            distinct[x] = distinct.get(x, 0) + c
+        x, c = np.array(list(distinct)), np.array(list(distinct.values()), dtype=float)
+        log_weights.append(x[0] if len(x) == 1 else (x * c).sum() / c.sum())
+    levels = np.split(label, np.cumsum([len(b[2]) for b in blocks])[:-1])
+    level, m, w, vectors = [], [], [], []
+    for (mult, R, row_logs, _), same in zip(blocks, levels):
+        local = np.argsort(row_logs, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(same[local])) + 1).tolist(), len(local)]
+        for idx in (local[i:j] for i, j in zip(cuts, cuts[1:])):
+            values, U = np.linalg.eigh(hermitian_part(R[np.ix_(idx, idx)]))
+            level.append(same[idx])
+            m.append(np.full(len(idx), float(mult)))
+            w.append(values)
+            vectors.append((idx, U))
+    level, m, w = (np.concatenate(x) for x in (level, m, w))
+    by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
+    spectrum = _Spectrum(np.array(log_weights), level[by_level], w[by_level], m[by_level])
+    return spectrum, levels, vectors
+
+
+def sym_power(X, N):
+    """``Sym^N(X)`` column by column, from running powers and a binomial table of its own."""
+    binom = np.array([[math.comb(m, i) for i in range(N + 1)] for m in range(N + 1)], float)
+    p00, p10, p01, p11 = (_running_powers(x, N) for x in X.ravel(order="F"))
+    S = np.empty((N + 1, N + 1), dtype=complex)
+    for k in range(N + 1):
+        first = binom[N - k, : N - k + 1] * p00[N - k :: -1] * p10[: N - k + 1]
+        second = binom[k, : k + 1] * p01[k::-1] * p11[: k + 1]
+        S[:, k] = np.convolve(first, second)
+    row = binom[N, : N + 1]
+    return S * np.sqrt(row[None, :] / row[:, None])
+
+
+def spin_blocks(pair, n):
+    """The qubit spin blocks ``(m, R, logs, s)`` at n, every table built for this n alone."""
+    q, _ = pair.sigma_eig
+    X = pair.rho_in_sigma_basis
+    det_x = complex(X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0])
+    det_q = complex(q[0] * q[1])
+    p0, p1 = (_running_powers(x, n) for x in q)
+    logs = _row_logs(q, np.triu(np.ones((n, n + 1), dtype=int), 1))
+    blocks = []
+    for t in range(n // 2 + 1):
+        N = n - 2 * t
+        m = math.comb(n, t) - (math.comb(n, t - 1) if t else 0)
+        s = (det_q**t * (p0[N::-1] * p1[: N + 1])).real
+        blocks.append((m, det_x**t * sym_power(X, N), logs[t : N + t + 1], s))
+    return blocks
+
+
+def plain_errors(pair, n, a, blocks):
+    """The plain test's errors with ``strictly_positive`` on the d^n repeated eigenvalues."""
+    if n * a > 700.0:
+        pair.assert_invertible("plain test with n*a > 700")
+        alpha = sum(m * np.trace(R).real for m, R, _, _ in blocks)
+        return ErrorProbabilities(alpha=float(alpha), beta=0.0, n=n, a=a)
+    thr = math.exp(n * a)
+    eigs = [np.linalg.eigh(hermitian_part(R - thr * np.diag(s))) for _, R, _, s in blocks]
+    spectrum = np.sort(
+        np.concatenate([np.repeat(w, m) for (m, *_), (w, _) in zip(blocks, eigs)])
+    )
+    kept_values = spectrum[strictly_positive(spectrum)]
+    cut = kept_values[0] if kept_values.size else math.inf
+    alpha = beta = 0.0
+    for (m, R, _, s), (w, U) in zip(blocks, eigs):
+        kept = w >= cut
+        out = U[:, ~kept]
+        alpha += m * float(np.einsum("ki,ki->", out.conj(), R @ out).real)
+        beta += m * float((s @ np.abs(U[:, kept]) ** 2).sum())
+    return ErrorProbabilities(alpha=alpha, beta=beta, n=n, a=a)
 
 
 # Table writers, as qht.serialization and qht.cli had them.

@@ -653,6 +653,20 @@ class TestPairCache:
         assert str(point.value) == str(dense.value)
         _Scan((c.real + 1e-12j, r), "psi_bar").point(0.3)  # inside the bound
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
+    def test_real_weights_skip_the_imaginary_product(self, dim):
+        # psi's weights are real, so at() drops the all-zero imaginary row,
+        # bit for bit the trace of both products; psi_bar's are complex
+        pair = qht.random_pair(0, dim)
+        s = np.linspace(0.0, 1.0, 2001)
+        for name, real in (("psi", True), ("psi_bar", False)):
+            scan = _scan(pair, name)
+            assert scan.real == real
+            E = np.exp(np.outer(s, scan.r))
+            both = _real_trace(E @ scan.table[0] + 1j * (E @ scan.table[3]), name)
+            assert scan.at(s).tobytes() == (-np.log(both)).tobytes()
+        assert _Scan((np.array([1.0, 2.0]), np.array([-1.0, 0.5])), "classical").real
+
 
 class TestClassical:
     def test_endpoints(self):

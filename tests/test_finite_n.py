@@ -10,7 +10,6 @@ import qht
 from qht import checks, finite_n, operators
 from qht.config import CLUSTER_REL_TOL
 from qht.finite_n import (
-    _binomials,
     _kept,
     _key_residual,
     _level_split,
@@ -19,7 +18,8 @@ from qht.finite_n import (
     _plain_errors,
     _row_logs,
     _sweep,
-    _sym_power,
+    _sym_powers,
+    _weight_logs,
 )
 from qht.operators import hermitian_part, positive_projection, tensor_power
 
@@ -89,8 +89,8 @@ def level_counts(monkeypatch):
     """The number of sigma_n levels behind each test or sweep run while active."""
     counts = []
 
-    def spy(*args):
-        spectrum, label, vectors = _level_split(*args)
+    def spy(*args, **kwargs):
+        spectrum, label, vectors = _level_split(*args, **kwargs)
         counts.append(len(spectrum.log_weights))
         return spectrum, label, vectors
 
@@ -185,13 +185,14 @@ class TestBuildPinchedTest:
 
 def test_every_entry_point_cuts_levels_at_the_fixed_tolerance(monkeypatch):
     # the sigma_n levels of every finite-n entry point and check are cut at
-    # CLUSTER_REL_TOL, the one clustering tolerance
+    # CLUSTER_REL_TOL, the one clustering tolerance, whether or not the cut
+    # also keeps eigenvectors (build_pinched_test alone asks for them)
     seen = []
 
     def spy(cut):
-        def recorded(logs_or_blocks, cluster_rel_tol):
+        def recorded(logs_or_blocks, cluster_rel_tol, **kwargs):
             seen.append(cluster_rel_tol)
-            return cut(logs_or_blocks, cluster_rel_tol)
+            return cut(logs_or_blocks, cluster_rel_tol, **kwargs)
 
         return recorded
 
@@ -265,7 +266,7 @@ class TestErrorProbabilities:
         div = qht.relative_entropy(pair)
         rows = []
         for n in range(1, n_max + 1):
-            spectrum, _, vectors = _level_split(sweep_blocks(pair, n), CLUSTER_REL_TOL)
+            spectrum, _, vectors = _level_split(sweep_blocks(pair, n), CLUSTER_REL_TOL, vectors=True)
             rows += [len(idx) for idx, _ in vectors]
             for a in (0.25 * div, 0.5 * div, 0.9 * div):
                 ep = _pinched_errors(spectrum, n, a)
@@ -472,18 +473,37 @@ class TestRowLogs:
         for layout in (strings, np.asfortranarray(strings)):
             assert _row_logs(np.array(lam), layout).tolist() == want
 
+    def test_weight_log_table_is_the_row_logs_of_the_weight_strings(self):
+        # the table built once at n = 126 gives every n's spin-block row
+        # logs, bit for bit _row_logs of the n + 1 weight strings (column w
+        # holds w ones), so its prefix rows do not depend on the largest n
+        rng = np.random.default_rng(37)
+        spectra = [np.sort(rng.dirichlet([1.0, 1.0])) for _ in range(30)]
+        spectra += [np.array([0.5 - 7.5e-12, 0.5 + 7.5e-12]), np.array([0.0, 1.0])]
+        for q in spectra:
+            table = _weight_logs(q, 126)
+            for n in range(1, 127):
+                strings = np.triu(np.ones((n, n + 1), dtype=int), 1)
+                assert table[n, : n + 1].tobytes() == _row_logs(q, strings).tobytes()
+            assert table[:8, :8].tobytes() == _weight_logs(q, 7).tobytes()
+
     def test_qubit_sweep_logs_only_the_weight_strings(self, generic, monkeypatch):
-        # the spin blocks take their row logs from the n + 1 sorted weight
-        # strings: no qubit sweep enumerates the 2^n strings
-        shapes = []
+        # the spin blocks read their row logs off one weight-log table per
+        # sweep, built at its largest n: no qubit sweep enumerates strings,
+        # neither the 2^n of all types nor the n + 1 weight strings per n
+        tables = []
 
-        def spy(eigenvalues, strings):
-            shapes.append(strings.shape)
-            return _row_logs(eigenvalues, strings)
+        def spy(q, N):
+            tables.append(N)
+            return _weight_logs(q, N)
 
-        monkeypatch.setattr(finite_n, "_row_logs", spy)
+        def refuse(*args):
+            raise AssertionError("index strings enumerated")
+
+        monkeypatch.setattr(finite_n, "_weight_logs", spy)
+        monkeypatch.setattr(finite_n, "_row_logs", refuse)
         qht.verify_bounds(generic, range(1, 13), [0.1])
-        assert shapes == [(n, n + 1) for n in range(1, 13)]
+        assert tables == [12]
 
 
 class TestVerifyBounds:
@@ -689,18 +709,20 @@ class TestVerifyBounds:
 
 
     @pytest.mark.parametrize(
-        "sweep,n_max",
+        "sweep,n_max,solves",
         [
-            (lambda pair, a: qht.verify_bounds(pair, range(1, 13), [0.1, a]), 12),
-            (lambda pair, a: qht.stein_trace(pair, a, 12), 12),
-            (lambda pair, a: checks.check_error_monotonicity(np.random.default_rng(0), 3), 2),
+            (lambda pair, a: qht.verify_bounds(pair, range(1, 13), [0.1, a]), 12, True),
+            (lambda pair, a: qht.stein_trace(pair, a, 12), 12, False),
+            (lambda pair, a: checks.check_error_monotonicity(np.random.default_rng(0), 3), 2, True),
         ],
         ids=["verify_bounds", "stein_trace", "check_error_monotonicity"],
     )
-    def test_qubit_sweeps_solve_nothing_above_the_spin_blocks(self, sweep, n_max, monkeypatch):
+    def test_qubit_sweeps_solve_nothing_above_the_spin_blocks(self, sweep, n_max, solves, monkeypatch):
         # the level spectra and the key residual come from the spin blocks,
         # so up to D = 4096 no tensor_power is formed and no eigensolve
-        # exceeds n + 1 rows
+        # exceeds n + 1 rows.  stein_trace solves none at all: it takes no
+        # key residual and these levels' sub-blocks are 1 x 1, read off the
+        # diagonal (the monotonicity check solves its random pairs' states)
         sizes = []
 
         def spy(solve):
@@ -719,7 +741,8 @@ class TestVerifyBounds:
             monkeypatch.setattr(np.linalg, name, spy(getattr(np.linalg, name)))
         monkeypatch.setattr(finite_n, "tensor_power", refuse)
         sweep(generic, a)
-        assert sizes and max(sizes) <= n_max + 1
+        assert bool(sizes) == solves
+        assert max(sizes, default=0) <= n_max + 1
 
 
 class TestKeepRule:
@@ -894,6 +917,72 @@ class TestQubitLevelsAtLargeN:
         assert n * div - math.log(n + 1) <= pinched <= n * div
 
 
+def singular_qubit():
+    return qht.HypothesisPair(np.array([[0.6, 0.2], [0.2, 0.4]]), np.diag([1.0, 0.0]))
+
+
+class TestOneStepLevels:
+    # The sweeps against the constructions they replaced (oracles): every
+    # sub-block solved by its own eigh, and the spin-block tables rebuilt
+    # for each N and n.  Bit for bit, on runs of single rows (levels of one
+    # weight) and on merged runs (nearly degenerate, split-prone, d >= 3).
+
+    @pytest.mark.parametrize(
+        "pair,n_max,merged",
+        [(qht.preset_pair(name), 40, False) for name in ("identical", "commuting-1", "qubit-generic", "qubit-skewed")]
+        + [(pair, 40, False) for pair in seeded_pairs(3)]
+        + [(singular_qubit(), 40, True), (nearly_degenerate_pair(2), 126, True), (split_prone_pair(), 126, True)]
+        + [(pair, 5, True) for pair in seeded_pairs(2, dim=3)]
+        + [(nearly_degenerate_pair(3), 5, True), (qht.random_pair(0, 4), 3, True)],
+        ids=["identical", "commuting", "generic", "skewed", "d2-0", "d2-1", "d2-2", "singular",
+             "d2-nearly-degenerate", "split-prone", "d3-0", "d3-1", "d3-nearly-degenerate", "d4-0"],
+    )
+    def test_level_split_matches_per_sub_block_eigh(self, pair, n_max, merged):
+        # merged: some level holds two rows of one block, whose sub-block
+        # takes eigh; else every sub-block is one row, read off the diagonal
+        runs = []
+        for n, blocks in _sweep(pair, range(1, n_max + 1)):
+            spectrum, levels, vectors = _level_split(blocks, CLUSTER_REL_TOL)
+            ref, ref_levels, ref_vectors = oracles.level_split(blocks, CLUSTER_REL_TOL)
+            for name in ("log_weights", "level", "w", "m"):
+                assert getattr(spectrum, name).tobytes() == getattr(ref, name).tobytes()
+            assert [x.tobytes() for x in levels] == [x.tobytes() for x in ref_levels]
+            assert vectors is None
+            runs += [len(idx) for idx, _ in ref_vectors]
+        assert (max(runs) > 1) == merged
+
+    @pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 3), (4, 2)])
+    def test_pinched_test_keeps_every_sub_blocks_eigenvectors(self, dim, n_max):
+        # build_pinched_test asks for the eigenvectors: its tensor block is
+        # split as before, every sub-block by eigh, 1 x 1 ones included
+        for pair in seeded_pairs(2, dim=dim) + ([singular_qubit()] if dim == 2 else []):
+            for n in range(1, n_max + 1):
+                blocks = finite_n._tensor_block(pair, n)
+                spectrum, _, vectors = _level_split(blocks, CLUSTER_REL_TOL, vectors=True)
+                ref, _, ref_vectors = oracles.level_split(blocks, CLUSTER_REL_TOL)
+                for name in ("log_weights", "level", "w", "m"):
+                    assert getattr(spectrum, name).tobytes() == getattr(ref, name).tobytes()
+                assert len(vectors) == len(ref_vectors)
+                for (idx, U), (ref_idx, ref_U) in zip(vectors, ref_vectors):
+                    assert idx.tobytes() == ref_idx.tobytes() and U.tobytes() == ref_U.tobytes()
+
+    @pytest.mark.parametrize(
+        "pair,n_max",
+        [(qht.preset_pair("qubit-skewed"), 40), (singular_qubit(), 12), (nearly_degenerate_pair(2), 126)]
+        + [(pair, 40) for pair in seeded_pairs(2)],
+        ids=["skewed", "singular", "d2-nearly-degenerate", "d2-0", "d2-1"],
+    )
+    def test_spin_blocks_match_tables_built_per_n(self, pair, n_max):
+        n_range = sorted({*range(1, 13), n_max // 2, n_max})
+        for n, blocks in _sweep(pair, n_range):
+            reference = oracles.spin_blocks(pair, n)
+            assert len(blocks) == len(reference)
+            for block, ref in zip(blocks, reference):
+                assert block[0] == ref[0]
+                for got, want in zip(block[1:], ref[1:]):
+                    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 3), (4, 2)])
 def test_sweep_blocks_read_the_pairs_rho_in_sigma_basis(dim, n_max):
     # with rho itself gone the blocks can only come from the stored
@@ -916,7 +1005,7 @@ class TestBudgetBeforeWork:
             raise AssertionError("blocklength computed before the budget check")
 
         qutrit = qht.random_pair(0, dim=3)
-        for name in ("_sym_power", "_tensor_block", "_level_split", "_plain_errors", "tensor_power"):
+        for name in ("_sym_powers", "_tensor_block", "_level_split", "_plain_errors", "tensor_power"):
             monkeypatch.setattr(finite_n, name, refuse)
         # qubit levels: (n + 2)^2 // 4 spin-block rows, 4160 at n = 127; the
         # qubit plain test repeats them to 2^n eigenvalues
@@ -964,7 +1053,7 @@ class TestBlocklengthValidation:
 
         pair = qht.random_pair(0, dim=dim)
         assert qht.relative_entropy(pair) > 0.1
-        for name in ("_sym_power", "_level_split", "tensor_power"):
+        for name in ("_sym_powers", "_level_split", "tensor_power"):
             monkeypatch.setattr(finite_n, name, spy(name, getattr(finite_n, name)))
         with pytest.raises(ValueError, match="blocklength"):
             entry(pair, n)
@@ -1027,6 +1116,32 @@ class TestSteinTrace:
         with pytest.raises(qht.RateAboveDivergence):
             qht.stein_trace(identical, 0.0, 3)
 
+    def test_stein_trace_takes_no_key_residual(self, generic, monkeypatch):
+        # its points are the verify_bounds rows at a without the key
+        # residual, which for d >= 3 is a dense eigensolve per n; a generic
+        # qubit's 1 x 1 level sub-blocks then leave nothing to solve
+        qutrit = qht.random_pair(0, 3)
+        cases = [(pair, 0.5 * qht.relative_entropy(pair)) for pair in (generic, qutrit)]
+        points = [qht.stein_trace(pair, a, 4) for pair, a in cases]
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def refuse(*args):
+            raise AssertionError("key residual computed")
+
+        def sized(A, *args, **kwargs):
+            sizes.append(len(A))
+            return eigh(A, *args, **kwargs)
+
+        monkeypatch.setattr(finite_n, "_key_residual", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", sized)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert qht.stein_trace(*cases[0], 4) == points[0]
+        assert sizes == []
+        assert qht.stein_trace(*cases[1], 4) == points[1]
+        with pytest.raises(AssertionError, match="key residual computed"):
+            qht.verify_bounds(generic, [1], [0.1])
+
 
 class TestConjectureProbe:
     def test_commuting_pair_satisfies_targets(self, commuting):
@@ -1077,17 +1192,18 @@ class TestSpinBlocks:
         for N in range(1, 7):
             D = dicke_basis(N)
             dense = D.T @ tensor_power(X, N) @ D
-            assert np.abs(_sym_power(X, N, _binomials(N)) - dense).max() <= 1e-13
-        np.testing.assert_array_equal(_sym_power(X, 0, _binomials(0)), np.ones((1, 1)))
+            assert np.abs(_sym_powers(X, N)[N] - dense).max() <= 1e-13
+        np.testing.assert_array_equal(_sym_powers(X, 0)[0], np.ones((1, 1)))
 
     def test_sym_power_reads_the_sweeps_binomial_table(self, generic):
-        # a sweep builds one binomial table for its largest n; Sym^N read off
-        # it is bit for bit Sym^N read off a table of its own
+        # a sweep builds its Sym^N list, binomial table and running powers
+        # once, for its largest n; Sym^N read off them is bit for bit Sym^N
+        # built column by column on tables of its own
         X = generic.rho_in_sigma_basis
-        binom = _binomials(40)
+        syms = _sym_powers(X, 40)
         for N in range(41):
-            own = _sym_power(X, N, _binomials(N))
-            assert _sym_power(X, N, binom).tobytes() == own.tobytes()
+            assert syms[N].tobytes() == _sym_powers(X, N)[N].tobytes()
+            assert syms[N].tobytes() == oracles.sym_power(X, N).tobytes()
 
     def test_multiplicities_fill_the_space(self, generic):
         log_q = np.log(generic.sigma_eig[0])
@@ -1113,7 +1229,7 @@ class TestSpinBlocks:
         det = complex(Q[0, 0] * Q[1, 1] - Q[0, 1] * Q[1, 0])
         for n, blocks in _sweep(pair, range(1, 13)):
             for t, (_, _, _, s) in enumerate(blocks):
-                S = det**t * _sym_power(Q, n - 2 * t, _binomials(n))
+                S = det**t * _sym_powers(Q, n - 2 * t)[-1]
                 np.testing.assert_array_equal(s.view(np.int64), S.diagonal().real.view(np.int64))
                 assert not (S - np.diag(S.diagonal())).any()
 
@@ -1215,23 +1331,43 @@ class TestPlainErrorsFromSpinBlocks:
             qht.conjecture_probe(qutrit, [1], 0.1)
 
     def test_sym_powers_built_once_per_range(self, generic, monkeypatch):
-        # one Sym^N of rho's block per N for the whole range: 9 for n <= 8,
-        # where building them per (n, t) took 24; sigma's blocks are its
-        # eigenvalue products and take none
+        # one list Sym^0..Sym^8 of rho's block for the whole range n <= 8,
+        # where building Sym^N per N took 9 calls and per (n, t) 24; sigma's
+        # blocks are its eigenvalue products and take none
         calls = []
 
-        def spy(X, N, binom):
+        def spy(X, N):
             calls.append(N)
-            return _sym_power(X, N, binom)
+            return _sym_powers(X, N)
 
         reference = qht.conjecture_probe(generic, range(1, 9), 0.1)
         reports = qht.verify_bounds(generic, range(1, 9), [0.1])
-        monkeypatch.setattr(finite_n, "_sym_power", spy)
+        monkeypatch.setattr(finite_n, "_sym_powers", spy)
         assert qht.conjecture_probe(generic, range(1, 9), 0.1) == reference
-        assert calls == list(range(9))
+        assert calls == [8]
         calls.clear()
         assert qht.verify_bounds(generic, range(1, 9), [0.1]) == reports
-        assert calls == list(range(9))
+        assert calls == [8]
+
+    def test_distinct_eigenvalue_rule_matches_repeated_spectrum(self, monkeypatch):
+        # strictly_positive on the d^n eigenvalues, each block's repeated m
+        # times, against the rule on the block eigenvalues once each with
+        # multiplicity-weighted cluster means: the same reports, to the last
+        # bit, on seeded pairs and on pairs whose clusters hold repeats
+        # (identical and merged levels) at a in {-0.5, 0, 0.25, 0.5, 0.9, 1.2} D
+        cases = [(pair, 12) for pair in seeded_pairs(3)]
+        cases += [(qht.preset_pair(name), 12) for name in ("identical", "commuting-1", "qubit-skewed")]
+        cases += [(nearly_degenerate_pair(2), 12)]
+        cases += [(qht.random_pair(0, 3), 6), (qht.random_pair(1, 3), 5), (qht.random_pair(0, 4), 4)]
+        for pair, n_max in cases:
+            div = qht.relative_entropy(pair)
+            for frac in (-0.5, 0.0, 0.25, 0.5, 0.9, 1.2):
+                a = frac * div if div > 0.0 else frac
+                got = qht.conjecture_probe(pair, range(1, n_max + 1), a)
+                with monkeypatch.context() as patch:
+                    patch.setattr(finite_n, "_plain_errors", oracles.plain_errors)
+                    want = qht.conjecture_probe(pair, range(1, n_max + 1), a)
+                assert repr(got) == repr(want)
 
     def test_identical_pair_keeps_no_direction(self, identical):
         for row in qht.conjecture_probe(identical, range(1, 9), 0.0).rows:
