@@ -9,6 +9,12 @@ exponent functions, derivative consistency, the finite-n envelopes and
 the classical reductions.  The derivative check compares against a
 40-digit reference psi computed with the standard library's ``decimal``
 module (:func:`decimal_psi`).
+
+The finite-n sweep rows (``finite-n``'s numbers) meet dense references
+that share no code with them, at n <= 3 and a below the relative entropy:
+``alpha + Tr[rho_n A] = 1`` and ``beta = Tr[sigma_n A]`` for the dense
+pinched test A (:func:`check_test_structure`) and, on commuting pairs,
+for the dense plain test (:func:`check_commuting_tests_coincide`).
 """
 
 import math
@@ -31,6 +37,7 @@ from .exponents import (
     solve_rate_parameter,
 )
 from .finite_n import (
+    _bound_reports,
     _level_split,
     _levels,
     _pinched_errors,
@@ -42,10 +49,10 @@ from .finite_n import (
     verify_bounds,
 )
 from .operators import (
+    _spectral_power,
     eigendecompose,
     hermitian_part,
     key_inequality_residual,
-    matrix_power,
     min_eigenvalue,
     operator_convexity_gap,
     pinch,
@@ -151,9 +158,11 @@ def check_operator_monotonicity(rng, n_samples) -> CheckResult:
         for n in (1, 2, 3):
             rho_n = tensor_power(pair.rho, n)
             dec = eigendecompose(tensor_power(pair.sigma, n))
-            pinched = pinch(dec, rho_n)
+            # matrix_power's eigendecompose, once per n instead of once per s
+            rho_dec = eigendecompose(rho_n)
+            pinched_dec = eigendecompose(pinch(dec, rho_n))
             for s in (0.25, 0.5, 1.0):
-                gap = dec.v**s * matrix_power(rho_n, -s) - matrix_power(pinched, -s)
+                gap = dec.v**s * _spectral_power(rho_dec, -s) - _spectral_power(pinched_dec, -s)
                 worst = min(worst, min_eigenvalue(gap))
     return CheckResult("inverse-power domination", worst >= -1e-8, worst, -1e-8)
 
@@ -371,16 +380,14 @@ def check_test_structure(rng, n_samples, n_max) -> CheckResult:
         pair = random_pair(rng)
         div = relative_entropy(pair)
         a = 0.5 * div
-        for n in range(1, min(n_max, 3) + 1):
-            test = build_pinched_test(pair, n, a)
-            A = test.operator
-            sigma_n = tensor_power(pair.sigma, n)
+        for r in _bound_reports(pair, range(1, min(n_max, 3) + 1), [a], key=False):
+            A = build_pinched_test(pair, r.n, a).operator
+            sigma_n = tensor_power(pair.sigma, r.n)
             worst = max(worst, float(np.linalg.norm(A @ A - A, 2)))
             worst = max(worst, float(np.linalg.norm(A @ sigma_n - sigma_n @ A, 2)))
-            ep = error_probabilities(pair, test)
-            rho_n = tensor_power(pair.rho, n)
-            mass = ep.alpha + float(np.trace(rho_n @ A).real)
-            worst_mass = max(worst_mass, abs(mass - 1.0))
+            rho_n = tensor_power(pair.rho, r.n)
+            mass = r.alpha + np.trace(rho_n @ A).real
+            worst_mass = max(worst_mass, abs(mass - 1.0), abs(r.beta - np.trace(sigma_n @ A).real))
     passed = worst <= 1e-9 and worst_mass <= 1e-12
     return CheckResult(
         "test projections and mass",
@@ -396,12 +403,12 @@ def check_commuting_tests_coincide(rng, n_samples) -> CheckResult:
     for _ in range(n_samples):
         pair = random_diagonal_pair(rng)
         div = relative_entropy(pair)
-        for n in (1, 2, 3):
-            for a in (0.3 * div, 0.8 * div):
-                pinched = build_pinched_test(pair, n, a)
-                plain = build_plain_test(pair, n, a)
-                gap = np.abs(pinched.operator - plain.operator).max()
-                worst = max(worst, float(gap))
+        for r in _bound_reports(pair, (1, 2, 3), (0.3 * div, 0.8 * div), key=False):
+            pinched = build_pinched_test(pair, r.n, r.a)
+            plain = build_plain_test(pair, r.n, r.a)
+            ep = error_probabilities(pair, plain)
+            gap = np.abs(pinched.operator - plain.operator).max()
+            worst = max(worst, float(gap), abs(r.alpha - ep.alpha), abs(r.beta - ep.beta))
     return CheckResult("pinched equals plain when commuting", worst <= 1e-10, worst, 1e-10)
 
 
@@ -412,8 +419,8 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
         for n, blocks in _sweep(pair, (1, 2)):
-            spectrum, _, _ = _level_split(blocks, CLUSTER_REL_TOL)
-            eps = [_pinched_errors(spectrum, n, a) for a in grid]
+            spectrum, _ = _level_split(blocks, CLUSTER_REL_TOL)
+            eps = _pinched_errors(spectrum, n, grid)
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])
             worst = max(worst, float((-np.diff(alphas)).max()))

@@ -13,26 +13,26 @@ eigenbasis, as blocks ``(m, R, logs, s)`` whose rows each carry their
 sigma_n log-eigenvalue, each block standing for ``m`` equal copies.
 :func:`_sweep` alone validates a sweep's blocklengths, checks the budget
 ``MAX_TENSOR_DIM`` on the number of rows it builds and picks the blocks:
-qubit spin blocks, of size at most n + 1, else
-``M = (V* rho V)^{(x)n}`` as one block, which :func:`build_pinched_test`
-takes in every dimension (its eigenvectors run over tensor positions).
-The qubit tables (``Sym^N``, powers of q, row logs) are built once per
-sweep.  :func:`_level_split` clusters the row logs into the levels of
+qubit spin blocks, of size at most n + 1, from tables (``Sym^N``, powers
+of q, row logs) built once per sweep, else ``M = (V* rho V)^{(x)n}`` as
+one block.  :func:`_level_split` clusters the row logs into the levels of
 sigma_n (each a union of whole types, so never dependent on the order of
 the tensor factors) and cuts the blocks on them, solving only sub-blocks
 of two rows or more.  The sub-block eigenvalues with their
 multiplicities, one flat :class:`_Spectrum` per n, are the one
-representation of the pinched test: :func:`_kept` is its keep rule, one
-mask, and the errors (:func:`_pinched_errors`) are one pass over it.  The
-key residual of :func:`verify_bounds` (whose rows :func:`stein_trace`
-reads, without it) and the plain test {rho_n > e^{na} sigma_n} of
-:func:`conjecture_probe` run on the same blocks.  Multiplicities are
-exact ints in the blocks and floats in every array; no sweep expands a
-block m times.  The plain test stays on the dense budget.  Only
-:func:`build_pinched_test` forms the dense operator.  Every entry point
-clusters at the fixed ``CLUSTER_REL_TOL``.  The dense
-:func:`build_plain_test`, :func:`error_probabilities` and pinching
-residual of :mod:`qht.operators` stay the cross-checks.
+representation of the pinched test: :func:`_kept` is its keep rule and
+:func:`_pinched_errors` reads the errors of every threshold of one n off
+it in one pass.  The key residual of :func:`verify_bounds` (whose rows
+:func:`stein_trace` reads, without it) and the plain test
+{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on the same
+blocks.  Multiplicities are exact ints in the blocks and floats in every
+array; no sweep expands a block m times.  The plain test stays on the
+dense budget.  Every entry point clusters at the fixed
+``CLUSTER_REL_TOL``.  No sweep forms a test operator: the dense
+:func:`build_pinched_test` (``pinch`` and ``positive_projection``, nothing
+of the level path) and :func:`build_plain_test`, with the traces of
+:func:`error_probabilities`, are the independent references, for small n,
+moderate n a and levels both clustering rules cut alike.
 """
 
 import math
@@ -55,8 +55,10 @@ from .operators import (
     check_blocklength,
     check_budget,
     check_dense_budget,
+    eigendecompose,
     _positivity_margin,
     hermitian_part,
+    pinch,
     positive_projection,
     tensor_power,
 )
@@ -87,15 +89,12 @@ class TestOperator:
 
     Both constructions here produce projections; idempotency within
     ``PROJ_TOL`` is validated at creation, which also pins the spectrum to
-    a neighborhood of {0, 1}.  ``errors`` holds the exact errors of a
-    pinched test, read off its sigma_n levels, and is None for a test
-    whose errors are dense traces.
+    a neighborhood of {0, 1}.
     """
 
     operator: np.ndarray
     n: int
     a: float
-    errors: ErrorProbabilities | None = None
 
     def __post_init__(self):
         A = self.operator
@@ -213,8 +212,8 @@ def _levels(logs, cluster_rel_tol: float):
     return order, sizes
 
 
-def _level_split(blocks, cluster_rel_tol: float, vectors: bool = False):
-    """The :class:`_Spectrum` of the :func:`_sweep` blocks.
+def _level_split(blocks, cluster_rel_tol: float):
+    """The :class:`_Spectrum` of the :func:`_sweep` blocks and each block's row levels.
 
     The blocks' row logs are cut into levels by :func:`_levels`.  A level of
     one type (first and last sorted log equal) weighs that log; any other
@@ -224,8 +223,7 @@ def _level_split(blocks, cluster_rel_tol: float, vectors: bool = False):
     in one level, ordered by log, form a sub-block of pinch(rho_n), solved
     by ``eigh``; a 1 x 1 one, as every qubit level of one weight gives, is
     read off the real diagonal, which is what ``eigh`` returns, bit for
-    bit.  Also returns each block's row levels (for :func:`_key_residual`)
-    and, with ``vectors``, every sub-block's rows and eigenvectors.
+    bit.  The row levels are for :func:`_key_residual`.
     """
     logs = np.concatenate([b[2] for b in blocks])
     order, sizes = _levels(logs, cluster_rel_tol)
@@ -254,22 +252,21 @@ def _level_split(blocks, cluster_rel_tol: float, vectors: bool = False):
     w = np.concatenate([b[1].diagonal() for b in blocks]).real[rows]
     cuts = np.flatnonzero((np.diff(level) != 0) | (np.diff(block) != 0)) + 1
     bounds = np.concatenate(([0], cuts, [len(rows)]))
-    solve = np.arange(len(cuts) + 1) if vectors else np.flatnonzero(np.diff(bounds) > 1)
-    subblocks = []
+    solve = np.flatnonzero(np.diff(bounds) > 1)
     for i, j in zip(bounds[solve].tolist(), bounds[solve + 1].tolist()):
         k = int(block[i])
         idx = rows[i:j] - first[k]
-        w[i:j], U = np.linalg.eigh(hermitian_part(blocks[k][1][np.ix_(idx, idx)]))
-        subblocks.append((idx, U))
+        # eigh, not eigvalsh: the two LAPACK drivers can differ in the last bit
+        w[i:j] = np.linalg.eigh(hermitian_part(blocks[k][1][np.ix_(idx, idx)]))[0]
     m = np.repeat([float(b[0]) for b in blocks], lengths)
     # stable, all float: a first int sort or int-float cast pages in 64-128 KiB of numpy
     by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
     spectrum = _Spectrum(log_weights, level[by_level], w[by_level], m[by_level])
-    return spectrum, levels, subblocks if vectors else None
+    return spectrum, levels
 
 
-def _kept(spectrum, n: int, a: float) -> np.ndarray:
-    """Which entries of ``spectrum`` the pinched test at threshold ``a`` keeps.
+def _kept(spectrum, n: int, a_grid) -> np.ndarray:
+    """Which entries of ``spectrum`` the pinched test keeps, one row per threshold of ``a_grid``.
 
     The keep rule: a block eigenvalue w is in the test when it exceeds the
     threshold ``thr = e^{na}`` times its level's weight by the relative
@@ -279,52 +276,54 @@ def _kept(spectrum, n: int, a: float) -> np.ndarray:
     Thresholds are scalar ``math.exp``, as numpy's may differ in the last
     bit.
     """
-    log_thr = (n * a + spectrum.log_weights).tolist()
-    thr = np.array([math.exp(x) if x <= math.log(2.0) else math.inf for x in log_thr])
-    return spectrum.w > (thr * (1.0 + CLUSTER_REL_TOL))[spectrum.level]
+    log_thr = (n * np.asarray(a_grid, dtype=float)[:, None] + spectrum.log_weights).tolist()
+    thr = [math.exp(x) if x <= math.log(2.0) else math.inf for row in log_thr for x in row]
+    thr = np.array(thr).reshape(len(log_thr), len(spectrum.log_weights))
+    return spectrum.w > (thr * (1.0 + CLUSTER_REL_TOL))[:, spectrum.level]
 
 
-def _pinched_errors(spectrum, n: int, a: float) -> ErrorProbabilities:
-    """alpha and beta of the pinched test at threshold ``a`` from one pass over the spectrum.
+def _pinched_errors(spectrum, n: int, a_grid) -> list[ErrorProbabilities]:
+    """alpha and beta of the pinched test at each threshold of ``a_grid``, in one pass.
 
     alpha sums ``m w`` over the entries left out; beta weights each level's
-    kept count with its sigma_n eigenvalue, exact even where a dense trace
-    underflows.
+    kept count (one ``bincount`` for all thresholds) with its sigma_n
+    eigenvalue, exact even where a dense trace underflows.
     """
-    keep = _kept(spectrum, n, a)
-    alpha = float((spectrum.m * spectrum.w)[~keep].sum())
-    counts = np.bincount(spectrum.level, np.where(keep, spectrum.m, 0.0)).tolist()
-    weights = spectrum.log_weights.tolist()
-    beta = sum(math.exp(lw) * c for lw, c in zip(weights, counts) if c and math.isfinite(lw))
-    return ErrorProbabilities(alpha=alpha, beta=float(beta), n=n, a=a)
+    keep = _kept(spectrum, n, a_grid)
+    v = len(spectrum.log_weights)
+    labels = spectrum.level + v * np.arange(len(keep))[:, None]
+    counts = np.bincount(labels.ravel(), np.where(keep, spectrum.m, 0.0).ravel(), len(keep) * v)
+    mw = spectrum.m * spectrum.w
+    # the level eigenvalues of sigma_n, 0.0 on its kernel
+    weights = [math.exp(lw) for lw in spectrum.log_weights.tolist()]
+    errors = []
+    for a, kept, row in zip(a_grid, keep, counts.reshape(len(keep), v).tolist()):
+        beta = float(sum(q * c for q, c in zip(weights, row) if c))
+        errors.append(ErrorProbabilities(alpha=float(mw[~kept].sum()), beta=beta, n=n, a=a))
+    return errors
 
 
 def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
-    """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n.
+    """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n, formed densely.
 
-    Within each sigma_n eigenvalue level the difference is the pinched
-    block minus a scalar threshold, so the positive part is read off the
-    block spectrum by the keep rule of :func:`_kept`: block eigenvalues
-    within a relative margin of the threshold stay outside, matching the
-    strict inequality of the positive projection.  The operator is ``W W*``
-    with W the kept block eigenvectors in the columns of ``V^{(x)n}``, so
-    it commutes with sigma_n by construction; its ``errors`` are those of
-    :func:`_pinched_errors`.  W runs over tensor positions, so
-    :func:`_level_split` runs on :func:`_tensor_block` in every dimension.
+    The reference for the level path: dense tensor powers, ``pinch`` over
+    ``eigendecompose(sigma_n)`` and ``positive_projection``, nothing of
+    :func:`_level_split` or :func:`_kept`.  It holds for small n (d^n within
+    the dense budget), moderate n a (the eigensolve's roundoff scales with
+    ``e^{na} sigma_n``; ``e^{na}`` overflows above n a ~ 709) and sigma_n
+    levels both clustering rules cut alike.  ``eigendecompose`` merges
+    consecutive gaps up to ``CLUSTER_REL_TOL * ||sigma_n||``, :func:`_levels`
+    logs within ``CLUSTER_REL_TOL`` of a level's first: on ``qubit-skewed``
+    the first merges the levels below 1e-10 from n = 3 (dense alpha 0.4 %
+    off at a = 0.1 D); on sigma = diag(0.5 +- 7.5e-12) it makes one level to
+    n = 6, the second two from n = 4, of about four weights each, and alpha
+    differs by 2.5e-3 at n = 4, up to 0.14 at n = 5 (a in {0.25, 0.5, 0.9} D).
     """
     a = float(a)
-    spectrum, _, vectors = _level_split(_tensor_block(pair, n), CLUSTER_REL_TOL, vectors=True)
-    # one sub-block per level: a level keeps the top of its eigh spectrum
-    kept = np.bincount(spectrum.level[_kept(spectrum, n, a)], minlength=len(vectors))
-    Vn = tensor_power(pair.sigma_eig[1], n)
-    # contiguous copies of the kept vectors: matmul rounds a strided operand
-    # differently, and verify prints roundoff-level residuals of this test
-    W = np.hstack([
-        Vn[:, positions] @ U[:, len(U) - k :].copy()
-        for (positions, U), k in zip(vectors, kept.tolist())
-    ])
-    errors = _pinched_errors(spectrum, n, a)
-    return TestOperator(operator=W @ W.conj().T, n=n, a=a, errors=errors)
+    rho_n = tensor_power(pair.rho, n)  # validates n and the budget first
+    sigma_n = tensor_power(pair.sigma, n)
+    X = pinch(eigendecompose(sigma_n), rho_n) - math.exp(n * a) * sigma_n
+    return TestOperator(operator=positive_projection(X), n=n, a=a)
 
 
 def build_plain_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
@@ -344,18 +343,9 @@ def build_plain_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
 
 
 def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbabilities:
-    """alpha = Tr[rho_n (I - A)] and beta = Tr[sigma_n A] for one test.
-
-    A test that carries its ``errors`` (a pinched test, whose errors are
-    the level sums threshold sweeps use) returns them as they are; other
-    tests are evaluated by dense traces.
-    """
+    """alpha = Tr[rho_n (I - A)] and beta = Tr[sigma_n A] for one test, as dense traces."""
     if test.dim != pair.dim**test.n:
-        raise DimensionMismatch(
-            f"test dimension {test.dim} != {pair.dim}^{test.n}"
-        )
-    if test.errors is not None:
-        return test.errors
+        raise DimensionMismatch(f"test dimension {test.dim} != {pair.dim}^{test.n}")
     rho_n = tensor_power(pair.rho, test.n)
     sigma_n = tensor_power(pair.sigma, test.n)
     # Tr[B A] as the elementwise sum of B and A^T: O(D^2), no D x D product
@@ -363,9 +353,7 @@ def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbab
     beta = np.einsum("ij,ji->", sigma_n, test.operator)
     if max(abs(alpha.imag), abs(beta.imag)) > 1e-12:
         raise ArithmeticError("error probabilities have imaginary residue")
-    return ErrorProbabilities(
-        alpha=float(alpha.real), beta=float(beta.real), n=test.n, a=test.a
-    )
+    return ErrorProbabilities(alpha=float(alpha.real), beta=float(beta.real), n=test.n, a=test.a)
 
 
 def _key_residual(v: int, levels, blocks) -> float:
@@ -412,16 +400,15 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
 def _bound_reports(pair: HypothesisPair, n_range, a_grid, key: bool) -> list[BoundReport]:
     """The :func:`verify_bounds` reports; without ``key`` their key residual is nan."""
     sweep = _sweep(pair, n_range)
-    phis = {float(a): phi_bar(pair, a)[0] for a in a_grid}
+    a_grid = [float(a) for a in a_grid]
+    phis = {a: phi_bar(pair, a)[0] for a in a_grid}
     reports = []
     for n, blocks in sweep:
-        spectrum, levels, _ = _level_split(blocks, CLUSTER_REL_TOL)
+        spectrum, levels = _level_split(blocks, CLUSTER_REL_TOL)
         v = len(spectrum.log_weights)
         residual = _key_residual(v, levels, blocks) if key else math.nan
         pref = int((n + 1) ** pair.dim)
-        for a in a_grid:
-            a = float(a)
-            ep = _pinched_errors(spectrum, n, a)
+        for a, ep in zip(a_grid, _pinched_errors(spectrum, n, a_grid)):
             reports.append(
                 BoundReport(
                     n=n,

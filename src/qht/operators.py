@@ -225,7 +225,11 @@ def matrix_power(H, t: float) -> np.ndarray:
     inverse on the support is taken.  ``t == 0`` returns the support
     projection.
     """
-    dec = eigendecompose(H)
+    return _spectral_power(eigendecompose(H), t)
+
+
+def _spectral_power(dec: SpectralDecomposition, t: float) -> np.ndarray:
+    """:func:`matrix_power` of the operator that ``dec`` decomposes, with its validations."""
     w = dec.eigenvalues.copy()
     norm = np.abs(w).max() if w.size else 0.0
     fractional = not float(t).is_integer()
@@ -270,7 +274,8 @@ def tensor_power(A, n: int) -> np.ndarray:
     check_dense_budget(M.shape[0], n)
     out = M.copy()  # n = 1 must not hand back the caller's array
     for _ in range(n - 1):
-        out = np.kron(out, M)
+        # np.kron bit for bit: entry (i j, k l) is out[i, k] * M[j, l]
+        out = (out[:, None, :, None] * M[None, :, None, :]).reshape(len(out) * len(M), -1)
     return out
 
 

@@ -16,7 +16,9 @@ spectrum repeated once per copy of its block, with one prefix sum per
 level, are the per-level loop that ``qht.finite_n`` replaced by one pass
 over its flat spectrum with multiplicities, kept as its reference.  So are
 the finite-n constructions it replaced by per-sweep tables and one-step
-reads: the level split that solves every sub-block by its own ``eigh``,
+reads: the level split that solves every sub-block by its own ``eigh``
+(with the pinched test assembled from its eigenvectors, as
+``build_pinched_test`` did before it became a dense reference of its own),
 the qubit spin blocks with ``Sym^N`` and the powers of q rebuilt per N
 and per n and their row logs summed over weight strings, and the plain
 test's keep rule over the block spectra repeated to all d^n eigenvalues.
@@ -38,10 +40,19 @@ import math
 import mpmath as mp
 import numpy as np
 
-from qht.config import POSITIVITY_ROUNDOFF
+from qht import finite_n
+from qht.config import CLUSTER_REL_TOL, POSITIVITY_ROUNDOFF
 from qht.exponents import _IMAG_RESIDUE, _psi_bar_terms, _Scan, relative_entropy
-from qht.finite_n import ErrorProbabilities, _levels, _row_logs, _running_powers, _Spectrum
-from qht.operators import hermitian_part, strictly_positive
+from qht.finite_n import (
+    ErrorProbabilities,
+    TestOperator,
+    _levels,
+    _row_logs,
+    _running_powers,
+    _Spectrum,
+    _tensor_block,
+)
+from qht.operators import hermitian_part, strictly_positive, tensor_power
 
 
 def weight_form(pair):
@@ -446,6 +457,22 @@ def level_split(blocks, cluster_rel_tol):
     by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
     spectrum = _Spectrum(np.array(log_weights), level[by_level], w[by_level], m[by_level])
     return spectrum, levels, vectors
+
+
+def level_pinched_test(pair, n, a):
+    """The pinched test ``W W*`` from the kept eigenvectors of :func:`level_split`.
+
+    W holds, for each sigma_n level of ``M = (V* rho V)^{(x)n}`` (one
+    sub-block each), the top eigenvectors its keep rule takes, in the
+    columns of ``V^{(x)n}``.  The levels are the log-levels of the sweeps,
+    so the test holds where ``eigendecompose(sigma_n)`` would merge them.
+    """
+    spectrum, _, vectors = level_split(_tensor_block(pair, n), CLUSTER_REL_TOL)
+    (keep,) = finite_n._kept(spectrum, n, [a])
+    kept = np.bincount(spectrum.level[keep], minlength=len(vectors)).tolist()
+    Vn = tensor_power(pair.sigma_eig[1], n)
+    W = np.hstack([Vn[:, idx] @ U[:, len(U) - k :] for (idx, U), k in zip(vectors, kept)])
+    return TestOperator(operator=W @ W.conj().T, n=n, a=a)
 
 
 def sym_power(X, N):

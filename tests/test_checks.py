@@ -1,4 +1,5 @@
 import decimal
+import math
 from decimal import Decimal
 
 import mpmath as mp
@@ -6,8 +7,62 @@ import numpy as np
 import pytest
 
 from oracles import psi_scalar_mp
-from qht import checks
+from qht import checks, finite_n, operators
+from qht.operators import eigendecompose, matrix_power, min_eigenvalue, pinch, tensor_power
 from qht.pairs import random_density, random_pair
+
+
+class TestSweepsAgainstDenseReference:
+    def test_reversed_spin_block_diagonals_fail_the_structure_checks(self, monkeypatch):
+        # a fault in the qubit level path: the diagonal of every t >= 1 spin
+        # block reversed.  finite-n's alpha on qubit-generic at n = 4, a = D/2
+        # moves from 0.359 to 0.412; the dense references share no code with
+        # the sweeps, so both checks that compare them fail
+        spin_blocks = finite_n._spin_blocks
+
+        def reversed_diagonals(pair, n_range):
+            for n, blocks in spin_blocks(pair, n_range):
+                faulty = []
+                for t, (m, R, logs, s) in enumerate(blocks):
+                    if t:
+                        R = R.copy()
+                        np.fill_diagonal(R, R.diagonal()[::-1])
+                    faulty.append((m, R, logs, s))
+                yield n, faulty
+
+        monkeypatch.setattr(finite_n, "_spin_blocks", reversed_diagonals)
+        results = {r.name: r for r in checks.run_all_checks(seed=0)}
+        assert not results["test projections and mass"].passed
+        assert not results["pinched equals plain when commuting"].passed
+
+
+def test_operator_monotonicity_solves_each_operator_once(monkeypatch):
+    # rho_n and pinch(rho_n) are eigendecomposed once per n for all three
+    # powers s, and the worst gap is bit for bit that of matrix_power per s
+    seed = [0, 4]
+    calls = []
+
+    def spy(H):
+        calls.append(len(H))
+        return eigendecompose(H)
+
+    for module in (checks, operators):
+        monkeypatch.setattr(module, "eigendecompose", spy)
+    result = checks.check_operator_monotonicity(np.random.default_rng(seed), 3)
+    assert len(calls) == 3 * 3 * 3
+    monkeypatch.undo()
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    for _ in range(3):
+        pair = random_pair(rng)
+        for n in (1, 2, 3):
+            rho_n = tensor_power(pair.rho, n)
+            dec = eigendecompose(tensor_power(pair.sigma, n))
+            pinched = pinch(dec, rho_n)
+            for s in (0.25, 0.5, 1.0):
+                gap = dec.v**s * matrix_power(rho_n, -s) - matrix_power(pinched, -s)
+                worst = min(worst, min_eigenvalue(gap))
+    assert result.worst.hex() == worst.hex()
 
 
 class TestTypeCounting:

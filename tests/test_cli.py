@@ -387,8 +387,8 @@ VERIFY_SEED3_PAIRS5_NMAX3 = """\
 [PASS] commuting-case reduction: worst 0.000e+00 (tol 1.0e-09)
 [PASS] unitary invariance: worst 2.439e-15 (tol 1.0e-09)
 [PASS] finite-n envelopes: worst 0.000e+00 (tol 1.0e-12)
-[PASS] test projections and mass: worst 1.855e-15 (tol 1.0e-09) mass defect 1.332e-15 (tol 1e-12)
-[PASS] pinched equals plain when commuting: worst 0.000e+00 (tol 1.0e-10)
+[PASS] test projections and mass: worst 1.519e-15 (tol 1.0e-09) mass defect 5.551e-16 (tol 1e-12)
+[PASS] pinched equals plain when commuting: worst 1.110e-16 (tol 1.0e-10)
 [PASS] error monotonicity in a: worst 0.000e+00 (tol 1.0e-12)
 17/17 checks passed
 """

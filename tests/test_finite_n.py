@@ -84,20 +84,6 @@ def level_spectrum(spectrum, k):
     return np.repeat(spectrum.w[at], spectrum.m[at].astype(int))
 
 
-@pytest.fixture
-def level_counts(monkeypatch):
-    """The number of sigma_n levels behind each test or sweep run while active."""
-    counts = []
-
-    def spy(*args, **kwargs):
-        spectrum, label, vectors = _level_split(*args, **kwargs)
-        counts.append(len(spectrum.log_weights))
-        return spectrum, label, vectors
-
-    monkeypatch.setattr(finite_n, "_level_split", spy)
-    return counts
-
-
 class TestBuildPinchedTest:
     def test_very_negative_threshold_accepts_everything(self, generic):
         test = qht.build_pinched_test(generic, 1, -50.0)
@@ -161,6 +147,19 @@ class TestBuildPinchedTest:
         with pytest.raises(qht.DimensionBudgetExceeded):
             qht.build_pinched_test(generic, 13, 0.0)
 
+    def test_reference_takes_nothing_from_the_level_path(self, generic, monkeypatch):
+        # the dense reference is built from tensor powers, pinch and
+        # positive_projection alone, so it can check the sweeps
+        def refuse(*args, **kwargs):
+            raise AssertionError("level path used")
+
+        cases = [(generic, 3), (qht.random_pair(0, 3), 2)]
+        want = [qht.build_pinched_test(pair, n, 0.1).operator for pair, n in cases]
+        for name in ("_level_split", "_tensor_block", "_kept", "_pinched_errors", "_levels", "_row_logs"):
+            monkeypatch.setattr(finite_n, name, refuse)
+        for (pair, n), operator in zip(cases, want):
+            assert qht.build_pinched_test(pair, n, 0.1).operator.tobytes() == operator.tobytes()
+
     def test_budget_checked_on_every_build(self, generic, monkeypatch):
         qht.build_pinched_test(generic, 3, 0.0)
         monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 4)
@@ -185,14 +184,13 @@ class TestBuildPinchedTest:
 
 def test_every_entry_point_cuts_levels_at_the_fixed_tolerance(monkeypatch):
     # the sigma_n levels of every finite-n entry point and check are cut at
-    # CLUSTER_REL_TOL, the one clustering tolerance, whether or not the cut
-    # also keeps eigenvectors (build_pinched_test alone asks for them)
+    # CLUSTER_REL_TOL, the one clustering tolerance
     seen = []
 
     def spy(cut):
-        def recorded(logs_or_blocks, cluster_rel_tol, **kwargs):
+        def recorded(logs_or_blocks, cluster_rel_tol):
             seen.append(cluster_rel_tol)
-            return cut(logs_or_blocks, cluster_rel_tol, **kwargs)
+            return cut(logs_or_blocks, cluster_rel_tol)
 
         return recorded
 
@@ -202,7 +200,6 @@ def test_every_entry_point_cuts_levels_at_the_fixed_tolerance(monkeypatch):
             monkeypatch.setattr(module, name, recorded)
     generic = qht.preset_pair("qubit-generic")
     a = 0.5 * qht.relative_entropy(generic)
-    qht.build_pinched_test(generic, 3, a)
     qht.verify_bounds(generic, [3], [a])
     qht.stein_trace(generic, a, 3)
     checks.check_error_monotonicity(np.random.default_rng(0), 1)
@@ -241,17 +238,15 @@ class TestErrorProbabilities:
         assert (ep.alpha, ep.beta) == (pytest.approx(1.0, abs=1e-14), pytest.approx(0.0, abs=1e-14))
 
     def test_block_path_matches_dense_traces(self):
-        # sweeps take the block errors; the dense operator built from the
-        # kept columns must give the same traces, qubits to n = 8 and
-        # qutrits to n = 4
+        # sweeps take the block errors; the dense reference test must give
+        # the same traces, qubits to n = 8 and qutrits to n = 4
         cases = [(pair, 8) for pair in seeded_pairs(6)]
         cases += [(pair, 4) for pair in seeded_pairs(3, dim=3)]
         for pair, n_max in cases:
             div = qht.relative_entropy(pair)
             for n in range(1, n_max + 1):
-                test = qht.build_pinched_test(pair, n, 0.6 * div)
-                ep = qht.error_probabilities(pair, test)
-                alpha_dense, beta_dense = exact_errors(pair, test)
+                (ep,) = _pinched_errors(sweep_spectrum(pair, n), n, [0.6 * div])
+                alpha_dense, beta_dense = exact_errors(pair, qht.build_pinched_test(pair, n, 0.6 * div))
                 assert ep.alpha == pytest.approx(alpha_dense, abs=1e-12)
                 assert ep.beta == pytest.approx(beta_dense, abs=1e-12)
 
@@ -262,15 +257,19 @@ class TestErrorProbabilities:
         # 4.0e-11 (qubit) and 2.1e-11 (qutrit) relative of the dense
         # Tr[sigma_n A], and alpha, a sum over the same pinched blocks,
         # within 3.3e-16
+        # (build_pinched_test cuts sigma_n by absolute gaps, one level here,
+        # so the operator is assembled from the level path's eigenvectors)
         pair = nearly_degenerate_pair(dim)
         div = qht.relative_entropy(pair)
+        grid = (0.25 * div, 0.5 * div, 0.9 * div)
         rows = []
         for n in range(1, n_max + 1):
-            spectrum, _, vectors = _level_split(sweep_blocks(pair, n), CLUSTER_REL_TOL, vectors=True)
-            rows += [len(idx) for idx, _ in vectors]
-            for a in (0.25 * div, 0.5 * div, 0.9 * div):
-                ep = _pinched_errors(spectrum, n, a)
-                alpha_dense, beta_dense = exact_errors(pair, qht.build_pinched_test(pair, n, a))
+            blocks = sweep_blocks(pair, n)
+            spectrum = _level_split(blocks, CLUSTER_REL_TOL)[0]
+            rows += [len(idx) for idx, _ in oracles.level_split(blocks, CLUSTER_REL_TOL)[2]]
+            for a, ep in zip(grid, _pinched_errors(spectrum, n, grid)):
+                test = oracles.level_pinched_test(pair, n, a)
+                alpha_dense, beta_dense = exact_errors(pair, test)
                 assert abs(ep.beta - beta_dense) <= 1e-9 * beta_dense
                 assert abs(ep.alpha - alpha_dense) <= 1e-12
         # the merged path ran: some (spin) sub-block holds more than one row
@@ -431,7 +430,7 @@ class TestRowLogs:
                 logq, order, sizes = string_levels(pair.sigma_eig[0], n, cluster_rel_tol)
                 label = np.empty(d**n, dtype=int)
                 label[order] = np.repeat(np.arange(len(sizes)), sizes)
-                spectrum, levels, _ = _level_split(blocks, cluster_rel_tol)
+                spectrum, levels = _level_split(blocks, cluster_rel_tol)
                 for t, ((_, _, logs, _), same) in enumerate(zip(blocks, levels)):
                     rows = (1 << np.arange(t, n - t + 1)) - 1 if d == 2 else np.arange(d**n)
                     assert logs.tobytes() == logq[rows].tobytes()
@@ -524,15 +523,16 @@ class TestVerifyBounds:
             for r in reports:
                 assert r.v_sigma_n == r.n + 1
 
-    def test_count_matches_levels_of_the_test_on_skewed_pair(self, level_counts):
+    def test_count_matches_levels_of_the_test_on_skewed_pair(self):
         # sigma's small eigenvalue (about 1e-7) spreads the n + 1 levels of
         # sigma_n over decades; a gap test on absolute eigenvalues would
-        # merge every level below 1e-10 into one
+        # merge every level below 1e-10 into one.  The spin-block count
+        # equals that of M, the one block of every other dimension
         pair = qht.preset_pair("qubit-skewed")
         a = 0.5 * qht.relative_entropy(pair)
         for r in qht.verify_bounds(pair, range(1, 7), [a]):
-            qht.build_pinched_test(pair, r.n, a)
-            assert r.v_sigma_n == r.n + 1 == level_counts[-1]
+            tensor = _level_split(finite_n._tensor_block(pair, r.n), CLUSTER_REL_TOL)[0]
+            assert r.v_sigma_n == r.n + 1 == len(tensor.log_weights)
 
     @pytest.mark.parametrize("dim,n_max", [(2, 8), (3, 2)])
     def test_key_residual_matches_dense_pinching(self, dim, n_max):
@@ -599,7 +599,7 @@ class TestVerifyBounds:
         X = pair.rho_in_sigma_basis
         n_max = {2: 8, 3: 5, 4: 4}[pair.dim]
         for n, blocks in _sweep(pair, range(1, n_max + 1)):
-            spectrum, levels, _ = _level_split(blocks, cluster_rel_tol)
+            spectrum, levels = _level_split(blocks, cluster_rel_tol)
             v = len(spectrum.log_weights)
             positions = level_positions(pair, n, cluster_rel_tol)
             order = np.concatenate(positions)
@@ -651,30 +651,34 @@ class TestVerifyBounds:
         assert len(qht.verify_bounds(pair, range(1, 9), [0.1])) == 8
 
     @pytest.mark.parametrize(
-        "pair",
-        seeded_pairs(2) + seeded_pairs(2, dim=3) + [qht.preset_pair("qubit-skewed")],
+        "pair,reference",
+        [(pair, "dense") for pair in seeded_pairs(2) + seeded_pairs(2, dim=3)]
+        + [(qht.preset_pair("qubit-skewed"), "mpmath")],
         ids=["d2-0", "d2-1", "d3-0", "d3-1", "qubit-skewed"],
     )
-    def test_sweep_matches_one_off_tests(self, pair):
+    def test_sweep_matches_one_off_tests(self, pair, reference):
         # verify_bounds derives the levels once per n for all thresholds,
         # and stein_trace once per n; each error must equal that of levels
-        # built on their own, and of a test built on its own wherever both
-        # read the same blocks: beta always, alpha for d >= 3.  A qubit
-        # test reads M while the sweeps read the spin blocks, whose alpha
-        # stayed within 5.6e-16 relative of it here (6.4e-16 to n = 8).
+        # built on their own at that one threshold, bit for bit, and the
+        # traces of the dense reference test within 1e-12.  On qubit-skewed
+        # the dense eigendecompose merges the sigma_n levels below 1e-10
+        # from n = 3 (and n a reaches 61), so it takes the 60-digit oracle
+        # instead, within 1e-13 relative as in TestKeepRule.
         div = qht.relative_entropy(pair)
         grid = [0.1 * div, 0.4 * div, 0.7 * div, 0.95 * div]
         reports = qht.verify_bounds(pair, range(1, 5), grid)
         points = [p for a in grid for p in qht.stein_trace(pair, a, 4)]
         for r in reports + points:
-            own = _pinched_errors(sweep_spectrum(pair, r.n), r.n, r.a)
+            (own,) = _pinched_errors(sweep_spectrum(pair, r.n), r.n, [r.a])
             assert (r.alpha, r.beta) == (own.alpha, own.beta)
-            ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
-            assert r.beta == ep.beta
-            if pair.dim == 2:
-                assert abs(r.alpha - ep.alpha) <= 2e-15 * ep.alpha
+            if reference == "mpmath":
+                alpha, beta = pinched_test_errors_mp(pair, r.n, r.a)
+                assert abs(r.alpha - alpha) <= 1e-13 * alpha
+                assert abs(r.beta - beta) <= 1e-13 * beta
             else:
-                assert r.alpha == ep.alpha
+                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
+                assert abs(r.alpha - ep.alpha) <= 1e-12
+                assert abs(r.beta - ep.beta) <= 1e-12
 
     def test_sweeps_build_no_test_operator(self, generic, monkeypatch):
         # the sweeps read the errors off the level spectra of the blocks: no
@@ -759,7 +763,7 @@ class TestKeepRule:
             spectrum = sweep_spectrum(pair, n)
             for a in grid:
                 alpha, beta = pinched_test_errors_mp(pair, n, a)
-                ep = _pinched_errors(spectrum, n, a)
+                (ep,) = _pinched_errors(spectrum, n, [a])
                 assert abs(ep.alpha - alpha) <= 1e-13 * alpha
                 assert abs(ep.beta - beta) <= 1e-13 * beta
 
@@ -774,8 +778,8 @@ class TestKeepRule:
     def test_identical_pair_keeps_nothing_at_zero(self, identical):
         for n in range(1, 9):
             spectrum = sweep_spectrum(identical, n)
-            assert not _kept(spectrum, n, 0.0).any()
-            ep = _pinched_errors(spectrum, n, 0.0)
+            assert not _kept(spectrum, n, [0.0]).any()
+            (ep,) = _pinched_errors(spectrum, n, [0.0])
             assert ep.beta == 0.0
             assert abs(ep.alpha - 1.0) <= 1e-14
 
@@ -787,7 +791,7 @@ class TestKeepRule:
         pair = qht.random_pair(data.draw(st.integers(0, 2**31 - 1), label="seed"), dim)
         div = qht.relative_entropy(pair)
         a = data.draw(st.floats(-0.5, div + 0.5), label="a")
-        ep = _pinched_errors(sweep_spectrum(pair, n), n, a)
+        (ep,) = _pinched_errors(sweep_spectrum(pair, n), n, [a])
         test = qht.build_pinched_test(pair, n, a)
         alpha_dense, beta_dense = exact_errors(pair, test)
         assert abs(ep.alpha - alpha_dense) <= 1e-12
@@ -847,13 +851,32 @@ class TestFlatSpectrum:
         a = (crossing - log_weight) / n
         a = float(np.nextafter(a, data.draw(st.sampled_from([-math.inf, a, math.inf]), label="ulp")))
         levels = oracles.repeated_levels(spectrum)
-        keep = _kept(spectrum, n, a)
+        (keep,) = _kept(spectrum, n, [a])
         kept = np.bincount(spectrum.level, spectrum.m * keep, len(levels)).tolist()
         assert kept == oracles.level_kept_counts(levels, n, a, CLUSTER_REL_TOL)
-        ep = _pinched_errors(spectrum, n, a)
+        (ep,) = _pinched_errors(spectrum, n, [a])
         ref = oracles._pinched_errors(levels, n, a, CLUSTER_REL_TOL)
         assert ep.beta.hex() == ref.beta.hex()
         assert abs(ep.alpha - ref.alpha) <= 1e-15 * abs(ref.alpha)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_grid_errors_match_single_thresholds(self, data):
+        # one bincount over level labels offset by threshold serves the whole
+        # grid: each threshold's errors are bit for bit those of a call with
+        # that threshold alone, and beta that of the per-level reference
+        pair, cluster_rel_tol = spectrum_pair(data)
+        n = data.draw(st.integers(1, {2: 10, 3: 4, 4: 3}[pair.dim]), label="n")
+        spectrum = sweep_spectrum(pair, n, cluster_rel_tol)
+        grid = data.draw(st.lists(st.floats(-1.0, 3.0), max_size=6), label="grid")
+        errors = _pinched_errors(spectrum, n, grid)
+        assert [ep.a for ep in errors] == grid
+        levels = oracles.repeated_levels(spectrum)
+        for a, ep in zip(grid, errors):
+            (alone,) = _pinched_errors(spectrum, n, [a])
+            assert (ep.alpha.hex(), ep.beta.hex()) == (alone.alpha.hex(), alone.beta.hex())
+            ref = oracles._pinched_errors(levels, n, a, CLUSTER_REL_TOL)
+            assert ep.beta.hex() == ref.beta.hex()
 
     def test_qubit_spectrum_holds_each_spin_sub_block_eigenvalue_once(self):
         # n = 12: one entry per row of the spin blocks, sum_t (n - 2t + 1) =
@@ -942,29 +965,13 @@ class TestOneStepLevels:
         # takes eigh; else every sub-block is one row, read off the diagonal
         runs = []
         for n, blocks in _sweep(pair, range(1, n_max + 1)):
-            spectrum, levels, vectors = _level_split(blocks, CLUSTER_REL_TOL)
+            spectrum, levels = _level_split(blocks, CLUSTER_REL_TOL)
             ref, ref_levels, ref_vectors = oracles.level_split(blocks, CLUSTER_REL_TOL)
             for name in ("log_weights", "level", "w", "m"):
                 assert getattr(spectrum, name).tobytes() == getattr(ref, name).tobytes()
             assert [x.tobytes() for x in levels] == [x.tobytes() for x in ref_levels]
-            assert vectors is None
             runs += [len(idx) for idx, _ in ref_vectors]
         assert (max(runs) > 1) == merged
-
-    @pytest.mark.parametrize("dim,n_max", [(2, 6), (3, 3), (4, 2)])
-    def test_pinched_test_keeps_every_sub_blocks_eigenvectors(self, dim, n_max):
-        # build_pinched_test asks for the eigenvectors: its tensor block is
-        # split as before, every sub-block by eigh, 1 x 1 ones included
-        for pair in seeded_pairs(2, dim=dim) + ([singular_qubit()] if dim == 2 else []):
-            for n in range(1, n_max + 1):
-                blocks = finite_n._tensor_block(pair, n)
-                spectrum, _, vectors = _level_split(blocks, CLUSTER_REL_TOL, vectors=True)
-                ref, _, ref_vectors = oracles.level_split(blocks, CLUSTER_REL_TOL)
-                for name in ("log_weights", "level", "w", "m"):
-                    assert getattr(spectrum, name).tobytes() == getattr(ref, name).tobytes()
-                assert len(vectors) == len(ref_vectors)
-                for (idx, U), (ref_idx, ref_U) in zip(vectors, ref_vectors):
-                    assert idx.tobytes() == ref_idx.tobytes() and U.tobytes() == ref_U.tobytes()
 
     @pytest.mark.parametrize(
         "pair,n_max",

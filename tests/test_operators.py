@@ -232,6 +232,17 @@ class TestMatrixPower:
 
 
 class TestTensorPower:
+    @pytest.mark.parametrize("d,n_max", [(1, 12), (2, 6), (3, 5), (4, 4)])
+    def test_chained_kron_bit_for_bit(self, d, n_max):
+        # the broadcast product of each step rounds as np.kron does
+        rng = np.random.default_rng([d, 5])
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        chained = A
+        for n in range(1, n_max + 1):
+            if n > 1:
+                chained = np.kron(chained, A)
+            assert qht.tensor_power(A, n).tobytes() == chained.tobytes()
+
     def test_first_power(self):
         A = rng_hermitian(7, 2)
         np.testing.assert_allclose(qht.tensor_power(A, 1), A)
