@@ -38,13 +38,8 @@ from .exponents import (
 from .finite_n import (
     BoundReport,
     ConjectureReport,
-    ErrorProbabilities,
     SteinPoint,
-    TestOperator,
-    build_pinched_test,
-    build_plain_test,
     conjecture_probe,
-    error_probabilities,
     stein_trace,
     verify_bounds,
 )

@@ -14,7 +14,15 @@ The finite-n sweep rows (``finite-n``'s numbers) meet dense references
 that share no code with them, at n <= 3 and a below the relative entropy:
 ``alpha + Tr[rho_n A] = 1`` and ``beta = Tr[sigma_n A]`` for the dense
 pinched test A (:func:`check_test_structure`) and, on commuting pairs,
-for the dense plain test (:func:`check_commuting_tests_coincide`).
+for the dense plain test (:func:`check_commuting_tests_coincide`).  The
+references live here, not in :mod:`qht.finite_n`: :func:`build_pinched_test`
+(``pinch`` and ``positive_projection`` on dense tensor powers) and
+:func:`build_plain_test` return the projection, validated within
+``PROJ_TOL``, and :func:`error_probabilities` takes its dense traces.
+The checks read the sweep rows through the one seam
+``finite_n._sweep_errors`` and the envelopes through
+``finite_n._bound_reports``, without the key residual that
+:func:`check_key_inequality` tests densely.
 """
 
 import math
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLUSTER_REL_TOL, THRESHOLD_FRACTIONS
+from .errors import InvariantViolation, NonHermitianInput
 from .exponents import (
     classical_hoeffding,
     hoeffding_rate,
@@ -36,26 +45,18 @@ from .exponents import (
     relative_entropy,
     solve_rate_parameter,
 )
-from .finite_n import (
-    _bound_reports,
-    _level_split,
-    _levels,
-    _pinched_errors,
-    _row_logs,
-    _sweep,
-    build_pinched_test,
-    build_plain_test,
-    error_probabilities,
-    verify_bounds,
-)
+from .finite_n import ErrorProbabilities, _bound_reports, _levels, _row_logs, _sweep_errors
 from .operators import (
     _spectral_power,
+    check_blocklength,
+    check_dense_budget,
     eigendecompose,
     hermitian_part,
     key_inequality_residual,
     min_eigenvalue,
     operator_convexity_gap,
     pinch,
+    positive_projection,
     tensor_power,
 )
 from .pairs import (
@@ -361,6 +362,83 @@ def check_unitary_invariance(rng, n_samples) -> CheckResult:
     return CheckResult("unitary invariance", worst <= 1e-9, worst, 1e-9)
 
 
+# Slack for the Hermitian symmetry and idempotency of a test operator.
+PROJ_TOL = 1e-9
+
+
+def _projection(A: np.ndarray) -> np.ndarray:
+    """``A``, validated as a projection: Hermitian and idempotent within ``PROJ_TOL``.
+
+    Idempotency, ``||A^2 - A|| <= PROJ_TOL max(1, ||A||)``, also pins the
+    spectrum to a neighborhood of {0, 1}.
+    """
+    if np.abs(A - A.conj().T).max() > PROJ_TOL:
+        raise NonHermitianInput("test operator is not Hermitian")
+    gap = np.linalg.norm(A @ A - A)
+    if gap > PROJ_TOL * max(1.0, np.linalg.norm(A)):
+        raise InvariantViolation("projection", f"||A^2 - A|| = {gap:.3e}")
+    return A
+
+
+def _dense_test(pair: HypothesisPair, n, a: float, pinched: bool) -> np.ndarray:
+    """The projection onto the positive part of ``rho_n - e^{na} sigma_n``, rho_n pinched or not.
+
+    The blocklength and the dense budget are checked before any work.
+    Above n a = 700, ``e^{na}`` overflows; within the dense budget and the
+    support cutoff the scaled alternative then exceeds I, which neither
+    rho_n nor pinch(rho_n) does, so an invertible pair gets the zero test
+    and a singular one raises SingularInput.
+    """
+    a = float(a)
+    n = check_blocklength(n)
+    check_dense_budget(pair.dim, n)
+    if n * a > 700.0:
+        pair.assert_invertible(f"{'pinched' if pinched else 'plain'} test with n*a > 700")
+        return _projection(np.zeros((pair.dim**n, pair.dim**n), dtype=complex))
+    rho_n = tensor_power(pair.rho, n)
+    sigma_n = tensor_power(pair.sigma, n)
+    if pinched:
+        rho_n = pinch(eigendecompose(sigma_n), rho_n)
+    return _projection(positive_projection(rho_n - math.exp(n * a) * sigma_n))
+
+
+def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> np.ndarray:
+    """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n, formed densely.
+
+    The reference for the level path: dense tensor powers, ``pinch`` over
+    ``eigendecompose(sigma_n)`` and ``positive_projection``, nothing of
+    ``finite_n._level_split`` or ``finite_n._kept``.  It holds for small n
+    (d^n within the dense budget), moderate n a (the eigensolve's roundoff
+    scales with ``e^{na} sigma_n``; above n a = 700 the test is zero) and
+    sigma_n levels both clustering rules cut alike.  ``eigendecompose``
+    merges consecutive gaps up to ``CLUSTER_REL_TOL * ||sigma_n||``,
+    ``finite_n._levels`` logs within ``CLUSTER_REL_TOL`` of a level's first:
+    on ``qubit-skewed`` the first merges the levels below 1e-10 from n = 3
+    (dense alpha 0.4 % off at a = 0.1 D); on sigma = diag(0.5 +- 7.5e-12)
+    it makes one level to n = 6, the second two from n = 4, of about four
+    weights each, and alpha differs by 2.5e-3 at n = 4, up to 0.14 at
+    n = 5 (a in {0.25, 0.5, 0.9} D).
+    """
+    return _dense_test(pair, n, a, pinched=True)
+
+
+def build_plain_test(pair: HypothesisPair, n: int, a: float) -> np.ndarray:
+    """Projection onto the positive part of rho_n - e^{na} sigma_n, unpinched."""
+    return _dense_test(pair, n, a, pinched=False)
+
+
+def error_probabilities(pair: HypothesisPair, n: int, a: float, A) -> ErrorProbabilities:
+    """alpha = Tr[rho_n (I - A)] and beta = Tr[sigma_n A] as dense traces, for A built at (n, a)."""
+    rho_n = tensor_power(pair.rho, n)
+    sigma_n = tensor_power(pair.sigma, n)
+    # Tr[B A] as the elementwise sum of B and A^T: O(D^2), no D x D product
+    alpha = np.trace(rho_n) - np.einsum("ij,ji->", rho_n, A)
+    beta = np.einsum("ij,ji->", sigma_n, A)
+    if max(abs(alpha.imag), abs(beta.imag)) > 1e-12:
+        raise ArithmeticError("error probabilities have imaginary residue")
+    return ErrorProbabilities(alpha=float(alpha.real), beta=float(beta.real), n=n, a=float(a))
+
+
 def check_finite_n_bounds(rng, n_samples, n_max) -> CheckResult:
     """Exact pinched-test errors against (n+1)^d e^{-n phi_bar(a)} envelopes."""
     worst = 0.0
@@ -368,7 +446,7 @@ def check_finite_n_bounds(rng, n_samples, n_max) -> CheckResult:
         pair = random_pair(rng)
         div = relative_entropy(pair)
         a_grid = [f * div for f in THRESHOLD_FRACTIONS]
-        for r in verify_bounds(pair, range(1, n_max + 1), a_grid):
+        for r in _bound_reports(pair, range(1, n_max + 1), a_grid, key=False):
             worst = max(worst, r.alpha - r.alpha_bound, r.beta - r.beta_bound)
     return CheckResult("finite-n envelopes", worst <= 1e-12, worst, 1e-12)
 
@@ -380,8 +458,8 @@ def check_test_structure(rng, n_samples, n_max) -> CheckResult:
         pair = random_pair(rng)
         div = relative_entropy(pair)
         a = 0.5 * div
-        for r in _bound_reports(pair, range(1, min(n_max, 3) + 1), [a], key=False):
-            A = build_pinched_test(pair, r.n, a).operator
+        for *_, (r,) in _sweep_errors(pair, range(1, min(n_max, 3) + 1), [a]):
+            A = build_pinched_test(pair, r.n, a)
             sigma_n = tensor_power(pair.sigma, r.n)
             worst = max(worst, float(np.linalg.norm(A @ A - A, 2)))
             worst = max(worst, float(np.linalg.norm(A @ sigma_n - sigma_n @ A, 2)))
@@ -403,12 +481,13 @@ def check_commuting_tests_coincide(rng, n_samples) -> CheckResult:
     for _ in range(n_samples):
         pair = random_diagonal_pair(rng)
         div = relative_entropy(pair)
-        for r in _bound_reports(pair, (1, 2, 3), (0.3 * div, 0.8 * div), key=False):
-            pinched = build_pinched_test(pair, r.n, r.a)
-            plain = build_plain_test(pair, r.n, r.a)
-            ep = error_probabilities(pair, plain)
-            gap = np.abs(pinched.operator - plain.operator).max()
-            worst = max(worst, float(gap), abs(r.alpha - ep.alpha), abs(r.beta - ep.beta))
+        for *_, errors in _sweep_errors(pair, (1, 2, 3), (0.3 * div, 0.8 * div)):
+            for r in errors:
+                pinched = build_pinched_test(pair, r.n, r.a)
+                plain = build_plain_test(pair, r.n, r.a)
+                ep = error_probabilities(pair, r.n, r.a, plain)
+                gap = np.abs(pinched - plain).max()
+                worst = max(worst, float(gap), abs(r.alpha - ep.alpha), abs(r.beta - ep.beta))
     return CheckResult("pinched equals plain when commuting", worst <= 1e-10, worst, 1e-10)
 
 
@@ -418,9 +497,7 @@ def check_error_monotonicity(rng, n_samples) -> CheckResult:
         pair = random_pair(rng)
         div = relative_entropy(pair)
         grid = np.linspace(0.1 * div, 1.2 * div, 6)
-        for n, blocks in _sweep(pair, (1, 2)):
-            spectrum, _ = _level_split(blocks, CLUSTER_REL_TOL)
-            eps = _pinched_errors(spectrum, n, grid)
+        for *_, eps in _sweep_errors(pair, (1, 2), grid):
             alphas = np.array([e.alpha for e in eps])
             betas = np.array([e.beta for e in eps])
             worst = max(worst, float((-np.diff(alphas)).max()))

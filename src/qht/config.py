@@ -1,9 +1,9 @@
 """The fixed tolerances and budget: nothing here is a setting.
 
-The other fixed values are the idempotency slack ``qht.finite_n.PROJ_TOL``
-of test operators and the grid and Newton settings ``GRID_POINTS`` and
-``NEWTON_STEPS`` of :mod:`qht.exponents`, shared by every maximization over
-s.  The quantities that need full support reject a rank-deficient state
+The other fixed values are the idempotency slack ``qht.checks.PROJ_TOL``
+of the dense reference tests and the grid and Newton settings
+``GRID_POINTS`` and ``NEWTON_STEPS`` of :mod:`qht.exponents`, shared by
+every maximization over s.  The quantities that need full support reject a rank-deficient state
 where they are computed; :meth:`qht.pairs.HypothesisPair.smoothed` mixes in
 a multiple of the identity first.
 """

@@ -1,4 +1,4 @@
-"""Exact finite-n tests, error probabilities and bound reports.
+"""The finite-n level path: exact test errors and bound reports.
 
 The projection test built from the pinched state commutes with the n-fold
 alternative state, so its construction and both error probabilities are
@@ -22,17 +22,17 @@ of two rows or more.  The sub-block eigenvalues with their
 multiplicities, one flat :class:`_Spectrum` per n, are the one
 representation of the pinched test: :func:`_kept` is its keep rule and
 :func:`_pinched_errors` reads the errors of every threshold of one n off
-it in one pass.  The key residual of :func:`verify_bounds` (whose rows
-:func:`stein_trace` reads, without it) and the plain test
-{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` run on the same
+it in one pass.  :func:`_sweep_errors` yields them per n with the blocks
+and their row levels: the rows of :func:`verify_bounds` (which adds the
+key residual; :func:`stein_trace` reads the rows without it) and the one
+seam through which :mod:`qht.checks` reads the sweeps.  The plain test
+{rho_n > e^{na} sigma_n} of :func:`conjecture_probe` runs on the same
 blocks.  Multiplicities are exact ints in the blocks and floats in every
 array; no sweep expands a block m times.  The plain test stays on the
 dense budget.  Every entry point clusters at the fixed
-``CLUSTER_REL_TOL``.  No sweep forms a test operator: the dense
-:func:`build_pinched_test` (``pinch`` and ``positive_projection``, nothing
-of the level path) and :func:`build_plain_test`, with the traces of
-:func:`error_probabilities`, are the independent references, for small n,
-moderate n a and levels both clustering rules cut alike.
+``CLUSTER_REL_TOL``.  No sweep forms a test operator; the dense tests
+that :mod:`qht.checks` holds the rows to are built there, from nothing of
+this module's level path.
 """
 
 import math
@@ -42,12 +42,7 @@ from functools import reduce
 import numpy as np
 
 from .config import CLUSTER_REL_TOL
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    NonHermitianInput,
-    RateAboveDivergence,
-)
+from .errors import InvariantViolation, RateAboveDivergence
 from .exponents import phi, phi_bar, relative_entropy
 from .operators import (
     _gap_clusters,
@@ -55,17 +50,11 @@ from .operators import (
     check_blocklength,
     check_budget,
     check_dense_budget,
-    eigendecompose,
     _positivity_margin,
     hermitian_part,
-    pinch,
-    positive_projection,
     tensor_power,
 )
 from .pairs import HypothesisPair
-
-# Slack for the Hermitian symmetry and idempotency of a test operator.
-PROJ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,32 +70,6 @@ class ErrorProbabilities:
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
             if not -1e-12 <= value <= 1.0 + 1e-12:
                 raise InvariantViolation("probability", f"{name} = {value!r}")
-
-
-@dataclass(frozen=True)
-class TestOperator:
-    """A two-outcome test 0 <= A <= I on the n-fold space.
-
-    Both constructions here produce projections; idempotency within
-    ``PROJ_TOL`` is validated at creation, which also pins the spectrum to
-    a neighborhood of {0, 1}.
-    """
-
-    operator: np.ndarray
-    n: int
-    a: float
-
-    def __post_init__(self):
-        A = self.operator
-        if np.abs(A - A.conj().T).max() > PROJ_TOL:
-            raise NonHermitianInput("test operator is not Hermitian")
-        gap = np.linalg.norm(A @ A - A)
-        if gap > PROJ_TOL * max(1.0, np.linalg.norm(A)):
-            raise InvariantViolation("projection", f"||A^2 - A|| = {gap:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.operator.shape[0]
 
 
 @dataclass(frozen=True)
@@ -303,59 +266,6 @@ def _pinched_errors(spectrum, n: int, a_grid) -> list[ErrorProbabilities]:
     return errors
 
 
-def build_pinched_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
-    """Projection onto the positive part of pinch(rho_n) - e^{na} sigma_n, formed densely.
-
-    The reference for the level path: dense tensor powers, ``pinch`` over
-    ``eigendecompose(sigma_n)`` and ``positive_projection``, nothing of
-    :func:`_level_split` or :func:`_kept`.  It holds for small n (d^n within
-    the dense budget), moderate n a (the eigensolve's roundoff scales with
-    ``e^{na} sigma_n``; ``e^{na}`` overflows above n a ~ 709) and sigma_n
-    levels both clustering rules cut alike.  ``eigendecompose`` merges
-    consecutive gaps up to ``CLUSTER_REL_TOL * ||sigma_n||``, :func:`_levels`
-    logs within ``CLUSTER_REL_TOL`` of a level's first: on ``qubit-skewed``
-    the first merges the levels below 1e-10 from n = 3 (dense alpha 0.4 %
-    off at a = 0.1 D); on sigma = diag(0.5 +- 7.5e-12) it makes one level to
-    n = 6, the second two from n = 4, of about four weights each, and alpha
-    differs by 2.5e-3 at n = 4, up to 0.14 at n = 5 (a in {0.25, 0.5, 0.9} D).
-    """
-    a = float(a)
-    rho_n = tensor_power(pair.rho, n)  # validates n and the budget first
-    sigma_n = tensor_power(pair.sigma, n)
-    X = pinch(eigendecompose(sigma_n), rho_n) - math.exp(n * a) * sigma_n
-    return TestOperator(operator=positive_projection(X), n=n, a=a)
-
-
-def build_plain_test(pair: HypothesisPair, n: int, a: float) -> TestOperator:
-    """Projection onto the positive part of rho_n - e^{na} sigma_n, unpinched."""
-    a = float(a)
-    check_dense_budget(pair.dim, check_blocklength(n))
-    if n * a > 700.0:
-        # e^{na} overflows; the scaled alternative dominates everywhere on
-        # its support, which is everything for an invertible pair.
-        pair.assert_invertible("plain test with n*a > 700")
-        operator = np.zeros((pair.dim**n, pair.dim**n), dtype=complex)
-        return TestOperator(operator=operator, n=n, a=a)
-    rho_n = tensor_power(pair.rho, n)
-    sigma_n = tensor_power(pair.sigma, n)
-    X = rho_n - math.exp(n * a) * sigma_n
-    return TestOperator(operator=positive_projection(X), n=n, a=a)
-
-
-def error_probabilities(pair: HypothesisPair, test: TestOperator) -> ErrorProbabilities:
-    """alpha = Tr[rho_n (I - A)] and beta = Tr[sigma_n A] for one test, as dense traces."""
-    if test.dim != pair.dim**test.n:
-        raise DimensionMismatch(f"test dimension {test.dim} != {pair.dim}^{test.n}")
-    rho_n = tensor_power(pair.rho, test.n)
-    sigma_n = tensor_power(pair.sigma, test.n)
-    # Tr[B A] as the elementwise sum of B and A^T: O(D^2), no D x D product
-    alpha = np.trace(rho_n) - np.einsum("ij,ji->", rho_n, test.operator)
-    beta = np.einsum("ij,ji->", sigma_n, test.operator)
-    if max(abs(alpha.imag), abs(beta.imag)) > 1e-12:
-        raise ArithmeticError("error probabilities have imaginary residue")
-    return ErrorProbabilities(alpha=float(alpha.real), beta=float(beta.real), n=test.n, a=test.a)
-
-
 def _key_residual(v: int, levels, blocks) -> float:
     """Smallest eigenvalue of ``v pinch(rho_n) - rho_n``, clustered as by ``min_eigenvalue``.
 
@@ -390,25 +300,40 @@ def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
 
     One report per (n, a); the envelopes come from the same phi_bar value
     per threshold, all read off the pair's cached psi_bar grid.  The
-    spectrum of each n (:func:`_level_split`) gives the errors of every
+    spectrum of each n (:func:`_sweep_errors`) gives the errors of every
     threshold and v(sigma_n), and shares the :func:`_sweep` blocks with
     :func:`_key_residual`; no test operator is built.
     """
     return _bound_reports(pair, n_range, a_grid, key=True)
 
 
+def _sweep_errors(pair: HypothesisPair, n_range, a_grid):
+    """``(n, blocks, levels, v, errors)`` for each n of ``n_range``, one n at a time.
+
+    The :func:`_sweep` blocks, their row levels and v(sigma_n) from
+    :func:`_level_split`, and the pinched-test errors at every threshold of
+    ``a_grid``.  The sweep is checked on the call, as :func:`_sweep` does.
+    """
+
+    def rows(sweep):
+        for n, blocks in sweep:
+            spectrum, levels = _level_split(blocks, CLUSTER_REL_TOL)
+            v = len(spectrum.log_weights)
+            yield n, blocks, levels, v, _pinched_errors(spectrum, n, a_grid)
+
+    return rows(_sweep(pair, n_range))
+
+
 def _bound_reports(pair: HypothesisPair, n_range, a_grid, key: bool) -> list[BoundReport]:
     """The :func:`verify_bounds` reports; without ``key`` their key residual is nan."""
-    sweep = _sweep(pair, n_range)
     a_grid = [float(a) for a in a_grid]
+    rows = _sweep_errors(pair, n_range, a_grid)
     phis = {a: phi_bar(pair, a)[0] for a in a_grid}
     reports = []
-    for n, blocks in sweep:
-        spectrum, levels = _level_split(blocks, CLUSTER_REL_TOL)
-        v = len(spectrum.log_weights)
+    for n, blocks, levels, v, errors in rows:
         residual = _key_residual(v, levels, blocks) if key else math.nan
         pref = int((n + 1) ** pair.dim)
-        for a, ep in zip(a_grid, _pinched_errors(spectrum, n, a_grid)):
+        for a, ep in zip(a_grid, errors):
             reports.append(
                 BoundReport(
                     n=n,
@@ -569,14 +494,14 @@ def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbab
     ``rho_n - e^{na} sigma_n`` is unitarily the direct sum of the blocks
     ``R - e^{na} diag(s)``, each repeated ``m`` times.  An eigenvalue is
     kept by the rule of :func:`strictly_positive` applied to all d^n of
-    them, so up to roundoff the test is that of :func:`build_plain_test`;
+    them, so up to roundoff the test is the dense ``qht.checks.build_plain_test``;
     repeats add only zero gaps, so it runs on each block eigenvalue once,
     weighted by its ``m`` in the cluster means.  ``alpha`` sums ``u* R u``
     over the eigenvectors u left out and ``beta`` sums ``s |u|^2`` over
     those kept, each weighted by ``m``.
     """
     if n * a > 700.0:
-        # as in build_plain_test: e^{na} overflows and the test is empty
+        # e^{na} overflows; the test is empty on an invertible pair
         pair.assert_invertible("plain test with n*a > 700")
         alpha = sum(m * np.trace(R).real for m, R, _, _ in blocks)
         return ErrorProbabilities(alpha=float(alpha), beta=0.0, n=n, a=a)

@@ -17,8 +17,8 @@ level, are the per-level loop that ``qht.finite_n`` replaced by one pass
 over its flat spectrum with multiplicities, kept as its reference.  So are
 the finite-n constructions it replaced by per-sweep tables and one-step
 reads: the level split that solves every sub-block by its own ``eigh``
-(with the pinched test assembled from its eigenvectors, as
-``build_pinched_test`` did before it became a dense reference of its own),
+(with the pinched test ``W W*`` assembled from its eigenvectors, as the
+library built it before the dense ``qht.checks.build_pinched_test``),
 the qubit spin blocks with ``Sym^N`` and the powers of q rebuilt per N
 and per n and their row logs summed over weight strings, and the plain
 test's keep rule over the block spectra repeated to all d^n eigenvalues.
@@ -45,7 +45,6 @@ from qht.config import CLUSTER_REL_TOL, POSITIVITY_ROUNDOFF
 from qht.exponents import _IMAG_RESIDUE, _psi_bar_terms, _Scan, relative_entropy
 from qht.finite_n import (
     ErrorProbabilities,
-    TestOperator,
     _levels,
     _row_logs,
     _running_powers,
@@ -472,7 +471,7 @@ def level_pinched_test(pair, n, a):
     kept = np.bincount(spectrum.level[keep], minlength=len(vectors)).tolist()
     Vn = tensor_power(pair.sigma_eig[1], n)
     W = np.hstack([Vn[:, idx] @ U[:, len(U) - k :] for (idx, U), k in zip(vectors, kept)])
-    return TestOperator(operator=W @ W.conj().T, n=n, a=a)
+    return W @ W.conj().T
 
 
 def sym_power(X, N):

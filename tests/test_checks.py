@@ -1,5 +1,6 @@
 import decimal
 import math
+from collections import Counter
 from decimal import Decimal
 
 import mpmath as mp
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import psi_scalar_mp
+import qht
 from qht import checks, finite_n, operators
 from qht.operators import eigendecompose, matrix_power, min_eigenvalue, pinch, tensor_power
 from qht.pairs import random_density, random_pair
@@ -34,6 +36,87 @@ class TestSweepsAgainstDenseReference:
         results = {r.name: r for r in checks.run_all_checks(seed=0)}
         assert not results["test projections and mass"].passed
         assert not results["pinched equals plain when commuting"].passed
+
+
+# run_all_checks(seed=0): (name, passed, worst, tolerance, detail) of each check
+SEED_0_RESULTS = [
+    ("pinching commutation", True, 3.7595583328076163e-16, 1e-09, ""),
+    ("pinching trace identity", True, 1.1368949398590715e-13, 1e-09, ""),
+    ("key operator inequality", True, 0.0003136049191607589, -1e-09, ""),
+    ("eigenvalue count vs (n+1)^d", True, 0.0, 0.0, ""),
+    ("inverse-power domination", True, 0.023434726893526048, -1e-08, ""),
+    ("spectral round-trip", True, 9.944959302621006e-16, 1e-10, ""),
+    ("operator convexity closed form", True, 0.0005642432873421009, -1e-10,
+     "max entrywise gap 1.715e-14"),
+    ("pinched below plain exponent", True, 3.330669073875471e-16, 1e-09, ""),
+    ("phi_bar shape", True, 5.551115123125785e-16, 1e-09, ""),
+    ("derivative consistency", True, 6.305665752792167e-10, 1e-06, ""),
+    ("rate-parameter consistency", True, 2.220446049250313e-15, 1e-07, ""),
+    ("commuting-case reduction", True, 0.0, 1e-09, ""),
+    ("unitary invariance", True, 2.55351295663786e-15, 1e-09, ""),
+    ("finite-n envelopes", True, 0.0, 1e-12, ""),
+    ("test projections and mass", True, 1.3681955009657705e-15, 1e-09,
+     "mass defect 1.332e-15 (tol 1e-12)"),
+    ("pinched equals plain when commuting", True, 1.1102230246251565e-16, 1e-10, ""),
+    ("error monotonicity in a", True, 0.0, 1e-12, ""),
+]
+
+
+class TestSweepSeam:
+    def test_checks_compute_no_envelope_they_discard(self, monkeypatch):
+        # the three checks that read sweep rows take no phi_bar envelope, and
+        # no check takes the key residual, which check_key_inequality tests
+        # densely: of the finite-n phi_bar calls only the 20 envelopes of
+        # check_finite_n_bounds remain (5 pairs, 4 thresholds)
+        running = [None]
+        envelopes = Counter()
+        envelope = finite_n.phi_bar
+
+        def watch(name, check):
+            def run(*args):
+                running[0] = name
+                try:
+                    return check(*args)
+                finally:
+                    running[0] = None
+
+            return run
+
+        def phi_bar(pair, a):
+            envelopes[running[0]] += 1
+            return envelope(pair, a)
+
+        def refuse(*args):
+            raise AssertionError("key residual computed")
+
+        seam = ("check_test_structure", "check_commuting_tests_coincide", "check_error_monotonicity")
+        for name in seam + ("check_finite_n_bounds",):
+            monkeypatch.setattr(checks, name, watch(name, getattr(checks, name)))
+        monkeypatch.setattr(finite_n, "phi_bar", phi_bar)
+        monkeypatch.setattr(finite_n, "_key_residual", refuse)
+        results = checks.run_all_checks(seed=0)
+        assert envelopes == {"check_finite_n_bounds": 20}
+        got = [(r.name, bool(r.passed), float(r.worst), r.tolerance, r.detail) for r in results]
+        assert got == SEED_0_RESULTS
+
+    def test_checks_read_the_sweeps_through_the_seam_alone(self):
+        # the level path's internals stay behind _sweep_errors and _bound_reports
+        for name in ("_sweep", "_level_split", "_pinched_errors", "verify_bounds"):
+            assert not hasattr(checks, name), name
+
+    def test_dense_references_live_in_checks_alone(self):
+        for name in ("build_pinched_test", "build_plain_test", "error_probabilities"):
+            assert hasattr(checks, name), name
+        for name in ("TestOperator", "build_pinched_test", "build_plain_test", "error_probabilities"):
+            assert not hasattr(finite_n, name), name
+            assert not hasattr(qht, name), name
+        assert checks.PROJ_TOL == 1e-9 and not hasattr(finite_n, "PROJ_TOL")
+        assert not hasattr(qht, "ErrorProbabilities")
+
+    def test_level_path_binds_no_dense_operator(self):
+        # the converse of test_reference_takes_nothing_from_the_level_path
+        for name in ("pinch", "positive_projection", "eigendecompose"):
+            assert not hasattr(finite_n, name), name
 
 
 def test_operator_monotonicity_solves_each_operator_once(monkeypatch):

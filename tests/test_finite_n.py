@@ -28,15 +28,19 @@ import oracles
 from oracles import dense_plain_test_errors_mp, pinched_test_errors_mp, plain_test_errors_mp
 
 
-def exact_errors(pair, test):
-    """Dense-trace reference for both error probabilities."""
-    rho_n = tensor_power(pair.rho, test.n)
-    sigma_n = tensor_power(pair.sigma, test.n)
-    eye = np.eye(test.dim)
+def exact_errors(pair, n, A):
+    """Dense-trace reference for both error probabilities of the test A at n."""
+    rho_n = tensor_power(pair.rho, n)
+    sigma_n = tensor_power(pair.sigma, n)
+    eye = np.eye(len(A))
     return (
-        float(np.trace(rho_n @ (eye - test.operator)).real),
-        float(np.trace(sigma_n @ test.operator).real),
+        float(np.trace(rho_n @ (eye - A)).real),
+        float(np.trace(sigma_n @ A).real),
     )
+
+
+def dense_pinched_errors(pair, n, a):
+    return checks.error_probabilities(pair, n, a, checks.build_pinched_test(pair, n, a))
 
 
 def sweep_blocks(pair, n):
@@ -86,26 +90,26 @@ def level_spectrum(spectrum, k):
 
 class TestBuildPinchedTest:
     def test_very_negative_threshold_accepts_everything(self, generic):
-        test = qht.build_pinched_test(generic, 1, -50.0)
-        np.testing.assert_allclose(test.operator, np.eye(2), atol=1e-12)
-        ep = qht.error_probabilities(generic, test)
+        test = checks.build_pinched_test(generic, 1, -50.0)
+        np.testing.assert_allclose(test, np.eye(2), atol=1e-12)
+        ep = checks.error_probabilities(generic, 1, -50.0, test)
         assert ep.alpha == pytest.approx(0.0, abs=1e-12)
         assert ep.beta == pytest.approx(1.0, abs=1e-12)
 
     def test_very_positive_threshold_rejects_everything(self, generic):
-        test = qht.build_pinched_test(generic, 1, 50.0)
-        np.testing.assert_allclose(test.operator, np.zeros((2, 2)), atol=1e-12)
-        ep = qht.error_probabilities(generic, test)
+        test = checks.build_pinched_test(generic, 1, 50.0)
+        np.testing.assert_allclose(test, np.zeros((2, 2)), atol=1e-12)
+        ep = checks.error_probabilities(generic, 1, 50.0, test)
         assert ep.alpha == pytest.approx(1.0, abs=1e-12)
         assert ep.beta == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_reduces_to_likelihood_ratio(self, commuting):
         # p = (0.5, 0.5), q = (0.9, 0.1): at a = 0 only x2 has p > q
-        test = qht.build_pinched_test(commuting, 1, 0.0)
-        np.testing.assert_allclose(test.operator, np.diag([0.0, 1.0]), atol=1e-12)
+        test = checks.build_pinched_test(commuting, 1, 0.0)
+        np.testing.assert_allclose(test, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_hand_evaluated_errors(self, commuting):
-        ep = qht.error_probabilities(commuting, qht.build_pinched_test(commuting, 1, 0.0))
+        ep = dense_pinched_errors(commuting, 1, 0.0)
         assert ep.alpha == pytest.approx(0.5, abs=1e-12)
         assert ep.beta == pytest.approx(0.1, abs=1e-12)
 
@@ -113,18 +117,15 @@ class TestBuildPinchedTest:
         for pair in seeded_pairs(4):
             div = qht.relative_entropy(pair)
             for n in (1, 2, 3):
-                test = qht.build_pinched_test(pair, n, 0.5 * div)
+                test = checks.build_pinched_test(pair, n, 0.5 * div)
                 sigma_n = tensor_power(pair.sigma, n)
-                comm = np.linalg.norm(
-                    test.operator @ sigma_n - sigma_n @ test.operator, 2
-                )
+                comm = np.linalg.norm(test @ sigma_n - sigma_n @ test, 2)
                 assert comm <= 1e-9
 
     def test_projection_validity(self):
         for pair in seeded_pairs(4):
             div = qht.relative_entropy(pair)
-            test = qht.build_pinched_test(pair, 3, 0.7 * div)
-            A = test.operator
+            A = checks.build_pinched_test(pair, 3, 0.7 * div)
             assert np.linalg.norm(A @ A - A, 2) <= 1e-9
             w = np.linalg.eigvalsh(A)
             assert w.min() >= -1e-10 and w.max() <= 1.0 + 1e-10
@@ -134,18 +135,32 @@ class TestBuildPinchedTest:
             div = qht.relative_entropy(pair)
             for n in (1, 2, 3):
                 for a in (-0.5, 0.3 * div, 0.9 * div):
-                    test = qht.build_pinched_test(pair, n, a)
+                    test = checks.build_pinched_test(pair, n, a)
                     sigma_n = tensor_power(pair.sigma, n)
                     rho_n = tensor_power(pair.rho, n)
                     dec = qht.eigendecompose(sigma_n)
                     dense = positive_projection(
                         qht.pinch(dec, rho_n) - math.exp(n * a) * sigma_n
                     )
-                    assert np.abs(test.operator - dense).max() <= 1e-10
+                    assert np.abs(test - dense).max() <= 1e-10
 
     def test_budget(self, generic):
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.build_pinched_test(generic, 13, 0.0)
+            checks.build_pinched_test(generic, 13, 0.0)
+
+    def test_overflow_guard(self, generic):
+        # above n a = 700 e^{na} overflows; within the dense budget and the
+        # support cutoff e^{na} sigma_n exceeds I and pinch(rho_n) does not,
+        # so the test is zero and the level path's row reads alpha ~ 1, beta = 0
+        test = checks.build_pinched_test(generic, 2, 355.0)
+        np.testing.assert_array_equal(test, np.zeros((4, 4)))
+        ep = checks.error_probabilities(generic, 2, 355.0, test)
+        (r,) = qht.verify_bounds(generic, [2], [355.0])
+        assert abs(ep.alpha - r.alpha) <= 1e-12
+        assert abs(ep.beta - r.beta) <= 1e-12
+        singular = qht.HypothesisPair(np.diag([0.6, 0.4]), np.diag([1.0, 0.0]))
+        with pytest.raises(qht.SingularInput):
+            checks.build_pinched_test(singular, 2, 355.0)
 
     def test_reference_takes_nothing_from_the_level_path(self, generic, monkeypatch):
         # the dense reference is built from tensor powers, pinch and
@@ -154,17 +169,17 @@ class TestBuildPinchedTest:
             raise AssertionError("level path used")
 
         cases = [(generic, 3), (qht.random_pair(0, 3), 2)]
-        want = [qht.build_pinched_test(pair, n, 0.1).operator for pair, n in cases]
+        want = [checks.build_pinched_test(pair, n, 0.1) for pair, n in cases]
         for name in ("_level_split", "_tensor_block", "_kept", "_pinched_errors", "_levels", "_row_logs"):
             monkeypatch.setattr(finite_n, name, refuse)
         for (pair, n), operator in zip(cases, want):
-            assert qht.build_pinched_test(pair, n, 0.1).operator.tobytes() == operator.tobytes()
+            assert checks.build_pinched_test(pair, n, 0.1).tobytes() == operator.tobytes()
 
     def test_budget_checked_on_every_build(self, generic, monkeypatch):
-        qht.build_pinched_test(generic, 3, 0.0)
+        checks.build_pinched_test(generic, 3, 0.0)
         monkeypatch.setattr(operators, "MAX_TENSOR_DIM", 4)
         with pytest.raises(qht.DimensionBudgetExceeded):
-            qht.build_pinched_test(generic, 3, 0.0)
+            checks.build_pinched_test(generic, 3, 0.0)
 
     def test_singular_sigma_levels_without_warnings(self):
         # the kernel of sigma_n is one level of log weight -inf; comparing
@@ -177,7 +192,7 @@ class TestBuildPinchedTest:
                 assert len(spectrum.log_weights) == 2
                 assert [len(p) for p in level_positions(pair, n)] == [2**n - 1, 1]
                 assert np.bincount(spectrum.level, spectrum.m).tolist() == [2**n - 1, 1]
-                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, n, 0.1))
+                ep = dense_pinched_errors(pair, n, 0.1)
                 assert abs(ep.alpha - 0.6**n) <= 1e-15
                 assert ep.beta == 0.0
 
@@ -194,9 +209,9 @@ def test_every_entry_point_cuts_levels_at_the_fixed_tolerance(monkeypatch):
 
         return recorded
 
-    for name in ("_levels", "_level_split"):
+    for name, modules in (("_levels", (finite_n, checks)), ("_level_split", (finite_n,))):
         recorded = spy(getattr(finite_n, name))
-        for module in (finite_n, checks):
+        for module in modules:
             monkeypatch.setattr(module, name, recorded)
     generic = qht.preset_pair("qubit-generic")
     a = 0.5 * qht.relative_entropy(generic)
@@ -213,28 +228,28 @@ class TestBuildPlainTest:
             div = qht.relative_entropy(pair)
             for n in (1, 2):
                 for a in (0.3 * div, 0.8 * div):
-                    plain = qht.build_plain_test(pair, n, a)
-                    pinched = qht.build_pinched_test(pair, n, a)
-                    assert np.abs(plain.operator - pinched.operator).max() <= 1e-10
+                    plain = checks.build_plain_test(pair, n, a)
+                    pinched = checks.build_pinched_test(pair, n, a)
+                    assert np.abs(plain - pinched).max() <= 1e-10
 
     def test_extreme_thresholds(self, generic):
-        low = qht.build_plain_test(generic, 1, -50.0)
-        np.testing.assert_allclose(low.operator, np.eye(2), atol=1e-12)
-        high = qht.build_plain_test(generic, 1, 50.0)
-        np.testing.assert_allclose(high.operator, np.zeros((2, 2)), atol=1e-12)
+        low = checks.build_plain_test(generic, 1, -50.0)
+        np.testing.assert_allclose(low, np.eye(2), atol=1e-12)
+        high = checks.build_plain_test(generic, 1, 50.0)
+        np.testing.assert_allclose(high, np.zeros((2, 2)), atol=1e-12)
 
     def test_overflow_guard(self, generic):
-        test = qht.build_plain_test(generic, 2, 400.0)
-        np.testing.assert_allclose(test.operator, np.zeros((4, 4)), atol=1e-12)
+        test = checks.build_plain_test(generic, 2, 400.0)
+        np.testing.assert_allclose(test, np.zeros((4, 4)), atol=1e-12)
 
 
 class TestErrorProbabilities:
     def test_trivial_tests(self, generic):
-        accept = qht.TestOperator(np.eye(2, dtype=complex), 1, 0.0)
-        ep = qht.error_probabilities(generic, accept)
+        accept = np.eye(2, dtype=complex)
+        ep = checks.error_probabilities(generic, 1, 0.0, accept)
         assert (ep.alpha, ep.beta) == (pytest.approx(0.0, abs=1e-14), pytest.approx(1.0, abs=1e-14))
-        reject = qht.TestOperator(np.zeros((2, 2), dtype=complex), 1, 0.0)
-        ep = qht.error_probabilities(generic, reject)
+        reject = np.zeros((2, 2), dtype=complex)
+        ep = checks.error_probabilities(generic, 1, 0.0, reject)
         assert (ep.alpha, ep.beta) == (pytest.approx(1.0, abs=1e-14), pytest.approx(0.0, abs=1e-14))
 
     def test_block_path_matches_dense_traces(self):
@@ -246,7 +261,8 @@ class TestErrorProbabilities:
             div = qht.relative_entropy(pair)
             for n in range(1, n_max + 1):
                 (ep,) = _pinched_errors(sweep_spectrum(pair, n), n, [0.6 * div])
-                alpha_dense, beta_dense = exact_errors(pair, qht.build_pinched_test(pair, n, 0.6 * div))
+                test = checks.build_pinched_test(pair, n, 0.6 * div)
+                alpha_dense, beta_dense = exact_errors(pair, n, test)
                 assert ep.alpha == pytest.approx(alpha_dense, abs=1e-12)
                 assert ep.beta == pytest.approx(beta_dense, abs=1e-12)
 
@@ -269,7 +285,7 @@ class TestErrorProbabilities:
             rows += [len(idx) for idx, _ in oracles.level_split(blocks, CLUSTER_REL_TOL)[2]]
             for a, ep in zip(grid, _pinched_errors(spectrum, n, grid)):
                 test = oracles.level_pinched_test(pair, n, a)
-                alpha_dense, beta_dense = exact_errors(pair, test)
+                alpha_dense, beta_dense = exact_errors(pair, n, test)
                 assert abs(ep.beta - beta_dense) <= 1e-9 * beta_dense
                 assert abs(ep.alpha - alpha_dense) <= 1e-12
         # the merged path ran: some (spin) sub-block holds more than one row
@@ -277,24 +293,19 @@ class TestErrorProbabilities:
 
     def test_mass_consistency(self):
         for pair in seeded_pairs(4):
-            test = qht.build_pinched_test(pair, 2, 0.1)
-            ep = qht.error_probabilities(pair, test)
+            test = checks.build_pinched_test(pair, 2, 0.1)
+            ep = checks.error_probabilities(pair, 2, 0.1, test)
             rho_n = tensor_power(pair.rho, 2)
-            mass = ep.alpha + float(np.trace(rho_n @ test.operator).real)
+            mass = ep.alpha + float(np.trace(rho_n @ test).real)
             assert mass == pytest.approx(1.0, abs=1e-12)
-
-    def test_dimension_mismatch(self, generic):
-        test = qht.TestOperator(np.eye(4, dtype=complex), 1, 0.0)
-        with pytest.raises(qht.DimensionMismatch):
-            qht.error_probabilities(generic, test)
 
     def test_probability_invariant(self):
         with pytest.raises(qht.InvariantViolation):
-            qht.ErrorProbabilities(alpha=1.5, beta=0.0, n=1, a=0.0)
+            finite_n.ErrorProbabilities(alpha=1.5, beta=0.0, n=1, a=0.0)
 
     def test_operator_invariant(self):
         with pytest.raises(qht.InvariantViolation):
-            qht.TestOperator(np.full((2, 2), 0.5 + 0j) * 3.0, 1, 0.0)
+            checks._projection(np.full((2, 2), 0.5 + 0j) * 3.0)
 
 
 class TestErrorEnvelopes:
@@ -676,15 +687,16 @@ class TestVerifyBounds:
                 assert abs(r.alpha - alpha) <= 1e-13 * alpha
                 assert abs(r.beta - beta) <= 1e-13 * beta
             else:
-                ep = qht.error_probabilities(pair, qht.build_pinched_test(pair, r.n, r.a))
+                ep = dense_pinched_errors(pair, r.n, r.a)
                 assert abs(r.alpha - ep.alpha) <= 1e-12
                 assert abs(r.beta - ep.beta) <= 1e-12
 
     def test_sweeps_build_no_test_operator(self, generic, monkeypatch):
         # the sweeps read the errors off the level spectra of the blocks: no
-        # TestOperator and, for qubits, no tensor_power at all, since the
-        # levels and the key residual come from the spin blocks.  A qutrit
-        # takes one tensor_power per blocklength, M, the one block both share.
+        # dense test of qht.checks and, for qubits, no tensor_power at all,
+        # since the levels and the key residual come from the spin blocks.
+        # A qutrit takes one tensor_power per blocklength, M, the one block
+        # both share.
         def refuse(*args, **kwargs):
             raise AssertionError("test operator built")
 
@@ -700,7 +712,8 @@ class TestVerifyBounds:
             powers.append(n)
             return tensor_power(A, n)
 
-        monkeypatch.setattr(finite_n, "TestOperator", refuse)
+        for name in ("build_pinched_test", "build_plain_test", "positive_projection"):
+            monkeypatch.setattr(checks, name, refuse)
         monkeypatch.setattr(finite_n, "tensor_power", spy)
         assert qht.verify_bounds(generic, range(1, 5), [0.1, a]) == reports
         assert qht.stein_trace(generic, a, 4) == points
@@ -709,7 +722,7 @@ class TestVerifyBounds:
         assert qht.verify_bounds(qutrit, range(1, 3), [0.1]) == qutrit_reports
         assert powers == [1, 2]
         with pytest.raises(AssertionError, match="test operator built"):
-            qht.build_pinched_test(generic, 1, a)
+            checks._dense_test(generic, 1, a, pinched=True)
 
 
     @pytest.mark.parametrize(
@@ -792,8 +805,8 @@ class TestKeepRule:
         div = qht.relative_entropy(pair)
         a = data.draw(st.floats(-0.5, div + 0.5), label="a")
         (ep,) = _pinched_errors(sweep_spectrum(pair, n), n, [a])
-        test = qht.build_pinched_test(pair, n, a)
-        alpha_dense, beta_dense = exact_errors(pair, test)
+        test = checks.build_pinched_test(pair, n, a)
+        alpha_dense, beta_dense = exact_errors(pair, n, test)
         assert abs(ep.alpha - alpha_dense) <= 1e-12
         assert abs(ep.beta - beta_dense) <= 1e-12
         for r in qht.verify_bounds(pair, range(1, n + 1), [a]):
@@ -1039,8 +1052,8 @@ class TestBlocklengthValidation:
             lambda pair, n: qht.verify_bounds(pair, [n], [0.1]),
             lambda pair, n: qht.stein_trace(pair, 0.1, n),
             lambda pair, n: qht.conjecture_probe(pair, [n], 0.1),
-            lambda pair, n: qht.build_pinched_test(pair, n, 0.1),
-            lambda pair, n: qht.build_plain_test(pair, n, 0.1),
+            lambda pair, n: checks.build_pinched_test(pair, n, 0.1),
+            lambda pair, n: checks.build_plain_test(pair, n, 0.1),
         ],
         ids=["verify_bounds", "stein_trace", "conjecture_probe",
              "build_pinched_test", "build_plain_test"],
@@ -1062,6 +1075,7 @@ class TestBlocklengthValidation:
         assert qht.relative_entropy(pair) > 0.1
         for name in ("_sym_powers", "_level_split", "tensor_power"):
             monkeypatch.setattr(finite_n, name, spy(name, getattr(finite_n, name)))
+        monkeypatch.setattr(checks, "tensor_power", spy("tensor_power", checks.tensor_power))
         with pytest.raises(ValueError, match="blocklength"):
             entry(pair, n)
         assert computed == []
@@ -1182,7 +1196,7 @@ def dicke_basis(N):
 
 
 def dense_plain_errors(pair, n, a):
-    return qht.error_probabilities(pair, qht.build_plain_test(pair, n, a))
+    return checks.error_probabilities(pair, n, a, checks.build_plain_test(pair, n, a))
 
 
 def block_plain_errors(pair, n, a):
@@ -1329,8 +1343,9 @@ class TestPlainErrorsFromSpinBlocks:
         qutrit = qht.random_pair(0, dim=3)
         reference = qht.conjecture_probe(generic, range(1, 5), 0.1)
         qutrit_reference = qht.conjecture_probe(qutrit, range(1, 4), 0.1)
-        for name in ("build_plain_test", "error_probabilities", "TestOperator"):
-            monkeypatch.setattr(finite_n, name, refuse)
+        dense = ("build_pinched_test", "build_plain_test", "error_probabilities", "positive_projection")
+        for name in dense:
+            monkeypatch.setattr(checks, name, refuse)
         assert qht.conjecture_probe(qutrit, range(1, 4), 0.1) == qutrit_reference
         monkeypatch.setattr(finite_n, "tensor_power", refuse)
         assert qht.conjecture_probe(generic, range(1, 5), 0.1) == reference
@@ -1392,9 +1407,7 @@ class TestPlainErrorsFromSpinBlocks:
                 for n in range(1, 7):
                     for a in (-0.3, 0.0, 0.2, 1.0):
                         ep = block_plain_errors(pair, n, a)
-                        dense = qht.error_probabilities(
-                            pair, qht.build_plain_test(pair, n, a)
-                        )
+                        dense = dense_plain_errors(pair, n, a)
                         assert abs(ep.alpha - dense.alpha) <= 1e-14
                         assert abs(ep.beta - dense.beta) <= 1e-14
 
@@ -1407,7 +1420,7 @@ class TestPlainErrorsFromSpinBlocks:
         with pytest.raises(qht.SingularInput):
             block_plain_errors(singular, 2, 400.0)
         with pytest.raises(qht.SingularInput):
-            qht.build_plain_test(singular, 2, 400.0)
+            checks.build_plain_test(singular, 2, 400.0)
 
     def test_budget_checked_first(self, generic, monkeypatch):
         # the plain test repeats each block spectrum to 2^n eigenvalues, so
@@ -1472,10 +1485,7 @@ class TestErrorMonotonicity:
             div = qht.relative_entropy(pair)
             grid = np.linspace(0.1 * div, 1.2 * div, 7)
             for n in (1, 2, 3):
-                eps = [
-                    qht.error_probabilities(pair, qht.build_pinched_test(pair, n, a))
-                    for a in grid
-                ]
+                eps = [dense_pinched_errors(pair, n, a) for a in grid]
                 alphas = np.array([e.alpha for e in eps])
                 betas = np.array([e.beta for e in eps])
                 assert (np.diff(alphas) >= -1e-12).all()
