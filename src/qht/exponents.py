@@ -9,12 +9,15 @@ into the achievable trade-off exponent for the second-kind error under an
 exponential constraint on the first kind, and ``classical_psi`` /
 ``classical_hoeffding`` are the scalar reductions for distributions.
 
-Every exponent is ``-log Re sum_k c_k exp(s r_k)``, evaluated by one kernel
-over terms built from the eigenbases ``rho = sum_i p_i |u_i><u_i|`` and
-``sigma = sum_j q_j |v_j><v_j|``: for psi ``c_ij = |<u_i|v_j>|^2 p_i`` and
-``r_ij = log q_j - log p_i`` (the classical exponent is the diagonal case),
-for psi_bar ``c_ijk = X_kj C_ji conj(C_ki)`` and
-``r_ijk = (log q_j + log q_k)/2 - log p_i`` with ``C = V* U``, ``X = V* rho V``.
+Every exponent is ``-log sum_k c_k exp(s r_k)`` with real weights c_k,
+evaluated by one kernel over terms built from the eigenbases
+``rho = sum_i p_i |u_i><u_i|`` and ``sigma = sum_j q_j |v_j><v_j|``: for psi
+``c_ij = |<u_i|v_j>|^2 p_i`` and ``r_ij = log q_j - log p_i`` (the classical
+exponent is the diagonal case), for psi_bar the terms
+``X_kj C_ji conj(C_ki) e^{s r_ijk}``, ``r_ijk = (log q_j + log q_k)/2 - log p_i``,
+with ``C = V* U`` and ``X = V* rho V``.  Terms ijk and ikj share r_ijk and,
+X being Hermitian, are complex conjugates, so psi_bar keeps one real weight
+per i and j <= k, the sum of the pair's real parts: d^2 (d+1)/2 terms.
 Terms with p_i = 0 or q_j = 0 are dropped for every s, so ``rho^0`` and
 ``sigma^0`` act as support projectors.  ``classical_psi`` keeps its own
 convention (q(x) = 0 at s = 0 contributes p(x)) and does not use the kernel.
@@ -24,7 +27,7 @@ on any s, and every maximization over s (``phi``, ``phi_bar``, the rate
 objective and the finite-n envelopes) is one of its methods.  It scans
 one grid of [0, 1] and refines the grid argmax by safeguarded Newton
 steps on the closed-form first and second derivatives, read from one
-product of its 6 x K moment table with ``e^{s r}``.  The rate parameter
+product of its 3 x K moment table with ``e^{s r}``.  The rate parameter
 a_r with ``phi_bar(a_r) = r`` takes no search of its own: phi_bar(a) >= r
 holds exactly when ``a <= (psi_bar(s) - r) / s`` for some s in (0, 1], so
 ``a_r = max_s (psi_bar(s) - r) / s = u(r) - r``, the rate objective's
@@ -72,7 +75,7 @@ def _real_trace(values: np.ndarray, context: str) -> np.ndarray:
 
 def _check_s(s) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if (s < 0.0).any() or (s > 1.0).any():
+    if not ((s >= 0.0) & (s <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("s must lie in [0, 1]")
     return s
 
@@ -97,10 +100,13 @@ def _psi_bar_terms(pair: HypothesisPair):
     p, U = pair.rho_eig
     q, V = pair.sigma_eig
     C = V.conj().T @ U
-    T = np.einsum("kj,ji,ki->ijk", pair.rho_in_sigma_basis, C, C.conj())
+    T = np.einsum("kj,ji,ki->ijk", pair.rho_in_sigma_basis, C, C.conj()).real
+    # ijk and ikj share r and are conjugates: their real parts summed once, j <= k
+    j, k = np.triu_indices(q.size)
+    c = (T + T.swapaxes(1, 2))[:, j, k] * np.where(j < k, 1.0, 0.5)
     half_log_q = np.log(q) / 2.0
-    r = half_log_q[None, :, None] + half_log_q[None, None, :] - np.log(p)[:, None, None]
-    return T.ravel(), r.ravel()
+    r = (half_log_q[j] + half_log_q[k])[None, :] - np.log(p)[:, None]
+    return c.ravel(), r.ravel()
 
 
 _TERMS = {"psi": _psi_terms, "psi_bar": _psi_bar_terms}
@@ -167,32 +173,27 @@ def psi_derivatives(pair: HypothesisPair, s: float) -> tuple[float, float]:
 
 
 class _Scan:
-    """The kernel ``E(s) = -log Re sum_k c_k exp(s r_k)`` of one set of terms.
+    """The kernel ``E(s) = -log sum_k c_k exp(s r_k)`` of one set of real terms.
 
     It keeps the exponents r, the grid ``linspace(0, 1, GRID_POINTS)`` that
-    every maximization scans, and the real 6 x K moment table of Re and
-    then Im of ``c_k r_k^j``, j = 0, 1, 2, whose rows 0 and 3 are the
-    weights c.  The grid and its values are made at the first maximization,
-    so a kernel that is only evaluated at given s (:func:`psi_bar_values`)
-    or read at single points (:func:`psi_derivatives`) costs its table alone.
+    every maximization scans, and the real 3 x K moment table of
+    ``c_k r_k^j``, j = 0, 1, 2, whose row 0 is the weights c.  The grid and
+    its values are made at the first maximization, so a kernel that is only
+    evaluated at given s (:func:`psi_bar_values`) or read at single points
+    (:func:`psi_derivatives`) costs its table alone.
     """
 
     def __init__(self, terms, name: str):
         c, r = terms
-        weighted = (c, c * r, c * r * r)
         self.r = r
         self.name = name
-        self.table = np.array([w.real for w in weighted] + [w.imag for w in weighted])
-        self.real = not self.table[3].any()
+        self.table = np.array([c, c * r, c * r * r])
 
     def at(self, s: np.ndarray) -> np.ndarray:
-        """E at each entry of s; real weights (``real``) take no imaginary product."""
+        """E at each entry of s, from the one product ``exp(outer(s, r)) @ c``."""
         E = np.outer(s, self.r)
         np.exp(E, out=E)
         tr = E @ self.table[0]
-        if not self.real:
-            # two real products: a complex product would first copy E at twice its size
-            tr = _real_trace(tr + 1j * (E @ self.table[3]), f"{self.name} trace")
         if (tr <= 0.0).any():
             raise ArithmeticError(f"{self.name} trace is not positive")
         return -np.log(tr)
@@ -208,18 +209,11 @@ class _Scan:
     def point(self, s: float) -> tuple[float, float, float]:
         """E and its s-derivatives E', E'' at one s.
 
-        From the moments ``m_j = Re sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2:
-        ``E = -log m_0``, ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
-        All six real and imaginary parts are one product ``table @ e^{s r}``.
-        The imaginary residue of each moment is held to
-        :func:`_real_trace`'s rule.
+        From the moments ``m_j = sum_k c_k r_k^j e^{s r_k}``, j = 0, 1, 2,
+        the one product ``table @ e^{s r}``: ``E = -log m_0``,
+        ``E' = -m_1 / m_0`` and ``E'' = E'^2 - m_2 / m_0``.
         """
-        moments = (self.table @ np.exp(s * self.r)).tolist()
-        real, imag = moments[:3], moments[3:]
-        if any(abs(i) > _IMAG_RESIDUE * (1.0 + abs(m)) for m, i in zip(real, imag)):
-            worst = max(map(abs, imag))
-            raise ArithmeticError(f"{self.name} trace: imaginary residue {worst:.3e} too large")
-        m0, m1, m2 = real
+        m0, m1, m2 = (self.table @ np.exp(s * self.r)).tolist()
         if m0 <= 0.0:
             raise ArithmeticError(f"{self.name} trace is not positive")
         d1 = -m1 / m0
@@ -268,7 +262,9 @@ class _Scan:
         return best_x, best_v, k
 
     def transform(self, a: float) -> tuple[float, float]:
-        """``(max over s in [0, 1] of E(s) - a s, argmax)``."""
+        """``(max over s in [0, 1] of E(s) - a s, argmax)``; a must be finite."""
+        if not math.isfinite(a):
+            raise ValueError(f"threshold a must be finite, got {a}")
 
         def lift(s, v, d1, d2):
             return v - a * s, d1 - a, d2
@@ -283,10 +279,11 @@ class _Scan:
         point s = 0, where h divides by zero, is masked out of the scan.
         Near s = 0, h tends to ``(E(0) - r) / s``, so a rate at or below
         ``E(0) = -log Tr rho`` (zero but for roundoff) has no finite
-        maximum and raises :class:`NonpositiveRate`, as does r <= 0.
+        maximum and raises :class:`NonpositiveRate`, as does r <= 0, inf or nan.
         """
-        if r <= 0.0:
-            raise NonpositiveRate(f"rate must be positive, got {r}")
+        if not 0.0 < r < math.inf:
+            what = "positive" if r <= 0.0 else "finite"
+            raise NonpositiveRate(f"rate must be {what}, got {r}")
         floor = float(self.values[0])
         if r <= floor:
             raise NonpositiveRate(

@@ -12,17 +12,20 @@ from .errors import (
     ParseError,
     SingularInput,
 )
-from .operators import hermitian_eigh
+from .operators import as_complex_matrix, hermitian_eigh
 
 
 def _density_eig(M):
     """A validated density operator and its eigensystem ``(clip(w, 0), V)``.
 
-    One :func:`qht.operators.hermitian_eigh` checks, in this order, Hermitian
-    symmetry, positivity within ``PSD_TOL`` and unit trace; a 0 x 0 matrix
-    is no state and raises DimensionMismatch.
+    Every entry must be finite; then one :func:`qht.operators.hermitian_eigh`
+    checks, in this order, Hermitian symmetry, positivity within ``PSD_TOL``
+    and unit trace; a 0 x 0 matrix is no state and raises DimensionMismatch.
     """
-    A, w, V = hermitian_eigh(M)
+    A = as_complex_matrix(M)
+    if not np.isfinite(A).all():
+        raise InvariantViolation("finite", "a state has a NaN or infinite entry")
+    A, w, V = hermitian_eigh(A)
     if not w.size:
         raise DimensionMismatch("a state needs dimension at least 1, got 0")
     if w.min() < -PSD_TOL:
@@ -34,7 +37,7 @@ def _density_eig(M):
 
 
 def check_density(M) -> np.ndarray:
-    """Validate a density operator: Hermitian, PSD within tolerance, unit trace."""
+    """Validate a density operator: finite, Hermitian, PSD within PSD_TOL, unit trace."""
     return _density_eig(M)[0]
 
 

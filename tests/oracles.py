@@ -4,8 +4,9 @@ Everything here recomputes expected values through a different route than
 the library: scalar eigenvalue-weight sums (psi) and dense matrix-power
 products (psi_bar) evaluated in mpmath for the exponent functions and their
 finite differences, the kernel's value and derivatives at one s from
-complex sums over the terms, brute-force grid scans for the one-dimensional
-maximizations, the rate-parameter bisection with every probe run in full
+complex sums over the terms, psi_bar's d^3 complex terms as the library
+built them before it folded their conjugate pairs, brute-force grid scans
+for the one-dimensional maximizations, the rate-parameter bisection with every probe run in full
 on a grid built for the one call, qubit plain-test errors from spin blocks whose entries
 are string-pair counts, plain-test errors of any dimension from a dense
 eigensolve of ``rho_n - e^{na} sigma_n``, and pinched-test errors from the
@@ -107,6 +108,22 @@ def psi_fd_mp(pair, s, h=1e-5, dps=40, exponent=psi_scalar_mp):
         d1 = (up - down) / (2 * hh)
         d2 = (up - 2 * mid + down) / hh**2
         return float(d1), float(d2)
+
+
+def psi_bar_terms_complex(pair):
+    """The d^3 complex terms ``(c_ijk, r_ijk)`` of psi_bar, one per (i, j, k).
+
+    ``qht.exponents._psi_bar_terms`` as it was before it summed each
+    conjugate pair ijk, ikj into one real weight.
+    """
+    pair.assert_invertible("psi_bar")
+    p, U = pair.rho_eig
+    q, V = pair.sigma_eig
+    C = V.conj().T @ U
+    T = np.einsum("kj,ji,ki->ijk", pair.rho_in_sigma_basis, C, C.conj())
+    half_log_q = np.log(q) / 2.0
+    r = half_log_q[None, :, None] + half_log_q[None, None, :] - np.log(p)[:, None, None]
+    return T.ravel(), r.ravel()
 
 
 def complex_sum_point(terms, s, name):

@@ -380,12 +380,12 @@ VERIFY_SEED3_PAIRS5_NMAX3 = """\
 [PASS] inverse-power domination: worst 1.395e-02 (tol -1.0e-08)
 [PASS] spectral round-trip: worst 6.685e-16 (tol 1.0e-10)
 [PASS] operator convexity closed form: worst 5.347e-02 (tol -1.0e-10) max entrywise gap 9.058e-15
-[PASS] pinched below plain exponent: worst 5.551e-16 (tol 1.0e-09)
+[PASS] pinched below plain exponent: worst 4.441e-16 (tol 1.0e-09)
 [PASS] phi_bar shape: worst 8.882e-16 (tol 1.0e-09)
 [PASS] derivative consistency: worst 6.139e-10 (tol 1.0e-06)
 [PASS] rate-parameter consistency: worst 2.220e-15 (tol 1.0e-07)
 [PASS] commuting-case reduction: worst 0.000e+00 (tol 1.0e-09)
-[PASS] unitary invariance: worst 2.439e-15 (tol 1.0e-09)
+[PASS] unitary invariance: worst 2.234e-15 (tol 1.0e-09)
 [PASS] finite-n envelopes: worst 0.000e+00 (tol 1.0e-12)
 [PASS] test projections and mass: worst 1.519e-15 (tol 1.0e-09) mass defect 5.551e-16 (tol 1e-12)
 [PASS] pinched equals plain when commuting: worst 1.110e-16 (tol 1.0e-10)

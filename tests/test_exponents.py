@@ -13,7 +13,6 @@ from qht.cli import main
 from qht.exponents import (
     GRID_POINTS,
     _psi_bar_terms,
-    _real_trace,
     _Scan,
     _scan,
     check_distribution,
@@ -27,6 +26,7 @@ from oracles import (
     grid_max_hoeffding,
     grid_max_phi,
     psi_bar_matrix_mp,
+    psi_bar_terms_complex,
     psi_fd_mp,
     reference_rate_parameter,
     weight_form,
@@ -633,39 +633,30 @@ class TestPairCache:
     @pytest.mark.parametrize("name", ["psi", "psi_bar"])
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_moment_table_matches_complex_sums(self, dim, name):
-        # measured worst gaps over seeds 0-9: 3.1e-15 (E), 1.9e-14 (E'), 2.1e-13 (E'')
+        # psi_bar against its unfolded d^3 complex terms; measured worst gaps
+        # over seeds 0-9: 8.2e-15 (E), 7.3e-14 (E'), 8.3e-13 (E''), 6.3e-15 (grid E)
+        build = {"psi": exponents._TERMS["psi"], "psi_bar": psi_bar_terms_complex}[name]
+        grid = np.linspace(0.0, 1.0, GRID_POINTS)
         for pair in seeded_pairs(3, dim=dim):
-            terms = exponents._TERMS[name](pair)
+            terms = build(pair)
+            scan = _scan(pair, name)
             for s in np.linspace(0.0, 1.0, 41):
-                point = _scan(pair, name).point(float(s))
+                point = scan.point(float(s))
                 reference = complex_sum_point(terms, float(s), name)
                 for got, want, tol in zip(point, reference, (3e-14, 2e-13, 3e-12)):
                     assert abs(got - want) <= tol
+            values = [complex_sum_point(terms, float(s), name)[0] for s in grid]
+            assert np.abs(scan.at(grid) - values).max() <= 3e-14
 
-    def test_point_residue_rule_matches_real_trace(self):
-        r = np.array([-1.0, 0.5])
-        c = np.array([1.0 + 1e-3j, 0.5])
-        w = c * np.exp(0.3 * r)
-        with pytest.raises(ArithmeticError) as dense:
-            _real_trace(np.array([w.sum(), (w * r).sum(), (w * r) @ r]), "psi_bar trace")
-        with pytest.raises(ArithmeticError) as point:
-            _Scan((c, r), "psi_bar").point(0.3)
-        assert str(point.value) == str(dense.value)
-        _Scan((c.real + 1e-12j, r), "psi_bar").point(0.3)  # inside the bound
-
-    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 8])
-    def test_real_weights_skip_the_imaginary_product(self, dim):
-        # psi's weights are real, so at() drops the all-zero imaginary row,
-        # bit for bit the trace of both products; psi_bar's are complex
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_tables_are_real(self, dim):
+        # psi_bar keeps one real weight per conjugate pair of terms: d^2 (d+1)/2
         pair = qht.random_pair(0, dim)
-        s = np.linspace(0.0, 1.0, 2001)
-        for name, real in (("psi", True), ("psi_bar", False)):
+        for name, size in (("psi", dim * dim), ("psi_bar", dim * dim * (dim + 1) // 2)):
             scan = _scan(pair, name)
-            assert scan.real == real
-            E = np.exp(np.outer(s, scan.r))
-            both = _real_trace(E @ scan.table[0] + 1j * (E @ scan.table[3]), name)
-            assert scan.at(s).tobytes() == (-np.log(both)).tobytes()
-        assert _Scan((np.array([1.0, 2.0]), np.array([-1.0, 0.5])), "classical").real
+            assert scan.table.dtype == np.float64
+            assert scan.table.shape == (3, size)
+            assert scan.r.shape == (size,)
 
 
 class TestClassical:
@@ -728,7 +719,65 @@ class TestClassical:
             )
 
 
+NAN, INF = float("nan"), float("inf")
+
+NON_FINITE_CALLS = {
+    "psi": (lambda pair: qht.psi(pair, NAN), ValueError),
+    "psi_bar": (lambda pair: qht.psi_bar(pair, NAN), ValueError),
+    "psi_derivatives": (lambda pair: qht.psi_derivatives(pair, NAN), ValueError),
+    "psi_bar_values": (lambda pair: qht.psi_bar_values(pair, [0.5, NAN]), ValueError),
+    "psi_values": (lambda pair: qht.psi_values(pair, [NAN, 0.5]), ValueError),
+    "classical_psi": (lambda pair: qht.classical_psi([0.5, 0.5], [0.9, 0.1], NAN), ValueError),
+    "phi_bar-nan": (lambda pair: qht.phi_bar(pair, NAN), ValueError),
+    "phi_bar-inf": (lambda pair: qht.phi_bar(pair, INF), ValueError),
+    "phi_bar-minus-inf": (lambda pair: qht.phi_bar(pair, -INF), ValueError),
+    "phi-nan": (lambda pair: qht.phi(pair, NAN), ValueError),
+    "phi-inf": (lambda pair: qht.phi(pair, INF), ValueError),
+    "hoeffding_rate-nan": (lambda pair: qht.hoeffding_rate(pair, NAN), qht.NonpositiveRate),
+    "hoeffding_rate-inf": (lambda pair: qht.hoeffding_rate(pair, INF), qht.NonpositiveRate),
+    "solve_rate_parameter": (lambda pair: qht.solve_rate_parameter(pair, NAN), qht.NonpositiveRate),
+    "classical_hoeffding": (
+        lambda pair: qht.classical_hoeffding([0.5, 0.5], [0.9, 0.1], NAN),
+        qht.NonpositiveRate,
+    ),
+    "stein_trace": (lambda pair: qht.stein_trace(pair, NAN, 2), ValueError),
+    "verify_bounds": (lambda pair: qht.verify_bounds(pair, [1], [NAN]), ValueError),
+    "conjecture_probe": (lambda pair: qht.conjecture_probe(pair, [1, 2], NAN), ValueError),
+}
+
+
+@pytest.mark.parametrize("call,error", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_arguments_raise_before_any_sweep(call, error, dim, monkeypatch):
+    # a NaN s, a or r and an infinite a or r are refused with the error their
+    # range check raises, with no warning and no finite-n row computed
+    for name in ("_level_split", "_plain_errors"):
+        monkeypatch.setattr(qht.finite_n, name, lambda *args: pytest.fail("sweep work"))
+    pair = qht.random_pair(7, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call(pair)
+
+
 class TestPairValidation:
+    @pytest.mark.parametrize(
+        "entry", [np.nan, complex(0.0, np.nan), complex(np.nan, 0.0), np.inf, -np.inf]
+    )
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("which", ["rho", "sigma"])
+    def test_non_finite_entries_rejected(self, entry, where, which):
+        # rejected before the eigensolve, which NaN comparisons would let through
+        bad = np.eye(2, dtype=complex) / 2.0
+        bad[where] = bad[where[::-1]] = entry
+        states = {"rho": np.eye(2) / 2.0, "sigma": np.eye(2) / 2.0, which: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (lambda: qht.HypothesisPair(**states), lambda: qht.check_density(bad)):
+                with pytest.raises(qht.InvariantViolation) as err:
+                    build()
+                assert err.value.check == "finite"
+
     def test_trace_violation_named(self):
         bad = np.diag([0.5, 0.49])
         with pytest.raises(qht.InvariantViolation) as err:
