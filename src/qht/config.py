@@ -15,10 +15,10 @@ import sys
 # plain test of ``conjecture_probe`` hold d^n to it; ``finite_n._sweep``
 # the rows of its blocks at the largest n: d^n, or (n + 2)^2 // 4 for the
 # qubit spin blocks.  4096 admits qutrits to n = 7 and qubit sweeps to
-# n = 126.  On a shared 2-core Intel Xeon with OpenBLAS 0.3.31, ``qht
-# finite-n --preset qubit-generic --n-max 126`` takes 1.2 to 1.3 s and 54
-# MiB; a seeded qutrit at ``--n-max 7`` takes 2.1 to 2.2 s and 336 MiB in
-# ``finite-n`` and 6.8 s and 503 MiB in ``conjecture``.
+# n = 126.  On a shared 2-core Xeon with OpenBLAS 0.3.31 on 2 threads, ``qht
+# finite-n --preset qubit-generic --n-max 126`` takes 2.6 to 3.1 s and 55 MiB;
+# a seeded qutrit at ``--n-max 7`` takes 3.8 to 4.4 s and 336 MiB in
+# ``finite-n`` and 14 to 22 s and 503 MiB in ``conjecture``.
 MAX_TENSOR_DIM = 4096
 
 # Slack allowed below zero when testing positive semidefiniteness.

@@ -298,7 +298,8 @@ class _Scan:
 
         grid = self.grid
         vals = self.values - (1.0 - grid) * r
-        vals[1:] /= grid[1:]
+        with np.errstate(over="ignore"):  # h below the float range is -inf (r > ~1e305)
+            vals[1:] /= grid[1:]
         vals[0] = -math.inf
         _, value, k = self.maximize(vals, lift)
         if k == 1:
@@ -359,6 +360,8 @@ def check_distribution(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise DimensionMismatch(f"expected a 1-D distribution, got shape {p.shape}")
+    if not np.isfinite(p).all():  # NaN fails both checks below
+        raise InvariantViolation("finite", "a distribution has a NaN or infinite entry")
     if (p < 0.0).any():
         raise InvariantViolation("probability", f"negative entry {float(p.min())!r}")
     if abs(p.sum() - 1.0) > 1e-12:

@@ -50,8 +50,8 @@ from .operators import (
     check_blocklength,
     check_budget,
     check_dense_budget,
-    _positivity_margin,
     hermitian_part,
+    strictly_positive,
     tensor_power,
 )
 from .pairs import HypothesisPair
@@ -221,11 +221,28 @@ def _level_split(blocks, cluster_rel_tol: float):
         idx = rows[i:j] - first[k]
         # eigh, not eigvalsh: the two LAPACK drivers can differ in the last bit
         w[i:j] = np.linalg.eigh(hermitian_part(blocks[k][1][np.ix_(idx, idx)]))[0]
-    m = np.repeat([float(b[0]) for b in blocks], lengths)
+    m = _copies(blocks)
     # stable, all float: a first int sort or int-float cast pages in 64-128 KiB of numpy
     by_level = np.lexsort((w, np.arange(len(sizes), dtype=float)[level]))
     spectrum = _Spectrum(log_weights, level[by_level], w[by_level], m[by_level])
     return spectrum, levels
+
+
+def _copies(blocks) -> np.ndarray:
+    """The multiplicity ``m`` of each row of the :func:`_sweep` blocks, as a float."""
+    return np.repeat([float(b[0]) for b in blocks], [len(b[2]) for b in blocks])
+
+
+def _ranked(blocks, eigenvalues):
+    """The blocks' ``eigenvalues`` (an array per block) stably sorted, with their float m.
+
+    The spectrum that :func:`_key_residual` and :func:`_plain_errors` cluster.
+    """
+    w = np.concatenate(eigenvalues)
+    # the stable argsort of _levels: a first use of another numpy sort
+    # kernel maps its code pages, about 0.1 MiB of resident memory
+    order = np.argsort(w, kind="stable")
+    return w[order], _copies(blocks)[order]
 
 
 def _kept(spectrum, n: int, a_grid) -> np.ndarray:
@@ -274,25 +291,18 @@ def _key_residual(v: int, levels, blocks) -> float:
     :func:`_sweep` lies in one level, as ``levels`` gives it, so the
     residual is the direct sum of ``v blockdiag(R) - R``, each repeated
     ``m`` times.  Repeats add only zero gaps and leave ``max |w|`` as it
-    is, so the clustering rule runs on each eigenvalue once, and the
-    smallest cluster's mean weights each eigenvalue by its ``m``.
+    is, so the one clustering rule runs on each eigenvalue once, weighted
+    by its ``m``, and the residual is the smallest cluster's mean.
     """
-    w, m = [], []
-    for (mult, R, _, _), same in zip(blocks, levels):
+    eigenvalues = []
+    for (_, R, _, _), same in zip(blocks, levels):
         # in place, bit for bit v * block_diagonal(R, same) - R
         B = block_diagonal(R, same)
         B *= v
         B -= R
-        w.append(np.linalg.eigvalsh(hermitian_part(B)))
-        m.append(np.full(len(R), float(mult)))
-    w, m = np.concatenate(w), np.concatenate(m)
-    # the stable argsort of _levels: a first use of another numpy sort
-    # kernel maps its code pages, about 0.1 MiB of resident memory
-    order = np.argsort(w, kind="stable")
-    _, sizes, _ = _gap_clusters(w[order])
-    bottom = order[: sizes[0]]
-    # pairwise as .mean(), so with m = 1 the bits of the unweighted mean
-    return float((w[bottom] * m[bottom]).sum() / m[bottom].sum())
+        eigenvalues.append(np.linalg.eigvalsh(hermitian_part(B)))
+    w, m = _ranked(blocks, eigenvalues)
+    return float(_gap_clusters(w, m=m)[0][0])
 
 
 def verify_bounds(pair: HypothesisPair, n_range, a_grid) -> list[BoundReport]:
@@ -507,17 +517,10 @@ def _plain_errors(pair: HypothesisPair, n: int, a: float, blocks) -> ErrorProbab
         return ErrorProbabilities(alpha=float(alpha), beta=0.0, n=n, a=a)
     thr = math.exp(n * a)
     eigs = [np.linalg.eigh(hermitian_part(R - thr * np.diag(s))) for _, R, _, s in blocks]
-    spectrum = np.concatenate([w for w, _ in eigs])
-    copies = np.repeat([float(b[0]) for b in blocks], [len(b[3]) for b in blocks])
-    order = np.argsort(spectrum, kind="stable")
-    spectrum, copies = spectrum[order], copies[order]
-    margin = _positivity_margin(spectrum)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(spectrum) > margin) + 1))
-    means = np.add.reduceat(spectrum * copies, starts) / np.add.reduceat(copies, starts)
-    # kept clusters are a top segment of the sorted spectrum, so the test
-    # keeps exactly the eigenvalues from the smallest kept one up
-    kept = np.flatnonzero(means > margin)
-    cut = spectrum[starts[kept[0]]] if kept.size else math.inf
+    spectrum, copies = _ranked(blocks, [w for w, _ in eigs])
+    # the kept eigenvalues are a top segment: all from the smallest kept one up
+    positive = spectrum[strictly_positive(spectrum, copies)]
+    cut = positive[0] if positive.size else math.inf
     alpha = beta = 0.0
     for (m, R, _, s), (w, U) in zip(blocks, eigs):
         kept = w >= cut

@@ -123,33 +123,30 @@ def eigendecompose(H) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=means, vectors=V, sizes=sizes)
 
 
-def _gap_clusters(w: np.ndarray):
-    """Clusters of the ascending eigenvalues ``w`` as :func:`eigendecompose` merges them.
+def _gap_clusters(w: np.ndarray, gap=None, m=None):
+    """Clusters of the ascending eigenvalues ``w``: the library's one clustering rule.
 
     Returns ``(means, sizes, norm)``: the cluster means, the number of
-    consecutive eigenvalues in each and the norm ``max |w|``; consecutive
-    eigenvalues merge where their gap is at most ``CLUSTER_REL_TOL * norm``.
+    consecutive eigenvalues in each and the norm ``max |w|``.  Consecutive
+    eigenvalues merge where their gap is at most ``gap``, by default
+    ``CLUSTER_REL_TOL * norm`` as :func:`eigendecompose` merges them.  Entry
+    i stands for ``m[i]`` equal eigenvalues (default 1), and a cluster's
+    mean is ``(w * m).sum() / m.sum()`` with numpy's pairwise sums: with
+    ``m = 1`` the plain ``.mean()``, and a single eigenvalue its own mean.
     """
     norm = np.abs(w).max() if w.size else 0.0
-    breaks = np.flatnonzero(np.diff(w) > CLUSTER_REL_TOL * norm) + 1
-    means, sizes = _cluster_means(w, breaks)
-    return means, sizes, norm
-
-
-def _cluster_means(w: np.ndarray, breaks: np.ndarray):
-    """Means and sizes of the runs of ``w`` that start at 0 and at each of ``breaks``.
-
-    A single eigenvalue is its own mean, so only runs of two or more are
-    averaged.
-    """
-    starts = np.concatenate(([0], breaks))
+    gap = CLUSTER_REL_TOL * norm if gap is None else gap
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(w) > gap) + 1))
     sizes = np.diff(np.concatenate((starts, [len(w)])))
     if not w.size:
-        return np.array([np.nan]), sizes
-    means = w[starts]
+        return np.array([np.nan]), sizes, norm
+    m = np.ones(len(w)) if m is None else np.asarray(m, dtype=float)
+    wm = w * m
+    means = wm[starts] / m[starts]
     for i in np.flatnonzero(sizes > 1):
-        means[i] = w[starts[i] : starts[i] + sizes[i]].mean()
-    return means, sizes
+        run = slice(starts[i], starts[i] + sizes[i])
+        means[i] = wm[run].sum() / m[run].sum()
+    return means, sizes, norm
 
 
 def block_diagonal(A: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -189,29 +186,25 @@ def positive_projection(X) -> np.ndarray:
     return (V * strictly_positive(w).astype(float)) @ V.conj().T
 
 
-def strictly_positive(w) -> np.ndarray:
+def strictly_positive(w, m=None) -> np.ndarray:
     """Which of the ascending eigenvalues ``w`` of a Hermitian X lie in {X > 0}.
 
-    Multiplicities are repeated entries.  The margin is
-    ``max(CLUSTER_REL_TOL * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``:
+    Entry i stands for ``m[i]`` equal eigenvalues (default 1).  The margin
+    is ``max(CLUSTER_REL_TOL * max(w_max, 0), POSITIVITY_ROUNDOFF * max|w|)``:
     relative to the top of the spectrum, so that for X = A - B with A, B >= 0
     it scales with the positive part and not with B, which can be larger by
     many orders of magnitude, and never below the roundoff of an eigensolve
-    of X.  Eigenvalues merge where consecutive gaps are within the margin,
-    and a merged cluster counts as positive when its mean exceeds it, so the
-    kept eigenvalues are a top segment of ``w``.
+    of X.  Eigenvalues merge where consecutive gaps are within the margin
+    (:func:`_gap_clusters`), and a merged cluster counts as positive when
+    its multiplicity-weighted mean exceeds it, so the kept eigenvalues are a
+    top segment of ``w``.
     """
     w = np.asarray(w, dtype=float)
     if not w.size:
         return np.zeros(0, dtype=bool)
-    margin = _positivity_margin(w)
-    means, sizes = _cluster_means(w, np.flatnonzero(np.diff(w) > margin) + 1)
+    margin = max(CLUSTER_REL_TOL * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max())
+    means, sizes, _ = _gap_clusters(w, margin, m)
     return np.repeat(means > margin, sizes)
-
-
-def _positivity_margin(w: np.ndarray) -> float:
-    """The margin of :func:`strictly_positive` for the ascending, nonempty ``w``."""
-    return max(CLUSTER_REL_TOL * max(w[-1], 0.0), POSITIVITY_ROUNDOFF * np.abs(w).max())
 
 
 def matrix_power(H, t: float) -> np.ndarray:

@@ -691,6 +691,22 @@ class TestErrorPaths:
         [line] = err.splitlines()
         assert line.startswith("error: rate objective peaked at the first positive grid point")
 
+    def test_rate_near_the_largest_float_prints_psi_bar_at_one(self, capsys):
+        # the rate objective's grid values below the float range are -inf, not
+        # an overflow that -W error turns into a traceback; u is psi_bar(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "hoeffding", "--grid-r", "1e307:2e307:1e307")
+        assert (code, err) == (0, "")
+        header, *rows = out.splitlines()
+        assert header == "r,u,a_r"
+        psi_bar_one = qht.psi_bar(qht.preset_pair("qubit-generic"), 1.0)
+        assert [float(row.split(",")[0]) for row in rows] == [1e307, 2e307]
+        for row in rows:
+            r, u, a_r = map(float, row.split(","))
+            assert u == pytest.approx(psi_bar_one, abs=1e-14)
+            assert a_r == u - r
+
     def test_over_budget_range_rejected_before_any_blocklength(self, capsys):
         code, out, err = run(capsys, "finite-n", "--preset", "qubit-generic", "--n-max", "127")
         assert code == 2

@@ -1,6 +1,8 @@
 import gc
 import json
+import math
 import re
+import sys
 import warnings
 import weakref
 
@@ -471,6 +473,23 @@ class TestHoeffdingRate:
         with pytest.warns(qht.RateTooSmallWarning):
             qht.hoeffding_rate(commuting, 1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rate_near_the_largest_float_peaks_at_s_one(self, dim):
+        # above r ~ 1e305 the objective (psi_bar(s) - (1-s) r) / s lies below
+        # the float range at the first positive grid points: those are -inf,
+        # not an overflow warning, and the maximum is the s = 1 end, psi_bar(1)
+        pair = qht.random_pair(0, dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for r in (1e305, 1e307, 1e308, sys.float_info.max):
+                u = qht.hoeffding_rate(pair, r)
+                assert u == pytest.approx(qht.psi_bar(pair, 1.0), abs=1e-14)
+                assert qht.solve_rate_parameter(pair, r) == u - r
+            # E(1) = -log sum q = 0 for the classical exponent
+            assert qht.classical_hoeffding([0.5, 0.5], [0.9, 0.1], 1e308) == pytest.approx(
+                0.0, abs=1e-14
+            )
+
 
 class TestRateParameter:
     @pytest.mark.parametrize("r", [0.01, 0.1, 0.5])
@@ -686,6 +705,22 @@ class TestClassical:
             check_distribution([1.25, -0.25])
         with pytest.raises(qht.InvariantViolation, match=r"\(normalization\): sum is 0\.75$"):
             check_distribution([0.5, 0.25])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_rejected(self, entry):
+        # NaN fails both the sign and the sum check; it is refused as pairs
+        # refuse a non-finite state entry, before any exponent is formed
+        calls = (
+            lambda: check_distribution([entry, 1.0]),
+            lambda: qht.classical_psi([entry, 1.0], [0.5, 0.5], 0.5),
+            lambda: qht.classical_hoeffding([0.5, 0.5], [entry, 1.0], 0.1),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(qht.InvariantViolation) as err:
+                    call()
+                assert err.value.check == "finite"
 
     def test_support_size_mismatch(self):
         with pytest.raises(qht.DimensionMismatch):

@@ -594,17 +594,18 @@ class TestVerifyBounds:
         # the block residual against v blockdiag(M) - M over the same levels,
         # with M = (V* rho V)^{(x)n} formed densely in level order; the whole
         # spectrum with multiplicities is compared, not just its bottom.  The
-        # clustering sees each sub-block eigenvalue once, ascending, and the
-        # test repeats each its block's multiplicity.  The
-        # level spectra read off the blocks are compared, with multiplicities,
-        # with those of the dense level blocks of M.  For d >= 3 the one block
-        # is M in tensor-product order, so they agree bit for bit; the qubit
-        # spin sub-blocks stayed within 1.7e-16 of them (d2-1-merged).
+        # clustering sees each sub-block eigenvalue once, ascending, with its
+        # block's multiplicity as its weight, and the test repeats each that
+        # many times.  The level spectra read off the blocks are compared, with
+        # multiplicities, with those of the dense level blocks of M.  For d >= 3
+        # the one block is M in tensor-product order, so they agree bit for
+        # bit; the qubit spin sub-blocks stayed within 1.7e-16 of them
+        # (d2-1-merged).
         spectra = []
 
-        def spy(w):
-            spectra.append(w)
-            return operators._gap_clusters(w)
+        def spy(w, gap=None, m=None):
+            spectra.append((w, m))
+            return operators._gap_clusters(w, gap, m)
 
         monkeypatch.setattr(finite_n, "_gap_clusters", spy)
         X = pair.rho_in_sigma_basis
@@ -626,8 +627,9 @@ class TestVerifyBounds:
             ]
             flat = np.concatenate(sub)
             order = np.argsort(flat, kind="stable")
-            assert spectra[-1].tobytes() == flat[order].tobytes()
             m = np.concatenate([np.full(len(w), mult) for w, (mult, *_) in zip(sub, blocks)])
+            assert spectra[-1][0].tobytes() == flat[order].tobytes()
+            assert spectra[-1][1].tobytes() == m[order].astype(float).tobytes()
             dense = np.linalg.eigvalsh(hermitian_part(residual))
             assert np.abs(np.repeat(flat[order], m[order]) - dense).max() <= 1e-14 * v
             ends = np.cumsum(sizes)

@@ -11,6 +11,23 @@ from qht.operators import hermitian_part, strictly_positive
 from conftest import rng_hermitian
 
 
+def clustered_spectrum(seed: int) -> np.ndarray:
+    """Ascending eigenvalues with singletons, ties and near-ties that merge.
+
+    One cluster holds 13 entries: from 8 on, numpy's pairwise sum is not
+    the sequential one.
+    """
+    rng = np.random.default_rng([seed, 41])
+    base = rng.standard_normal(8)
+    return np.sort(np.concatenate([
+        base,
+        np.repeat(base[:3], 4),
+        base[3:5] + 1e-13 * rng.standard_normal(2),
+        np.kron(base[:4], base[:4]),
+        base[5] + 1e-13 * rng.standard_normal(12),
+    ]))
+
+
 class TestEigendecompose:
     def test_identity(self):
         dec = qht.eigendecompose(np.eye(2))
@@ -57,20 +74,39 @@ class TestEigendecompose:
     def test_cluster_means_match_per_cluster_mean(self, seed):
         # singletons are taken from w as they are; every mean must equal the
         # per-cluster .mean() bit for bit, repeated eigenvalues included
-        rng = np.random.default_rng([seed, 41])
-        base = rng.standard_normal(8)
-        w = np.sort(np.concatenate([
-            base,
-            np.repeat(base[:3], 4),
-            base[3:5] + 1e-13 * rng.standard_normal(2),
-            np.kron(base[:4], base[:4]),
-        ]))
+        w = clustered_spectrum(seed)
         means, sizes, norm = operators._gap_clusters(w)
         breaks = np.flatnonzero(np.diff(w) > CLUSTER_REL_TOL * norm) + 1
         reference = np.array([c.mean() for c in np.split(w, breaks)])
         assert (sizes > 1).any() and (sizes == 1).any()
         np.testing.assert_array_equal(means, reference)
         np.testing.assert_array_equal(sizes, [len(c) for c in np.split(w, breaks)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_multiplicities_match_the_unweighted_clusters(self, seed):
+        # m = 1 is the default bit for bit, at the default gap and at a given one
+        w = clustered_spectrum(seed)
+        ones = np.ones(len(w))
+        for gap in (None, 1e-12, 0.3):
+            plain = operators._gap_clusters(w, gap)
+            weighted = operators._gap_clusters(w, gap, ones)
+            assert plain[0].tobytes() == weighted[0].tobytes()
+            np.testing.assert_array_equal(plain[1], weighted[1])
+            assert plain[2] == weighted[2]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_integer_multiplicities_match_the_repeated_spectrum(self, seed):
+        # entry i weighted by m[i] clusters as m[i] repeated copies of it:
+        # repeats add only zero gaps, so the same clusters, each holding the
+        # sum of its m, with means equal up to roundoff
+        w = clustered_spectrum(seed)
+        m = np.random.default_rng([seed, 7]).integers(1, 9, len(w))
+        means, sizes, norm = operators._gap_clusters(w, m=m.astype(float))
+        ref_means, ref_sizes, ref_norm = operators._gap_clusters(np.repeat(w, m))
+        assert norm == ref_norm
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        np.testing.assert_array_equal(np.add.reduceat(m, starts), ref_sizes)
+        np.testing.assert_allclose(means, ref_means, rtol=0.0, atol=4e-16 * norm)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.integers(2, 5))
@@ -190,6 +226,28 @@ class TestPositiveProjection:
         assert list(strictly_positive(w)) == [False, False, True, True]
         rank = round(np.trace(qht.positive_projection(np.diag(w))).real)
         assert rank == 2
+
+    def test_multiplicities_weigh_the_cluster_mean(self):
+        # 3e-11 (x4) and 1.2e-10 share a cluster: with weight 10 on 1.2e-10
+        # its mean 9.4e-11 stays below the margin 1e-10, with weight 20 it
+        # rises to 1.05e-10 and the cluster is kept
+        w = [-1.0, 3e-11, 1.2e-10, 1.0]
+        assert list(strictly_positive(w, [1.0, 4.0, 10.0, 1.0])) == [False, False, False, True]
+        assert list(strictly_positive(w, [1.0, 4.0, 20.0, 1.0])) == [False, True, True, True]
+        assert list(strictly_positive(w, [1, 1, 1, 1])) == list(strictly_positive(w))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_multiplicities_match_the_repeated_spectrum(self, seed):
+        # near the margin 1e-10, eigenvalues spaced below it chain into
+        # clusters whose weighted mean decides them, ties included; on 6 of
+        # the 20 seeds the weights change a decision of the unweighted rule
+        rng = np.random.default_rng([seed, 43])
+        near = 1e-10 * rng.uniform(0.2, 1.8, 12)
+        w = np.sort(np.concatenate(([-1.0, 1.0], near, near[:3])))
+        m = 2 ** rng.integers(0, 8, len(w))
+        mask = strictly_positive(w, m.astype(float))
+        np.testing.assert_array_equal(np.repeat(mask, m), strictly_positive(np.repeat(w, m)))
+        assert mask.any() and not mask.all()
 
     def test_zero_spectrum_keeps_nothing(self):
         assert not strictly_positive(np.zeros(5)).any()
